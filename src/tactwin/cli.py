@@ -22,10 +22,10 @@ import numpy as np
 
 from .contact import MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
-                      load_sample_image, read_annotations, read_manifest)
+                      load_sample_image, read_annotations, read_jsonl,
+                      read_manifest)
 from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
-                      TemplateLibrary, build_calibration, build_templates,
-                      params_hash)
+                      TemplateLibrary, build_decoder, params_hash)
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
                      ContractViolation, ScenarioError, StaleCalibrationError)
@@ -62,7 +62,7 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _build_params(cfg: dict, args) -> tuple:
+def _build_params(cfg: dict, args=None) -> tuple:
     sensor_kw = dict(cfg.get("sensor", {}))
     if getattr(args, "size", None) is not None:
         sensor_kw["input_size"] = args.size
@@ -85,6 +85,18 @@ def _build_params(cfg: dict, args) -> tuple:
     except TypeError as exc:
         raise ConfigError(f"bad parameter name in config: {exc}") from exc
     return sensor, material, illum, decode_cfg
+
+
+def _manifest_config(spec: dict, cfg: dict | None = None, noise=None) -> dict:
+    """Config sections for reading a dataset: the simulator parameters it was
+    generated with, plus the decode section of ``cfg``. The noise sigma is
+    ``noise`` if given, else the config's, else the dataset's."""
+    decode = {"noise_sigma": spec["noise_sigma"]}
+    decode.update((cfg or {}).get("decode", {}))
+    if noise is not None:
+        decode["noise_sigma"] = noise
+    return {"sensor": spec["sensor"], "material": spec["material"],
+            "illumination": spec["illumination"], "decode": decode}
 
 
 def _parse_force_range(spec: str) -> tuple:
@@ -142,10 +154,6 @@ def cmd_generate(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
     sensor, material, illum, decode_cfg = _build_params(cfg, args)
-    probes = SUITES[args.suite]()
-    by_class: dict = {}
-    for probe in probes:
-        by_class.setdefault(probe.class_name, []).append(probe)
     out = Path(args.out)
     _echo_config(out, {
         "command": "calibrate", "suite": args.suite,
@@ -153,18 +161,15 @@ def cmd_calibrate(args) -> int:
         "illumination": illum.params(), "decode": decode_cfg.params(sensor),
         "params_hash": params_hash(material, illum, sensor, decode_cfg),
     })
-    tables = {cls: build_calibration(cls, plist, material, illum, sensor,
-                                     decode_cfg)
-              for cls, plist in sorted(by_class.items())}
-    template_probes = [p[len(p) // 2] for _, p in sorted(by_class.items())]
-    templates = build_templates(template_probes, material, illum, sensor,
-                                decode_cfg)
+    decoder = build_decoder(SUITES[args.suite](), material, illum, sensor,
+                            decode_cfg)
+    tables = decoder.calibrations
     with open(out / "calibration.json", "w") as fh:
         json.dump({cls: t.to_json() for cls, t in tables.items()}, fh,
                   sort_keys=True)
         fh.write("\n")
     with open(out / "templates.json", "w") as fh:
-        json.dump(templates.to_json(), fh, sort_keys=True)
+        json.dump(decoder.templates.to_json(), fh, sort_keys=True)
         fh.write("\n")
     _log(out, f"calibrate suite={args.suite}")
     print(f"calibrated {sorted(tables)} -> {out}")
@@ -184,17 +189,9 @@ def cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     dataset = Path(args.dataset)
     manifest = read_manifest(dataset)
-    spec = manifest["spec"]
-    sensor = SensorConfig(**spec["sensor"])
-    material = MaterialParams(**spec["material"])
-    illum_kw = dict(spec["illumination"])
-    illum_kw["light_dirs"] = np.array(illum_kw["light_dirs"])
-    illum = IlluminationModel(**illum_kw)
-    decode_kw = dict(cfg.get("decode", {}))
-    decode_kw.setdefault("noise_sigma", spec["noise_sigma"])
-    if args.noise is not None:
-        decode_kw["noise_sigma"] = args.noise
-    decode_cfg = DecodeConfig(**decode_kw)
+    # The dataset fixes the sensor: --size/--scale do not apply here.
+    sensor, material, illum, decode_cfg = _build_params(
+        _manifest_config(manifest["spec"], cfg, args.noise))
     tables, templates = _load_model(Path(args.model))
     decoder = TactileDecoder(material, illum, sensor, decode_cfg, tables,
                              templates)
@@ -232,6 +229,19 @@ def _detection_from_row(row: dict) -> Detection:
     )
 
 
+def _read_detections(path: str) -> dict:
+    """Detections grouped by sample index; a bad row is an I/O error naming
+    the file and line."""
+    by_index: dict = {}
+    for lineno, row in read_jsonl(path):
+        try:
+            by_index.setdefault(row["index"], []).append(_detection_from_row(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IOError(f"{path}:{lineno}: bad detection row: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return by_index
+
+
 class _GtRow:
     __slots__ = ("box", "class_name", "theta_deg", "force_n")
 
@@ -247,14 +257,7 @@ def cmd_eval(args) -> int:
     dataset = Path(args.dataset)
     annotations = [a for a in read_annotations(dataset)
                    if args.split in ("all", a["split"])]
-    try:
-        with open(args.detections) as fh:
-            det_rows = [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise IOError(f"cannot read detections: {exc}") from exc
-    dets_by_index: dict = {}
-    for row in det_rows:
-        dets_by_index.setdefault(row["index"], []).append(_detection_from_row(row))
+    dets_by_index = _read_detections(args.detections)
     per_sample = []
     classes = set()
     for ann in annotations:
@@ -280,12 +283,7 @@ def cmd_eval(args) -> int:
 def cmd_train_toy(args) -> int:
     dataset = Path(args.dataset)
     manifest = read_manifest(dataset)
-    spec = manifest["spec"]
-    sensor = SensorConfig(**spec["sensor"])
-    material = MaterialParams(**spec["material"])
-    illum_kw = dict(spec["illumination"])
-    illum_kw["light_dirs"] = np.array(illum_kw["light_dirs"])
-    illum = IlluminationModel(**illum_kw)
+    sensor, _, illum, _ = _build_params(_manifest_config(manifest["spec"]))
     grid = build_region_grid(sensor.input_size)
     reference = make_reference(sensor, illum)
     annotations = read_annotations(dataset)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, ScenarioError
-from .frames import SensorConfig, pixel_centers_mm
+from .frames import PixelWindow, SensorConfig, pixel_centers_mm
 from .geometry import OrientedBox, normalize_angle
 
 MAX_FORCE_N = 10.0
@@ -83,6 +83,11 @@ class StripProbe:
     def area_mm2(self) -> float:
         return self.length_mm * self.width_mm
 
+    @property
+    def reach_mm(self) -> float:
+        """Largest distance of a contact point from the probe centre."""
+        return math.hypot(self.length_mm, self.width_mm) / 2.0
+
     def params(self) -> dict:
         return {"kind": "strip", "length_mm": self.length_mm, "width_mm": self.width_mm}
 
@@ -117,6 +122,20 @@ class FootprintProbe:
         w = (xs.max() - xs.min() + 1) * self.stencil_scale_mm
         h = (ys.max() - ys.min() + 1) * self.stencil_scale_mm
         return w, h
+
+    @property
+    def reach_mm(self) -> float:
+        """Largest distance of a contact point from the stencil's array centre.
+
+        A raster point is in contact when its nearest stencil cell is set, so
+        the contact region is the union of the set cells' squares and the
+        reach is the farthest corner of one of them.
+        """
+        ys, xs = np.nonzero(self.stencil)
+        s = self.stencil_scale_mm
+        u = np.abs(xs - (self.stencil.shape[1] - 1) / 2.0) * s + s / 2.0
+        v = np.abs(ys - (self.stencil.shape[0] - 1) / 2.0) * s + s / 2.0
+        return float(np.hypot(u, v).max())
 
     def center_offset_mm(self):
         """Tight-box center relative to the stencil origin (asymmetric shapes)."""
@@ -209,23 +228,30 @@ def punch_indentation(force_n: float, footprint_area_mm2: float, e_star: float) 
     return force_n / (2.0 * e_star * math.sqrt(footprint_area_mm2 / math.pi))
 
 
-def _strip_inside(probe: StripProbe, scenario: ContactScenario, X, Y):
+def contact_reach_mm(scenario: ContactScenario, material: MaterialParams) -> float:
+    """Largest distance of a contact point from the scenario centre."""
+    probe = scenario.probe
+    if isinstance(probe, SphereProbe):
+        return hertz_indentation(scenario.force_n, probe.radius_mm, material.e_star)[1]
+    return probe.reach_mm
+
+
+def _probe_frame(scenario: ContactScenario, X, Y):
+    """Raster coordinates (mm) expressed in the probe's own rotated frame."""
     t = math.radians(scenario.theta_deg)
     c, s = math.cos(t), math.sin(t)
     dx = X - scenario.x_mm
     dy = Y - scenario.y_mm
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
+    return dx * c + dy * s, -dx * s + dy * c
+
+
+def _strip_inside(probe: StripProbe, scenario: ContactScenario, X, Y):
+    u, v = _probe_frame(scenario, X, Y)
     return (np.abs(u) <= probe.length_mm / 2.0) & (np.abs(v) <= probe.width_mm / 2.0)
 
 
 def _footprint_inside(probe: FootprintProbe, scenario: ContactScenario, X, Y):
-    t = math.radians(scenario.theta_deg)
-    c, s = math.cos(t), math.sin(t)
-    dx = X - scenario.x_mm
-    dy = Y - scenario.y_mm
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
+    u, v = _probe_frame(scenario, X, Y)
     st = probe.stencil
     iu = np.rint(u / probe.stencil_scale_mm + (st.shape[1] - 1) / 2.0).astype(int)
     iv = np.rint(v / probe.stencil_scale_mm + (st.shape[0] - 1) / 2.0).astype(int)
@@ -247,9 +273,15 @@ def _punch_field(inside, depth, sigma_mm, scale):
 
 
 def height_field(scenario: ContactScenario, material: MaterialParams,
-                 sensor: SensorConfig) -> HeightField:
-    """Membrane height field for one scenario. Zero force gives a zero field."""
-    X, Y = pixel_centers_mm(sensor)
+                 sensor: SensorConfig, window: PixelWindow | None = None) -> HeightField:
+    """Membrane height field for one scenario. Zero force gives a zero field.
+
+    Only the pixels of ``window`` (default: the whole raster) are computed.
+    Each value equals the whole-raster one as long as the window holds the
+    whole contact region: the sphere field is pointwise, and the punch
+    field's distance transform then sees every contact pixel.
+    """
+    X, Y = pixel_centers_mm(sensor, window)
     probe = scenario.probe
     sigma = material.membrane_sigma_mm
 
@@ -264,7 +296,7 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
                 f"indentation {depth:.2f} mm reaches the probe radius {R} mm; "
                 "reduce force or stiffen the material")
         _check_depth(depth, material)
-        _check_bounds(abs(scenario.x_mm), abs(scenario.y_mm), a, sensor)
+        _check_bounds(scenario, a, sensor)
         r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
         z = np.zeros(X.shape)
         inside = r <= a
@@ -277,8 +309,7 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
     if isinstance(probe, StripProbe):
         depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
         _check_depth(depth, material)
-        half_diag = math.hypot(probe.length_mm, probe.width_mm) / 2.0
-        _check_bounds(abs(scenario.x_mm), abs(scenario.y_mm), half_diag, sensor)
+        _check_bounds(scenario, probe.reach_mm, sensor)
         inside = _strip_inside(probe, scenario, X, Y)
         return HeightField(_punch_field(inside, depth, sigma, sensor.scale_mm_per_px),
                            sensor.scale_mm_per_px)
@@ -286,9 +317,7 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
     if isinstance(probe, FootprintProbe):
         depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
         _check_depth(depth, material)
-        w, h = probe.tight_dims_mm()
-        half_diag = math.hypot(w, h) / 2.0
-        _check_bounds(abs(scenario.x_mm), abs(scenario.y_mm), half_diag, sensor)
+        _check_bounds(scenario, probe.reach_mm, sensor)
         inside = _footprint_inside(probe, scenario, X, Y)
         if not inside.any():
             raise ScenarioError("footprint does not touch the active area")
@@ -305,11 +334,11 @@ def _check_depth(depth: float, material: MaterialParams):
             f"{material.layer_thickness_mm} mm")
 
 
-def _check_bounds(ax: float, ay: float, half_size: float, sensor: SensorConfig):
+def _check_bounds(scenario: ContactScenario, reach_mm: float, sensor: SensorConfig):
     half_extent = sensor.extent_mm / 2.0
-    if ax + half_size > half_extent or ay + half_size > half_extent:
+    if max(abs(scenario.x_mm), abs(scenario.y_mm)) + reach_mm > half_extent:
         raise ScenarioError(
-            f"contact footprint (half-size {half_size:.2f} mm) leaves the "
+            f"contact footprint (reach {reach_mm:.2f} mm) leaves the "
             f"{sensor.extent_mm:.0f} mm active area")
 
 

@@ -44,16 +44,28 @@ def pgm_bytes(image: TactileImage) -> bytes:
 
 
 def read_pgm(path: Path, scale_mm_per_px: float, is_reference: bool = False) -> TactileImage:
+    """Read a 16-bit binary PGM as ``write_pgm`` writes it. A malformed header
+    or a payload of the wrong length is an IOError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
-        if magic != b"P5":
-            raise IOError(f"{path}: not a binary PGM file")
         dims = fh.readline().split()
-        maxval = int(fh.readline())
-        w, h = int(dims[0]), int(dims[1])
-        if maxval != PGM_MAXVAL:
-            raise IOError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
-        raw = np.frombuffer(fh.read(w * h * 2), dtype=">u2").reshape(h, w)
+        maxval = fh.readline().strip()
+        payload = fh.read()
+    if magic != b"P5":
+        raise IOError(f"{path}: not a binary PGM file")
+    try:
+        w, h = (int(v) for v in dims)
+        maxval = int(maxval)
+    except ValueError as exc:
+        raise IOError(f"{path}: malformed PGM header: {exc}") from exc
+    if w <= 0 or h <= 0:
+        raise IOError(f"{path}: bad PGM dimensions {w}x{h}")
+    if maxval != PGM_MAXVAL:
+        raise IOError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
+    if len(payload) != w * h * 2:
+        raise IOError(f"{path}: PGM payload is {len(payload)} bytes, expected "
+                      f"{w * h * 2} for {w}x{h} pixels")
+    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
     return TactileImage(raw.astype(float) / PGM_MAXVAL, scale_mm_per_px,
                         is_reference=is_reference)
 
@@ -201,10 +213,28 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int = 1) -> dict:
     return manifest
 
 
+def read_jsonl(path) -> list[tuple[int, object]]:
+    """(line number, value) for each nonblank line of a JSON Lines file. An
+    unreadable file or a line that is not JSON is an IOError naming the file
+    and line."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise IOError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    return rows
+
+
 def read_annotations(dataset_dir) -> list[dict]:
-    path = Path(dataset_dir) / "annotations.jsonl"
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return [row for _, row in read_jsonl(Path(dataset_dir) / "annotations.jsonl")]
 
 
 def read_manifest(dataset_dir) -> dict:

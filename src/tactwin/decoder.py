@@ -8,6 +8,16 @@ probe-size variants whose areas overlap). Detection boxes come from weighted
 percentile extents along the principal axes, rescaled by the calibration's
 measured-vs-true box ratio so they track the contact footprint rather than
 the wider deviation band.
+
+The calibration sweeps render noise-free images whose pixels equal the flat
+reference outside ``render.contact_window``, so their deviation is exactly 0
+there. They measure only that window, widened by the denoise filter's radius,
+beyond which the filtered deviation is exactly 0 too, and by half the merge
+distance, so that fragment merging finds every pixel it could join through
+inside. The filter's reflected border then reads only zero pixels at the
+window's inner edges and reflects as on the whole raster at the raster's
+edges. Blob pixels, moments and areas come out bit-equal to a whole-raster
+measurement.
 """
 
 from __future__ import annotations
@@ -23,9 +33,10 @@ from scipy import ndimage
 from .contact import (ContactScenario, MaterialParams, Probe, SphereProbe,
                       StripProbe)
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
-from .frames import SensorConfig
+from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
-from .render import IlluminationModel, TactileImage, make_reference, simulate
+from .render import (IlluminationModel, TactileImage, contact_window,
+                     make_reference, simulate)
 
 SCHEMA_VERSION = 1
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
@@ -131,18 +142,19 @@ class Blob:
     extent_mm: float
 
     def pixel_xy_mm(self):
-        half = self.extent_mm / 2.0
-        s = self.scale_mm_per_px
-        return (self.xs + 0.5) * s - half, (self.ys + 0.5) * s - half
+        return px_to_mm(self.xs, self.ys, self.scale_mm_per_px, self.extent_mm)
 
 
 def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
-                  min_area_mm2: float = 1.0, merge_dist_mm: float = 3.0) -> list[Blob]:
+                  min_area_mm2: float = 1.0, merge_dist_mm: float = 3.0,
+                  window: PixelWindow | None = None) -> list[Blob]:
     """8-connected components of |dev| >= threshold, nearby fragments merged.
 
     Fragments closer than merge_dist_mm belong to one contact signature (flat
     probes leave separated edge bands); components are merged before the
-    minimum-area filter. Moments are weighted by |dev|.
+    minimum-area filter. Moments are weighted by |dev|. ``window`` says where
+    dev lies in a larger raster (default: dev is the raster); blob pixels and
+    extents are in that raster's frame.
     """
     if not (threshold > 0):
         raise ConfigError("threshold must be > 0")
@@ -174,15 +186,15 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     bounds = np.searchsorted(gid, np.unique(gid))
     bounds = np.append(bounds, gid.size)
 
-    extent = dev.shape[0] * scale_mm_per_px
-    half = extent / 2.0
+    window = window or PixelWindow.full(dev.shape[0])
+    ys, xs = ys + window.y0, xs + window.x0
+    extent = window.n * scale_mm_per_px
     blobs = []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         n_px = b1 - b0
         area = n_px * px_area
         gys, gxs, gw = ys[b0:b1], xs[b0:b1], w[b0:b1]
-        x_mm = (gxs + 0.5) * scale_mm_per_px - half
-        y_mm = (gys + 0.5) * scale_mm_per_px - half
+        x_mm, y_mm = px_to_mm(gxs, gys, scale_mm_per_px, extent)
         wsum = gw.sum()
         cx = float((gw * x_mm).sum() / wsum)
         cy = float((gw * y_mm).sum() / wsum)
@@ -242,9 +254,9 @@ def _canonical_patches(blob: Blob, angles_deg, size: int, pad: float) -> np.ndar
     U, V = np.meshgrid(lin, lin)
     px = cx + U[None] * c - V[None] * s
     py = cy + U[None] * s + V[None] * c
-    half = blob.extent_mm / 2.0
-    ix = np.rint((px + half) / blob.scale_mm_per_px - 0.5).astype(int)
-    iy = np.rint((py + half) / blob.scale_mm_per_px - 0.5).astype(int)
+    fx, fy = mm_to_px(px, py, blob.scale_mm_per_px, blob.extent_mm)
+    ix = np.rint(fx).astype(int)
+    iy = np.rint(fy).astype(int)
     n_img = int(round(blob.extent_mm / blob.scale_mm_per_px))
     ok = (ix >= 0) & (ix < n_img) & (iy >= 0) & (iy < n_img)
     flat = np.zeros((n_img, n_img), dtype=bool)
@@ -433,14 +445,33 @@ def box_extents(blob: Blob, theta_deg: float):
 
 
 def _decode_measurements(image: TactileImage, reference: TactileImage,
-                         sensor: SensorConfig, cfg: DecodeConfig):
+                         sensor: SensorConfig, cfg: DecodeConfig,
+                         window: PixelWindow | None = None):
+    """Blobs of image - reference; ``window``, when given, holds every pixel
+    where the two differ (see the module docstring)."""
     dev = difference_image(image, reference)
     sp = cfg.denoise_sigma_px(sensor)
+    if window is not None:
+        # scipy's Gaussian kernel radius, then the merge reach in pixels
+        radius = int(_GAUSS_TRUNCATE * sp + 0.5) if sp > 0 else 0
+        merge_px = math.ceil(cfg.merge_dist_mm / 2.0 / sensor.scale_mm_per_px)
+        window = window.grow(radius + merge_px)
+        dev = dev[window.slices]
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
     return extract_blobs(dev, sensor.scale_mm_per_px,
                          cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2, cfg.merge_dist_mm)
+                         cfg.min_area_mm2, cfg.merge_dist_mm, window=window)
+
+
+def _calibration_blobs(probe: Probe, force: float, material: MaterialParams,
+                       illum: IlluminationModel, sensor: SensorConfig,
+                       cfg: DecodeConfig, reference: TactileImage):
+    """Noise-free forward render of a centred probe, measured on its window."""
+    scenario = calibration_scenario(probe, force)
+    image, gt = simulate(scenario, material, illum, sensor)
+    window = contact_window(scenario, material, illum, sensor)
+    return _decode_measurements(image, reference, sensor, cfg, window), gt
 
 
 def calibration_scenario(probe: Probe, force: float) -> ContactScenario:
@@ -472,9 +503,8 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             if force == 0:
                 vals = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             else:
-                scenario = calibration_scenario(probe, force)
-                image, gt = simulate(scenario, material, illum, sensor)
-                blobs = _decode_measurements(image, reference, sensor, cfg)
+                blobs, gt = _calibration_blobs(probe, force, material, illum,
+                                               sensor, cfg, reference)
                 if not blobs:
                     if seen_blob:
                         raise CalibrationError(
@@ -619,9 +649,8 @@ def build_templates(probes: list, material: MaterialParams,
     for probe in probes:
         cls = probe.class_name
         for force in cfg.template_forces:
-            image, _ = simulate(calibration_scenario(probe, force),
-                                material, illum, sensor)
-            blobs = _decode_measurements(image, reference, sensor, cfg)
+            blobs, _ = _calibration_blobs(probe, force, material, illum,
+                                          sensor, cfg, reference)
             if not blobs:
                 raise CalibrationError(
                     f"template for {cls} at {force} N produced no blob")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,36 @@ class TestPipeline:
                    "--out", str(tmp_path / "dets"), "--split", "all"])
         assert rc == 0
         assert (tmp_path / "dets" / "detections.jsonl").read_text() == ""
+
+    def test_truncated_pgm_exit_3(self, workspace, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        victim = sorted((ds / "train").glob("*.pgm"))[0]
+        victim.write_bytes(victim.read_bytes()[:-7])
+        rc = main(["decode", "--dataset", str(ds),
+                   "--model", str(workspace / "model"),
+                   "--out", str(tmp_path / "dets"), "--split", "all"])
+        assert rc == 3
+        assert victim.name in capsys.readouterr().err
+
+    def test_unknown_decode_key_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"decode": {"thresold": 0.1}}')
+        rc = main(["decode", "--dataset", str(workspace / "ds"),
+                   "--model", str(workspace / "model"),
+                   "--out", str(tmp_path / "dets"), "--config", str(cfg)])
+        assert rc == 2
+        assert "thresold" in capsys.readouterr().err
+
+    def test_eval_row_without_cx_exit_3(self, workspace, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"index": 0, "class": "sphere", "cy_mm": 0, "w_mm": 1, '
+                        '"h_mm": 1, "theta_deg": 0, "force_n": 1, "score": 1}\n')
+        rc = main(["eval", "--dataset", str(workspace / "ds"),
+                   "--detections", str(dets), "--out", str(tmp_path / "report")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{dets}:1" in err and "cx_mm" in err
 
 
 class TestTrainToy:

@@ -13,7 +13,7 @@ from tactwin.render import (IlluminationModel, baseline_intensity,
                             contact_band_contrast, deviation_area_mm2,
                             make_reference, render, resolution_sweep,
                             ring_lights, simulate)
-from tactwin.suites import stencil_circle
+from tactwin.suites import footprint_probes, stencil_circle
 
 
 class TestHertz:
@@ -87,6 +87,15 @@ class TestHeightField:
 
     def test_out_of_bounds_rejected(self, material, sensor):
         sc = ContactScenario(SphereProbe(20), 15.0, 0, 0, 5.0)
+        with pytest.raises(ScenarioError):
+            height_field(sc, material, sensor)
+
+    def test_clipped_footprint_rejected(self, material, sensor):
+        # The tight box's half-diagonal (8.67 mm) understates how far the
+        # stencil reaches from its array centre (9.97 mm); at x = 7.32 mm
+        # about 2 % of this footprint falls off the raster.
+        lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
+        sc = ContactScenario(lshape, 7.32, 0.0, -45.0, 5.0)
         with pytest.raises(ScenarioError):
             height_field(sc, material, sensor)
 

@@ -13,13 +13,18 @@ each ground truth, candidate cells (center inside the box, or within
 center_radius strides of its center) are ranked by BCE_cls + 3 (1 - IoU^2),
 and the floor of the top-10 candidate IoU sum picks how many to keep.
 
-Gradients of the smooth terms are analytic; the box term is differentiated by
-central finite differences in the 5 raw box parameters.
+The bracketed terms live in one core that the per-scene loss and the
+toy-head trainer share: ``positive_targets`` flattens positives and their
+targets into a ``Positives`` batch, scored by ``positive_loss`` and
+``positive_loss_gradient``. Gradients of the smooth terms are analytic; the
+box term is differentiated by central finite differences in the 5 raw box
+parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,9 +114,9 @@ class PredictionField:
         s_mm = self.grid.strides_mm(self.scale_mm_per_px)[indices]
         return _decode_raw(self.box_raw[indices], centers, s_mm)
 
-    def decoded_box(self, index: int) -> OrientedBox:
-        p = self.decode_box_params(np.array([index]))[0]
-        return OrientedBox(*p)
+    def rows(self, cells) -> tuple:
+        """The (cls, csl, force, box_raw) rows of the given cells."""
+        return self.cls[cells], self.csl[cells], self.force[cells], self.box_raw[cells]
 
 
 def _decode_raw(raw: np.ndarray, centers: np.ndarray, strides_mm: np.ndarray) -> np.ndarray:
@@ -240,35 +245,74 @@ def _check_assignment(preds: PredictionField, gts, assignment: Assignment):
         raise ContractViolation("assignment references a missing ground truth")
 
 
-def _gt_targets(gts, classes, n_classes, window_radius, sigma):
-    cls_t, csl_t, force_t, boxes_t = [], [], [], []
-    for gt in gts:
-        onehot = np.zeros(n_classes)
-        onehot[_class_index(gt.class_name, classes)] = 1.0
-        cls_t.append(onehot)
-        csl_t.append(csl_encode(gt.theta_deg, window_radius, sigma))
-        force_t.append(gt.force_n)
-        boxes_t.append(gt.box.as_array())
-    return (np.array(cls_t), np.array(csl_t), np.array(force_t), np.array(boxes_t))
+class Positives(NamedTuple):
+    """Positive cells and their targets; one scene's rows are in cell order,
+    and scenes' batches concatenate field by field."""
+
+    cells: np.ndarray        # (B,) cell index in its scene's grid
+    centers_mm: np.ndarray   # (B, 2) cell centre
+    strides_mm: np.ndarray   # (B,) cell stride
+    cls: np.ndarray          # (B, K) one-hot class
+    csl: np.ndarray          # (B, 180) circular smooth angle label
+    force: np.ndarray        # (B,) normal force
+    boxes: np.ndarray        # (B, 5) ground-truth box parameters
+
+
+def positive_targets(preds: PredictionField, gts, assignment: Assignment, classes,
+                     window_radius: float = 6.0, sigma: float = 4.0) -> Positives:
+    """The scene's positive cells, each with its ground truth's targets."""
+    _check_assignment(preds, gts, assignment)
+    # Per ground truth, shaped for an empty list too.
+    cls_t = np.eye(preds.n_classes)[[_class_index(g.class_name, classes) for g in gts]]
+    csl_t = np.array([csl_encode(g.theta_deg, window_radius, sigma)
+                      for g in gts]).reshape(-1, CSL_BINS)
+    force_t = np.array([g.force_n for g in gts], dtype=float)
+    boxes_t = np.array([g.box.as_array() for g in gts]).reshape(-1, 5)
+    cells = np.nonzero(assignment.cell_to_gt >= 0)[0]
+    gt_of = assignment.cell_to_gt[cells]
+    return Positives(cells,
+                     preds.grid.centers_mm(preds.scale_mm_per_px)[cells],
+                     preds.grid.strides_mm(preds.scale_mm_per_px)[cells],
+                     cls_t[gt_of], csl_t[gt_of], force_t[gt_of], boxes_t[gt_of])
+
+
+def positive_loss(pos: Positives, cls, csl, force, box_raw) -> tuple:
+    """(class, angle, force, box) term sums over a batch of positives, given
+    their class and angle-bin probabilities, forces and raw box rows."""
+    ious = rotated_iou_pairs(_decode_raw(box_raw, pos.centers_mm, pos.strides_mm),
+                             pos.boxes)
+    return (float(bce(cls, pos.cls).sum()),
+            float(bce(csl, pos.csl).sum()),
+            float(smooth_l1(force - pos.force).sum()),
+            float(np.sum(1.0 - ious ** 2)))
+
+
+def positive_loss_gradient(pos: Positives, cls, csl, force, box_raw,
+                           box_fd_step: float = BOX_FD_STEP) -> tuple:
+    """Gradients of ``positive_loss``'s four terms with respect to cls, csl,
+    force and box_raw: analytic for the smooth terms, central differences in
+    the 5 raw box parameters for the box term."""
+    j = np.arange(5)
+    offsets = np.zeros((10, 5))
+    offsets[2 * j, j] = box_fd_step
+    offsets[2 * j + 1, j] = -box_fd_step
+    reps = (box_raw[:, None, :] + offsets[None, :, :]).reshape(-1, 5)
+    dec = _decode_raw(reps, np.repeat(pos.centers_mm, 10, axis=0),
+                      np.repeat(pos.strides_mm, 10))
+    fd = 1.0 - rotated_iou_pairs(dec, np.repeat(pos.boxes, 10, axis=0)) ** 2
+    fd = fd.reshape(-1, 5, 2)
+    return (bce_grad(cls, pos.cls),
+            bce_grad(csl, pos.csl),
+            smooth_l1_grad(force - pos.force),
+            (fd[:, :, 0] - fd[:, :, 1]) / (2.0 * box_fd_step))
 
 
 def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
                window_radius: float = 6.0, sigma: float = 4.0) -> LossBreakdown:
     """Evaluate the full multi-task loss for one scene."""
-    _check_assignment(preds, gts, assignment)
+    pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     obj = float(bce(preds.obj, assignment.obj_targets()).sum())
-    pos = np.nonzero(assignment.cell_to_gt >= 0)[0]
-    if pos.size == 0:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, obj)
-    gt_of = assignment.cell_to_gt[pos]
-    cls_t, csl_t, force_t, boxes_t = _gt_targets(
-        gts, classes, preds.n_classes, window_radius, sigma)
-    cls_term = float(bce(preds.cls[pos], cls_t[gt_of]).sum())
-    csl_term = float(bce(preds.csl[pos], csl_t[gt_of]).sum())
-    force_term = float(smooth_l1(preds.force[pos] - force_t[gt_of]).sum())
-    ious = rotated_iou_pairs(preds.decode_box_params(pos), boxes_t[gt_of])
-    box_term = float(np.sum(1.0 - ious ** 2))
-    return LossBreakdown(cls_term, csl_term, force_term, box_term, obj)
+    return LossBreakdown(*positive_loss(pos, *preds.rows(pos.cells)), obj)
 
 
 @dataclass
@@ -286,38 +330,10 @@ def loss_gradient(preds: PredictionField, gts, assignment: Assignment, classes,
                   window_radius: float = 6.0, sigma: float = 4.0,
                   box_fd_step: float = BOX_FD_STEP) -> FieldGradient:
     """Analytic gradients for the smooth terms, central differences for the box term."""
-    _check_assignment(preds, gts, assignment)
-    grad = FieldGradient(
-        obj=bce_grad(preds.obj, assignment.obj_targets()),
-        cls=np.zeros_like(preds.cls),
-        csl=np.zeros_like(preds.csl),
-        force=np.zeros_like(preds.force),
-        box_raw=np.zeros_like(preds.box_raw),
-    )
-    pos = np.nonzero(assignment.cell_to_gt >= 0)[0]
-    if pos.size == 0:
-        return grad
-    gt_of = assignment.cell_to_gt[pos]
-    cls_t, csl_t, force_t, boxes_t = _gt_targets(
-        gts, classes, preds.n_classes, window_radius, sigma)
-    grad.cls[pos] = bce_grad(preds.cls[pos], cls_t[gt_of])
-    grad.csl[pos] = bce_grad(preds.csl[pos], csl_t[gt_of])
-    grad.force[pos] = smooth_l1_grad(preds.force[pos] - force_t[gt_of])
-
-    # Box term: batched central differences in the raw parameters.
-    b = pos.size
-    centers = preds.grid.centers_mm(preds.scale_mm_per_px)[pos]
-    s_mm = preds.grid.strides_mm(preds.scale_mm_per_px)[pos]
-    raw = preds.box_raw[pos]
-    reps = np.repeat(raw[:, None, None, :], 5, axis=1).repeat(2, axis=2)
-    for j in range(5):
-        reps[:, j, 0, j] += box_fd_step
-        reps[:, j, 1, j] -= box_fd_step
-    flat = reps.reshape(-1, 5)
-    dec = _decode_raw(flat,
-                      np.repeat(centers, 10, axis=0),
-                      np.repeat(s_mm, 10))
-    gt_rep = np.repeat(boxes_t[gt_of], 10, axis=0)
-    losses = (1.0 - rotated_iou_pairs(dec, gt_rep) ** 2).reshape(b, 5, 2)
-    grad.box_raw[pos] = (losses[:, :, 0] - losses[:, :, 1]) / (2.0 * box_fd_step)
+    pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
+    grad = FieldGradient(bce_grad(preds.obj, assignment.obj_targets()),
+                         *map(np.zeros_like, preds.rows(slice(None))))
+    c = pos.cells
+    grad.cls[c], grad.csl[c], grad.force[c], grad.box_raw[c] = positive_loss_gradient(
+        pos, *preds.rows(c), box_fd_step)
     return grad

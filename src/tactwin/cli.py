@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .contact import MaterialParams
+from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
-                      load_sample_image, read_annotations, read_jsonl,
+                      load_sample_image, read_jsonl,
                       read_manifest)
 from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
                       TemplateLibrary, build_decoder, params_hash)
@@ -44,6 +45,7 @@ EXIT_STALE = 4
 EXIT_CONTRACT = 5
 
 _CONFIG_KEYS = {"sensor", "material", "illumination", "decode"}
+_SPLITS = ("train", "val", "test")
 
 
 def _load_config(path: str | None) -> dict:
@@ -176,6 +178,54 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _number(row: dict, key: str, positive: bool = False) -> float:
+    value = row[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"{key} must be {'positive' if positive else 'finite'}, "
+                         f"got {value!r}")
+    return value
+
+
+def _parse_row(row, scored: bool):
+    """An annotation row as a GroundTruth, or a detection row as a Detection
+    when scored, after checking every field the CLI reads from it."""
+    if type(row["index"]) is not int or row["index"] < 0:
+        raise ValueError(f"index must be a nonnegative integer, got {row['index']!r}")
+    if not scored and row["split"] not in _SPLITS:
+        raise ValueError(f"split must be one of {_SPLITS}, got {row['split']!r}")
+    if not isinstance(row["class"], str):
+        raise TypeError(f"class must be a string, got {row['class']!r}")
+    theta = _number(row, "theta_deg")
+    box = OrientedBox(_number(row, "cx_mm"), _number(row, "cy_mm"),
+                      _number(row, "w_mm", positive=True),
+                      _number(row, "h_mm", positive=True), theta)
+    fields = (box, row["class"], theta, _number(row, "force_n"))
+    return Detection(*fields, _number(row, "score")) if scored else GroundTruth(*fields)
+
+
+def _read_rows(path, scored: bool) -> list:
+    """(row, parsed row) for each line of an annotation file, or of a
+    detection file when scored; a bad row is an I/O error naming the file and
+    line."""
+    rows = []
+    for lineno, row in read_jsonl(path):
+        try:
+            rows.append((row, _parse_row(row, scored)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            kind = "detection" if scored else "annotation"
+            raise IOError(f"{path}:{lineno}: bad {kind} row: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return rows
+
+
+def _read_annotations(dataset: Path, split: str = "all") -> list:
+    return [(ann, gt) for ann, gt in _read_rows(dataset / "annotations.jsonl", False)
+            if split in ("all", ann["split"])]
+
+
 def _load_model(model_dir: Path):
     with open(model_dir / "calibration.json") as fh:
         tables = {cls: CalibrationTable.from_json(data)
@@ -195,8 +245,7 @@ def cmd_decode(args) -> int:
     tables, templates = _load_model(Path(args.model))
     decoder = TactileDecoder(material, illum, sensor, decode_cfg, tables,
                              templates)
-    annotations = [a for a in read_annotations(dataset)
-                   if args.split in ("all", a["split"])]
+    annotations = _read_annotations(dataset, args.split)
     out = Path(args.out)
     _echo_config(out, {
         "command": "decode", "dataset": str(dataset), "model": str(args.model),
@@ -204,8 +253,8 @@ def cmd_decode(args) -> int:
         "params_hash": params_hash(material, illum, sensor, decode_cfg),
     })
     lines = []
-    for ann in annotations:
-        image = load_sample_image(dataset, ann, sensor.scale_mm_per_px)
+    for ann, _ in annotations:
+        image = load_sample_image(dataset, ann, sensor)
         for det in decoder.decode(image):
             row = {"index": ann["index"], "split": ann["split"]}
             row.update(det.to_json_dict())
@@ -218,50 +267,15 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _detection_from_row(row: dict) -> Detection:
-    return Detection(
-        box=OrientedBox(row["cx_mm"], row["cy_mm"], row["w_mm"], row["h_mm"],
-                        row["theta_deg"]),
-        class_name=row["class"],
-        theta_deg=row["theta_deg"],
-        force_n=row["force_n"],
-        score=row["score"],
-    )
-
-
-def _read_detections(path: str) -> dict:
-    """Detections grouped by sample index; a bad row is an I/O error naming
-    the file and line."""
-    by_index: dict = {}
-    for lineno, row in read_jsonl(path):
-        try:
-            by_index.setdefault(row["index"], []).append(_detection_from_row(row))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IOError(f"{path}:{lineno}: bad detection row: "
-                          f"{type(exc).__name__}: {exc}") from exc
-    return by_index
-
-
-class _GtRow:
-    __slots__ = ("box", "class_name", "theta_deg", "force_n")
-
-    def __init__(self, row: dict):
-        self.box = OrientedBox(row["cx_mm"], row["cy_mm"], row["w_mm"],
-                               row["h_mm"], row["theta_deg"])
-        self.class_name = row["class"]
-        self.theta_deg = row["theta_deg"]
-        self.force_n = row["force_n"]
-
-
 def cmd_eval(args) -> int:
     dataset = Path(args.dataset)
-    annotations = [a for a in read_annotations(dataset)
-                   if args.split in ("all", a["split"])]
-    dets_by_index = _read_detections(args.detections)
+    annotations = _read_annotations(dataset, args.split)
+    dets_by_index: dict = {}
+    for row, det in _read_rows(args.detections, scored=True):
+        dets_by_index.setdefault(row["index"], []).append(det)
     per_sample = []
     classes = set()
-    for ann in annotations:
-        gt = _GtRow(ann)
+    for ann, gt in annotations:
         classes.add(gt.class_name)
         per_sample.append((dets_by_index.get(ann["index"], []), [gt]))
     angle_classes = None if args.angle_all else ANISOTROPIC_CLASSES
@@ -286,18 +300,18 @@ def cmd_train_toy(args) -> int:
     sensor, _, illum, _ = _build_params(_manifest_config(manifest["spec"]))
     grid = build_region_grid(sensor.input_size)
     reference = make_reference(sensor, illum)
-    annotations = read_annotations(dataset)
+    annotations = _read_annotations(dataset)
     classes = manifest["classes"]
 
     def collect(split):
         feats, gts, forces = [], [], []
-        for ann in annotations:
+        for ann, gt in annotations:
             if ann["split"] != split:
                 continue
-            image = load_sample_image(dataset, ann, sensor.scale_mm_per_px)
+            image = load_sample_image(dataset, ann, sensor)
             feats.append(cell_features(image, reference, grid))
-            gts.append([_GtRow(ann)])
-            forces.append(ann["force_n"])
+            gts.append([gt])
+            forces.append(gt.force_n)
         return feats, gts, forces
 
     train_f, train_g, _ = collect("train")

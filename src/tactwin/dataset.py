@@ -233,15 +233,17 @@ def read_jsonl(path) -> list[tuple[int, object]]:
     return rows
 
 
-def read_annotations(dataset_dir) -> list[dict]:
-    return [row for _, row in read_jsonl(Path(dataset_dir) / "annotations.jsonl")]
-
-
 def read_manifest(dataset_dir) -> dict:
     with open(Path(dataset_dir) / "manifest.json") as fh:
         return json.load(fh)
 
 
-def load_sample_image(dataset_dir, ann: dict, scale_mm_per_px: float) -> TactileImage:
+def load_sample_image(dataset_dir, ann: dict, sensor: SensorConfig) -> TactileImage:
+    """One annotation row's image; a raster of another size than the sensor's
+    is an IOError naming the file."""
     path = Path(dataset_dir) / ann["split"] / f"{ann['index']:06d}.pgm"
-    return read_pgm(path, scale_mm_per_px)
+    image = read_pgm(path, sensor.scale_mm_per_px)
+    if image.pixels.shape != (sensor.input_size,) * 2:
+        raise IOError(f"{path}: image is {image.pixels.shape[1]}x{image.pixels.shape[0]}"
+                      f" px, the dataset's sensor is {sensor.input_size} px square")
+    return image

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DecodeError
+from .frames import px_to_mm
 from .geometry import normalize_angle
 
 CSL_BINS = 180
@@ -70,9 +71,8 @@ class RegionGrid:
 
     def centers_mm(self, scale_mm_per_px: float) -> np.ndarray:
         """All cell centers in the physical frame (origin at image center), (n, 2)."""
-        half = self.input_size * scale_mm_per_px / 2.0
-        x = self.center_x_px * scale_mm_per_px - half
-        y = self.center_y_px * scale_mm_per_px - half
+        x, y = px_to_mm(self.center_x_px - 0.5, self.center_y_px - 0.5,
+                        scale_mm_per_px, self.input_size * scale_mm_per_px)
         return np.stack([x, y], axis=1)
 
     def strides_mm(self, scale_mm_per_px: float) -> np.ndarray:
@@ -113,6 +113,5 @@ def cell_center_mm(grid: RegionGrid, index: int, scale_mm_per_px: float):
         raise ConfigError("scale must be > 0")
     if not (0 <= index < grid.n_cells):
         raise IndexError(f"cell index {index} out of range [0, {grid.n_cells})")
-    half = grid.input_size * scale_mm_per_px / 2.0
-    return (grid.center_x_px[index] * scale_mm_per_px - half,
-            grid.center_y_px[index] * scale_mm_per_px - half)
+    return px_to_mm(grid.center_x_px[index] - 0.5, grid.center_y_px[index] - 0.5,
+                    scale_mm_per_px, grid.input_size * scale_mm_per_px)

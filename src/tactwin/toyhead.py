@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .assignment import (BOX_FD_STEP, PredictionField, _decode_raw,
-                         _gt_targets, bce, bce_grad, simota_assign, smooth_l1,
-                         smooth_l1_grad)
+from .assignment import (Positives, PredictionField, bce, bce_grad,
+                         positive_loss, positive_loss_gradient,
+                         positive_targets, simota_assign)
 from .encoding import CSL_BINS, RegionGrid
 from .errors import ConfigError
-from .geometry import rotated_iou_pairs
 from .render import TactileImage
 
 HEAD_VERSION = 1
@@ -230,42 +229,25 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
 
     # Freeze assignments from the initial predictions, then flatten all
     # positives of all samples into one batch.
-    pos_rows, gt_cls, gt_csl, gt_force, gt_boxes = [], [], [], [], []
+    batches = []
     obj_t = np.zeros(n_samples * n_cells)
     for i, (feats, gts) in enumerate(zip(features_per_sample, gts_per_sample)):
         preds = head.predict(feats, grid, scale_mm_per_px)
         asn = simota_assign(preds, gts, classes)
         obj_t[i * n_cells:(i + 1) * n_cells] = asn.obj_targets()
-        pos = np.nonzero(asn.cell_to_gt >= 0)[0]
-        if pos.size == 0:
-            continue
-        cls_t, csl_t, force_t, boxes_t = _gt_targets(
-            gts, classes, head.n_classes, window_radius, sigma)
-        gt_of = asn.cell_to_gt[pos]
-        pos_rows.append(i * n_cells + pos)
-        gt_cls.append(cls_t[gt_of])
-        gt_csl.append(csl_t[gt_of])
-        gt_force.append(force_t[gt_of])
-        gt_boxes.append(boxes_t[gt_of])
-    pos_rows = np.concatenate(pos_rows) if pos_rows else np.zeros(0, dtype=int)
-    gt_cls = np.concatenate(gt_cls) if len(gt_cls) else np.zeros((0, head.n_classes))
-    gt_csl = np.concatenate(gt_csl) if len(gt_csl) else np.zeros((0, CSL_BINS))
-    gt_force = np.concatenate(gt_force) if len(gt_force) else np.zeros(0)
-    gt_boxes = np.concatenate(gt_boxes) if len(gt_boxes) else np.zeros((0, 5))
+        batches.append(positive_targets(preds, gts, asn, classes,
+                                        window_radius, sigma))
+    positives = Positives(*map(np.concatenate, zip(*batches)))
 
     x_all = head.standardize(stacked)
-    x_pos = x_all[pos_rows]
-    cell_idx = pos_rows % n_cells
-    centers_pos = grid.centers_mm(scale_mm_per_px)[cell_idx]
-    strides_pos = grid.strides_mm(scale_mm_per_px)[cell_idx]
-    b_total = pos_rows.size
-    fd_offsets = np.zeros((10, 5))
-    for j in range(5):
-        fd_offsets[2 * j, j] = BOX_FD_STEP
-        fd_offsets[2 * j + 1, j] = -BOX_FD_STEP
+    x_pos = x_all[np.concatenate([i * n_cells + b.cells
+                                  for i, b in enumerate(batches)])]
 
     w_obj = s["obj"]
     rest = slice(w_obj.stop, head.bias.shape[0])
+    # Columns of each channel among the positive-cell outputs (all but obj).
+    cols = {name: slice(c.start - rest.start, c.stop - rest.start)
+            for name, c in s.items() if name != "obj"}
     lr_per_output = np.full(head.bias.shape[0], learning_rate)
     for name, factor in (channel_lr_scales or {}).items():
         if name not in s:
@@ -281,20 +263,15 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         z_obj = x_all @ head.weights[:, w_obj] + head.bias[w_obj]
         p_obj = _sigmoid(z_obj[:, 0])
         z_pos = x_pos @ head.weights[:, rest] + head.bias[rest]
-        off = w_obj.stop
-        p_cls = _sigmoid(z_pos[:, s["cls"].start - off:s["cls"].stop - off])
-        p_csl = _sigmoid(z_pos[:, s["csl"].start - off:s["csl"].stop - off])
-        force = z_pos[:, s["force"].start - off]
-        box_raw = z_pos[:, s["box"].start - off:s["box"].stop - off]
+        p_cls = _sigmoid(z_pos[:, cols["cls"]])
+        p_csl = _sigmoid(z_pos[:, cols["csl"]])
+        force = z_pos[:, cols["force"]][:, 0]
+        box_raw = z_pos[:, cols["box"]]
 
+        # Summed obj, cls, csl, force, box: the curve's last bits depend on it.
         loss = float(bce(p_obj, obj_t).sum())
-        loss += float(bce(p_cls, gt_cls).sum())
-        loss += float(bce(p_csl, gt_csl).sum())
-        ferr = force - gt_force
-        loss += float(smooth_l1(ferr).sum())
-        boxes = _decode_raw(box_raw, centers_pos, strides_pos)
-        ious = rotated_iou_pairs(boxes, gt_boxes)
-        loss += float(np.sum(1.0 - ious ** 2))
+        for term in positive_loss(positives, p_cls, p_csl, force, box_raw):
+            loss += term
         losses.append(loss / n_samples)
         rising = rising + 1 if (len(losses) >= 2 and losses[-1] > losses[-2]) else 0
         stuck_high = (len(losses) >= 5
@@ -305,30 +282,19 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
             break
         best = min(best, losses[-1])
 
+        # Chain the loss gradients through the sigmoids into the logits.
+        g_cls, g_csl, g_force, g_box = positive_loss_gradient(
+            positives, p_cls, p_csl, force, box_raw)
         gz_obj = (bce_grad(p_obj, obj_t) * p_obj * (1.0 - p_obj))[:, None]
         gz_pos = np.zeros_like(z_pos)
-        gz_pos[:, s["cls"].start - off:s["cls"].stop - off] = (
-            bce_grad(p_cls, gt_cls) * p_cls * (1.0 - p_cls))
-        gz_pos[:, s["csl"].start - off:s["csl"].stop - off] = (
-            bce_grad(p_csl, gt_csl) * p_csl * (1.0 - p_csl))
-        gz_pos[:, s["force"].start - off] = smooth_l1_grad(ferr)
-        if b_total:
-            reps = box_raw[:, None, :] + fd_offsets[None, :, :]
-            dec = _decode_raw(reps.reshape(-1, 5),
-                              np.repeat(centers_pos, 10, axis=0),
-                              np.repeat(strides_pos, 10))
-            fd = (1.0 - rotated_iou_pairs(dec, np.repeat(gt_boxes, 10, axis=0)) ** 2)
-            fd = fd.reshape(b_total, 5, 2)
-            gz_pos[:, s["box"].start - off:s["box"].stop - off] = (
-                (fd[:, :, 0] - fd[:, :, 1]) / (2.0 * BOX_FD_STEP))
+        gz_pos[:, cols["cls"]] = g_cls * p_cls * (1.0 - p_cls)
+        gz_pos[:, cols["csl"]] = g_csl * p_csl * (1.0 - p_csl)
+        gz_pos[:, cols["force"]] = g_force[:, None]
+        gz_pos[:, cols["box"]] = g_box
 
-        grad_w = np.zeros_like(head.weights)
-        grad_b = np.zeros_like(head.bias)
-        grad_w[:, w_obj] = x_all.T @ gz_obj
-        grad_b[w_obj] = gz_obj.sum(axis=0)
-        if b_total:
-            grad_w[:, rest] = x_pos.T @ gz_pos
-            grad_b[rest] = gz_pos.sum(axis=0)
+        # obj is output column 0; the positive-cell outputs follow it.
+        grad_w = np.concatenate([x_all.T @ gz_obj, x_pos.T @ gz_pos], axis=1)
+        grad_b = np.concatenate([gz_obj.sum(axis=0), gz_pos.sum(axis=0)])
         head.weights = head.weights - lr_per_output * grad_w / n_samples
         head.bias = head.bias - lr_per_output * grad_b / n_samples
     return FitResult(head=head, losses=losses, diverged=diverged)

@@ -1,11 +1,17 @@
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactwin.cli import main
+from tactwin.dataset import ANNOTATION_KEYS, pgm_bytes
+from tactwin.render import TactileImage
 
 SMALL = ["--size", "128", "--scale", "0.25"]
 
@@ -149,6 +155,117 @@ class TestPipeline:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"{dets}:1" in err and "cx_mm" in err
+
+
+DROP = object()   # stands for a field removed from a row
+
+
+def write_rows(path: Path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def detections_from(annotations):
+    """One perfect detection per annotation row."""
+    return [{**{k: a[k] for k in ANNOTATION_KEYS if k not in ("probe", "seed")},
+             "score": 0.9} for a in annotations]
+
+
+def read_rows(path: Path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestMalformedInputs:
+    """Bad rasters and rows end in an exit code and a message, not a traceback."""
+
+    def shrink_first_image(self, ds: Path) -> Path:
+        victim = sorted((ds / "train").glob("*.pgm"))[0]
+        victim.write_bytes(pgm_bytes(TactileImage(np.full((64, 64), 0.5), 0.25)))
+        return victim
+
+    def test_decode_raster_size_mismatch_exit_3(self, workspace, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        victim = self.shrink_first_image(ds)
+        rc = main(["decode", "--dataset", str(ds),
+                   "--model", str(workspace / "model"),
+                   "--out", str(tmp_path / "dets"), "--split", "all"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert victim.name in err and "64x64" in err
+
+    def test_train_toy_raster_size_mismatch_exit_3(self, workspace, tmp_path,
+                                                   capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        victim = self.shrink_first_image(ds)
+        rc = main(["train-toy", "--dataset", str(ds),
+                   "--out", str(tmp_path / "toy"), "--epochs", "2"])
+        assert rc == 3
+        assert victim.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("cx_mm", DROP), ("cx_mm", "abc"), ("theta_deg", None), ("class", 7),
+        ("force_n", "1"), ("w_mm", -1)])
+    def test_eval_bad_annotation_row_exit_3(self, workspace, tmp_path, capsys,
+                                            key, value):
+        rows = read_rows(workspace / "ds" / "annotations.jsonl")
+        write_rows(tmp_path / "dets.jsonl", detections_from(rows))
+        if value is DROP:
+            del rows[3][key]
+        else:
+            rows[3][key] = value
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        write_rows(ds / "annotations.jsonl", rows)
+        rc = main(["eval", "--dataset", str(ds),
+                   "--detections", str(tmp_path / "dets.jsonl"),
+                   "--out", str(tmp_path / "report"), "--split", "all"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{ds / 'annotations.jsonl'}:4" in err and key in err
+
+    def test_train_toy_row_without_split_exit_3(self, workspace, tmp_path,
+                                                capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        rows = read_rows(ds / "annotations.jsonl")
+        del rows[0]["split"]
+        write_rows(ds / "annotations.jsonl", rows)
+        rc = main(["train-toy", "--dataset", str(ds),
+                   "--out", str(tmp_path / "toy"), "--epochs", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "annotations.jsonl:1" in err and "split" in err
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6)
+
+    @given(in_annotations=st.booleans(), row=st.integers(0, 19),
+           key=st.sampled_from(sorted(set(ANNOTATION_KEYS) | {"score"})),
+           value=st.just(DROP) | JSON)
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_row_never_raises(self, workspace, in_annotations, row, key,
+                                     value):
+        annotations = read_rows(workspace / "ds" / "annotations.jsonl")
+        detections = detections_from(annotations)
+        target = (annotations if in_annotations else detections)[row]
+        if value is DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "ds").mkdir()
+            write_rows(tmp / "ds" / "annotations.jsonl", annotations)
+            write_rows(tmp / "dets.jsonl", detections)
+            rc = main(["eval", "--dataset", str(tmp / "ds"),
+                       "--detections", str(tmp / "dets.jsonl"),
+                       "--out", str(tmp / "report"), "--split", "all"])
+        assert rc in {0, 2, 3, 4, 5}
 
 
 class TestTrainToy:

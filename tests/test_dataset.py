@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tactwin.dataset import (ANNOTATION_KEYS, DatasetSpec, assign_splits,
-                             generate_dataset, read_annotations, read_manifest,
+                             generate_dataset, read_jsonl, read_manifest,
                              read_pgm, write_pgm)
 from tactwin.errors import ConfigError
 from tactwin.frames import SensorConfig
@@ -83,7 +83,7 @@ class TestGenerate:
     def test_annotation_schema(self, tmp_path):
         spec = small_spec(count=5)
         generate_dataset(spec, tmp_path / "ds")
-        rows = read_annotations(tmp_path / "ds")
+        rows = [r for _, r in read_jsonl(tmp_path / "ds" / "annotations.jsonl")]
         assert len(rows) == 5
         for row in rows:
             assert set(row) == set(ANNOTATION_KEYS)
@@ -102,7 +102,7 @@ class TestGenerate:
     def test_images_where_manifest_says(self, tmp_path):
         spec = small_spec(count=6)
         generate_dataset(spec, tmp_path / "ds")
-        for row in read_annotations(tmp_path / "ds"):
+        for _, row in read_jsonl(tmp_path / "ds" / "annotations.jsonl"):
             path = tmp_path / "ds" / row["split"] / f"{row['index']:06d}.pgm"
             img = read_pgm(path, 0.25)
             assert img.pixels.shape == (128, 128)
@@ -126,7 +126,7 @@ class TestGenerate:
             force_range=(0.5, 10.0),
             sensor=SensorConfig(input_size=128, scale_mm_per_px=0.25))
         generate_dataset(spec, tmp_path / "ds")
-        rows = read_annotations(tmp_path / "ds")
+        rows = [r for _, r in read_jsonl(tmp_path / "ds" / "annotations.jsonl")]
         assert {r["class"] for r in rows} == {"sphere"}
         diameters = {r["probe"]["diameter_mm"] for r in rows}
         assert diameters == {10.0, 15.0, 20.0, 25.0, 30.0}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tactwin.assignment import simota_assign, total_loss
+from tactwin.assignment import loss_gradient, simota_assign, total_loss
 from tactwin.contact import GroundTruth
 from tactwin.encoding import build_region_grid
 from tactwin.geometry import OrientedBox
@@ -82,6 +82,37 @@ class TestFit:
             asn = simota_assign(preds, g, CLASSES)
             total += total_loss(preds, g, asn, CLASSES).total
         assert res.losses[0] == pytest.approx(total / len(feats), rel=1e-12)
+
+    def test_epoch_step_equals_scene_gradient_sum(self, rng):
+        # one step from a zero head moves weights and bias by the per-scene
+        # loss gradients, chained through the sigmoids and the whitened
+        # features and averaged over the samples
+        feats, gts = make_dataset(rng, 5)
+        lr = 0.03
+        head = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+                            learning_rate=lr, epochs=0).head
+        s = head._slices()
+        grad_w = np.zeros_like(head.weights)
+        grad_b = np.zeros_like(head.bias)
+        for f, g in zip(feats, gts):
+            preds = head.predict(f, GRID, SCALE)
+            asn = simota_assign(preds, g, CLASSES)
+            grad = loss_gradient(preds, g, asn, CLASSES)
+            gz = np.zeros((GRID.n_cells, head.bias.shape[0]))
+            gz[:, s["obj"]] = (grad.obj * preds.obj * (1 - preds.obj))[:, None]
+            gz[:, s["cls"]] = grad.cls * preds.cls * (1 - preds.cls)
+            gz[:, s["csl"]] = grad.csl * preds.csl * (1 - preds.csl)
+            gz[:, s["force"]] = grad.force[:, None]
+            gz[:, s["box"]] = grad.box_raw
+            grad_w += head.standardize(f).T @ gz
+            grad_b += gz.sum(axis=0)
+        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+                           learning_rate=lr, epochs=1)
+        assert np.abs(grad_w[:, s["box"]]).max() > 0
+        np.testing.assert_allclose(res.head.weights, -lr * grad_w / len(feats),
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(res.head.bias, -lr * grad_b / len(feats),
+                                   rtol=1e-9, atol=1e-12)
 
     def test_divergence_detected_and_reported(self, rng):
         feats, gts = make_dataset(rng, 6)

@@ -166,12 +166,45 @@ def polygon_clip(subject: ConvexPolygon, clip: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(merged)
 
 
+# The clip's cross products could overflow for pairs with a coordinate or
+# size above 2**_CLIP_EXP mm, so those are scaled down by a power of two
+# first; IoU is scale-invariant.
+_CLIP_EXP = 500
+
+
+def _clip_reach(box: OrientedBox) -> float:
+    """Bound on the circumradius of a box grown by the clip's side tolerance,
+    which counts a vertex up to MERGE_EPS / (edge length) outside an edge as
+    inside."""
+    return math.hypot(box.w, box.h) / 2.0 + MERGE_EPS / box.w + MERGE_EPS / box.h
+
+
+def _scaled(box: OrientedBox, exponent: int) -> OrientedBox | None:
+    """The box with its lengths times 2**exponent; None if one reaches 0."""
+    w, h = math.ldexp(box.w, exponent), math.ldexp(box.h, exponent)
+    if w == 0.0 or h == 0.0:
+        return None
+    return OrientedBox(math.ldexp(box.cx, exponent), math.ldexp(box.cy, exponent),
+                       w, h, box.theta_deg)
+
+
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection-over-union of two oriented boxes, in [0, 1].
 
     The pair is ordered canonically before clipping so the result is exactly
-    symmetric in its arguments.
+    symmetric in its arguments. Boxes whose centres are more than twice
+    their summed reach apart score 0.0 without clipping, which is what the
+    clip gives them; so do boxes whose size vanishes next to the other's.
+    Pairs larger than 2**_CLIP_EXP mm are clipped at a smaller scale.
     """
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > 2.0 * (_clip_reach(a) + _clip_reach(b)):
+        return 0.0
+    size = max(abs(a.cx), abs(a.cy), a.w, a.h, abs(b.cx), abs(b.cy), b.w, b.h)
+    if size > 2.0 ** _CLIP_EXP:
+        exponent = _CLIP_EXP - math.frexp(size)[1]
+        a, b = _scaled(a, exponent), _scaled(b, exponent)
+        if a is None or b is None:
+            return 0.0
     first, second = sorted((a, b), key=lambda bx: (bx.cx, bx.cy, bx.w, bx.h, bx.theta_deg))
     pa, pb = box_to_polygon(first), box_to_polygon(second)
     inter = polygon_area(polygon_clip(pa, pb))
@@ -185,88 +218,133 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
 # Vectorized pairwise path used by the assignment and evaluation hot loops.
 # ---------------------------------------------------------------------------
 
-# A rectangle clipped by 4 half-planes has at most 8 vertices; the extra room
-# absorbs spurious eps-tolerance crossings at near-degenerate contacts.
-_BUF = 16
+# A rectangle clipped by 4 half-planes has at most 8 vertices, so the clip
+# runs in 8 vertex slots. Spurious eps-tolerance crossings at near-degenerate
+# contacts can emit more; those rows are clipped again in 16 slots, which is
+# the layout the intersection area is summed in.
+_WIDTH = 8
+_WIDE = 16
+
+
+def _corner_planes(boxes: np.ndarray) -> tuple:
+    """x and y of the corners of (N, 5) boxes, each (4, N), counter-clockwise."""
+    t = np.radians(boxes[:, 4])
+    c, s = np.cos(t), np.sin(t)
+    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
+    lx = np.stack([hw, -hw, -hw, hw])
+    ly = np.stack([hh, hh, -hh, -hh])
+    return lx * c - ly * s + boxes[:, 0], lx * s + ly * c + boxes[:, 1]
 
 
 def boxes_to_corners(boxes: np.ndarray) -> np.ndarray:
     """Corners of (N, 5) boxes as (N, 4, 2), counter-clockwise."""
-    boxes = np.asarray(boxes, dtype=float)
-    t = np.radians(boxes[:, 4])
-    c, s = np.cos(t), np.sin(t)
-    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
-    lx = np.stack([hw, -hw, -hw, hw], axis=1)
-    ly = np.stack([hh, hh, -hh, -hh], axis=1)
-    x = lx * c[:, None] - ly * s[:, None] + boxes[:, 0:1]
-    y = lx * s[:, None] + ly * c[:, None] + boxes[:, 1:2]
-    return np.stack([x, y], axis=2)
+    x, y = _corner_planes(np.asarray(boxes, dtype=float))
+    return np.stack([x.T, y.T], axis=2)
 
 
-def _polygon_areas_padded(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[..., 0], pts[..., 1]
-    rx, ry = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+def _padded_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Shoelace areas of (N, 16) vertex planes padded with their last vertex."""
+    rx = np.concatenate([x[:, 1:], x[:, :1]], axis=1)
+    ry = np.concatenate([y[:, 1:], y[:, :1]], axis=1)
     return np.maximum(0.5 * np.sum(x * ry - rx * y, axis=1), 0.0)
+
+
+def _clip_quads(sx, sy, cx, cy, width: int) -> tuple:
+    """Sutherland-Hodgman clip of (4, N) subject quads by (4, N) clip quads.
+
+    The working polygon of each row lives in a slot-major (width + 1, N)
+    buffer: row 0 repeats the last vertex as slot 0's predecessor, rows
+    1..width hold the vertices, and slots past the row's count are masked.
+    Slot j emits an edge crossing and then, if inside, its own vertex; the
+    p-th emission lands at flat index (1 + p)*N + row, and inside tests that
+    emit nothing write to the row's trash slot, which nothing reads.
+    Emissions past ``width`` are dropped and flag the row in ``overflow``.
+    Two zero-filled buffer pairs alternate between clip edges, so masked
+    slots hold zeros or earlier vertices and stay finite. Returns the result
+    as (N, 16) planes padded with the last vertex, the vertex counts and
+    ``overflow``.
+    """
+    n = sx.shape[1]
+    rows = np.arange(n)
+    size = (2 * width + 2) * n
+    trash = size - n + rows
+    slots = np.arange(width)[:, None]
+    # Corner 3 leads, then corners 0-3; later slots are masked.
+    first = np.minimum(np.concatenate([[width - 1], np.arange(width)]), 3)
+    x, y = sx[first], sy[first]
+    counts = np.full(n, 4)
+    overflow = np.zeros(n, dtype=bool)
+    buffers = [(np.zeros(size), np.zeros(size)) for _ in range(2)]
+    at = np.empty((width + 1, n), dtype=np.intp)
+    for k in range(4):
+        ax, ay = cx[k], cy[k]
+        ex = cx[(k + 1) % 4] - ax
+        ey = cy[(k + 1) % 4] - ay
+        side = ex * (y - ay) - ey * (x - ax)
+        geo = side >= -MERGE_EPS
+        valid = slots < counts
+        inside = geo[1:] & valid
+        crossing = (geo[1:] != geo[:-1]) & valid
+        # at[j] = flat index of slot j's first emission, a running sum of
+        # what the slots before it emitted.
+        at[0] = rows + n
+        np.add(crossing, inside, out=at[1:], dtype=np.intp)
+        at[1:] *= n
+        for j in range(1, width + 1):
+            at[j] += at[j - 1]
+
+        # Interpolate at crossings only. Their two sides straddle -MERGE_EPS,
+        # so the denominator is at least the float spacing there, never 0.
+        cut = np.flatnonzero(crossing)
+        prev_side = side[:-1].ravel()[cut]
+        t = np.clip(prev_side / (prev_side - side[1:].ravel()[cut]), 0.0, 1.0)
+        px, py = x[:-1].ravel()[cut], y[:-1].ravel()[cut]
+        x, y = x[1:], y[1:]
+        out_x, out_y = buffers[k % 2]
+        ix = at[:-1].ravel()[cut]
+        out_x[ix] = px + t * (x.ravel()[cut] - px)
+        out_y[ix] = py + t * (y.ravel()[cut] - py)
+        ix = np.where(inside, at[1:] - n, trash)
+        out_x[ix] = x
+        out_y[ix] = y
+
+        total = at[-1] // n - 1
+        overflow |= total > width
+        counts = np.minimum(total, width)
+        last = np.maximum(counts, 1) * n + rows
+        if k < 3:
+            out_x[:n], out_y[:n] = out_x[last], out_y[last]
+            x = out_x[:(width + 1) * n].reshape(width + 1, n)
+            y = out_y[:(width + 1) * n].reshape(width + 1, n)
+    ix = np.minimum(np.arange(1, _WIDE + 1) * n + rows[:, None], last[:, None])
+    return out_x[ix], out_y[ix], counts, overflow
 
 
 def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Elementwise rotated IoU of two (N, 5) box arrays.
 
-    Batched Sutherland-Hodgman over fixed-size vertex buffers; rows past each
-    polygon's vertex count replicate the last valid vertex so the wrap edge
-    stays correct without per-row loops.
+    Batched Sutherland-Hodgman over fixed-size vertex buffers, in an 8-slot
+    buffer; the rare rows that emit more than 8 vertices at some clip edge
+    are clipped again in 16 slots. The result is bit-identical to clipping
+    every row in 16 slots, where vertices past the 16th are dropped.
     """
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 5)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 5)
     n = boxes_a.shape[0]
     if n == 0:
         return np.zeros(0)
-    sub = boxes_to_corners(boxes_a)
-    clip = boxes_to_corners(boxes_b)
+    sx, sy = _corner_planes(boxes_a)
+    cx, cy = _corner_planes(boxes_b)
+    x, y, counts, overflow = _clip_quads(sx, sy, cx, cy, _WIDTH)
+    if overflow.any():
+        rows = np.nonzero(overflow)[0]
+        x[rows], y[rows], counts[rows], _ = _clip_quads(
+            sx[:, rows], sy[:, rows], cx[:, rows], cy[:, rows], _WIDE)
 
-    pts = np.concatenate([sub, sub[:, 3:4].repeat(_BUF - 4, axis=1)], axis=1)
-    counts = np.full(n, 4, dtype=int)
-    rows = np.arange(n)
-    slot = np.arange(_BUF)
-
-    for k in range(4):
-        a = clip[:, k]
-        b = clip[:, (k + 1) % 4]
-        ex = (b[:, 0] - a[:, 0])[:, None]
-        ey = (b[:, 1] - a[:, 1])[:, None]
-        side = ex * (pts[..., 1] - a[:, 1][:, None]) - ey * (pts[..., 0] - a[:, 0][:, None])
-        valid = slot[None, :] < counts[:, None]
-        geo_inside = side >= -MERGE_EPS
-        # Slot 0's predecessor is the replicated last valid vertex, so rolling
-        # the unmasked state keeps the wrap edge geometrically correct.
-        prev_pts = np.roll(pts, 1, axis=1)
-        prev_side = np.roll(side, 1, axis=1)
-        prev_geo = np.roll(geo_inside, 1, axis=1)
-        inside = geo_inside & valid
-        crossing = (geo_inside != prev_geo) & valid
-
-        denom = prev_side - side
-        safe = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        t = np.clip(prev_side / safe, 0.0, 1.0)
-        ipts = prev_pts + t[..., None] * (pts - prev_pts)
-
-        emit = crossing.astype(int) + inside.astype(int)
-        pos = np.cumsum(emit, axis=1) - emit
-        out = np.zeros((n, 2 * _BUF + 2, 2))
-        r_ix = np.broadcast_to(rows[:, None], (n, _BUF))
-        out[r_ix[crossing], pos[crossing]] = ipts[crossing]
-        cur_pos = pos + crossing.astype(int)
-        out[r_ix[inside], cur_pos[inside]] = pts[inside]
-        # Slots beyond _BUF can only hold eps-duplicate vertices; drop them.
-        counts = np.minimum(emit.sum(axis=1), _BUF)
-        pad_ix = np.minimum(slot[None, :], np.maximum(counts - 1, 0)[:, None])
-        pts = out[rows[:, None], pad_ix]
-
-    inter = np.where(counts >= 3, _polygon_areas_padded(pts), 0.0)
-    area_a = _polygon_areas_padded(np.concatenate(
-        [sub, sub[:, 3:4].repeat(_BUF - 4, axis=1)], axis=1))
-    area_b = _polygon_areas_padded(np.concatenate(
-        [clip, clip[:, 3:4].repeat(_BUF - 4, axis=1)], axis=1))
+    pad = np.minimum(np.arange(_WIDE), 3)
+    inter = np.where(counts >= 3, _padded_areas(x, y), 0.0)
+    area_a = _padded_areas(sx.T[:, pad], sy.T[:, pad])
+    area_b = _padded_areas(cx.T[:, pad], cy.T[:, pad])
     union = area_a + area_b - inter
     iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
     return np.clip(iou, 0.0, 1.0)

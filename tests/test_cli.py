@@ -156,6 +156,19 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{dets}:1" in err and "cx_mm" in err
 
+    def test_eval_far_detection_is_false_positive(self, workspace, tmp_path):
+        annotations = read_rows(workspace / "ds" / "annotations.jsonl")
+        detections = detections_from(annotations)
+        detections[0]["cx_mm"] = 1e308
+        write_rows(tmp_path / "dets.jsonl", detections)
+        rc = main(["eval", "--dataset", str(workspace / "ds"),
+                   "--detections", str(tmp_path / "dets.jsonl"),
+                   "--out", str(tmp_path / "report"), "--split", "all"])
+        assert rc == 0
+        overall = json.loads((tmp_path / "report" / "report.json").read_text())["overall"]
+        assert overall["n_det"] == len(detections)
+        assert overall["tp"] == len(detections) - 1
+
 
 DROP = object()   # stands for a field removed from a row
 

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactwin.geometry import (ConvexPolygon, OrientedBox, angle_error,
+from tactwin import geometry
+from tactwin.geometry import (MERGE_EPS, ConvexPolygon, OrientedBox, angle_error,
                               box_to_polygon, boxes_to_corners, normalize_angle,
                               points_in_box, polygon_area, polygon_clip,
                               rotated_iou, rotated_iou_pairs)
@@ -19,6 +21,121 @@ def random_boxes(rng, n, span=5.0, size=(0.5, 8.0)):
         rng.uniform(size[0], size[1], n),
         rng.uniform(0.0, 180.0, n),
     ])
+
+
+def degenerate_pairs(rng, n=400):
+    """Pair families where eps-tolerance decisions in the clip matter."""
+    a = random_boxes(rng, n)
+    swapped = np.column_stack([a[:, 0], a[:, 1], a[:, 3], a[:, 2],
+                               (a[:, 4] + 90.0) % 180.0])
+    # Axis-aligned pairs that share an edge, or only a corner.
+    base, other = a.copy(), random_boxes(rng, n)
+    base[:, 4] = other[:, 4] = 0.0
+    edge = other.copy()
+    edge[:, 0] = base[:, 0] + (base[:, 2] + other[:, 2]) / 2.0
+    edge[:, 1] = base[:, 1]
+    corner = edge.copy()
+    corner[:, 1] = base[:, 1] + (base[:, 3] + other[:, 3]) / 2.0
+
+    def lattice():
+        boxes = np.round(random_boxes(rng, n) * 4.0) / 4.0
+        boxes[:, 2:4] = np.maximum(boxes[:, 2:4], 0.25)
+        boxes[:, 4] = rng.choice([0.0, 45.0, 90.0, 135.0], n)
+        return boxes
+
+    families = {
+        "identical": (a, a.copy()),
+        "swapped": (a, swapped),
+        "disjoint": (a, a + np.array([40.0, -25.0, 0.0, 0.0, 0.0])),
+        "edge_touching": (base, edge),
+        "corner_touching": (base, corner),
+        "quarter_mm_lattice": (lattice(), lattice()),
+    }
+    for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        families[f"offset_{eps:g}"] = (a, a + rng.uniform(-eps, eps, a.shape))
+    return families
+
+
+FAMILIES = sorted(degenerate_pairs(np.random.default_rng(0), 1))
+
+
+def pairs_16_slot(boxes_a, boxes_b):
+    """Frozen copy of the 16-slot batched clip that ``rotated_iou_pairs``
+    replaced; its outputs are the bit-exact reference for the faster one."""
+    def corners(boxes):
+        t = np.radians(boxes[:, 4])
+        c, s = np.cos(t), np.sin(t)
+        hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
+        lx = np.stack([hw, -hw, -hw, hw], axis=1)
+        ly = np.stack([hh, hh, -hh, -hh], axis=1)
+        x = lx * c[:, None] - ly * s[:, None] + boxes[:, 0:1]
+        y = lx * s[:, None] + ly * c[:, None] + boxes[:, 1:2]
+        return np.stack([x, y], axis=2)
+
+    def areas(pts):
+        x, y = pts[..., 0], pts[..., 1]
+        rx, ry = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        return np.maximum(0.5 * np.sum(x * ry - rx * y, axis=1), 0.0)
+
+    buf = 16
+    boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 5)
+    boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 5)
+    n = boxes_a.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    sub, clip = corners(boxes_a), corners(boxes_b)
+    pts = np.concatenate([sub, sub[:, 3:4].repeat(buf - 4, axis=1)], axis=1)
+    counts = np.full(n, 4, dtype=int)
+    rows = np.arange(n)
+    slot = np.arange(buf)
+    for k in range(4):
+        a = clip[:, k]
+        b = clip[:, (k + 1) % 4]
+        ex = (b[:, 0] - a[:, 0])[:, None]
+        ey = (b[:, 1] - a[:, 1])[:, None]
+        side = ex * (pts[..., 1] - a[:, 1][:, None]) - ey * (pts[..., 0] - a[:, 0][:, None])
+        valid = slot[None, :] < counts[:, None]
+        geo_inside = side >= -MERGE_EPS
+        prev_pts = np.roll(pts, 1, axis=1)
+        prev_side = np.roll(side, 1, axis=1)
+        prev_geo = np.roll(geo_inside, 1, axis=1)
+        inside = geo_inside & valid
+        crossing = (geo_inside != prev_geo) & valid
+        denom = prev_side - side
+        safe = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        t = np.clip(prev_side / safe, 0.0, 1.0)
+        ipts = prev_pts + t[..., None] * (pts - prev_pts)
+        emit = crossing.astype(int) + inside.astype(int)
+        pos = np.cumsum(emit, axis=1) - emit
+        out = np.zeros((n, 2 * buf + 2, 2))
+        r_ix = np.broadcast_to(rows[:, None], (n, buf))
+        out[r_ix[crossing], pos[crossing]] = ipts[crossing]
+        cur_pos = pos + crossing.astype(int)
+        out[r_ix[inside], cur_pos[inside]] = pts[inside]
+        counts = np.minimum(emit.sum(axis=1), buf)
+        pad_ix = np.minimum(slot[None, :], np.maximum(counts - 1, 0)[:, None])
+        pts = out[rows[:, None], pad_ix]
+    inter = np.where(counts >= 3, areas(pts), 0.0)
+    area_a = areas(np.concatenate([sub, sub[:, 3:4].repeat(buf - 4, axis=1)], axis=1))
+    area_b = areas(np.concatenate([clip, clip[:, 3:4].repeat(buf - 4, axis=1)], axis=1))
+    union = area_a + area_b - inter
+    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    return np.clip(iou, 0.0, 1.0)
+
+
+def assert_bit_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """``rotated_iou`` without its shortcuts: the clip alone."""
+    first, second = sorted((a, b), key=lambda bx: (bx.cx, bx.cy, bx.w, bx.h, bx.theta_deg))
+    pa, pb = box_to_polygon(first), box_to_polygon(second)
+    inter = polygon_area(polygon_clip(pa, pb))
+    union = polygon_area(pa) + polygon_area(pb) - inter
+    return 0.0 if union <= 0.0 else min(max(inter / union, 0.0), 1.0)
 
 
 def mc_iou(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int) -> float:
@@ -210,6 +327,125 @@ class TestRotatedIoU:
         corners = boxes_to_corners(rows)
         for row, quad in zip(rows, corners):
             assert np.allclose(quad, OrientedBox(*row).corners())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batched_matches_scalar_degenerate(self, rng, family):
+        a, b = degenerate_pairs(rng, 150)[family]
+        batch = rotated_iou_pairs(a, b)
+        scalar = [rotated_iou(OrientedBox(*ra), OrientedBox(*rb))
+                  for ra, rb in zip(a, b)]
+        assert np.allclose(batch, scalar, atol=1e-12)
+
+    def test_huge_centre_scores_zero(self):
+        # The clip's products overflowed here; such a pair cannot overlap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rotated_iou(OrientedBox(1e308, 0, 2, 2, 10),
+                               OrientedBox(0, 0, 2, 2, 0)) == 0.0
+            assert rotated_iou(OrientedBox(1e308, 0, 2, 2, 0),
+                               OrientedBox(-1e308, 0, 2, 2, 0)) == 0.0
+            assert rotated_iou(OrientedBox(0, -1e308, 2, 2, 0),
+                               OrientedBox(0, 1e308, 2, 2, 0)) == 0.0
+
+    def test_huge_boxes_clip_at_a_smaller_scale(self):
+        big = 1.7976931348623157e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rotated_iou(OrientedBox(0, 0, big, 2, 37),
+                               OrientedBox(0, 0, 2, 2, 0)) == 0.0
+            assert rotated_iou(OrientedBox(0, 0, 2, 2, 0),
+                               OrientedBox(0, 0, 2, big, 0)) == 0.0
+            huge = OrientedBox(1e200, -1e200, 3e200, 1e200, 30)
+            assert rotated_iou(huge, huge) == 1.0
+            half = OrientedBox(1e200, -1e200, 1.5e200, 1e200, 30)
+            assert rotated_iou(huge, half) == pytest.approx(0.5, abs=1e-12)
+
+    def test_shortcut_agrees_with_clip_near_contact(self, rng):
+        # Corner-to-corner pairs along the common diagonal, from overlapping
+        # through touching to gaps the clip's eps tolerance still bridges.
+        shortcuts = 0
+        for i in range(3000):
+            lo = (1e-3, 0.5)[i % 2]
+            w1, h1, w2, h2 = rng.uniform(lo, 10.0 * lo if lo < 0.5 else 8.0, 4)
+            theta = rng.uniform(0.0, 180.0)
+            reach = (math.hypot(w1, h1) + math.hypot(w2, h2)) / 2.0
+            gap = (0.0, 10.0 ** rng.uniform(-16, -3), rng.uniform(-0.5, 2.5))[i % 3]
+            phi = math.atan2(h1, w1) + math.radians(theta)
+            dist = reach * (1.0 + gap)
+            a = OrientedBox(rng.uniform(-9, 9), rng.uniform(-9, 9), w1, h1, theta)
+            b = OrientedBox(a.cx + dist * math.cos(phi), a.cy + dist * math.sin(phi),
+                            w2, h2, math.degrees(phi - math.atan2(-h2, -w2)))
+            shortcuts += math.hypot(a.cx - b.cx, a.cy - b.cy) > 2.0 * reach
+            assert rotated_iou(a, b) == clip_iou(a, b)
+        assert shortcuts > 100
+
+
+def assert_pairs_match_oracle(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_bit_identical(rotated_iou_pairs(a, b), pairs_16_slot(a, b))
+
+
+class TestBatchedIoU:
+    """``rotated_iou_pairs`` equals the 16-slot clip bit for bit."""
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(20240521)
+        for span in (2.0, 5.0, 10.0):
+            assert_pairs_match_oracle(random_boxes(rng, 4000, span=span),
+                                      random_boxes(rng, 4000, span=span))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_degenerate_families(self, rng, family):
+        assert_pairs_match_oracle(*degenerate_pairs(rng, 2000)[family])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_scales(self, rng, scale):
+        factor = np.array([scale, scale, scale, scale, 1.0])
+        a, b = random_boxes(rng, 2000), random_boxes(rng, 2000)
+        assert_pairs_match_oracle(a * factor, b * factor)
+        assert_pairs_match_oracle(a * factor, (a + rng.uniform(-1e-9, 1e-9, a.shape)) * factor)
+
+    def test_overflow_fallback(self, rng, monkeypatch):
+        # Rotated copies clip to octagons; at 5 slots most rows overflow and
+        # go through the 16-slot re-clip.
+        a = random_boxes(rng, 600)
+        b = a.copy()
+        b[:, 4] = (a[:, 4] + rng.uniform(5.0, 85.0, 600)) % 180.0
+        near = a + rng.uniform(-1e-9, 1e-9, a.shape)
+        widths = []
+        clip = geometry._clip_quads
+
+        def spy(sx, sy, cx, cy, width):
+            widths.append((width, sx.shape[1]))
+            return clip(sx, sy, cx, cy, width)
+
+        monkeypatch.setattr(geometry, "_clip_quads", spy)
+        monkeypatch.setattr(geometry, "_WIDTH", 5)
+        assert_pairs_match_oracle(a, b)
+        assert widths[0] == (5, 600)
+        assert widths[1][0] == 16 and widths[1][1] > 300
+        assert_pairs_match_oracle(a, near)
+
+    def test_disjoint_is_exactly_zero(self, rng):
+        a = random_boxes(rng, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(a, a + np.array([30.0, 30.0, 0.0, 0.0, 0.0]))
+        assert np.all(got == 0.0)
+
+    def test_identical_is_one(self, rng):
+        a = random_boxes(rng, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(a, a)
+        assert np.all(got == 1.0)
+
+    def test_empty_input(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5)))
+        assert got.shape == (0,)
 
 
 class TestPointsInBox:

@@ -9,8 +9,10 @@ decays as a Gaussian of the distance to the contact boundary.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -92,9 +94,12 @@ class StripProbe:
         return {"kind": "strip", "length_mm": self.length_mm, "width_mm": self.width_mm}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FootprintProbe:
-    """Flat probe with an arbitrary binary stencil (True = contact)."""
+    """Flat probe with an arbitrary binary stencil (True = contact).
+
+    Probes are equal, and hash alike, when name, stencil and scale match.
+    """
 
     name: str
     stencil: np.ndarray
@@ -107,6 +112,18 @@ class FootprintProbe:
         if not (self.stencil_scale_mm > 0):
             raise ConfigError("stencil scale must be > 0")
         object.__setattr__(self, "stencil", st)
+
+    def _key(self) -> tuple:
+        return (self.name, self.stencil.shape, self.stencil.tobytes(),
+                self.stencil_scale_mm)
+
+    def __eq__(self, other):
+        if not isinstance(other, FootprintProbe):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def class_name(self) -> str:
@@ -261,15 +278,54 @@ def _footprint_inside(probe: FootprintProbe, scenario: ContactScenario, X, Y):
     return inside
 
 
-def _punch_field(inside, depth, sigma_mm, scale):
-    z = np.zeros(inside.shape)
-    if depth <= 0 or not inside.any():
-        return z
-    z[inside] = depth
-    dist = ndimage.distance_transform_edt(~inside, sampling=scale)
-    outside = ~inside
-    z[outside] = depth * np.exp(-(dist[outside] ** 2) / (2.0 * sigma_mm ** 2))
-    return z
+# Inside ``punch_profile_memo``: {key: profile} of the last punch profile.
+_PROFILE_MEMO = contextvars.ContextVar("punch_profile_memo", default=None)
+
+
+@contextlib.contextmanager
+def punch_profile_memo():
+    """Reuse punch profiles across the forces of a sweep, within the block.
+
+    A punch's profile depends on its pose and window but not on its force,
+    so a sweep over the forces of one probe builds it once. Only the last
+    profile is kept, which is all a sweep that runs one probe's forces in a
+    row needs, and none outlives the block.
+    """
+    token = _PROFILE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _PROFILE_MEMO.reset(token)
+
+
+def _punch_profile(scenario: ContactScenario, material: MaterialParams,
+                   sensor: SensorConfig, window: PixelWindow | None) -> np.ndarray:
+    """1 on the contact and exp(-d^2 / (2 sigma^2)) at distance d off it, so
+    that depth times it is the punch's height field."""
+    probe = scenario.probe
+    sigma = material.membrane_sigma_mm
+    key = (probe, scenario.x_mm, scenario.y_mm, scenario.theta_deg, sigma,
+           sensor, window)
+    memo = _PROFILE_MEMO.get()
+    if memo is not None and key in memo:
+        return memo[key]
+    X, Y = pixel_centers_mm(sensor, window)
+    if isinstance(probe, StripProbe):
+        inside = _strip_inside(probe, scenario, X, Y)
+    else:
+        inside = _footprint_inside(probe, scenario, X, Y)
+    if not inside.any():
+        if isinstance(probe, FootprintProbe):
+            raise ScenarioError("footprint does not touch the active area")
+        profile = np.zeros(X.shape)
+    else:
+        dist = ndimage.distance_transform_edt(~inside, sampling=sensor.scale_mm_per_px)
+        # exp(-0.0) is exactly 1 on the contact
+        profile = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
+    if memo is not None:
+        memo.clear()
+        memo[key] = profile
+    return profile
 
 
 def height_field(scenario: ContactScenario, material: MaterialParams,
@@ -279,16 +335,18 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
     Only the pixels of ``window`` (default: the whole raster) are computed.
     Each value equals the whole-raster one as long as the window holds the
     whole contact region: the sphere field is pointwise, and the punch
-    field's distance transform then sees every contact pixel.
+    field's distance transform then sees every contact pixel. A punch field
+    is depth times ``_punch_profile``, which ``punch_profile_memo`` lets a
+    force sweep reuse.
     """
-    X, Y = pixel_centers_mm(sensor, window)
     probe = scenario.probe
-    sigma = material.membrane_sigma_mm
-
     if scenario.force_n == 0:
-        return HeightField(np.zeros(X.shape), sensor.scale_mm_per_px)
+        shape = (window or PixelWindow.full(sensor.input_size)).shape
+        return HeightField(np.zeros(shape), sensor.scale_mm_per_px)
 
     if isinstance(probe, SphereProbe):
+        X, Y = pixel_centers_mm(sensor, window)
+        sigma = material.membrane_sigma_mm
         R = probe.radius_mm
         depth, a = hertz_indentation(scenario.force_n, R, material.e_star)
         if depth >= R:
@@ -306,22 +364,11 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
         z[out] = z_edge * np.exp(-((r[out] - a) ** 2) / (2.0 * sigma ** 2))
         return HeightField(z, sensor.scale_mm_per_px)
 
-    if isinstance(probe, StripProbe):
+    if isinstance(probe, (StripProbe, FootprintProbe)):
         depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
         _check_depth(depth, material)
         _check_bounds(scenario, probe.reach_mm, sensor)
-        inside = _strip_inside(probe, scenario, X, Y)
-        return HeightField(_punch_field(inside, depth, sigma, sensor.scale_mm_per_px),
-                           sensor.scale_mm_per_px)
-
-    if isinstance(probe, FootprintProbe):
-        depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
-        _check_depth(depth, material)
-        _check_bounds(scenario, probe.reach_mm, sensor)
-        inside = _footprint_inside(probe, scenario, X, Y)
-        if not inside.any():
-            raise ScenarioError("footprint does not touch the active area")
-        return HeightField(_punch_field(inside, depth, sigma, sensor.scale_mm_per_px),
+        return HeightField(depth * _punch_profile(scenario, material, sensor, window),
                            sensor.scale_mm_per_px)
 
     raise ConfigError(f"unknown probe type {type(probe).__name__}")

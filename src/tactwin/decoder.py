@@ -11,13 +11,13 @@ the wider deviation band.
 
 The calibration sweeps render noise-free images whose pixels equal the flat
 reference outside ``render.contact_window``, so their deviation is exactly 0
-there. They measure only that window, widened by the denoise filter's radius,
-beyond which the filtered deviation is exactly 0 too, and by half the merge
-distance, so that fragment merging finds every pixel it could join through
-inside. The filter's reflected border then reads only zero pixels at the
-window's inner edges and reflects as on the whole raster at the raster's
-edges. Blob pixels, moments and areas come out bit-equal to a whole-raster
-measurement.
+there. They subtract and filter only that window widened by the denoise
+filter's radius, beyond which the filtered deviation is exactly 0 too, and
+pad the result with zeros by half the merge distance, so that fragment
+merging finds every pixel it could join through inside. The filter's
+reflected border then reads only zero pixels at the window's inner edges and
+reflects as on the whole raster at the raster's edges. Blob pixels, moments
+and areas come out bit-equal to a whole-raster measurement.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import ndimage
 
 from .contact import (ContactScenario, MaterialParams, Probe, SphereProbe,
-                      StripProbe)
+                      StripProbe, punch_profile_memo)
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
@@ -167,24 +167,30 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     labels, n_comp = ndimage.label(mask, structure=eight)
     # Component-level area filter first: isolated specks must not survive by
     # unioning with each other through the merge dilation.
-    comp_px = np.bincount(labels.ravel(), minlength=n_comp + 1)
+    comp_px = (np.bincount(labels.ravel(), minlength=n_comp + 1) if n_comp > 1
+               else np.array([0, np.count_nonzero(mask)]))
     keep = comp_px * px_area >= min_area_mm2
     keep[0] = False
-    mask = keep[labels]
-    if not mask.any():
+    if not keep.any():
         return []
-    if merge_dist_mm > 0 and int(keep.sum()) > 1:
+    if not keep[1:].all():
+        mask = keep[labels]
+    n_groups = int(keep.sum())
+    if merge_dist_mm > 0 and n_groups > 1:
         dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
-        groups, _ = ndimage.label(dist <= merge_dist_mm / 2.0, structure=eight)
+        groups, n_groups = ndimage.label(dist <= merge_dist_mm / 2.0, structure=eight)
     else:
         groups = labels
     ys, xs = np.nonzero(mask)
-    gid = groups[ys, xs]
     w = mag[ys, xs]
-    order = np.argsort(gid, kind="stable")
-    ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
-    bounds = np.searchsorted(gid, np.unique(gid))
-    bounds = np.append(bounds, gid.size)
+    if n_groups == 1:
+        bounds = [0, ys.size]
+    else:
+        gid = groups[ys, xs]
+        order = np.argsort(gid, kind="stable")
+        ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
+        bounds = np.searchsorted(gid, np.unique(gid))
+        bounds = np.append(bounds, gid.size)
 
     window = window or PixelWindow.full(dev.shape[0])
     ys, xs = ys + window.y0, xs + window.x0
@@ -416,12 +422,13 @@ class ForceEstimate:
     out_of_range: bool
 
 
-def _weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+def _weighted_percentiles(values: np.ndarray, weights: np.ndarray, qs) -> list:
     order = np.argsort(values, kind="stable")
     v, w = values[order], weights[order]
     cum = np.cumsum(w)
-    target = q / 100.0 * cum[-1]
-    return float(v[np.searchsorted(cum, target, side="left").clip(0, v.size - 1)])
+    last = v.size - 1
+    return [float(v[np.searchsorted(cum, q / 100.0 * cum[-1], side="left").clip(0, last)])
+            for q in qs]
 
 
 def box_extents(blob: Blob, theta_deg: float):
@@ -434,10 +441,8 @@ def box_extents(blob: Blob, theta_deg: float):
     c, s = math.cos(t), math.sin(t)
     u = xs_mm * c + ys_mm * s
     v = -xs_mm * s + ys_mm * c
-    u2, u98 = (_weighted_percentile(u, blob.weights, 2),
-               _weighted_percentile(u, blob.weights, 98))
-    v2, v98 = (_weighted_percentile(v, blob.weights, 2),
-               _weighted_percentile(v, blob.weights, 98))
+    u2, u98 = _weighted_percentiles(u, blob.weights, (2, 98))
+    v2, v98 = _weighted_percentiles(v, blob.weights, (2, 98))
     cu, cv = (u2 + u98) / 2.0, (v2 + v98) / 2.0
     cx = cu * c - cv * s
     cy = cu * s + cv * c
@@ -449,19 +454,31 @@ def _decode_measurements(image: TactileImage, reference: TactileImage,
                          window: PixelWindow | None = None):
     """Blobs of image - reference; ``window``, when given, holds every pixel
     where the two differ (see the module docstring)."""
-    dev = difference_image(image, reference)
     sp = cfg.denoise_sigma_px(sensor)
-    if window is not None:
+    if window is None:
+        dev = _denoised(difference_image(image, reference), sp)
+    else:
         # scipy's Gaussian kernel radius, then the merge reach in pixels
         radius = int(_GAUSS_TRUNCATE * sp + 0.5) if sp > 0 else 0
         merge_px = math.ceil(cfg.merge_dist_mm / 2.0 / sensor.scale_mm_per_px)
-        window = window.grow(radius + merge_px)
-        dev = dev[window.slices]
-    if sp > 0:
-        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
+        inner, window = window.grow(radius), window.grow(radius + merge_px)
+        dev = np.zeros(window.shape)
+        dev[inner.slices_in(window)] = _denoised(
+            difference_image(_crop(image, inner), _crop(reference, inner)), sp)
     return extract_blobs(dev, sensor.scale_mm_per_px,
                          cfg.effective_threshold(sensor),
                          cfg.min_area_mm2, cfg.merge_dist_mm, window=window)
+
+
+def _denoised(dev: np.ndarray, sigma_px: float) -> np.ndarray:
+    if sigma_px <= 0:
+        return dev
+    return ndimage.gaussian_filter(dev, sigma=sigma_px, truncate=_GAUSS_TRUNCATE)
+
+
+def _crop(image: TactileImage, window: PixelWindow) -> TactileImage:
+    return TactileImage(image.pixels[window.slices], image.scale_mm_per_px,
+                        image.is_reference)
 
 
 def _calibration_blobs(probe: Probe, force: float, material: MaterialParams,
@@ -527,10 +544,14 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
                 f"{class_name} ({_variant_label(probe)}): no force in the grid "
                 "produces a detectable signature")
         areas = np.array(rows["area"])
-        if np.any(np.diff(areas) <= 0):
+        drops = np.flatnonzero(np.diff(areas) <= 0)
+        if drops.size:
+            i = drops[0]
+            f0, f1 = rows["force"][i], rows["force"][i + 1]
             raise CalibrationError(
                 f"{class_name} ({_variant_label(probe)}): deviation area is not "
-                "strictly increasing in force")
+                f"strictly increasing in force: {areas[i + 1]:.10g} mm^2 at "
+                f"{f1:g} N after {areas[i]:.10g} mm^2 at {f0:g} N")
         curves.append(CalibrationCurve(
             label=_variant_label(probe),
             forces=np.array(rows["force"]),
@@ -727,10 +748,11 @@ def build_decoder(probes: list, material: MaterialParams,
     by_class: dict = {}
     for probe in probes:
         by_class.setdefault(probe.class_name, []).append(probe)
-    calibrations = {
-        cls: build_calibration(cls, plist, material, illum, sensor, cfg)
-        for cls, plist in sorted(by_class.items())
-    }
     template_probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
-    templates = build_templates(template_probes, material, illum, sensor, cfg)
+    with punch_profile_memo():
+        calibrations = {
+            cls: build_calibration(cls, plist, material, illum, sensor, cfg)
+            for cls, plist in sorted(by_class.items())
+        }
+        templates = build_templates(template_probes, material, illum, sensor, cfg)
     return TactileDecoder(material, illum, sensor, cfg, calibrations, templates)

@@ -89,6 +89,10 @@ class PixelWindow:
                            max(self.x0 - k, 0), min(self.x1 + k, n), n)
 
     @property
+    def shape(self) -> tuple:
+        return self.y1 - self.y0, self.x1 - self.x0
+
+    @property
     def slices(self) -> tuple:
         return slice(self.y0, self.y1), slice(self.x0, self.x1)
 

@@ -320,19 +320,51 @@ def _clip_quads(sx, sy, cx, cy, width: int) -> tuple:
     return out_x[ix], out_y[ix], counts, overflow
 
 
+def _rescale_huge_rows(boxes_a: np.ndarray, boxes_b: np.ndarray):
+    """``rotated_iou``'s overflow guard for the pairs with a finite
+    coordinate or size above 2**_CLIP_EXP mm: their lengths are scaled by a
+    power of two into range. Returns the scaled copies and a mask of the
+    rows that score 0.0, being more than twice their summed reach apart or
+    having a size that scales to 0."""
+    size = np.fmax.reduce(np.abs(np.concatenate([boxes_a[:, :4], boxes_b[:, :4]], axis=1)),
+                          axis=1)    # NaN-blind
+    rows = np.flatnonzero(np.isfinite(size) & (size > 2.0 ** _CLIP_EXP))
+    a, b = boxes_a.copy(), boxes_b.copy()
+    exponent = _CLIP_EXP - np.frexp(size[rows])[1]
+    a[rows, :4] = np.ldexp(a[rows, :4], exponent[:, None])
+    b[rows, :4] = np.ldexp(b[rows, :4], exponent[:, None])
+    # _clip_reach at the new scale, where MERGE_EPS / w scales by 2**(2 exponent)
+    eps = np.ldexp(MERGE_EPS, 2 * exponent)
+    ra, rb = a[rows], b[rows]
+    with np.errstate(divide="ignore", over="ignore"):
+        reach = sum(np.hypot(r[:, 2], r[:, 3]) / 2.0 + eps / r[:, 2] + eps / r[:, 3]
+                    for r in (ra, rb))
+    far = np.hypot(ra[:, 0] - rb[:, 0], ra[:, 1] - rb[:, 1]) > 2.0 * reach
+    vanished = np.any(np.concatenate([ra[:, 2:4], rb[:, 2:4]], axis=1) == 0.0, axis=1)
+    zero = np.zeros(len(a), dtype=bool)
+    zero[rows] = far | vanished
+    return a, b, zero
+
+
 def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Elementwise rotated IoU of two (N, 5) box arrays.
 
     Batched Sutherland-Hodgman over fixed-size vertex buffers, in an 8-slot
     buffer; the rare rows that emit more than 8 vertices at some clip edge
     are clipped again in 16 slots. The result is bit-identical to clipping
-    every row in 16 slots, where vertices past the 16th are dropped.
+    every row in 16 slots, where vertices past the 16th are dropped. Pairs
+    with a finite coordinate or size above 2**_CLIP_EXP mm are guarded
+    against overflow as ``rotated_iou`` guards them.
     """
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 5)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 5)
     n = boxes_a.shape[0]
     if n == 0:
         return np.zeros(0)
+    zero = None
+    # a cheap whole-batch test first; the angle column only costs a false alarm
+    if (np.abs(boxes_a) > 2.0 ** _CLIP_EXP).any() or (np.abs(boxes_b) > 2.0 ** _CLIP_EXP).any():
+        boxes_a, boxes_b, zero = _rescale_huge_rows(boxes_a, boxes_b)
     sx, sy = _corner_planes(boxes_a)
     cx, cy = _corner_planes(boxes_b)
     x, y, counts, overflow = _clip_quads(sx, sy, cx, cy, _WIDTH)
@@ -347,6 +379,8 @@ def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     area_b = _padded_areas(cx.T[:, pad], cy.T[:, pad])
     union = area_a + area_b - inter
     iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    if zero is not None:
+        iou[zero] = 0.0
     return np.clip(iou, 0.0, 1.0)
 
 

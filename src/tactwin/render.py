@@ -6,6 +6,15 @@ where n = (-df/dx, -df/dy, 1) normalized. A flat membrane therefore renders to
 a uniform baseline, and contact signatures appear as local darkening whose
 strength grows with surface slope.
 
+Only sloped pixels are shaded light by light: those where |f_x| or |f_y|
+exceeds t = min_k |l_z,k| 2^-56. On any other pixel |f_x l_x| and |f_y l_y|
+are at most t, so the rounded -f_x l_x - f_y l_y is at most |l_z| 2^-55,
+under a quarter of l_z's ulp, and adding l_z rounds to exactly l_z (also
+when l_z is a power of two); 1 + |grad f|^2 rounds to exactly 1. Each
+light's term is then the flat membrane's, and the pixel takes the flat
+value bit for bit, for every light set and exponent. NaN slopes count as
+sloped.
+
 ``simulate`` computes and shades only a pixel window around the contact and
 pastes it into the flat reference; every pixel outside the window is
 bit-equal to the reference anyway, so the image is the same as a
@@ -104,8 +113,20 @@ def render(height: HeightField, illum: IlluminationModel) -> TactileImage:
 
 def _shade(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> np.ndarray:
     fy, fx = np.gradient(z, scale_mm_per_px)
+    # The sloped-pixel rule of the module docstring. A zero slope appended
+    # to the sloped pixels' gives the flat value for all the others.
+    tol = float(np.abs(illum.light_dirs[:, 2]).min()) * 2.0 ** -56
+    sloped = ~((np.abs(fx) <= tol) & (np.abs(fy) <= tol))
+    values = _shade_slopes(np.append(fx[sloped], 0.0), np.append(fy[sloped], 0.0), illum)
+    out = np.full(z.shape, values[-1])
+    out[sloped] = values[:-1]
+    return out
+
+
+def _shade_slopes(fx: np.ndarray, fy: np.ndarray, illum: IlluminationModel) -> np.ndarray:
+    """Intensity of pixels with surface gradient (fx, fy), elementwise."""
     inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
-    shade = np.zeros(z.shape)
+    shade = np.zeros(fx.shape)
     for lx, ly, lz in illum.light_dirs:
         dot = (-fx * lx - fy * ly + lz) * inv_norm
         np.maximum(dot, 0.0, out=dot)
@@ -117,10 +138,9 @@ def _shade(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> n
 
 
 def _flat_pixels(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
-    # A flat membrane shades every pixel with the same operations on the same
-    # values, so a 2x2 flat patch gives the whole raster's value bit for bit.
-    value = _shade(np.zeros((2, 2)), sensor.scale_mm_per_px, illum)[0, 0]
-    return np.full((sensor.input_size, sensor.input_size), value)
+    zero = np.zeros(1)
+    return np.full((sensor.input_size, sensor.input_size),
+                   _shade_slopes(zero, zero, illum)[0])
 
 
 def make_reference(sensor: SensorConfig, illum: IlluminationModel) -> TactileImage:

@@ -105,6 +105,22 @@ class TestHeightField:
         with pytest.raises(ScenarioError):
             height_field(sc, soft, sensor)
 
+    def test_footprint_probes_compare_by_value(self):
+        first, second = footprint_probes(), footprint_probes()
+        assert first == second
+        assert [hash(p) for p in first] == [hash(p) for p in second]
+        assert len(set(first + second)) == len(first)
+
+    def test_footprint_probe_identity_is_name_stencil_and_scale(self):
+        probe = FootprintProbe("disc", stencil_circle(8.0), 0.1)
+        assert probe == FootprintProbe("disc", stencil_circle(8.0).copy(), 0.1)
+        assert probe != FootprintProbe("disc", stencil_circle(6.0), 0.1)
+        assert probe != FootprintProbe("coin", stencil_circle(8.0), 0.1)
+        assert probe != FootprintProbe("disc", stencil_circle(8.0), 0.2)
+        # same bytes, other shape
+        assert (FootprintProbe("bar", np.ones((2, 3), bool), 0.1)
+                != FootprintProbe("bar", np.ones((3, 2), bool), 0.1))
+
     def test_footprint_probe(self, material, sensor):
         probe = FootprintProbe("dot", stencil_circle(6.0), 0.1)
         sc = ContactScenario(probe, 1.0, 1.0, 0, 2.0)

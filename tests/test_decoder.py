@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tactwin import contact
 from tactwin.contact import ContactScenario, SphereProbe, StripProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
                              TemplateLibrary, build_decoder, classify,
@@ -12,6 +13,7 @@ from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.render import make_reference, simulate
+from tactwin.suites import screw_part_probes
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -169,6 +171,17 @@ class TestCalibration:
         for table in small_decoder.calibrations.values():
             for curve in table.curves:
                 assert np.all(np.diff(curve.areas) > 0)
+
+    def test_non_increasing_area_names_the_forces(self, material, illum, sensor):
+        # At noise 0 and 640 px the screw body's deviation area is 74.1 mm^2
+        # at both 8.25 and 8.5 N.
+        body = next(p for p in screw_part_probes() if p.class_name == "body")
+        with pytest.raises(CalibrationError) as err:
+            build_decoder([body], material, illum, sensor, DecodeConfig(noise_sigma=0.0))
+        message = str(err.value)
+        assert "deviation area is not strictly increasing in force" in message
+        assert message.endswith("74.1 mm^2 at 8.5 N after 74.1 mm^2 at 8.25 N")
+        assert contact._PROFILE_MEMO.get() is None
 
     def test_stale_hash_rejected(self, material, illum, sensor, cfg,
                                  small_decoder):

@@ -441,6 +441,34 @@ class TestBatchedIoU:
             got = rotated_iou_pairs(a, a)
         assert np.all(got == 1.0)
 
+    def test_huge_centre_scores_zero(self):
+        big = 1.7976931348623157e308
+        a = np.array([[1e308, 0, 2, 2, 10], [1e308, 0, 2, 2, 0],
+                      [0, -1e308, 2, 2, 0], [0, 0, big, 2, 37], [0, 0, 2, 2, 0]])
+        b = np.array([[0, 0, 2, 2, 0], [-1e308, 0, 2, 2, 0],
+                      [0, 1e308, 2, 2, 0], [0, 0, 2, 2, 0], [0, 0, 2, big, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(a, b)
+        assert got[:3].tolist() == [0.0] * 3
+        # a 2 mm box inside a 1.8e308 mm one
+        assert np.all((got[3:] >= 0.0) & (got[3:] < 1e-300))
+
+    def test_huge_boxes_clip_at_a_smaller_scale(self, rng):
+        huge = [1e200, -1e200, 3e200, 1e200, 30]
+        half = [1e200, -1e200, 1.5e200, 1e200, 30]
+        a, b = random_boxes(rng, 300), random_boxes(rng, 300)
+        a[[7, 8]], b[[7, 8]] = [huge, huge], [huge, half]
+        a[20, 4] = 1e300    # a huge angle trips the batch test, not the row's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(a, b)
+        assert got[7] == 1.0
+        assert got[8] == pytest.approx(0.5, abs=1e-12)
+        rest = np.ones(300, dtype=bool)
+        rest[[7, 8]] = False
+        assert_bit_identical(got[rest], pairs_16_slot(a[rest], b[rest]))
+
     def test_empty_input(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -3,7 +3,9 @@
 ``contact_window`` decides which pixels ``simulate`` computes and which the
 calibration sweeps measure. Patching it to return the whole raster runs the
 same code on every pixel, which is what the windowed results must equal byte
-for byte.
+for byte. The sloped-pixel shading is held to a frozen copy of the per-light
+shading it replaced, and the sweep's reused punch profiles to fresh height
+fields.
 """
 
 import contextlib
@@ -13,14 +15,16 @@ import json
 import numpy as np
 import pytest
 
-from tactwin.contact import ContactScenario, SphereProbe
+from tactwin.contact import ContactScenario, SphereProbe, StripProbe, height_field
 from tactwin.dataset import DatasetSpec, sample_for_index
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
-                             build_calibration, build_templates)
-from tactwin.frames import PixelWindow, SensorConfig
-from tactwin.render import (IlluminationModel, TactileImage, contact_window,
-                            make_reference, simulate)
+                             build_calibration, build_decoder, build_templates,
+                             calibration_scenario)
+from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
+from tactwin.render import (IlluminationModel, TactileImage, _shade,
+                            contact_window, make_reference, resolution_sweep,
+                            ring_lights, simulate)
 from tactwin.suites import SUITES, footprint_probes
 
 # 160 px over the standard 32 mm active area: windows reach the raster edge
@@ -127,6 +131,23 @@ class TestMeasurementWindow:
         assert _blob_fields(windowed) == _blob_fields(
             _decode_measurements(image, reference, sensor, decode_cfg))
 
+    def test_filtered_support_at_the_window_edge(self, illum, sensor):
+        # A threshold below every nonzero filtered value puts the filter's
+        # whole support, up to the kernel radius beyond the window, into the
+        # blob, so its weights show how the filter treats the window's edges.
+        cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300)
+        reference = make_reference(sensor, illum)
+        window = PixelWindow(200, 280, 300, 380, sensor.input_size)
+        pixels = reference.pixels.copy()
+        pixels[200:280, 300] -= 0.05
+        pixels[279, 300:380] += 0.05
+        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        windowed = _decode_measurements(image, reference, sensor, cfg, window)
+        blob = windowed[0]    # 15 px: the kernel radius at 0.25 mm / 0.05 mm
+        assert (blob.xs.min(), blob.ys.max()) == (300 - 15, 279 + 15)
+        assert _blob_fields(windowed) == _blob_fields(
+            _decode_measurements(image, reference, sensor, cfg))
+
 
 class TestSimulateExact:
     @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -184,3 +205,133 @@ class TestCalibrationExact:
             assert windowed == (
                 _calibration_json(probes, material, illum, sensor, decode_cfg),
                 _templates_json(probes, material, illum, sensor, decode_cfg))
+
+
+def frozen_shade(z, scale_mm_per_px, illum):
+    """Frozen copy of the per-light shading of every pixel that
+    ``render._shade`` replaced; its outputs are the bit-exact reference for
+    the sloped-pixel rule."""
+    fy, fx = np.gradient(z, scale_mm_per_px)
+    inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
+    shade = np.zeros(z.shape)
+    for lx, ly, lz in illum.light_dirs:
+        dot = (-fx * lx - fy * ly + lz) * inv_norm
+        np.maximum(dot, 0.0, out=dot)
+        if illum.exponent != 1.0:
+            dot **= illum.exponent
+        shade += dot
+    shade /= illum.light_dirs.shape[0]
+    return np.clip(illum.ambient + illum.diffuse * shade, 0.0, 1.0)
+
+
+OTHER_LIGHTS = {
+    "ring4_30deg": IlluminationModel(light_dirs=ring_lights(4, 30.0)),
+    # l_z just under 1/2 and lights at 30 and 60 degrees azimuth: here a
+    # threshold 4 t would let -f_x l_x - f_y l_y move l_z by an ulp.
+    "ring12_30deg": IlluminationModel(light_dirs=ring_lights(12, 30.0)),
+    "exponent2": IlluminationModel(exponent=2.0),
+    "horizontal_light": IlluminationModel(light_dirs=np.array([[1.0, 0.0, 0.0],
+                                                               [0.0, 0.6, 0.8]])),
+}
+
+
+def assert_shades_like_oracle(z, scale_mm_per_px, illum):
+    assert (_shade(z, scale_mm_per_px, illum).tobytes()
+            == frozen_shade(z, scale_mm_per_px, illum).tobytes())
+
+
+def _window_field(probe, force, material, illum, sensor):
+    """The height field ``simulate`` shades for a calibration render."""
+    scenario = calibration_scenario(probe, force)
+    window = contact_window(scenario, material, illum, sensor).grow(1)
+    return height_field(scenario, material, sensor, window=window).z
+
+
+class TestSlopedShading:
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_calibration_windows(self, suite, material, illum, sensor):
+        for probe in SUITES[suite]():
+            for force in (0.25, 5.0, 10.0):
+                z = _window_field(probe, force, material, illum, sensor)
+                assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    @pytest.mark.parametrize("suite", ["roundtrip", "screw"])
+    def test_whole_raster_fields(self, suite, material, illum, sensor):
+        spec = DatasetSpec(count=3, master_seed=11, suite=suite)
+        for i in range(spec.count):
+            z = height_field(sample_for_index(spec, i)[0], material, sensor).z
+            assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
+    def test_resolution_gratings(self, orientation, material, illum, sensor,
+                                 monkeypatch):
+        render_module = importlib.import_module("tactwin.render")
+        fields = []
+
+        def spy(height, illum):
+            fields.append(height.z)
+            return original(height, illum)
+
+        original = render_module.render
+        monkeypatch.setattr(render_module, "render", spy)
+        resolution_sweep([0.5, 2.0, 5.0, 9.0], orientation, material, illum, sensor)
+        assert len(fields) == 4
+        for z in fields:
+            assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    @pytest.mark.parametrize("light", sorted(OTHER_LIGHTS))
+    def test_other_lights(self, light, material, sensor):
+        illum = OTHER_LIGHTS[light]
+        for probe in SUITES["roundtrip"]():
+            z = _window_field(probe, 5.0, material, illum, sensor)
+            assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    @pytest.mark.parametrize("light", ["default", *sorted(OTHER_LIGHTS)])
+    def test_slopes_around_the_threshold(self, light, sensor):
+        # A shallow bowl whose slopes run from 0 to 16 t in every direction,
+        # t being the rule's threshold (any scale when t = 0).
+        illum = OTHER_LIGHTS.get(light, IlluminationModel())
+        t = float(np.abs(illum.light_dirs[:, 2]).min()) * 2.0 ** -56 or 2.0 ** -56
+        X, Y = pixel_centers_mm(sensor)
+        z = 16.0 * t / (2.0 * X.max()) * (X * X + Y * Y)
+        assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    def test_nan_heights_shade_as_before(self, illum, small_sensor):
+        z = np.zeros((small_sensor.input_size,) * 2)
+        z[40:50, 60:70] = 0.3
+        z[45, 65] = np.nan
+        assert_shades_like_oracle(z, small_sensor.scale_mm_per_px, illum)
+
+
+class TestProfileMemo:
+    def test_sweep_fields_equal_fresh_fields(self, material, illum, sensor,
+                                             decode_cfg, monkeypatch):
+        contact = importlib.import_module("tactwin.contact")
+        render_module = importlib.import_module("tactwin.render")
+        seen, built = [], []
+
+        def spy_field(scenario, material, sensor, window=None):
+            assert contact._PROFILE_MEMO.get() is not None
+            hf = height_field(scenario, material, sensor, window=window)
+            seen.append((scenario, window, hf.z.tobytes()))
+            return hf
+
+        def spy_inside(inside):
+            def wrapped(probe, *args):
+                built.append(probe.class_name)
+                return inside(probe, *args)
+            return wrapped
+
+        monkeypatch.setattr(render_module, "height_field", spy_field)
+        for name in ("_strip_inside", "_footprint_inside"):
+            monkeypatch.setattr(contact, name, spy_inside(getattr(contact, name)))
+        lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
+        build_decoder([StripProbe(20.0, 4.0), lshape, SphereProbe(20.0)],
+                      material, illum, sensor, decode_cfg)
+        assert contact._PROFILE_MEMO.get() is None
+        # one profile per punch in the calibration sweep, one per template
+        assert built == ["lshape", "strip", "lshape", "strip"]
+        monkeypatch.undo()
+        assert len(seen) == 3 * (len(CALIBRATION_FORCES) - 1 + 2)
+        for scenario, window, z in seen:
+            assert height_field(scenario, material, sensor, window=window).z.tobytes() == z

@@ -23,9 +23,8 @@ from .decoder import (Blob, CalibrationTable, DecodeConfig, Detection,
 from .encoding import (RegionGrid, build_region_grid, cell_center_mm,
                        csl_decode, csl_encode)
 from .frames import SensorConfig
-from .geometry import (ConvexPolygon, OrientedBox, angle_error, box_to_polygon,
-                       normalize_angle, polygon_area, polygon_clip,
-                       rotated_iou, rotated_iou_pairs)
+from .geometry import (OrientedBox, angle_error, normalize_angle, rotated_iou,
+                       rotated_iou_pairs)
 from .metrics import (MetricsReport, confusion_matrix, evaluate_detections,
                       mae, match_detections, precision_recall_ap, write_report)
 from .render import (IlluminationModel, TactileImage, baseline_intensity,

@@ -7,11 +7,12 @@ Angles are degrees in the half-open range [0, 180); a box is the five-tuple
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Vertices closer than this (mm) are merged during clipping.
+# The clip's side tolerance (mm^2): a vertex whose cross product with a clip
+# edge is at least -MERGE_EPS counts as inside that edge.
 MERGE_EPS = 1e-9
 
 
@@ -83,140 +84,11 @@ class OrientedBox:
         return np.array([self.cx, self.cy, self.w, self.h, self.theta_deg])
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Counter-clockwise convex polygon; may be empty (no vertices)."""
-
-    vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self)
-
-
-def box_to_polygon(box: OrientedBox) -> ConvexPolygon:
-    return ConvexPolygon(box.corners())
-
-
-def polygon_area(poly: ConvexPolygon) -> float:
-    """Shoelace area; nonnegative for CCW input, clipped at zero."""
-    v = poly.vertices
-    if v.shape[0] < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    rx, ry = np.roll(x, -1), np.roll(y, -1)
-    return max(0.5 * float(np.sum(x * ry - rx * y)), 0.0)
-
-
-def _dedupe_vertices(verts: list) -> np.ndarray:
-    """Drop consecutive (and wrap-around) vertices closer than MERGE_EPS."""
-    out = []
-    for p in verts:
-        if not out or abs(p[0] - out[-1][0]) + abs(p[1] - out[-1][1]) > MERGE_EPS:
-            out.append(p)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) + abs(out[0][1] - out[-1][1]) <= MERGE_EPS:
-        out.pop()
-    return np.array(out).reshape(-1, 2)
-
-
-def polygon_clip(subject: ConvexPolygon, clip: ConvexPolygon) -> ConvexPolygon:
-    """Intersection of two convex CCW polygons (Sutherland-Hodgman).
-
-    Degenerate contact (shared edges or vertices) yields a zero-area result;
-    an empty polygon is returned when the inputs do not overlap.
-    """
-    verts = [tuple(p) for p in subject.vertices]
-    cv = clip.vertices
-    n_clip = cv.shape[0]
-    if len(verts) == 0 or n_clip < 3:
-        return ConvexPolygon()
-    for k in range(n_clip):
-        if not verts:
-            break
-        ax, ay = cv[k]
-        bx, by = cv[(k + 1) % n_clip]
-        ex, ey = bx - ax, by - ay
-        out = []
-        prev = verts[-1]
-        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for cur in verts:
-            side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            if side >= -MERGE_EPS:
-                if prev_side < -MERGE_EPS:
-                    t = prev_side / (prev_side - side)
-                    out.append((prev[0] + t * (cur[0] - prev[0]),
-                                prev[1] + t * (cur[1] - prev[1])))
-                out.append(cur)
-            elif prev_side >= -MERGE_EPS:
-                t = prev_side / (prev_side - side)
-                out.append((prev[0] + t * (cur[0] - prev[0]),
-                            prev[1] + t * (cur[1] - prev[1])))
-            prev, prev_side = cur, side
-        verts = out
-    merged = _dedupe_vertices(verts)
-    if merged.shape[0] < 3:
-        return ConvexPolygon()
-    return ConvexPolygon(merged)
-
-
-# The clip's cross products could overflow for pairs with a coordinate or
-# size above 2**_CLIP_EXP mm, so those are scaled down by a power of two
-# first; IoU is scale-invariant.
+# Rotated IoU is one batched clip, for single pairs and whole batches. Its
+# cross products could overflow for pairs with a coordinate or size above
+# 2**_CLIP_EXP mm, so those are scaled down by a power of two first; IoU is
+# scale-invariant.
 _CLIP_EXP = 500
-
-
-def _clip_reach(box: OrientedBox) -> float:
-    """Bound on the circumradius of a box grown by the clip's side tolerance,
-    which counts a vertex up to MERGE_EPS / (edge length) outside an edge as
-    inside."""
-    return math.hypot(box.w, box.h) / 2.0 + MERGE_EPS / box.w + MERGE_EPS / box.h
-
-
-def _scaled(box: OrientedBox, exponent: int) -> OrientedBox | None:
-    """The box with its lengths times 2**exponent; None if one reaches 0."""
-    w, h = math.ldexp(box.w, exponent), math.ldexp(box.h, exponent)
-    if w == 0.0 or h == 0.0:
-        return None
-    return OrientedBox(math.ldexp(box.cx, exponent), math.ldexp(box.cy, exponent),
-                       w, h, box.theta_deg)
-
-
-def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection-over-union of two oriented boxes, in [0, 1].
-
-    The pair is ordered canonically before clipping so the result is exactly
-    symmetric in its arguments. Boxes whose centres are more than twice
-    their summed reach apart score 0.0 without clipping, which is what the
-    clip gives them; so do boxes whose size vanishes next to the other's.
-    Pairs larger than 2**_CLIP_EXP mm are clipped at a smaller scale.
-    """
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) > 2.0 * (_clip_reach(a) + _clip_reach(b)):
-        return 0.0
-    size = max(abs(a.cx), abs(a.cy), a.w, a.h, abs(b.cx), abs(b.cy), b.w, b.h)
-    if size > 2.0 ** _CLIP_EXP:
-        exponent = _CLIP_EXP - math.frexp(size)[1]
-        a, b = _scaled(a, exponent), _scaled(b, exponent)
-        if a is None or b is None:
-            return 0.0
-    first, second = sorted((a, b), key=lambda bx: (bx.cx, bx.cy, bx.w, bx.h, bx.theta_deg))
-    pa, pb = box_to_polygon(first), box_to_polygon(second)
-    inter = polygon_area(polygon_clip(pa, pb))
-    union = polygon_area(pa) + polygon_area(pb) - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized pairwise path used by the assignment and evaluation hot loops.
-# ---------------------------------------------------------------------------
 
 # A rectangle clipped by 4 half-planes has at most 8 vertices, so the clip
 # runs in 8 vertex slots. Spurious eps-tolerance crossings at near-degenerate
@@ -321,11 +193,13 @@ def _clip_quads(sx, sy, cx, cy, width: int) -> tuple:
 
 
 def _rescale_huge_rows(boxes_a: np.ndarray, boxes_b: np.ndarray):
-    """``rotated_iou``'s overflow guard for the pairs with a finite
-    coordinate or size above 2**_CLIP_EXP mm: their lengths are scaled by a
-    power of two into range. Returns the scaled copies and a mask of the
-    rows that score 0.0, being more than twice their summed reach apart or
-    having a size that scales to 0."""
+    """The clip's overflow guard. Pairs with a finite coordinate or size
+    above 2**_CLIP_EXP mm have their lengths scaled by a power of two into
+    range. Returns the scaled copies and a mask of the rows that score 0.0:
+    those more than twice their summed reach apart or with a size that
+    scales to 0, and those with an infinite entry, which are clipped as
+    unit squares instead so that no arithmetic sees the infinity."""
+    infinite = np.isinf(boxes_a).any(axis=1) | np.isinf(boxes_b).any(axis=1)
     size = np.fmax.reduce(np.abs(np.concatenate([boxes_a[:, :4], boxes_b[:, :4]], axis=1)),
                           axis=1)    # NaN-blind
     rows = np.flatnonzero(np.isfinite(size) & (size > 2.0 ** _CLIP_EXP))
@@ -333,7 +207,9 @@ def _rescale_huge_rows(boxes_a: np.ndarray, boxes_b: np.ndarray):
     exponent = _CLIP_EXP - np.frexp(size[rows])[1]
     a[rows, :4] = np.ldexp(a[rows, :4], exponent[:, None])
     b[rows, :4] = np.ldexp(b[rows, :4], exponent[:, None])
-    # _clip_reach at the new scale, where MERGE_EPS / w scales by 2**(2 exponent)
+    # A box's reach: its circumradius grown by the clip's side tolerance, a
+    # vertex up to MERGE_EPS / (edge length) outside an edge counting as
+    # inside; taken at the unscaled size, so MERGE_EPS scales by 2**(2 exponent).
     eps = np.ldexp(MERGE_EPS, 2 * exponent)
     ra, rb = a[rows], b[rows]
     with np.errstate(divide="ignore", over="ignore"):
@@ -341,23 +217,20 @@ def _rescale_huge_rows(boxes_a: np.ndarray, boxes_b: np.ndarray):
                     for r in (ra, rb))
     far = np.hypot(ra[:, 0] - rb[:, 0], ra[:, 1] - rb[:, 1]) > 2.0 * reach
     vanished = np.any(np.concatenate([ra[:, 2:4], rb[:, 2:4]], axis=1) == 0.0, axis=1)
-    zero = np.zeros(len(a), dtype=bool)
-    zero[rows] = far | vanished
+    a[infinite] = b[infinite] = (0.0, 0.0, 1.0, 1.0, 0.0)
+    zero = infinite
+    zero[rows] |= far | vanished
     return a, b, zero
 
 
-def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Elementwise rotated IoU of two (N, 5) box arrays.
+def _iou_rows(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Elementwise rotated IoU of two float (N, 5) box arrays.
 
     Batched Sutherland-Hodgman over fixed-size vertex buffers, in an 8-slot
     buffer; the rare rows that emit more than 8 vertices at some clip edge
     are clipped again in 16 slots. The result is bit-identical to clipping
-    every row in 16 slots, where vertices past the 16th are dropped. Pairs
-    with a finite coordinate or size above 2**_CLIP_EXP mm are guarded
-    against overflow as ``rotated_iou`` guards them.
+    every row in 16 slots, where vertices past the 16th are dropped.
     """
-    boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 5)
-    boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 5)
     n = boxes_a.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -382,6 +255,28 @@ def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     if zero is not None:
         iou[zero] = 0.0
     return np.clip(iou, 0.0, 1.0)
+
+
+def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Elementwise rotated IoU of two (N, 5) box arrays, in [0, 1].
+
+    Pairs with a coordinate or size above 2**_CLIP_EXP mm are clipped at a
+    smaller scale; pairs with an infinite entry score 0.0.
+    """
+    return _iou_rows(np.asarray(boxes_a, dtype=float).reshape(-1, 5),
+                     np.asarray(boxes_b, dtype=float).reshape(-1, 5))
+
+
+def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """Intersection-over-union of two oriented boxes: a one-row batched clip.
+
+    The pair is ordered canonically first, so the result is exactly
+    symmetric in its arguments. It calls the private core rather than
+    ``rotated_iou_pairs``, so a tracer that rebinds that name sees only
+    batched callers.
+    """
+    first, second = sorted((a, b), key=lambda bx: (bx.cx, bx.cy, bx.w, bx.h, bx.theta_deg))
+    return float(_iou_rows(first.as_array()[None], second.as_array()[None])[0])
 
 
 def points_in_box(points: np.ndarray, box: OrientedBox) -> np.ndarray:

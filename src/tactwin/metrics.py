@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import angle_error, rotated_iou
+from .errors import ConfigError
+# rotated_iou is not called here but stays importable from this module.
+from .geometry import angle_error, rotated_iou, rotated_iou_pairs  # noqa: F401
 
 REPORT_SCHEMA_VERSION = 1
 MISSED_LABEL = "missed"
@@ -30,28 +32,56 @@ class MatchResult:
     unmatched_gts: list          # false negatives
 
 
+def _iou_matrices(samples) -> list:
+    """Each sample's (detections, ground truths) IoU matrix, all from one
+    flattened ``rotated_iou_pairs`` call."""
+    subjects, clips, shapes = [np.zeros((0, 5))], [np.zeros((0, 5))], []
+    for dets, gts in samples:
+        d = np.array([det.box.as_array() for det in dets]).reshape(-1, 5)
+        g = np.array([gt.box.as_array() for gt in gts]).reshape(-1, 5)
+        subjects.append(np.repeat(d, len(g), axis=0))
+        clips.append(np.tile(g, (len(d), 1)))
+        shapes.append((len(d), len(g)))
+    flat = rotated_iou_pairs(np.concatenate(subjects), np.concatenate(clips))
+    ends = np.cumsum([nd * ng for nd, ng in shapes], dtype=int)
+    return [chunk.reshape(shape) for chunk, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"IoU threshold must be in (0, 1], got {threshold}")
+
+
+def _greedy(iou: np.ndarray, scores, threshold: float) -> list:
+    """Greedy matching on a (detections, ground truths) IoU matrix.
+
+    Detections go in order of (-score, index); each takes the free ground
+    truth of highest IoU at or above the threshold, the lowest index on ties.
+    Returns the (det_index, gt_index, iou) pairs in matching order.
+    """
+    _check_threshold(threshold)
+    free = np.where(iou >= threshold, iou, -1.0)
+    pairs = []
+    if free.size:
+        for di in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+            gi = int(np.argmax(free[di]))
+            if free[di, gi] >= threshold:
+                pairs.append((di, gi, float(free[di, gi])))
+                free[:, gi] = -1.0
+    return pairs
+
+
+def _match_result(pairs, n_dets: int, n_gts: int) -> MatchResult:
+    dets, gts = {p[0] for p in pairs}, {p[1] for p in pairs}
+    return MatchResult(pairs, [i for i in range(n_dets) if i not in dets],
+                       [i for i in range(n_gts) if i not in gts])
+
+
 def match_detections(dets, gts, iou_threshold: float = 0.5) -> MatchResult:
     """Greedy class-agnostic matching by descending detection score."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = set()
-    pairs = []
-    for di in order:
-        best_iou, best_gi = 0.0, None
-        for gi, gt in enumerate(gts):
-            if gi in taken:
-                continue
-            iou = rotated_iou(dets[di].box, gt.box)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou, best_gi = iou, gi
-        if best_gi is not None:
-            taken.add(best_gi)
-            pairs.append((di, best_gi, best_iou))
-    matched_dets = {p[0] for p in pairs}
-    return MatchResult(
-        pairs=pairs,
-        unmatched_dets=[i for i in range(len(dets)) if i not in matched_dets],
-        unmatched_gts=[i for i in range(len(gts)) if i not in taken],
-    )
+    (iou,) = _iou_matrices([(dets, gts)])
+    return _match_result(_greedy(iou, [d.score for d in dets], iou_threshold),
+                         len(dets), len(gts))
 
 
 def mae(pred_values, gt_values, kind: str = "force"):
@@ -91,18 +121,39 @@ class PRResult:
     pr_points: tuple = ()        # (recall, precision) per ranked detection
 
 
-def _interpolated_ap(tp_stream: np.ndarray, n_gt: int) -> float:
-    """All-point interpolated area under the precision-recall curve."""
-    tp_cum = np.cumsum(tp_stream)
-    fp_cum = np.cumsum(1 - tp_stream)
-    recall = tp_cum / n_gt
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-    mrec = np.concatenate([[0.0], recall, [recall[-1] if recall.size else 0.0]])
-    mpre = np.concatenate([[1.0], precision, [0.0]])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+def _pr_result(samples, matrices, threshold: float) -> PRResult:
+    """PR/AP of samples, given their IoU matrices.
+
+    Samples share no ground truths, so each is matched on its own; ranking
+    every detection globally by score only orders the stream of true and
+    false positives.
+    """
+    _check_threshold(threshold)     # also when there are no samples
+    n_gt = sum(len(gts) for _, gts in samples)
+    matched = [{di for di, _, _ in _greedy(iou, [d.score for d in dets], threshold)}
+               for (dets, _), iou in zip(samples, matrices)]
+    ranked = sorted((-det.score, si, di) for si, (dets, _) in enumerate(samples)
+                    for di, det in enumerate(dets))
+    tp_stream = np.array([di in matched[si] for _, si, di in ranked], dtype=int)
+    n_det = len(ranked)
+    tp = int(tp_stream.sum())
+    precision = tp / n_det if n_det else None
+    recall = tp / n_gt if n_gt else None
+    f1 = None
+    if precision is not None and recall is not None:
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    ap, points = (0.0 if n_gt else None), ()
+    if n_gt and n_det:
+        tp_cum = np.cumsum(tp_stream)
+        fp_cum = np.cumsum(1 - tp_stream)
+        rec = tp_cum / n_gt
+        prec = tp_cum / np.maximum(tp_cum + fp_cum, 1)
+        points = tuple(zip(rec.tolist(), prec.tolist()))
+        mrec = np.concatenate([[0.0], rec, rec[-1:]])
+        mpre = np.maximum.accumulate(np.concatenate([[1.0], prec, [0.0]])[::-1])[::-1]
+        idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
+        ap = float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+    return PRResult(precision, recall, ap, f1, n_gt, n_det, tp, points)
 
 
 def precision_recall_ap(samples, iou_threshold: float = 0.5) -> PRResult:
@@ -113,45 +164,7 @@ def precision_recall_ap(samples, iou_threshold: float = 0.5) -> PRResult:
     class-agnostic summary). Detections are ranked globally by score;
     each matches the highest-IoU free ground truth of its own sample.
     """
-    n_gt = sum(len(gts) for _, gts in samples)
-    ranked = []
-    for si, (dets, _) in enumerate(samples):
-        for di, det in enumerate(dets):
-            ranked.append((-det.score, si, di))
-    ranked.sort()
-    used = [set() for _ in samples]
-    tp_stream = np.zeros(len(ranked), dtype=int)
-    for k, (_, si, di) in enumerate(ranked):
-        det = samples[si][0][di]
-        gts = samples[si][1]
-        best_iou, best_gi = 0.0, None
-        for gi, gt in enumerate(gts):
-            if gi in used[si]:
-                continue
-            iou = rotated_iou(det.box, gt.box)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou, best_gi = iou, gi
-        if best_gi is not None:
-            used[si].add(best_gi)
-            tp_stream[k] = 1
-    n_det = len(ranked)
-    tp = int(tp_stream.sum())
-    precision = tp / n_det if n_det else None
-    recall = tp / n_gt if n_gt else None
-    ap = _interpolated_ap(tp_stream, n_gt) if (n_gt and n_det) else (0.0 if n_gt else None)
-    f1 = None
-    if precision is not None and recall is not None and precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    elif precision is not None and recall is not None:
-        f1 = 0.0
-    if n_gt and n_det:
-        tp_cum = np.cumsum(tp_stream)
-        fp_cum = np.cumsum(1 - tp_stream)
-        points = tuple(zip((tp_cum / n_gt).tolist(),
-                           (tp_cum / np.maximum(tp_cum + fp_cum, 1)).tolist()))
-    else:
-        points = ()
-    return PRResult(precision, recall, ap, f1, n_gt, n_det, tp, points)
+    return _pr_result(samples, _iou_matrices(samples), iou_threshold)
 
 
 @dataclass
@@ -237,10 +250,13 @@ def evaluate_detections(per_sample, classes, iou_threshold: float = 0.5,
     observable (anisotropic footprints); None means all matched pairs count.
     """
     classes = sorted(classes)
-    matches = [(dets, gts, match_detections(dets, gts, iou_threshold))
-               for dets, gts in per_sample]
+    matrices = _iou_matrices(per_sample)
+    matches = [(dets, gts, _match_result(_greedy(iou, [d.score for d in dets], iou_threshold),
+                                         len(dets), len(gts)))
+               for (dets, gts), iou in zip(per_sample, matrices)]
 
-    def collect(cls=None):
+    def row(cls, pr: PRResult) -> dict:
+        """The report row of one class (None: all) from its PR result."""
         force_p, force_g, loc_p, loc_g, ang_p, ang_g = [], [], [], [], [], []
         for dets, gts, match in matches:
             for di, gi, _ in match.pairs:
@@ -259,36 +275,25 @@ def evaluate_detections(per_sample, classes, iou_threshold: float = 0.5,
             "force_mae_n": mae(force_p, force_g, "force"),
             "location_mae_mm": mae(loc_p, loc_g, "location"),
             "angle_mae_deg": mae(ang_p, ang_g, "angle"),
+            "n_gt": pr.n_gt, "n_det": pr.n_det, "tp": pr.tp,
+            "precision": pr.precision, "recall": pr.recall,
+            "ap_at_iou": pr.ap, "f1_at_iou": pr.f1,
+            "pr_points": [[r, p] for r, p in pr.pr_points],
         }
 
-    def pr_for(cls=None):
-        filtered = []
-        for dets, gts in per_sample:
-            fd = [d for d in dets if cls is None or d.class_name == cls]
-            fg = [g for g in gts if cls is None or g.class_name == cls]
-            filtered.append((fd, fg))
-        return precision_recall_ap(filtered, iou_threshold)
+    def pr_for(cls):
+        samples, sliced = [], []
+        for (dets, gts), iou in zip(per_sample, matrices):
+            keep_d = [i for i, d in enumerate(dets) if d.class_name == cls]
+            keep_g = [i for i, g in enumerate(gts) if g.class_name == cls]
+            samples.append(([dets[i] for i in keep_d], [gts[i] for i in keep_g]))
+            sliced.append(iou[np.ix_(keep_d, keep_g)])
+        return _pr_result(samples, sliced, iou_threshold)
 
-    per_class = {}
-    for cls in classes:
-        pr = pr_for(cls)
-        row = collect(cls)
-        row.update({"n_gt": pr.n_gt, "n_det": pr.n_det, "tp": pr.tp,
-                    "precision": pr.precision, "recall": pr.recall,
-                    "ap_at_iou": pr.ap, "f1_at_iou": pr.f1,
-                    "pr_points": [[r, p] for r, p in pr.pr_points]})
-        per_class[cls] = row
-
-    pr = pr_for(None)
-    overall = collect(None)
+    per_class = {cls: row(cls, pr_for(cls)) for cls in classes}
+    overall = row(None, _pr_result(per_sample, matrices, iou_threshold))
     aps = [v["ap_at_iou"] for v in per_class.values() if v["ap_at_iou"] is not None]
-    overall.update({
-        "n_gt": pr.n_gt, "n_det": pr.n_det, "tp": pr.tp,
-        "precision": pr.precision, "recall": pr.recall,
-        "ap_at_iou": float(np.mean(aps)) if aps else None,
-        "f1_at_iou": pr.f1,
-        "pr_points": [[r, p] for r, p in pr.pr_points],
-    })
+    overall["ap_at_iou"] = float(np.mean(aps)) if aps else None
     confusion = confusion_matrix(matches, classes)
     return MetricsReport(iou_threshold, classes, overall, per_class, confusion)
 

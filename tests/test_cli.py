@@ -169,6 +169,18 @@ class TestPipeline:
         assert overall["n_det"] == len(detections)
         assert overall["tp"] == len(detections) - 1
 
+    @pytest.mark.parametrize("iou", ["nan", "0", "-1", "1.5"])
+    def test_eval_iou_outside_unit_interval_exit_2(self, workspace, tmp_path, capsys, iou):
+        write_rows(tmp_path / "dets.jsonl",
+                   detections_from(read_rows(workspace / "ds" / "annotations.jsonl")))
+        rc = main(["eval", "--dataset", str(workspace / "ds"),
+                   "--detections", str(tmp_path / "dets.jsonl"),
+                   "--out", str(tmp_path / "report"), "--split", "all", "--iou", iou])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "IoU threshold" in err and "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
 
 DROP = object()   # stands for a field removed from a row
 

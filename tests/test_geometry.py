@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tactwin import geometry
-from tactwin.geometry import (MERGE_EPS, ConvexPolygon, OrientedBox, angle_error,
-                              box_to_polygon, boxes_to_corners, normalize_angle,
-                              points_in_box, polygon_area, polygon_clip,
-                              rotated_iou, rotated_iou_pairs)
+from tactwin.geometry import (MERGE_EPS, OrientedBox, angle_error, boxes_to_corners,
+                              normalize_angle, points_in_box, rotated_iou,
+                              rotated_iou_pairs)
 
 
 def random_boxes(rng, n, span=5.0, size=(0.5, 8.0)):
@@ -129,8 +128,72 @@ def assert_bit_identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """``rotated_iou`` without its shortcuts: the clip alone."""
+# Frozen copy of the scalar Sutherland-Hodgman clip that ``rotated_iou`` ran
+# before it became a one-row call of the batched clip. Polygons are (n, 2)
+# counter-clockwise vertex arrays; the clip merges vertices closer than
+# MERGE_EPS, which the batched clip does not.
+
+def box_to_polygon(box: OrientedBox) -> np.ndarray:
+    return box.corners()
+
+
+def polygon_area(v: np.ndarray) -> float:
+    """Shoelace area; nonnegative for CCW input, clipped at zero."""
+    if v.shape[0] < 3:
+        return 0.0
+    x, y = v[:, 0], v[:, 1]
+    rx, ry = np.roll(x, -1), np.roll(y, -1)
+    return max(0.5 * float(np.sum(x * ry - rx * y)), 0.0)
+
+
+def dedupe_vertices(verts: list) -> np.ndarray:
+    """Drop consecutive (and wrap-around) vertices closer than MERGE_EPS."""
+    out = []
+    for p in verts:
+        if not out or abs(p[0] - out[-1][0]) + abs(p[1] - out[-1][1]) > MERGE_EPS:
+            out.append(p)
+    while len(out) > 1 and abs(out[0][0] - out[-1][0]) + abs(out[0][1] - out[-1][1]) <= MERGE_EPS:
+        out.pop()
+    return np.array(out).reshape(-1, 2)
+
+
+def polygon_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Intersection of two convex CCW polygons; empty when they do not overlap."""
+    verts = [tuple(p) for p in subject]
+    n_clip = clip.shape[0]
+    if len(verts) == 0 or n_clip < 3:
+        return np.zeros((0, 2))
+    for k in range(n_clip):
+        if not verts:
+            break
+        ax, ay = clip[k]
+        bx, by = clip[(k + 1) % n_clip]
+        ex, ey = bx - ax, by - ay
+        out = []
+        prev = verts[-1]
+        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        for cur in verts:
+            side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            if side >= -MERGE_EPS:
+                if prev_side < -MERGE_EPS:
+                    t = prev_side / (prev_side - side)
+                    out.append((prev[0] + t * (cur[0] - prev[0]),
+                                prev[1] + t * (cur[1] - prev[1])))
+                out.append(cur)
+            elif prev_side >= -MERGE_EPS:
+                t = prev_side / (prev_side - side)
+                out.append((prev[0] + t * (cur[0] - prev[0]),
+                            prev[1] + t * (cur[1] - prev[1])))
+            prev, prev_side = cur, side
+        verts = out
+    merged = dedupe_vertices(verts)
+    return merged if merged.shape[0] >= 3 else np.zeros((0, 2))
+
+
+def scalar_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """The scalar clip's IoU of a canonically ordered pair: what the old
+    ``rotated_iou`` returned below 2**500 mm (its far-apart shortcut gave the
+    clip's 0.0)."""
     first, second = sorted((a, b), key=lambda bx: (bx.cx, bx.cy, bx.w, bx.h, bx.theta_deg))
     pa, pb = box_to_polygon(first), box_to_polygon(second)
     inter = polygon_area(polygon_clip(pa, pb))
@@ -209,18 +272,18 @@ class TestAngleError:
 class TestBoxToPolygon:
     def test_axis_aligned_vertices(self):
         poly = box_to_polygon(OrientedBox(0, 0, 4, 2, 0))
-        got = {(round(x, 9), round(y, 9)) for x, y in poly.vertices}
+        got = {(round(x, 9), round(y, 9)) for x, y in poly}
         assert got == {(2, 1), (-2, 1), (-2, -1), (2, -1)}
 
     def test_rotated_square_hits_axes(self):
         poly = box_to_polygon(OrientedBox(0, 0, 2, 2, 45))
-        for x, y in poly.vertices:
+        for x, y in poly:
             assert math.hypot(x, y) == pytest.approx(math.sqrt(2))
             assert min(abs(x), abs(y)) == pytest.approx(0.0, abs=1e-12)
 
     def test_square_90_degrees_same_point_set(self):
-        a = box_to_polygon(OrientedBox(1, 1, 2, 2, 90)).vertices
-        b = box_to_polygon(OrientedBox(1, 1, 2, 2, 0)).vertices
+        a = box_to_polygon(OrientedBox(1, 1, 2, 2, 90))
+        b = box_to_polygon(OrientedBox(1, 1, 2, 2, 0))
         sa = {(round(x, 9), round(y, 9)) for x, y in a}
         sb = {(round(x, 9), round(y, 9)) for x, y in b}
         assert sa == sb
@@ -254,10 +317,10 @@ class TestPolygonOps:
         assert polygon_area(polygon_clip(a, b)) == pytest.approx(0.0, abs=1e-12)
 
     def test_area_examples(self):
-        assert polygon_area(ConvexPolygon()) == 0.0
-        unit = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]))
+        assert polygon_area(np.zeros((0, 2))) == 0.0
+        unit = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         assert polygon_area(unit) == pytest.approx(1.0)
-        tri = ConvexPolygon(np.array([[0, 0], [2, 0], [0, 2]]))
+        tri = np.array([[0, 0], [2, 0], [0, 2]], dtype=float)
         assert polygon_area(tri) == pytest.approx(2.0)
 
 
@@ -318,9 +381,11 @@ class TestRotatedIoU:
         a = random_boxes(rng, 300)
         b = random_boxes(rng, 300)
         batch = rotated_iou_pairs(a, b)
-        scalar = [rotated_iou(OrientedBox(*ra), OrientedBox(*rb))
+        scalar = [scalar_iou(OrientedBox(*ra), OrientedBox(*rb))
                   for ra, rb in zip(a, b)]
         assert np.allclose(batch, scalar, atol=1e-12)
+        single = [rotated_iou(OrientedBox(*ra), OrientedBox(*rb)) for ra, rb in zip(a, b)]
+        assert np.allclose(single, scalar, atol=1e-12)
 
     def test_batched_corners_ccw(self, rng):
         rows = random_boxes(rng, 20)
@@ -332,7 +397,7 @@ class TestRotatedIoU:
     def test_batched_matches_scalar_degenerate(self, rng, family):
         a, b = degenerate_pairs(rng, 150)[family]
         batch = rotated_iou_pairs(a, b)
-        scalar = [rotated_iou(OrientedBox(*ra), OrientedBox(*rb))
+        scalar = [scalar_iou(OrientedBox(*ra), OrientedBox(*rb))
                   for ra, rb in zip(a, b)]
         assert np.allclose(batch, scalar, atol=1e-12)
 
@@ -353,8 +418,10 @@ class TestRotatedIoU:
             warnings.simplefilter("error")
             assert rotated_iou(OrientedBox(0, 0, big, 2, 37),
                                OrientedBox(0, 0, 2, 2, 0)) == 0.0
+            # 2 mm by 2 mm inside 2 mm by 1.8e308 mm
             assert rotated_iou(OrientedBox(0, 0, 2, 2, 0),
-                               OrientedBox(0, 0, 2, big, 0)) == 0.0
+                               OrientedBox(0, 0, 2, big, 0)) == pytest.approx(2.0 / big,
+                                                                              rel=1e-12)
             huge = OrientedBox(1e200, -1e200, 3e200, 1e200, 30)
             assert rotated_iou(huge, huge) == 1.0
             half = OrientedBox(1e200, -1e200, 1.5e200, 1e200, 30)
@@ -362,8 +429,10 @@ class TestRotatedIoU:
 
     def test_shortcut_agrees_with_clip_near_contact(self, rng):
         # Corner-to-corner pairs along the common diagonal, from overlapping
-        # through touching to gaps the clip's eps tolerance still bridges.
-        shortcuts = 0
+        # through touching to gaps the clip's eps tolerance still bridges,
+        # scaled past 2**500 mm: the overflow guard's far-apart shortcut
+        # must score them as the clip does at the guard's scale.
+        rows_a, rows_b = [], []
         for i in range(3000):
             lo = (1e-3, 0.5)[i % 2]
             w1, h1, w2, h2 = rng.uniform(lo, 10.0 * lo if lo < 0.5 else 8.0, 4)
@@ -375,9 +444,15 @@ class TestRotatedIoU:
             a = OrientedBox(rng.uniform(-9, 9), rng.uniform(-9, 9), w1, h1, theta)
             b = OrientedBox(a.cx + dist * math.cos(phi), a.cy + dist * math.sin(phi),
                             w2, h2, math.degrees(phi - math.atan2(-h2, -w2)))
-            shortcuts += math.hypot(a.cx - b.cx, a.cy - b.cy) > 2.0 * reach
-            assert rotated_iou(a, b) == clip_iou(a, b)
-        assert shortcuts > 100
+            rows_a.append(a.as_array())
+            rows_b.append(b.as_array())
+        scale = np.array([2.0 ** 600] * 4 + [1.0])
+        a, b = np.array(rows_a) * scale, np.array(rows_b) * scale
+        scaled_a, scaled_b, shortcut = geometry._rescale_huge_rows(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bit_identical(rotated_iou_pairs(a, b), pairs_16_slot(scaled_a, scaled_b))
+        assert shortcut.sum() > 100
 
 
 def assert_pairs_match_oracle(a, b):
@@ -468,6 +543,38 @@ class TestBatchedIoU:
         rest = np.ones(300, dtype=bool)
         rest[[7, 8]] = False
         assert_bit_identical(got[rest], pairs_16_slot(a[rest], b[rest]))
+
+    def test_infinite_entries_score_zero(self, rng):
+        inf = math.inf
+        a, b = random_boxes(rng, 300), random_boxes(rng, 300)
+        bad = [(3, 0, inf), (4, 1, -inf), (5, 2, inf), (6, 3, inf), (7, 4, inf),
+               (8, 4, -inf), (9, 0, -inf)]
+        for row, col, value in bad[:4]:
+            a[row, col] = value
+        for row, col, value in bad[4:]:
+            b[row, col] = value
+        a[10, 0], b[10, 2] = 1e300, inf    # huge and infinite in one row
+        a[11, 4] = 1e300                   # a finite row that trips the batch test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_pairs(a, b)
+            swapped = rotated_iou_pairs(b, a)
+            assert rotated_iou(OrientedBox(inf, 0, 2, 2, 0), OrientedBox(0, 0, 2, 2, 0)) == 0.0
+            assert rotated_iou(OrientedBox(0, 0, 2, 2, 0), OrientedBox(0, 0, inf, 2, 0)) == 0.0
+        infinite = np.zeros(300, dtype=bool)
+        infinite[[3, 4, 5, 6, 7, 8, 9, 10]] = True
+        assert np.all(got[infinite] == 0.0) and np.all(swapped[infinite] == 0.0)
+        assert_bit_identical(got[~infinite], pairs_16_slot(a[~infinite], b[~infinite]))
+
+    def test_infinite_single_pairs(self):
+        inf = math.inf
+        unit = [[0, 0, 2, 2, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in ([inf, 0, 2, 2, 0], [0, -inf, 2, 2, 0], [0, 0, inf, 2, 0],
+                        [0, 0, 2, inf, 0], [0, 0, 2, 2, inf], [0, 0, 2, 2, -inf]):
+                assert rotated_iou_pairs([row], unit).tolist() == [0.0]
+                assert rotated_iou_pairs(unit, [row]).tolist() == [0.0]
 
     def test_empty_input(self):
         with warnings.catch_warnings():

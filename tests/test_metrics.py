@@ -1,14 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tactwin import metrics
 from tactwin.contact import GroundTruth
 from tactwin.decoder import Detection
-from tactwin.geometry import OrientedBox
-from tactwin.metrics import (confusion_matrix, evaluate_detections,
-                             format_report_table, mae, match_detections,
-                             precision_recall_ap, write_report)
+from tactwin.geometry import OrientedBox, rotated_iou_pairs
+from tactwin.metrics import (MatchResult, PRResult, confusion_matrix,
+                             evaluate_detections, format_report_table, mae,
+                             match_detections, precision_recall_ap, write_report)
 
 
 def det(cx, cy, w=4, h=4, theta=0.0, cls="a", force=1.0, score=0.9):
@@ -184,3 +188,152 @@ class TestReport:
         row = report.per_class["a"]
         assert row["precision"] is None and row["recall"] is None
         assert row["ap_at_iou"] is None
+
+
+def pair_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """One detection-ground truth IoU, in the order the matcher computes it."""
+    return float(rotated_iou_pairs(a.as_array(), b.as_array())[0])
+
+
+def frozen_match(dets, gts, iou_threshold):
+    """Frozen copy of the greedy loop ``match_detections`` ran per pair
+    before it matched on an IoU matrix."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    taken = set()
+    pairs = []
+    for di in order:
+        best_iou, best_gi = 0.0, None
+        for gi, g in enumerate(gts):
+            if gi in taken:
+                continue
+            iou = pair_iou(dets[di].box, g.box)
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou, best_gi = iou, gi
+        if best_gi is not None:
+            taken.add(best_gi)
+            pairs.append((di, best_gi, best_iou))
+    matched_dets = {p[0] for p in pairs}
+    return MatchResult(pairs, [i for i in range(len(dets)) if i not in matched_dets],
+                       [i for i in range(len(gts)) if i not in taken])
+
+
+def frozen_pr(samples, iou_threshold):
+    """Frozen copy of ``precision_recall_ap``'s global-ranking loop, with its
+    interpolated AP and PR points computed apart."""
+    n_gt = sum(len(gts) for _, gts in samples)
+    ranked = sorted((-d.score, si, di) for si, (dets, _) in enumerate(samples)
+                    for di, d in enumerate(dets))
+    used = [set() for _ in samples]
+    tp_stream = np.zeros(len(ranked), dtype=int)
+    for k, (_, si, di) in enumerate(ranked):
+        best_iou, best_gi = 0.0, None
+        for gi, g in enumerate(samples[si][1]):
+            if gi in used[si]:
+                continue
+            iou = pair_iou(samples[si][0][di].box, g.box)
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou, best_gi = iou, gi
+        if best_gi is not None:
+            used[si].add(best_gi)
+            tp_stream[k] = 1
+    n_det, tp = len(ranked), int(tp_stream.sum())
+    precision = tp / n_det if n_det else None
+    recall = tp / n_gt if n_gt else None
+    f1 = None
+    if precision is not None and recall is not None:
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    ap, points = (0.0 if n_gt else None), ()
+    if n_gt and n_det:
+        tp_cum = np.cumsum(tp_stream)
+        fp_cum = np.cumsum(1 - tp_stream)
+        rec = tp_cum / n_gt
+        prec = tp_cum / np.maximum(tp_cum + fp_cum, 1)
+        mrec = np.concatenate([[0.0], rec, [rec[-1]]])
+        mpre = np.concatenate([[1.0], prec, [0.0]])
+        for i in range(mpre.size - 2, -1, -1):
+            mpre[i] = max(mpre[i], mpre[i + 1])
+        idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
+        ap = float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+        tp_cum = np.cumsum(tp_stream)
+        fp_cum = np.cumsum(1 - tp_stream)
+        points = tuple(zip((tp_cum / n_gt).tolist(),
+                           (tp_cum / np.maximum(tp_cum + fp_cum, 1)).tolist()))
+    return PRResult(precision, recall, ap, f1, n_gt, n_det, tp, points)
+
+
+# Boxes on a coarse lattice and three score levels, so that tied scores,
+# tied IoUs and ground truths contested by several detections are common.
+lattice_box = st.builds(OrientedBox, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1.0, 2.0, 3.0]),
+                        st.sampled_from([1.0, 2.0]), st.sampled_from([0.0, 45.0, 90.0]))
+lattice_det = st.builds(lambda box, cls, score: Detection(box, cls, box.theta_deg, 1.0, score),
+                        lattice_box, st.sampled_from("ab"), st.sampled_from([0.2, 0.5, 0.9]))
+lattice_gt = st.builds(lambda box, cls: GroundTruth(box, cls, box.theta_deg, 1.0),
+                       lattice_box, st.sampled_from("ab"))
+lattice_samples = st.lists(st.tuples(st.lists(lattice_det, max_size=6),
+                                     st.lists(lattice_gt, max_size=4)), max_size=4)
+
+
+def only(samples, cls):
+    return [([d for d in dets if d.class_name == cls], [g for g in gts if g.class_name == cls])
+            for dets, gts in samples]
+
+
+def pr_row(pr: PRResult) -> dict:
+    return {"n_gt": pr.n_gt, "n_det": pr.n_det, "tp": pr.tp, "precision": pr.precision,
+            "recall": pr.recall, "f1_at_iou": pr.f1,
+            "pr_points": [[r, p] for r, p in pr.pr_points]}
+
+
+class TestOneGreedy:
+    @given(lattice_samples, st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_frozen_loops(self, samples, threshold):
+        for dets, gts in samples:
+            assert match_detections(dets, gts, threshold) == frozen_match(dets, gts, threshold)
+        assert precision_recall_ap(samples, threshold) == frozen_pr(samples, threshold)
+        report = evaluate_detections(samples, ["a", "b"], threshold)
+        for cls in "ab":
+            want = frozen_pr(only(samples, cls), threshold)
+            row = report.per_class[cls]
+            assert {k: row[k] for k in pr_row(want)} == pr_row(want)
+            assert row["ap_at_iou"] == want.ap
+        want = frozen_pr(samples, threshold)
+        assert {k: report.overall[k] for k in pr_row(want)} == pr_row(want)
+
+    def test_evaluate_makes_one_iou_call(self, monkeypatch):
+        calls = []
+
+        def spy(boxes_a, boxes_b):
+            calls.append(len(boxes_a))
+            return rotated_iou_pairs(boxes_a, boxes_b)
+
+        monkeypatch.setattr(metrics, "rotated_iou_pairs", spy)
+        samples = [([det(0, 0, cls="a"), det(0.5, 0, cls="b", score=0.4)],
+                    [gt(0, 0, cls="a"), gt(0.4, 0, cls="b")]),
+                   ([], [gt(5, 5, cls="b")]),
+                   ([det(9, 9, cls="a")], [gt(9, 9, cls="a"), gt(9.5, 9, cls="a"),
+                                           gt(-9, 9, cls="b")])]
+        report = evaluate_detections(samples, ["a", "b"])
+        assert calls == [2 * 2 + 0 + 1 * 3]
+        assert report.overall["tp"] == 3
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, 1.5])
+    def test_threshold_outside_unit_interval(self, threshold):
+        samples = [([det(0, 0)], [gt(0, 0)]), ([], [])]
+        with pytest.raises(ValueError):
+            match_detections(*samples[0], threshold)
+        with pytest.raises(ValueError):
+            match_detections([], [], threshold)
+        with pytest.raises(ValueError):
+            precision_recall_ap(samples, threshold)
+        with pytest.raises(ValueError):
+            evaluate_detections(samples, ["a"], threshold)
+        with pytest.raises(ValueError):
+            evaluate_detections([], ["a"], threshold)
+        with pytest.raises(ValueError):
+            precision_recall_ap([], threshold)
+
+    def test_threshold_one_matches_identical_boxes(self):
+        res = match_detections([det(0, 0), det(0.5, 0)], [gt(0, 0)], 1.0)
+        assert res.pairs == [(0, 0, 1.0)] and res.unmatched_dets == [1]

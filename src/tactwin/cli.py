@@ -23,8 +23,7 @@ import numpy as np
 
 from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
-                      load_sample_image, read_jsonl,
-                      read_manifest)
+                      load_sample_image, read_json, read_jsonl, read_manifest)
 from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
                       TemplateLibrary, build_decoder, params_hash)
 from .encoding import build_region_grid
@@ -227,12 +226,9 @@ def _read_annotations(dataset: Path, split: str = "all") -> list:
 
 
 def _load_model(model_dir: Path):
-    with open(model_dir / "calibration.json") as fh:
-        tables = {cls: CalibrationTable.from_json(data)
-                  for cls, data in json.load(fh).items()}
-    with open(model_dir / "templates.json") as fh:
-        templates = TemplateLibrary.from_json(json.load(fh))
-    return tables, templates
+    tables = read_json(model_dir / "calibration.json", lambda data: {
+        cls: CalibrationTable.from_json(table) for cls, table in data.items()})
+    return tables, read_json(model_dir / "templates.json", TemplateLibrary.from_json)
 
 
 def cmd_decode(args) -> int:

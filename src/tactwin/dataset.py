@@ -29,18 +29,14 @@ ANNOTATION_KEYS = ("index", "split", "class", "cx_mm", "cy_mm", "w_mm", "h_mm",
                    "theta_deg", "force_n", "probe", "seed")
 
 
-def write_pgm(path: Path, image: TactileImage) -> None:
-    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
 def pgm_bytes(image: TactileImage) -> bytes:
     data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
     h, w = data.shape
     return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
+
+
+def write_pgm(path: Path, image: TactileImage) -> None:
+    Path(path).write_bytes(pgm_bytes(image))
 
 
 def read_pgm(path: Path, scale_mm_per_px: float, is_reference: bool = False) -> TactileImage:
@@ -233,9 +229,28 @@ def read_jsonl(path) -> list[tuple[int, object]]:
     return rows
 
 
+def read_json(path, parse):
+    """``parse`` applied to a JSON file's value. An unreadable file, text
+    that is not JSON, or a value without a key or of a type that ``parse``
+    needs is an IOError naming the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
+            TypeError, AttributeError) as exc:
+        raise IOError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _checked_manifest(manifest: dict) -> dict:
+    """The manifest, once it has every field that readers of the dataset use."""
+    for key in ("sensor", "material", "illumination", "noise_sigma"):
+        manifest["spec"][key]   # a KeyError names the missing field
+    manifest["classes"]
+    return manifest
+
+
 def read_manifest(dataset_dir) -> dict:
-    with open(Path(dataset_dir) / "manifest.json") as fh:
-        return json.load(fh)
+    return read_json(Path(dataset_dir) / "manifest.json", _checked_manifest)
 
 
 def load_sample_image(dataset_dir, ann: dict, sensor: SensorConfig) -> TactileImage:

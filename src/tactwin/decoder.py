@@ -9,15 +9,20 @@ percentile extents along the principal axes, rescaled by the calibration's
 measured-vs-true box ratio so they track the contact footprint rather than
 the wider deviation band.
 
-The calibration sweeps render noise-free images whose pixels equal the flat
-reference outside ``render.contact_window``, so their deviation is exactly 0
-there. They subtract and filter only that window widened by the denoise
-filter's radius, beyond which the filtered deviation is exactly 0 too, and
-pad the result with zeros by half the merge distance, so that fragment
-merging finds every pixel it could join through inside. The filter's
-reflected border then reads only zero pixels at the window's inner edges and
-reflects as on the whole raster at the raster's edges. Blob pixels, moments
-and areas come out bit-equal to a whole-raster measurement.
+Every measurement filters and labels only G: the smallest rectangle W that
+holds every pixel where the image differs from the reference (any rectangle
+that holds them all would do), grown by the denoise kernel's radius r. The
+deviation is exactly 0 outside W. The filter runs along one axis at a time,
+so a pixel more than r beyond W reads only zeros, reflected at the raster's
+edges or not, and the whole-raster filtered deviation is exactly 0 outside
+G. Inside G the crop's reflected border reads the same zeros where G ends
+inside the raster and reflects as the whole raster does at its edges, so the
+filtered values are equal too. Fragments merge through chains of
+neighbouring pixels within half the merge distance of the mask. Clamped into
+G, which holds the whole mask, such a chain stays a chain and comes no
+farther from any mask pixel, so no zero pad beyond G is needed. Blob pixels,
+moments and areas come out bit-equal to a whole-raster measurement. A noisy
+image differs almost everywhere and is measured whole.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from .contact import (ContactScenario, MaterialParams, Probe, SphereProbe,
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
-from .render import (IlluminationModel, TactileImage, contact_window,
-                     make_reference, simulate)
+from .render import IlluminationModel, TactileImage, make_reference, simulate
 
 SCHEMA_VERSION = 1
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
@@ -272,10 +276,6 @@ def _canonical_patches(blob: Blob, angles_deg, size: int, pad: float) -> np.ndar
     return out
 
 
-def _canonical_patch(blob: Blob, angle_deg: float, size: int, pad: float) -> np.ndarray:
-    return _canonical_patches(blob, [angle_deg], size, pad)[0]
-
-
 @dataclass
 class TemplateVariant:
     mask: np.ndarray
@@ -450,45 +450,32 @@ def box_extents(blob: Blob, theta_deg: float):
 
 
 def _decode_measurements(image: TactileImage, reference: TactileImage,
-                         sensor: SensorConfig, cfg: DecodeConfig,
-                         window: PixelWindow | None = None):
-    """Blobs of image - reference; ``window``, when given, holds every pixel
-    where the two differ (see the module docstring)."""
+                         sensor: SensorConfig, cfg: DecodeConfig):
+    """Blobs of image - reference, filtered and labelled on the deviation's
+    support grown by the denoise kernel's radius (see the module docstring)."""
+    dev = difference_image(image, reference)
+    differs = dev != 0
+    rows = np.flatnonzero(differs.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(differs.any(axis=0))
     sp = cfg.denoise_sigma_px(sensor)
-    if window is None:
-        dev = _denoised(difference_image(image, reference), sp)
-    else:
-        # scipy's Gaussian kernel radius, then the merge reach in pixels
-        radius = int(_GAUSS_TRUNCATE * sp + 0.5) if sp > 0 else 0
-        merge_px = math.ceil(cfg.merge_dist_mm / 2.0 / sensor.scale_mm_per_px)
-        inner, window = window.grow(radius), window.grow(radius + merge_px)
-        dev = np.zeros(window.shape)
-        dev[inner.slices_in(window)] = _denoised(
-            difference_image(_crop(image, inner), _crop(reference, inner)), sp)
-    return extract_blobs(dev, sensor.scale_mm_per_px,
-                         cfg.effective_threshold(sensor),
+    radius = int(_GAUSS_TRUNCATE * sp + 0.5) if sp > 0 else 0  # scipy's kernel radius
+    window = PixelWindow(int(rows[0]), int(rows[-1]) + 1, int(cols[0]),
+                         int(cols[-1]) + 1, dev.shape[0]).grow(radius)
+    dev = dev[window.slices]
+    if sp > 0:
+        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
+    return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
                          cfg.min_area_mm2, cfg.merge_dist_mm, window=window)
-
-
-def _denoised(dev: np.ndarray, sigma_px: float) -> np.ndarray:
-    if sigma_px <= 0:
-        return dev
-    return ndimage.gaussian_filter(dev, sigma=sigma_px, truncate=_GAUSS_TRUNCATE)
-
-
-def _crop(image: TactileImage, window: PixelWindow) -> TactileImage:
-    return TactileImage(image.pixels[window.slices], image.scale_mm_per_px,
-                        image.is_reference)
 
 
 def _calibration_blobs(probe: Probe, force: float, material: MaterialParams,
                        illum: IlluminationModel, sensor: SensorConfig,
                        cfg: DecodeConfig, reference: TactileImage):
-    """Noise-free forward render of a centred probe, measured on its window."""
-    scenario = calibration_scenario(probe, force)
-    image, gt = simulate(scenario, material, illum, sensor)
-    window = contact_window(scenario, material, illum, sensor)
-    return _decode_measurements(image, reference, sensor, cfg, window), gt
+    """Noise-free forward render of a centred probe and its blobs."""
+    image, gt = simulate(calibration_scenario(probe, force), material, illum, sensor)
+    return _decode_measurements(image, reference, sensor, cfg), gt
 
 
 def calibration_scenario(probe: Probe, force: float) -> ContactScenario:
@@ -679,8 +666,8 @@ def build_templates(probes: list, material: MaterialParams,
             pose = estimate_pose(blob, cfg.low_eccentricity)
             if cls not in offsets:
                 offsets[cls] = pose.theta_deg if pose.confident else 0.0
-            mask = _canonical_patch(blob, offsets[cls], cfg.canonical_size,
-                                    cfg.canonical_pad)
+            mask = _canonical_patches(blob, [offsets[cls]], cfg.canonical_size,
+                                      cfg.canonical_pad)[0]
             by_class.setdefault(cls, []).append(TemplateVariant(mask, force))
     return TemplateLibrary(
         classes=sorted(by_class),

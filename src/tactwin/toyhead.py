@@ -19,6 +19,7 @@ from scipy import ndimage
 from .assignment import (Positives, PredictionField, bce, bce_grad,
                          positive_loss, positive_loss_gradient,
                          positive_targets, simota_assign)
+from .dataset import read_json
 from .encoding import CSL_BINS, RegionGrid
 from .errors import ConfigError
 from .render import TactileImage
@@ -179,8 +180,7 @@ class ToyHead:
 
     @classmethod
     def load(cls, path) -> "ToyHead":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json)
 
 
 @dataclass

@@ -293,6 +293,60 @@ class TestMalformedInputs:
         assert rc in {0, 2, 3, 4, 5}
 
 
+def truncate(path: Path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def drop(*keys):
+    """A corruption that deletes the value at ``keys`` from a JSON file."""
+    def corrupt(path: Path):
+        data = json.loads(path.read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        path.write_text(json.dumps(data))
+    return corrupt
+
+
+class TestCorruptJsonInputs:
+    """A corrupt JSON input is an I/O error (exit 3) that names the file."""
+
+    @pytest.mark.parametrize("victim, corrupt", [
+        ("model/calibration.json", truncate),
+        ("model/templates.json", drop("variants")),
+        ("ds/manifest.json", truncate),
+        ("ds/manifest.json", drop("spec", "sensor")),
+    ], ids=["truncated-calibration", "templates-without-variants",
+            "truncated-manifest", "manifest-without-sensor"])
+    def test_decode_exit_3(self, workspace, tmp_path, capsys, victim, corrupt):
+        for name in ("ds", "model"):
+            shutil.copytree(workspace / name, tmp_path / name)
+        corrupt(tmp_path / victim)
+        rc = main(["decode", "--dataset", str(tmp_path / "ds"),
+                   "--model", str(tmp_path / "model"),
+                   "--out", str(tmp_path / "dets"), "--split", "all"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(tmp_path / victim) in err
+        assert "Traceback" not in err
+
+    def test_truncated_resume_head_exit_3(self, workspace, tmp_path, capsys):
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "1"])
+        assert rc == 0
+        head = tmp_path / "toy" / "head.json"
+        truncate(head)
+        capsys.readouterr()
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy2"), "--epochs", "1",
+                   "--resume", str(head)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(head) in err
+        assert "Traceback" not in err
+
+
 class TestTrainToy:
     def test_train_and_resume(self, workspace, tmp_path):
         rc = main(["train-toy", "--dataset", str(workspace / "ds"),

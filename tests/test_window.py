@@ -1,11 +1,12 @@
-"""The windowed forward model and calibration against the whole-raster oracle.
+"""The windowed forward model and measurement against whole-raster oracles.
 
-``contact_window`` decides which pixels ``simulate`` computes and which the
-calibration sweeps measure. Patching it to return the whole raster runs the
-same code on every pixel, which is what the windowed results must equal byte
-for byte. The sloped-pixel shading is held to a frozen copy of the per-light
-shading it replaced, and the sweep's reused punch profiles to fresh height
-fields.
+``contact_window`` decides which pixels ``simulate`` computes. Patching it to
+return the whole raster runs the same code on every pixel, which is what the
+windowed results must equal byte for byte. ``_decode_measurements`` filters
+and labels only the deviation's support grown by the denoise kernel's radius;
+it is held to a frozen copy of the whole-raster measurement it replaced. The
+sloped-pixel shading is held to a frozen copy of the per-light shading it
+replaced, and the sweep's reused punch profiles to fresh height fields.
 """
 
 import contextlib
@@ -14,13 +15,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tactwin.contact import ContactScenario, SphereProbe, StripProbe, height_field
 from tactwin.dataset import DatasetSpec, sample_for_index
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
-                             calibration_scenario)
+                             calibration_scenario, extract_blobs)
 from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
 from tactwin.render import (IlluminationModel, TactileImage, _shade,
                             contact_window, make_reference, resolution_sweep,
@@ -34,26 +36,54 @@ SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
 
 @contextlib.contextmanager
 def whole_frame():
-    """Make every window the whole raster, in simulate and in calibration."""
+    """Make ``simulate`` render the whole raster."""
     def full(scenario, material, illum, sensor):
         return PixelWindow.full(sensor.input_size)
     with pytest.MonkeyPatch.context() as mp:
-        for module in ("tactwin.render", "tactwin.decoder"):
-            mp.setattr(importlib.import_module(module), "contact_window", full)
+        mp.setattr(importlib.import_module("tactwin.render"), "contact_window", full)
         yield
 
 
-def _simulated_pixels(suite, sensor, count, noise_sigma, material, illum):
-    """Raw float64 pixels: equal pixels give equal PGM bytes, and the float
-    comparison also catches last-bit differences that PGM rounding hides."""
+def frozen_measurements(image, reference, sensor, cfg):
+    """Frozen copy of the whole-raster ``_decode_measurements`` that the
+    support-windowed measurement replaced: filter and label every pixel."""
+    dev = image.pixels - reference.pixels
+    sp = cfg.denoise_sigma_px(sensor)
+    if sp > 0:
+        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)
+    return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
+                         cfg.min_area_mm2, cfg.merge_dist_mm)
+
+
+@contextlib.contextmanager
+def whole_raster_measurement():
+    """Make the calibration sweeps measure with the frozen whole-raster copy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("tactwin.decoder"), "_decode_measurements",
+                   frozen_measurements)
+        yield
+
+
+def assert_measures_like_oracle(image, reference, sensor, cfg):
+    blobs = _decode_measurements(image, reference, sensor, cfg)
+    assert _blob_fields(blobs) == _blob_fields(
+        frozen_measurements(image, reference, sensor, cfg))
+    return blobs
+
+
+def _simulated_images(suite, sensor, count, noise_sigma, material, illum):
     spec = DatasetSpec(count=count, master_seed=17, suite=suite,
                        noise_sigma=noise_sigma, sensor=sensor,
                        material=material, illum=illum)
-    out = []
     for i in range(count):
         scenario, seed = sample_for_index(spec, i)
-        out.append(simulate(scenario, material, illum, sensor, seed=seed)[0].pixels.tobytes())
-    return out
+        yield simulate(scenario, material, illum, sensor, seed=seed)[0]
+
+
+def _simulated_pixels(*args):
+    """Raw float64 pixels: equal pixels give equal PGM bytes, and the float
+    comparison also catches last-bit differences that PGM rounding hides."""
+    return [image.pixels.tobytes() for image in _simulated_images(*args)]
 
 
 def _blob_fields(blobs):
@@ -117,36 +147,61 @@ class TestContactWindow:
 
 class TestMeasurementWindow:
     def test_deviation_at_the_window_edge(self, illum, sensor, decode_cfg):
-        # Deviation that fills the window out to its edges: the denoise filter
-        # spreads it beyond the window, and the measurement must still see
-        # all of it, as on the whole raster.
+        # Deviation that fills its support out to the edges: the denoise
+        # filter spreads it beyond the support, and the measurement must
+        # still see all of it, as on the whole raster.
         reference = make_reference(sensor, illum)
-        window = PixelWindow(200, 280, 300, 380, sensor.input_size)
         pixels = reference.pixels.copy()
         pixels[200:206, 300:380] -= 0.05
         pixels[270:280, 300:330] -= 0.05
         image = TactileImage(pixels, sensor.scale_mm_per_px)
-        windowed = _decode_measurements(image, reference, sensor, decode_cfg, window)
-        assert windowed
-        assert _blob_fields(windowed) == _blob_fields(
-            _decode_measurements(image, reference, sensor, decode_cfg))
+        assert assert_measures_like_oracle(image, reference, sensor, decode_cfg)
 
     def test_filtered_support_at_the_window_edge(self, illum, sensor):
         # A threshold below every nonzero filtered value puts the filter's
-        # whole support, up to the kernel radius beyond the window, into the
-        # blob, so its weights show how the filter treats the window's edges.
+        # whole support, up to the kernel radius beyond the deviation's
+        # support, into the blob, so its weights show how the filter treats
+        # the support's edges.
         cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300)
         reference = make_reference(sensor, illum)
-        window = PixelWindow(200, 280, 300, 380, sensor.input_size)
         pixels = reference.pixels.copy()
         pixels[200:280, 300] -= 0.05
         pixels[279, 300:380] += 0.05
         image = TactileImage(pixels, sensor.scale_mm_per_px)
-        windowed = _decode_measurements(image, reference, sensor, cfg, window)
-        blob = windowed[0]    # 15 px: the kernel radius at 0.25 mm / 0.05 mm
+        blob = assert_measures_like_oracle(image, reference, sensor, cfg)[0]
+        # 15 px: the kernel radius at 0.25 mm / 0.05 mm
         assert (blob.xs.min(), blob.ys.max()) == (300 - 15, 279 + 15)
-        assert _blob_fields(windowed) == _blob_fields(
-            _decode_measurements(image, reference, sensor, cfg))
+
+    def test_reference_decodes_to_nothing(self, illum, sensor, decode_cfg):
+        reference = make_reference(sensor, illum)
+        assert _decode_measurements(reference, reference, sensor, decode_cfg) == []
+        assert frozen_measurements(reference, reference, sensor, decode_cfg) == []
+
+    @pytest.mark.parametrize("scenario, corner", [
+        (ContactScenario(SphereProbe(10.0), -12.0, -12.0, 0.0, 5.0), (0, 0)),
+        (ContactScenario(StripProbe(8.0, 3.0), 11.0, 11.0, 30.0, 8.0), (160, 160)),
+    ], ids=["sphere-first-corner", "strip-last-corner"])
+    @pytest.mark.parametrize("decode_noise", [0.0, 0.02])
+    def test_contact_at_the_raster_corner(self, scenario, corner, decode_noise,
+                                          material, illum):
+        # A noise-free contact whose support reaches two raster edges: the
+        # filter reflects there, and the support window must reflect alike.
+        image = simulate(scenario, material, illum, SENSOR_160)[0]
+        reference = make_reference(SENSOR_160, illum)
+        differs = image.pixels != reference.pixels
+        rows = np.flatnonzero(differs.any(axis=1))
+        cols = np.flatnonzero(differs.any(axis=0))
+        assert corner in ((rows[0], cols[0]), (rows[-1] + 1, cols[-1] + 1))
+        cfg = DecodeConfig(noise_sigma=decode_noise)
+        assert assert_measures_like_oracle(image, reference, SENSOR_160, cfg)
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_160px_suite(self, suite, noise, material, illum):
+        cfg = DecodeConfig(noise_sigma=noise)
+        reference = make_reference(SENSOR_160, illum)
+        for image in _simulated_images(suite, SENSOR_160, 100, noise, material, illum):
+            assert_measures_like_oracle(image, reference, SENSOR_160, cfg)
 
 
 class TestSimulateExact:
@@ -174,7 +229,7 @@ class TestCalibrationExact:
         [type(p).__name__, p.class_name, f"{getattr(p, 'diameter_mm', '')}"]))
     def test_160px_sweep(self, probe, material, illum, decode_cfg):
         windowed = _sweep(probe, material, illum, SENSOR_160, decode_cfg)
-        with whole_frame():
+        with whole_frame(), whole_raster_measurement():
             assert windowed == _sweep(probe, material, illum, SENSOR_160, decode_cfg)
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -184,7 +239,7 @@ class TestCalibrationExact:
             by_class.setdefault(probe.class_name, []).append(probe)
         probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
         windowed = _templates_json(probes, material, illum, SENSOR_160, decode_cfg)
-        with whole_frame():
+        with whole_frame(), whole_raster_measurement():
             assert windowed == _templates_json(probes, material, illum,
                                                SENSOR_160, decode_cfg)
 
@@ -192,7 +247,7 @@ class TestCalibrationExact:
         cfg = DecodeConfig(noise_sigma=0.0)
         probes = SUITES["spheres"]()
         windowed = _calibration_json(probes, material, illum, SENSOR_160, cfg)
-        with whole_frame():
+        with whole_frame(), whole_raster_measurement():
             assert windowed == _calibration_json(probes, material, illum,
                                                  SENSOR_160, cfg)
 
@@ -201,7 +256,7 @@ class TestCalibrationExact:
         probes = [SphereProbe(20.0), lshape]
         windowed = (_calibration_json(probes, material, illum, sensor, decode_cfg),
                     _templates_json(probes, material, illum, sensor, decode_cfg))
-        with whole_frame():
+        with whole_frame(), whole_raster_measurement():
             assert windowed == (
                 _calibration_json(probes, material, illum, sensor, decode_cfg),
                 _templates_json(probes, material, illum, sensor, decode_cfg))

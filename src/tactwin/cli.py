@@ -32,10 +32,9 @@ from .errors import (AssignmentError, CalibrationError, ConfigError,
 from .frames import SensorConfig
 from .geometry import OrientedBox
 from .metrics import evaluate_detections, write_report
-from .render import IlluminationModel, resolution_sweep, ring_lights
+from .render import IlluminationModel, make_reference, resolution_sweep, ring_lights
 from .suites import ANISOTROPIC_CLASSES, SUITES
 from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
-from .render import make_reference
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,9 +56,15 @@ def _load_config(path: str | None) -> dict:
         raise IOError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object, "
+                              f"got {section!r}")
     return cfg
 
 
@@ -71,10 +76,12 @@ def _build_params(cfg: dict, args=None) -> tuple:
         sensor_kw["scale_mm_per_px"] = args.scale
     material_kw = dict(cfg.get("material", {}))
     illum_kw = dict(cfg.get("illumination", {}))
-    if "light_dirs" in illum_kw:
-        illum_kw["light_dirs"] = np.array(illum_kw["light_dirs"])
-    elif "n_lights" in illum_kw:
-        illum_kw["light_dirs"] = ring_lights(illum_kw.pop("n_lights"))
+    if "n_lights" in illum_kw and "light_dirs" not in illum_kw:
+        n = illum_kw.pop("n_lights")
+        if type(n) is not int or n < 1:
+            raise ConfigError(f"illumination n_lights must be a positive integer, "
+                              f"got {n!r}")
+        illum_kw["light_dirs"] = ring_lights(n)
     decode_kw = dict(cfg.get("decode", {}))
     if getattr(args, "noise", None) is not None:
         decode_kw["noise_sigma"] = args.noise
@@ -84,7 +91,7 @@ def _build_params(cfg: dict, args=None) -> tuple:
         illum = IlluminationModel(**illum_kw)
         decode_cfg = DecodeConfig(**decode_kw)
     except TypeError as exc:
-        raise ConfigError(f"bad parameter name in config: {exc}") from exc
+        raise ConfigError(f"bad parameter in config: {exc}") from exc
     return sensor, material, illum, decode_cfg
 
 

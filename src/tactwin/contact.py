@@ -5,6 +5,18 @@ with contact radius a = sqrt(R d). Flat probes (strips and arbitrary
 footprints) use the circular flat-punch stiffness with an equivalent radius,
 d = F / (2 E* sqrt(A / pi)). Outside the contact region the membrane height
 decays as a Gaussian of the distance to the contact boundary.
+
+Every probe kind (``SphereProbe``, ``StripProbe``, ``FootprintProbe``) owns
+the facts its callers need, so no caller asks which kind it holds:
+
+- ``class_name`` and ``label``, the class and its calibration variant;
+- ``reach_mm(force_n, e_star)``, the farthest contact point from the probe
+  centre, which bounds placement, the bounds check and the render window;
+- ``contact_mask(u, v, force_n, e_star)``, the contact region in the probe's
+  own frame, from which the punch profile and the edge band are built;
+- ``box_mm(force_n, e_star)``, the tight ground-truth box in that frame.
+
+Only ``height_field`` tells a Hertz sphere from a flat punch.
 """
 
 from __future__ import annotations
@@ -61,8 +73,23 @@ class SphereProbe:
         return "sphere"
 
     @property
+    def label(self) -> str:
+        return f"sphere_d{self.diameter_mm:g}"
+
+    @property
     def radius_mm(self) -> float:
         return self.diameter_mm / 2.0
+
+    def reach_mm(self, force_n: float, e_star: float) -> float:
+        """Hertz contact radius under the load."""
+        return hertz_indentation(force_n, self.radius_mm, e_star)[1]
+
+    def contact_mask(self, u, v, force_n: float, e_star: float):
+        return np.hypot(u, v) <= self.reach_mm(force_n, e_star)
+
+    def box_mm(self, force_n: float, e_star: float) -> tuple:
+        side = max(2.0 * self.reach_mm(force_n, e_star), 1e-6)
+        return 0.0, 0.0, side, side
 
     def params(self) -> dict:
         return {"kind": "sphere", "diameter_mm": self.diameter_mm}
@@ -82,13 +109,22 @@ class StripProbe:
         return "strip"
 
     @property
+    def label(self) -> str:
+        return f"strip_{self.length_mm:g}x{self.width_mm:g}"
+
+    @property
     def area_mm2(self) -> float:
         return self.length_mm * self.width_mm
 
-    @property
-    def reach_mm(self) -> float:
-        """Largest distance of a contact point from the probe centre."""
+    def reach_mm(self, force_n: float, e_star: float) -> float:
+        """Half-diagonal; a flat probe's contact does not grow with load."""
         return math.hypot(self.length_mm, self.width_mm) / 2.0
+
+    def contact_mask(self, u, v, force_n: float, e_star: float):
+        return (np.abs(u) <= self.length_mm / 2.0) & (np.abs(v) <= self.width_mm / 2.0)
+
+    def box_mm(self, force_n: float, e_star: float) -> tuple:
+        return 0.0, 0.0, self.length_mm, self.width_mm
 
     def params(self) -> dict:
         return {"kind": "strip", "length_mm": self.length_mm, "width_mm": self.width_mm}
@@ -130,23 +166,18 @@ class FootprintProbe:
         return self.name
 
     @property
+    def label(self) -> str:
+        return self.name
+
+    @property
     def area_mm2(self) -> float:
         return float(self.stencil.sum()) * self.stencil_scale_mm ** 2
 
-    def tight_dims_mm(self):
-        """Width/height (mm) of the stencil's tight bounding box at 0 degrees."""
-        ys, xs = np.nonzero(self.stencil)
-        w = (xs.max() - xs.min() + 1) * self.stencil_scale_mm
-        h = (ys.max() - ys.min() + 1) * self.stencil_scale_mm
-        return w, h
-
-    @property
-    def reach_mm(self) -> float:
-        """Largest distance of a contact point from the stencil's array centre.
+    def reach_mm(self, force_n: float, e_star: float) -> float:
+        """Farthest corner of a set stencil cell from the array centre.
 
         A raster point is in contact when its nearest stencil cell is set, so
-        the contact region is the union of the set cells' squares and the
-        reach is the farthest corner of one of them.
+        the contact region is the union of the set cells' squares.
         """
         ys, xs = np.nonzero(self.stencil)
         s = self.stencil_scale_mm
@@ -154,12 +185,23 @@ class FootprintProbe:
         v = np.abs(ys - (self.stencil.shape[0] - 1) / 2.0) * s + s / 2.0
         return float(np.hypot(u, v).max())
 
-    def center_offset_mm(self):
-        """Tight-box center relative to the stencil origin (asymmetric shapes)."""
+    def contact_mask(self, u, v, force_n: float, e_star: float):
+        st = self.stencil
+        iu = np.rint(u / self.stencil_scale_mm + (st.shape[1] - 1) / 2.0).astype(int)
+        iv = np.rint(v / self.stencil_scale_mm + (st.shape[0] - 1) / 2.0).astype(int)
+        ok = (iu >= 0) & (iu < st.shape[1]) & (iv >= 0) & (iv < st.shape[0])
+        inside = np.zeros(np.shape(u), dtype=bool)
+        inside[ok] = st[iv[ok], iu[ok]]
+        return inside
+
+    def box_mm(self, force_n: float, e_star: float) -> tuple:
+        """The stencil's tight box; off the array centre for asymmetric shapes."""
         ys, xs = np.nonzero(self.stencil)
-        cx = (xs.min() + xs.max()) / 2.0 - (self.stencil.shape[1] - 1) / 2.0
-        cy = (ys.min() + ys.max()) / 2.0 - (self.stencil.shape[0] - 1) / 2.0
-        return cx * self.stencil_scale_mm, cy * self.stencil_scale_mm
+        s = self.stencil_scale_mm
+        cu = (xs.min() + xs.max()) / 2.0 - (self.stencil.shape[1] - 1) / 2.0
+        cv = (ys.min() + ys.max()) / 2.0 - (self.stencil.shape[0] - 1) / 2.0
+        return (cu * s, cv * s, (xs.max() - xs.min() + 1) * s,
+                (ys.max() - ys.min() + 1) * s)
 
     def params(self) -> dict:
         return {
@@ -245,37 +287,15 @@ def punch_indentation(force_n: float, footprint_area_mm2: float, e_star: float) 
     return force_n / (2.0 * e_star * math.sqrt(footprint_area_mm2 / math.pi))
 
 
-def contact_reach_mm(scenario: ContactScenario, material: MaterialParams) -> float:
-    """Largest distance of a contact point from the scenario centre."""
-    probe = scenario.probe
-    if isinstance(probe, SphereProbe):
-        return hertz_indentation(scenario.force_n, probe.radius_mm, material.e_star)[1]
-    return probe.reach_mm
-
-
-def _probe_frame(scenario: ContactScenario, X, Y):
-    """Raster coordinates (mm) expressed in the probe's own rotated frame."""
+def contact_mask(scenario: ContactScenario, material: MaterialParams, X, Y) -> np.ndarray:
+    """The probe's contact region at the raster points (X, Y) (mm), read in
+    the probe's own rotated frame."""
     t = math.radians(scenario.theta_deg)
     c, s = math.cos(t), math.sin(t)
-    dx = X - scenario.x_mm
-    dy = Y - scenario.y_mm
-    return dx * c + dy * s, -dx * s + dy * c
-
-
-def _strip_inside(probe: StripProbe, scenario: ContactScenario, X, Y):
-    u, v = _probe_frame(scenario, X, Y)
-    return (np.abs(u) <= probe.length_mm / 2.0) & (np.abs(v) <= probe.width_mm / 2.0)
-
-
-def _footprint_inside(probe: FootprintProbe, scenario: ContactScenario, X, Y):
-    u, v = _probe_frame(scenario, X, Y)
-    st = probe.stencil
-    iu = np.rint(u / probe.stencil_scale_mm + (st.shape[1] - 1) / 2.0).astype(int)
-    iv = np.rint(v / probe.stencil_scale_mm + (st.shape[0] - 1) / 2.0).astype(int)
-    ok = (iu >= 0) & (iu < st.shape[1]) & (iv >= 0) & (iv < st.shape[0])
-    inside = np.zeros(X.shape, dtype=bool)
-    inside[ok] = st[iv[ok], iu[ok]]
-    return inside
+    dx, dy = X - scenario.x_mm, Y - scenario.y_mm
+    u, v = dx * c + dy * s, -dx * s + dy * c
+    del dx, dy  # not held through the probe's lookup
+    return scenario.probe.contact_mask(u, v, scenario.force_n, material.e_star)
 
 
 # Inside ``punch_profile_memo``: {key: profile} of the last punch profile.
@@ -309,19 +329,15 @@ def _punch_profile(scenario: ContactScenario, material: MaterialParams,
     memo = _PROFILE_MEMO.get()
     if memo is not None and key in memo:
         return memo[key]
+    # Held until the profile is built: freeing X and Y first doubled the
+    # page faults and system time of a roundtrip calibrate.
     X, Y = pixel_centers_mm(sensor, window)
-    if isinstance(probe, StripProbe):
-        inside = _strip_inside(probe, scenario, X, Y)
-    else:
-        inside = _footprint_inside(probe, scenario, X, Y)
+    inside = contact_mask(scenario, material, X, Y)
     if not inside.any():
-        if isinstance(probe, FootprintProbe):
-            raise ScenarioError("footprint does not touch the active area")
-        profile = np.zeros(X.shape)
-    else:
-        dist = ndimage.distance_transform_edt(~inside, sampling=sensor.scale_mm_per_px)
-        # exp(-0.0) is exactly 1 on the contact
-        profile = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
+        raise ScenarioError(f"{probe.class_name} contact covers no pixel")
+    dist = ndimage.distance_transform_edt(~inside, sampling=sensor.scale_mm_per_px)
+    # exp(-0.0) is exactly 1 on the contact
+    profile = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
     if memo is not None:
         memo.clear()
         memo[key] = profile
@@ -364,14 +380,11 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
         z[out] = z_edge * np.exp(-((r[out] - a) ** 2) / (2.0 * sigma ** 2))
         return HeightField(z, sensor.scale_mm_per_px)
 
-    if isinstance(probe, (StripProbe, FootprintProbe)):
-        depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
-        _check_depth(depth, material)
-        _check_bounds(scenario, probe.reach_mm, sensor)
-        return HeightField(depth * _punch_profile(scenario, material, sensor, window),
-                           sensor.scale_mm_per_px)
-
-    raise ConfigError(f"unknown probe type {type(probe).__name__}")
+    depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
+    _check_depth(depth, material)
+    _check_bounds(scenario, probe.reach_mm(scenario.force_n, material.e_star), sensor)
+    return HeightField(depth * _punch_profile(scenario, material, sensor, window),
+                       sensor.scale_mm_per_px)
 
 
 def _check_depth(depth: float, material: MaterialParams):
@@ -389,29 +402,12 @@ def _check_bounds(scenario: ContactScenario, reach_mm: float, sensor: SensorConf
             f"{sensor.extent_mm:.0f} mm active area")
 
 
-def ground_truth_box(scenario: ContactScenario, material: MaterialParams) -> OrientedBox:
-    """Tight oriented box around the contact footprint, at the scenario's angle."""
-    probe = scenario.probe
-    if isinstance(probe, SphereProbe):
-        _, a = hertz_indentation(scenario.force_n, probe.radius_mm, material.e_star)
-        side = max(2.0 * a, 1e-6)
-        return OrientedBox(scenario.x_mm, scenario.y_mm, side, side, scenario.theta_deg)
-    if isinstance(probe, StripProbe):
-        return OrientedBox(scenario.x_mm, scenario.y_mm, probe.length_mm,
-                           probe.width_mm, scenario.theta_deg)
-    w, h = probe.tight_dims_mm()
-    ox, oy = probe.center_offset_mm()
+def ground_truth(scenario: ContactScenario, material: MaterialParams) -> GroundTruth:
+    """The probe's tight box, placed and turned to the scenario's pose."""
+    u, v, w, h = scenario.probe.box_mm(scenario.force_n, material.e_star)
     t = math.radians(scenario.theta_deg)
     c, s = math.cos(t), math.sin(t)
-    return OrientedBox(scenario.x_mm + ox * c - oy * s,
-                       scenario.y_mm + ox * s + oy * c,
-                       w, h, scenario.theta_deg)
-
-
-def ground_truth(scenario: ContactScenario, material: MaterialParams) -> GroundTruth:
-    return GroundTruth(
-        box=ground_truth_box(scenario, material),
-        class_name=scenario.probe.class_name,
-        theta_deg=scenario.theta_deg,
-        force_n=scenario.force_n,
-    )
+    box = OrientedBox(scenario.x_mm + u * c - v * s, scenario.y_mm + u * s + v * c,
+                      w, h, scenario.theta_deg)
+    return GroundTruth(box=box, class_name=scenario.probe.class_name,
+                       theta_deg=scenario.theta_deg, force_n=scenario.force_n)

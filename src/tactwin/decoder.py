@@ -30,13 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 
-from .contact import (ContactScenario, MaterialParams, Probe, SphereProbe,
-                      StripProbe, punch_profile_memo)
+from .contact import ContactScenario, MaterialParams, punch_profile_memo
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
@@ -61,6 +60,20 @@ class DecodeConfig:
     canonical_pad: float = 1.15
     rotation_step_deg: float = 10.0
     template_forces: tuple = (2.0, 6.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "template_forces":
+                kind = "a nonempty list of numbers"
+                ok = (isinstance(value, (list, tuple)) and len(value) > 0
+                      and all(isinstance(v, (int, float)) for v in value))
+            else:
+                kind = "a number"
+                ok = (isinstance(value, (int, float))
+                      or (f.name == "threshold" and value is None))
+            if not ok:
+                raise ConfigError(f"decode {f.name} must be {kind}, got {value!r}")
 
     def denoise_sigma_px(self, sensor: SensorConfig) -> float:
         return self.denoise_sigma_mm / sensor.scale_mm_per_px
@@ -470,7 +483,7 @@ def _decode_measurements(image: TactileImage, reference: TactileImage,
                          cfg.min_area_mm2, cfg.merge_dist_mm, window=window)
 
 
-def _calibration_blobs(probe: Probe, force: float, material: MaterialParams,
+def _calibration_blobs(probe, force: float, material: MaterialParams,
                        illum: IlluminationModel, sensor: SensorConfig,
                        cfg: DecodeConfig, reference: TactileImage):
     """Noise-free forward render of a centred probe and its blobs."""
@@ -478,7 +491,7 @@ def _calibration_blobs(probe: Probe, force: float, material: MaterialParams,
     return _decode_measurements(image, reference, sensor, cfg), gt
 
 
-def calibration_scenario(probe: Probe, force: float) -> ContactScenario:
+def calibration_scenario(probe, force: float) -> ContactScenario:
     return ContactScenario(probe=probe, x_mm=0.0, y_mm=0.0, theta_deg=0.0,
                            force_n=force, noise_sigma=0.0)
 
@@ -528,7 +541,7 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             rows["force"].append(force)
         if not seen_blob:
             raise CalibrationError(
-                f"{class_name} ({_variant_label(probe)}): no force in the grid "
+                f"{class_name} ({probe.label}): no force in the grid "
                 "produces a detectable signature")
         areas = np.array(rows["area"])
         drops = np.flatnonzero(np.diff(areas) <= 0)
@@ -536,11 +549,11 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             i = drops[0]
             f0, f1 = rows["force"][i], rows["force"][i + 1]
             raise CalibrationError(
-                f"{class_name} ({_variant_label(probe)}): deviation area is not "
+                f"{class_name} ({probe.label}): deviation area is not "
                 f"strictly increasing in force: {areas[i + 1]:.10g} mm^2 at "
                 f"{f1:g} N after {areas[i]:.10g} mm^2 at {f0:g} N")
         curves.append(CalibrationCurve(
-            label=_variant_label(probe),
+            label=probe.label,
             forces=np.array(rows["force"]),
             areas=areas,
             contrasts=np.array(rows["contrast"]),
@@ -552,14 +565,6 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
         ))
     return CalibrationTable(class_name=class_name, curves=curves,
                             params_hash=params_hash(material, illum, sensor, cfg))
-
-
-def _variant_label(probe: Probe) -> str:
-    if isinstance(probe, SphereProbe):
-        return f"sphere_d{probe.diameter_mm:g}"
-    if isinstance(probe, StripProbe):
-        return f"strip_{probe.length_mm:g}x{probe.width_mm:g}"
-    return probe.name
 
 
 _LOG_CONTRAST_FLOOR = 0.002

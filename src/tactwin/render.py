@@ -30,8 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .contact import (ContactScenario, GroundTruth, HeightField, MaterialParams,
-                      SphereProbe, contact_reach_mm, ground_truth, height_field,
-                      hertz_indentation)
+                      contact_mask, ground_truth, height_field)
 from .errors import ConfigError
 from .frames import PixelWindow, SensorConfig, pixel_centers_mm
 
@@ -64,7 +63,10 @@ class IlluminationModel:
             raise ConfigError("ambient + diffuse must not exceed 1")
         if self.exponent < 1:
             raise ConfigError("exponent must be >= 1")
-        dirs = np.asarray(self.light_dirs, dtype=float).reshape(-1, 3)
+        try:
+            dirs = np.asarray(self.light_dirs, dtype=float).reshape(-1, 3)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"light_dirs must be a list of 3-vectors: {exc}") from exc
         if dirs.shape[0] == 0:
             raise ConfigError("at least one light direction is required")
         norms = np.linalg.norm(dirs, axis=1)
@@ -174,8 +176,8 @@ def contact_window(scenario: ContactScenario, material: MaterialParams,
     else:
         ratio = material.layer_thickness_mm * 2.0 ** 56 / (h * lz_min)
         pad = h + material.membrane_sigma_mm * math.sqrt(2.0 * max(math.log(ratio), 0.0))
-    return PixelWindow.around(scenario.x_mm, scenario.y_mm,
-                              contact_reach_mm(scenario, material) + pad, sensor)
+    reach = scenario.probe.reach_mm(scenario.force_n, material.e_star)
+    return PixelWindow.around(scenario.x_mm, scenario.y_mm, reach + pad, sensor)
 
 
 def simulate(scenario: ContactScenario, material: MaterialParams,
@@ -211,25 +213,18 @@ def deviation_area_mm2(img: TactileImage, illum: IlluminationModel,
 def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
                           illum: IlluminationModel, sensor: SensorConfig,
                           band_mm: float = 0.5) -> float:
-    """Peak |I - baseline| on the band just inside the contact boundary.
+    """Peak |I - baseline| on the probe's contact mask within band_mm of its
+    edge.
 
     The inside band isolates the indenter's own edge slope from the membrane
     decay outside the contact, which saturates the shading at high loads for
     every probe alike.
     """
-    hf = height_field(scenario, material, sensor)
-    img = render(hf, illum)
+    img = render(height_field(scenario, material, sensor), illum)
     dev = np.abs(img.pixels - baseline_intensity(illum))
-    X, Y = pixel_centers_mm(sensor)
-    if isinstance(scenario.probe, SphereProbe):
-        _, a = hertz_indentation(scenario.force_n, scenario.probe.radius_mm,
-                                 material.e_star)
-        r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
-        band = (r <= a) & (r >= a - band_mm)
-    else:
-        inside = hf.z >= hf.max_depth * (1.0 - 1e-9)
-        dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
-        band = inside & (dist <= band_mm)
+    inside = contact_mask(scenario, material, *pixel_centers_mm(sensor))
+    dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
+    band = inside & (dist <= band_mm)
     if not band.any():
         return 0.0
     return float(dev[band].max())

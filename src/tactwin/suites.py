@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .contact import (ContactScenario, FootprintProbe, Probe, SphereProbe,
-                      StripProbe, hertz_indentation)
+                      StripProbe)
 from .errors import ConfigError
 from .frames import SensorConfig
 
@@ -118,22 +118,16 @@ SUITES = {
 ANISOTROPIC_CLASSES = ("strip", "lshape", "body")
 
 
-def probe_half_size_mm(probe: Probe, max_force: float, e_star: float) -> float:
-    """Conservative half-extent of the contact signature, for placement margins."""
-    if isinstance(probe, SphereProbe):
-        _, a = hertz_indentation(max_force, probe.radius_mm, e_star)
-        return a
-    if isinstance(probe, StripProbe):
-        return math.hypot(probe.length_mm, probe.width_mm) / 2.0
-    w, h = probe.tight_dims_mm()
-    return math.hypot(w, h) / 2.0
-
-
 def sample_scenario(rng: np.random.Generator, probes: list[Probe],
                     sensor: SensorConfig, e_star: float,
                     force_range=(0.8, 10.0), noise_sigma: float = 0.0,
                     edge_margin_mm: float = 2.0) -> ContactScenario:
-    """Draw one random in-bounds scenario from a probe library."""
+    """Draw one random scenario from a probe library.
+
+    The probe is placed by its reach at the top of the force range, the
+    extent ``height_field`` checks, so every draw is in bounds whenever the
+    probe fits the active area at all.
+    """
     if not probes:
         raise ConfigError("probe library is empty")
     lo, hi = force_range
@@ -141,13 +135,11 @@ def sample_scenario(rng: np.random.Generator, probes: list[Probe],
         raise ConfigError(f"force range must satisfy 0 <= lo < hi, got {lo}:{hi}")
     probe = probes[int(rng.integers(len(probes)))]
     force = float(rng.uniform(lo, hi))
-    half = probe_half_size_mm(probe, hi, e_star)
-    reach = sensor.extent_mm / 2.0 - half - edge_margin_mm
-    reach = max(reach, 0.0)
+    span = max(sensor.extent_mm / 2.0 - probe.reach_mm(hi, e_star) - edge_margin_mm, 0.0)
     return ContactScenario(
         probe=probe,
-        x_mm=float(rng.uniform(-reach, reach)),
-        y_mm=float(rng.uniform(-reach, reach)),
+        x_mm=float(rng.uniform(-span, span)),
+        y_mm=float(rng.uniform(-span, span)),
         theta_deg=float(rng.uniform(0.0, 180.0)),
         force_n=force,
         noise_sigma=noise_sigma,

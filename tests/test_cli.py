@@ -79,6 +79,24 @@ class TestGenerate:
         assert rc == 2
         assert "sensr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("[]", "JSON object"),
+        ('{"sensor": 5}', "sensor"),
+        ('{"illumination": {"n_lights": "x"}}', "n_lights"),
+        ('{"illumination": {"light_dirs": "x"}}', "light_dirs"),
+        ('{"decode": {"template_forces": 3}}', "template_forces"),
+        ('{"decode": {"threshold": "x"}}', "threshold"),
+    ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
+            "template-forces-number", "threshold-string"])
+    def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        rc = main(["calibrate", "--out", str(tmp_path / "x"), "--suite", "spheres",
+                   "--config", str(cfg), *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert named in err and "Traceback" not in err
+
 
 class TestPipeline:
     def test_decode_then_eval(self, workspace, tmp_path):

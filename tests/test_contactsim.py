@@ -2,18 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tactwin.contact import (ContactScenario, FootprintProbe, MaterialParams,
                              SphereProbe, StripProbe, ground_truth,
                              height_field, hertz_indentation,
                              punch_indentation)
 from tactwin.errors import ConfigError, ScenarioError
-from tactwin.frames import pixel_centers_mm
+from tactwin.frames import SensorConfig, pixel_centers_mm
 from tactwin.render import (IlluminationModel, baseline_intensity,
                             contact_band_contrast, deviation_area_mm2,
                             make_reference, render, resolution_sweep,
                             ring_lights, simulate)
-from tactwin.suites import footprint_probes, stencil_circle
+from tactwin.suites import (SUITES, footprint_probes, sample_scenario,
+                            stencil_circle, stencil_strip)
+
+# 160 px over the standard 32 mm active area.
+SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
+
+
+def frozen_band_contrast(scenario, material, illum, sensor, band_mm=0.5):
+    """Frozen copy of the two-path ``contact_band_contrast`` that the single
+    mask-band path replaced: an analytic annulus for spheres, the full-depth
+    pixels' inner band for punches."""
+    hf = height_field(scenario, material, sensor)
+    img = render(hf, illum)
+    dev = np.abs(img.pixels - baseline_intensity(illum))
+    X, Y = pixel_centers_mm(sensor)
+    if scenario.probe.params()["kind"] == "sphere":
+        _, a = hertz_indentation(scenario.force_n, scenario.probe.radius_mm,
+                                 material.e_star)
+        r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
+        band = (r <= a) & (r >= a - band_mm)
+    else:
+        inside = hf.z >= hf.max_depth * (1.0 - 1e-9)
+        dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
+        band = inside & (dist <= band_mm)
+    if not band.any():
+        return 0.0
+    return float(dev[band].max())
+
+
+def _unique_probes():
+    """Every probe of every suite, once."""
+    return list(dict.fromkeys(p for suite in sorted(SUITES) for p in SUITES[suite]()))
 
 
 class TestHertz:
@@ -91,8 +123,8 @@ class TestHeightField:
             height_field(sc, material, sensor)
 
     def test_clipped_footprint_rejected(self, material, sensor):
-        # The tight box's half-diagonal (8.67 mm) understates how far the
-        # stencil reaches from its array centre (9.97 mm); at x = 7.32 mm
+        # The lshape reaches 9.97 mm from its stencil's array centre, 1.3 mm
+        # beyond its tight box's half-diagonal (8.67 mm); at x = 7.32 mm
         # about 2 % of this footprint falls off the raster.
         lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
         sc = ContactScenario(lshape, 7.32, 0.0, -45.0, 5.0)
@@ -127,6 +159,40 @@ class TestHeightField:
         hf = height_field(sc, material, sensor)
         d = punch_indentation(2.0, probe.area_mm2, material.e_star)
         assert hf.max_depth == pytest.approx(d, rel=1e-9)
+
+    @pytest.mark.parametrize("probe", [
+        StripProbe(10.0, 0.05), FootprintProbe("strip", stencil_strip(10.0, 0.05), 0.1),
+    ], ids=["strip", "footprint"])
+    def test_punch_between_pixel_centres_rejected(self, probe, material):
+        # 0.05 mm wide and centred on the boundary between two pixel rows:
+        # no pixel centre of the 160 px raster lies on the contact.
+        with pytest.raises(ScenarioError, match="covers no pixel"):
+            height_field(ContactScenario(probe, 0, 0, 0, 1.0), material, SENSOR_160)
+
+
+class TestProbeInterface:
+    @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: p.label)
+    def test_every_placement_in_bounds(self, probe, material):
+        # Placement and the bounds check share the probe's reach at the top
+        # of the force range, so a draw without an edge margin still fits.
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            sc = sample_scenario(rng, [probe], SENSOR_160, material.e_star,
+                                 edge_margin_mm=0)
+            height_field(sc, material, SENSOR_160)
+
+    @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: p.label)
+    def test_band_contrast_matches_frozen_oracle(self, probe, material, illum, sensor):
+        poses = [(0.0, 0.0, 0.0), (1.3, -2.1, 37.0), (-0.7, 0.45, 123.0)]
+        forces = (0.25, 1.0, 5.0, 9.0, 10.0)
+        if probe.class_name == "sphere":
+            poses, forces = poses[:2], np.arange(0.25, 10.0 + 1e-9, 0.25)
+        cases = [(SENSOR_160, ContactScenario(probe, x, y, theta, float(force)))
+                 for force in forces for x, y, theta in poses]
+        cases.append((sensor, ContactScenario(probe, *poses[1], 5.0)))
+        for grid, sc in cases:
+            assert (contact_band_contrast(sc, material, illum, grid)
+                    == frozen_band_contrast(sc, material, illum, grid))
 
 
 class TestRender:

@@ -7,13 +7,13 @@ import pytest
 from tactwin import contact
 from tactwin.contact import ContactScenario, SphereProbe, StripProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
-                             TemplateLibrary, build_decoder, classify,
-                             difference_image, estimate_force, estimate_pose,
-                             extract_blobs, params_hash)
+                             TemplateLibrary, build_calibration, build_decoder,
+                             classify, difference_image, estimate_force,
+                             estimate_pose, extract_blobs, params_hash)
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.render import make_reference, simulate
-from tactwin.suites import screw_part_probes
+from tactwin.suites import roundtrip_probes, screw_part_probes
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -182,6 +182,15 @@ class TestCalibration:
         assert "deviation area is not strictly increasing in force" in message
         assert message.endswith("74.1 mm^2 at 8.5 N after 74.1 mm^2 at 8.25 N")
         assert contact._PROFILE_MEMO.get() is None
+
+    def test_roundtrip_strip_calibrates_at_noise_0(self, material, illum, sensor):
+        # The reason the roundtrip suite keeps StripProbe: the six-footprint
+        # suite's stencil strip of the same size fails this sweep, its area
+        # flat at 84 mm^2 from 8.25 to 8.5 N.
+        strip = [p for p in roundtrip_probes() if p.class_name == "strip"]
+        table = build_calibration("strip", strip, material, illum, sensor,
+                                  DecodeConfig(noise_sigma=0.0))
+        assert [c.label for c in table.curves] == ["strip_20x4"]
 
     def test_stale_hash_rejected(self, material, illum, sensor, cfg,
                                  small_decoder):

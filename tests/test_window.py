@@ -371,15 +371,13 @@ class TestProfileMemo:
             seen.append((scenario, window, hf.z.tobytes()))
             return hf
 
-        def spy_inside(inside):
-            def wrapped(probe, *args):
-                built.append(probe.class_name)
-                return inside(probe, *args)
-            return wrapped
+        def spy_mask(scenario, *args):
+            built.append(scenario.probe.class_name)
+            return contact_mask(scenario, *args)
 
+        contact_mask = contact.contact_mask
         monkeypatch.setattr(render_module, "height_field", spy_field)
-        for name in ("_strip_inside", "_footprint_inside"):
-            monkeypatch.setattr(contact, name, spy_inside(getattr(contact, name)))
+        monkeypatch.setattr(contact, "contact_mask", spy_mask)
         lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
         build_decoder([StripProbe(20.0, 4.0), lshape, SphereProbe(20.0)],
                       material, illum, sensor, decode_cfg)

@@ -15,10 +15,10 @@ and the floor of the top-10 candidate IoU sum picks how many to keep.
 
 The bracketed terms live in one core that the per-scene loss and the
 toy-head trainer share: ``positive_targets`` flattens positives and their
-targets into a ``Positives`` batch, scored by ``positive_loss`` and
-``positive_loss_gradient``. Gradients of the smooth terms are analytic; the
-box term is differentiated by central finite differences in the 5 raw box
-parameters.
+targets into a ``Positives`` batch, and ``PositiveTerms`` scores it at one
+prediction, loss and gradient from one forward pass. Every gradient is
+analytic; the box term's comes from the boundary integral of
+``geometry.rotated_iou_gradient``.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import numpy as np
 
 from .encoding import CSL_BINS, RegionGrid, csl_encode
 from .errors import AssignmentError, ContractViolation
-from .geometry import OrientedBox, points_in_box, rotated_iou, rotated_iou_pairs
+from .geometry import (OrientedBox, points_in_box, rotated_iou, rotated_iou_gradient,
+                       rotated_iou_pairs)
 
 PROB_EPS = 1e-7
 DEFAULT_CENTER_RADIUS = 2.5
 DEFAULT_COST_IOU_WEIGHT = 3.0
-BOX_FD_STEP = 1e-4
 _RAW_CLIP = 20.0  # raw log-size bound; exp(20) strides is far beyond any sensor
 
 
@@ -276,35 +276,48 @@ def positive_targets(preds: PredictionField, gts, assignment: Assignment, classe
                      cls_t[gt_of], csl_t[gt_of], force_t[gt_of], boxes_t[gt_of])
 
 
-def positive_loss(pos: Positives, cls, csl, force, box_raw) -> tuple:
-    """(class, angle, force, box) term sums over a batch of positives, given
-    their class and angle-bin probabilities, forces and raw box rows."""
-    ious = rotated_iou_pairs(_decode_raw(box_raw, pos.centers_mm, pos.strides_mm),
-                             pos.boxes)
-    return (float(bce(cls, pos.cls).sum()),
-            float(bce(csl, pos.csl).sum()),
-            float(smooth_l1(force - pos.force).sum()),
-            float(np.sum(1.0 - ious ** 2)))
+class PositiveTerms:
+    """The bracketed terms at one prediction of a batch of positives, given
+    their class and angle-bin probabilities, forces and raw box rows.
 
+    The box term's forward pass, one decode and one ``rotated_iou_pairs``
+    call, runs once here and serves both the loss and its gradient.
+    """
 
-def positive_loss_gradient(pos: Positives, cls, csl, force, box_raw,
-                           box_fd_step: float = BOX_FD_STEP) -> tuple:
-    """Gradients of ``positive_loss``'s four terms with respect to cls, csl,
-    force and box_raw: analytic for the smooth terms, central differences in
-    the 5 raw box parameters for the box term."""
-    j = np.arange(5)
-    offsets = np.zeros((10, 5))
-    offsets[2 * j, j] = box_fd_step
-    offsets[2 * j + 1, j] = -box_fd_step
-    reps = (box_raw[:, None, :] + offsets[None, :, :]).reshape(-1, 5)
-    dec = _decode_raw(reps, np.repeat(pos.centers_mm, 10, axis=0),
-                      np.repeat(pos.strides_mm, 10))
-    fd = 1.0 - rotated_iou_pairs(dec, np.repeat(pos.boxes, 10, axis=0)) ** 2
-    fd = fd.reshape(-1, 5, 2)
-    return (bce_grad(cls, pos.cls),
-            bce_grad(csl, pos.csl),
-            smooth_l1_grad(force - pos.force),
-            (fd[:, :, 0] - fd[:, :, 1]) / (2.0 * box_fd_step))
+    def __init__(self, pos: Positives, cls, csl, force, box_raw):
+        self.pos, self.cls, self.csl, self.force = pos, cls, csl, force
+        self.box_raw = box_raw
+        self.boxes = _decode_raw(box_raw, pos.centers_mm, pos.strides_mm)
+        self.iou = rotated_iou_pairs(self.boxes, pos.boxes)
+
+    def loss(self) -> tuple:
+        """(class, angle, force, box) term sums."""
+        pos = self.pos
+        return (float(bce(self.cls, pos.cls).sum()),
+                float(bce(self.csl, pos.csl).sum()),
+                float(smooth_l1(self.force - pos.force).sum()),
+                float(np.sum(1.0 - self.iou ** 2)))
+
+    def gradient(self) -> tuple:
+        """Analytic gradients of the four terms with respect to cls, csl,
+        force and box_raw.
+
+        The box term's is -2 IoU dIoU, with dIoU from
+        ``rotated_iou_gradient`` (see there for the convention at coincident
+        edges) chained through ``_decode_raw``: the offsets scale by the
+        stride, a log-size by its size (0 where |raw| >= _RAW_CLIP holds it),
+        and the angle's mod 180 has slope 1. Rows with IoU 0 get exactly 0.
+        """
+        pos, raw = self.pos, self.box_raw
+        chain = np.column_stack([
+            pos.strides_mm, pos.strides_mm,
+            np.where(np.abs(raw[:, 2:4]) < _RAW_CLIP, self.boxes[:, 2:4], 0.0),
+            np.ones(len(raw))])
+        d_iou = rotated_iou_gradient(self.boxes, pos.boxes, self.iou)
+        return (bce_grad(self.cls, pos.cls),
+                bce_grad(self.csl, pos.csl),
+                smooth_l1_grad(self.force - pos.force),
+                -2.0 * self.iou[:, None] * d_iou * chain)
 
 
 def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
@@ -312,7 +325,7 @@ def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
     """Evaluate the full multi-task loss for one scene."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     obj = float(bce(preds.obj, assignment.obj_targets()).sum())
-    return LossBreakdown(*positive_loss(pos, *preds.rows(pos.cells)), obj)
+    return LossBreakdown(*PositiveTerms(pos, *preds.rows(pos.cells)).loss(), obj)
 
 
 @dataclass
@@ -327,13 +340,12 @@ class FieldGradient:
 
 
 def loss_gradient(preds: PredictionField, gts, assignment: Assignment, classes,
-                  window_radius: float = 6.0, sigma: float = 4.0,
-                  box_fd_step: float = BOX_FD_STEP) -> FieldGradient:
-    """Analytic gradients for the smooth terms, central differences for the box term."""
+                  window_radius: float = 6.0, sigma: float = 4.0) -> FieldGradient:
+    """Analytic gradients of the scene loss, in prediction-field layout."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     grad = FieldGradient(bce_grad(preds.obj, assignment.obj_targets()),
                          *map(np.zeros_like, preds.rows(slice(None))))
     c = pos.cells
-    grad.cls[c], grad.csl[c], grad.force[c], grad.box_raw[c] = positive_loss_gradient(
-        pos, *preds.rows(c), box_fd_step)
+    grad.cls[c], grad.csl[c], grad.force[c], grad.box_raw[c] = PositiveTerms(
+        pos, *preds.rows(c)).gradient()
     return grad

@@ -13,6 +13,7 @@ calibration, 5 internal contract violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,7 +43,8 @@ EXIT_IO = 3
 EXIT_STALE = 4
 EXIT_CONTRACT = 5
 
-_CONFIG_KEYS = {"sensor", "material", "illumination", "decode"}
+_SECTIONS = {"sensor": SensorConfig, "material": MaterialParams,
+             "illumination": IlluminationModel, "decode": DecodeConfig}
 _SPLITS = ("train", "val", "test")
 
 
@@ -58,7 +60,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, section in cfg.items():
@@ -68,7 +70,40 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_number_list(value) -> bool:
+    """A nonempty list of numbers or of such lists."""
+    return (type(value) is list and len(value) > 0
+            and all(type(v) in (int, float) or _is_number_list(v) for v in value))
+
+
+def _check_section(section: str, cls, values: dict):
+    """Reject a config value of the wrong kind, naming ``section.key``.
+
+    Booleans are not numbers. A field whose default is an int takes an
+    integer, one whose default is None also takes null, and one whose
+    default is a sequence (or made by a factory) takes a list of numbers.
+    Unknown keys are left to the constructor, which names them.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        if key not in defaults:
+            continue
+        default = defaults[key]
+        if isinstance(default, int):
+            kind, ok = "an integer", type(value) is int
+        elif isinstance(default, float):
+            kind, ok = "a number", type(value) in (int, float)
+        elif default is None:
+            kind, ok = "a number or null", value is None or type(value) in (int, float)
+        else:
+            kind, ok = "a nonempty list of numbers", _is_number_list(value)
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+
+
 def _build_params(cfg: dict, args=None) -> tuple:
+    for section, cls in _SECTIONS.items():
+        _check_section(section, cls, cfg.get(section, {}))
     sensor_kw = dict(cfg.get("sensor", {}))
     if getattr(args, "size", None) is not None:
         sensor_kw["input_size"] = args.size

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -62,18 +62,14 @@ class DecodeConfig:
     template_forces: tuple = (2.0, 6.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "template_forces":
-                kind = "a nonempty list of numbers"
-                ok = (isinstance(value, (list, tuple)) and len(value) > 0
-                      and all(isinstance(v, (int, float)) for v in value))
-            else:
-                kind = "a number"
-                ok = (isinstance(value, (int, float))
-                      or (f.name == "threshold" and value is None))
-            if not ok:
-                raise ConfigError(f"decode {f.name} must be {kind}, got {value!r}")
+        # Kinds are checked where a config is read (cli._check_section).
+        for name in ("canonical_size", "rotation_step_deg", "noise_sigma",
+                     "denoise_sigma_mm", "min_area_mm2", "merge_dist_mm"):
+            value = getattr(self, name)
+            positive = name in ("canonical_size", "rotation_step_deg")
+            if not (value > 0 if positive else value >= 0):
+                raise ConfigError(f"decode.{name} must be {'> 0' if positive else '>= 0'}, "
+                                  f"got {value!r}")
 
     def denoise_sigma_px(self, sensor: SensorConfig) -> float:
         return self.denoise_sigma_mm / sensor.scale_mm_per_px

@@ -267,6 +267,69 @@ def rotated_iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
                      np.asarray(boxes_b, dtype=float).reshape(-1, 5))
 
 
+def rotated_iou_gradient(boxes_a: np.ndarray, boxes_b: np.ndarray,
+                         iou: np.ndarray) -> np.ndarray:
+    """Derivative of ``iou = rotated_iou_pairs(boxes_a, boxes_b)`` in the
+    parameters (cx, cy, w, h, theta) of each first box, as (N, 5); theta in
+    degrees.
+
+    The intersection area changes only where the first box's boundary runs
+    inside the second box (Reynolds transport). Each edge adds the length of
+    its part inside times the outward velocity of that part's midpoint; the
+    velocity is linear along an edge. The part is a Liang-Barsky clip of the
+    edge against the second box's two slabs, in that box's frame. The union's
+    derivative follows from intersection + union = area_a + area_b.
+
+    At coincident edges the IoU has a kink. The second box counts as closed,
+    so a first-box edge lying on its boundary counts as inside: the gradient
+    is the one-sided derivative in which that edge moves into the second box.
+    Where coincident edges move opposite ways, as for identical boxes shifted
+    or turned, their terms cancel to 0, the mean of the two sides. Pairs with
+    IoU 0 (disjoint, touching, or scored 0 by the overflow guard) get exactly 0.
+    """
+    grad = np.zeros_like(boxes_a)
+    rows = np.flatnonzero(iou > 0)
+    a, b, iou = boxes_a[rows], boxes_b[rows], iou[rows]
+    # The first box's corners in the second box's frame; the relative angle
+    # keeps parallel boxes exactly parallel there.
+    tb = np.radians(b[:, 4])
+    cb, sb = np.cos(tb), np.sin(tb)
+    dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
+    start = np.stack(_corner_planes(np.column_stack(
+        [dx * cb + dy * sb, dy * cb - dx * sb, a[:, 2:4], a[:, 4] - b[:, 4]])))  # (2, 4, n)
+    # Edge k runs from corner k to corner k + 1: 0 top, 1 left, 2 bottom, 3 right.
+    step = np.roll(start, -1, axis=1) - start
+    half = b[:, 2:4].T[:, None, :] / 2.0                                      # (2, 1, n)
+    moving = step != 0.0
+    d = np.where(moving, step, 1.0)
+    lo, hi = (-half - start) / d, (half - start) / d
+    within = np.abs(start) <= half    # an edge parallel to a slab is all in or all out
+    enter = np.where(moving, np.minimum(lo, hi), np.where(within, 0.0, 1.0))
+    leave = np.where(moving, np.maximum(lo, hi), np.where(within, 1.0, 0.0))
+    s0 = np.clip(enter.max(axis=0), 0.0, 1.0)
+    s1 = np.clip(leave.min(axis=0), 0.0, 1.0)
+    run = np.maximum(s1 - s0, 0.0)          # (4, n) inside share of each edge
+    mid = (s0 + s1) / 2.0 - 0.5             # its midpoint, from the edge's centre
+
+    # d(intersection). A shift moves an edge along its outward normal, whose
+    # length-scaled form is (step_v, -step_u). A size moves the two edges
+    # across it by half. A turn moves the point at t from an edge's centre by
+    # -t along the normal, and t is mid times the edge's length.
+    gu, gv = (run * step[1]).sum(axis=0), -(run * step[0]).sum(axis=0)
+    w, h = a[:, 2], a[:, 3]
+    d_inter = np.stack([cb * gu - sb * gv, sb * gu + cb * gv,
+                        h * (run[1] + run[3]) / 2.0, w * (run[0] + run[2]) / 2.0,
+                        -(run * mid * (step ** 2).sum(axis=0)).sum(axis=0) * (math.pi / 180.0)],
+                       axis=1)
+    # IoU = I / U with U = area_a + area_b - I, and only area_a moves.
+    union = (w * h + b[:, 2] * b[:, 3]) / (1.0 + iou)
+    d_inter *= (1.0 + iou)[:, None]
+    d_inter[:, 2] -= iou * h
+    d_inter[:, 3] -= iou * w
+    grad[rows] = d_inter / union[:, None]
+    return grad
+
+
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection-over-union of two oriented boxes: a one-row batched clip.
 

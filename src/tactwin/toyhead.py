@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .assignment import (Positives, PredictionField, bce, bce_grad,
-                         positive_loss, positive_loss_gradient,
+from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_grad,
                          positive_targets, simota_assign)
 from .dataset import read_json
 from .encoding import CSL_BINS, RegionGrid
@@ -269,8 +268,9 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         box_raw = z_pos[:, cols["box"]]
 
         # Summed obj, cls, csl, force, box: the curve's last bits depend on it.
+        terms = PositiveTerms(positives, p_cls, p_csl, force, box_raw)
         loss = float(bce(p_obj, obj_t).sum())
-        for term in positive_loss(positives, p_cls, p_csl, force, box_raw):
+        for term in terms.loss():
             loss += term
         losses.append(loss / n_samples)
         rising = rising + 1 if (len(losses) >= 2 and losses[-1] > losses[-2]) else 0
@@ -283,8 +283,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         best = min(best, losses[-1])
 
         # Chain the loss gradients through the sigmoids into the logits.
-        g_cls, g_csl, g_force, g_box = positive_loss_gradient(
-            positives, p_cls, p_csl, force, box_raw)
+        g_cls, g_csl, g_force, g_box = terms.gradient()
         gz_obj = (bce_grad(p_obj, obj_t) * p_obj * (1.0 - p_obj))[:, None]
         gz_pos = np.zeros_like(z_pos)
         gz_pos[:, cols["cls"]] = g_cls * p_cls * (1.0 - p_cls)

@@ -1,16 +1,18 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tactwin.assignment import (Assignment, PredictionField, bce, bce_grad,
-                                box_loss, loss_gradient, simota_assign,
+from tactwin.assignment import (_RAW_CLIP, Assignment, Positives, PositiveTerms,
+                                PredictionField, _decode_raw, bce, bce_grad, box_loss,
+                                loss_gradient, positive_targets, simota_assign,
                                 smooth_l1, smooth_l1_grad, total_loss)
 from tactwin.contact import GroundTruth
 from tactwin.encoding import build_region_grid, csl_encode
 from tactwin.errors import AssignmentError, ContractViolation
-from tactwin.geometry import OrientedBox, points_in_box
+from tactwin.geometry import OrientedBox, points_in_box, rotated_iou_pairs
 
 CLASSES = ["alpha", "beta"]
 
@@ -293,6 +295,46 @@ def _raw_for_box(field, cell, box):
     ])
 
 
+def fd_box_gradient(pos, box_raw, step):
+    """Frozen copy of the central-difference box gradient that the analytic
+    one replaced, kept as its oracle: d(1 - IoU^2) / d(raw box) from 10
+    decoded copies of each row."""
+    j = np.arange(5)
+    offsets = np.zeros((10, 5))
+    offsets[2 * j, j] = step
+    offsets[2 * j + 1, j] = -step
+    reps = (box_raw[:, None, :] + offsets[None, :, :]).reshape(-1, 5)
+    dec = _decode_raw(reps, np.repeat(pos.centers_mm, 10, axis=0),
+                      np.repeat(pos.strides_mm, 10))
+    fd = 1.0 - rotated_iou_pairs(dec, np.repeat(pos.boxes, 10, axis=0)) ** 2
+    fd = fd.reshape(-1, 5, 2)
+    return (fd[:, :, 0] - fd[:, :, 1]) / (2.0 * step)
+
+
+def box_terms(pos, box_raw):
+    """PositiveTerms of a box-only batch; the other terms are unused."""
+    n = box_raw.shape[0]
+    return PositiveTerms(pos, np.full((n, 2), 0.5), np.full((n, 180), 0.5),
+                         np.zeros(n), box_raw)
+
+
+def box_positives(centers, strides, boxes):
+    n = len(strides)
+    return Positives(np.arange(n), centers, strides, np.zeros((n, 2)),
+                     np.zeros((n, 180)), np.zeros(n), boxes)
+
+
+def one_sided_box_gradient(pos, box_raw, step, sign):
+    """Forward (sign 1) or backward (sign -1) differences of 1 - IoU^2."""
+    base = box_terms(pos, box_raw).iou
+    out = np.zeros_like(box_raw)
+    for j in range(5):
+        moved = box_raw.copy()
+        moved[:, j] += sign * step
+        out[:, j] = sign * ((1.0 - box_terms(pos, moved).iou ** 2) - (1.0 - base ** 2)) / step
+    return out
+
+
 class TestLossGradient:
     def test_bce_grad_reference(self):
         assert bce_grad(0.5, 1.0) == pytest.approx(-2.0)
@@ -317,7 +359,7 @@ class TestLossGradient:
             (field.cls, grad.cls, (int(pos[0]), 1)),
             (field.csl, grad.csl, (int(pos[0]), 42)),
             (field.force, grad.force, (int(pos[0]),)),
-        ]
+        ] + [(field.box_raw, grad.box_raw, (int(pos[0]), j)) for j in range(5)]
         for arr, garr, idx in checks:
             orig = arr[idx]
             arr[idx] = orig + h
@@ -329,15 +371,89 @@ class TestLossGradient:
             assert garr[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_box_term_step_consistency(self, rng):
+        # The analytic box gradient against the frozen central differences
+        # it replaced, at their default step and at ten times it.
         field = toy_field(rng)
         gts = random_scene(rng, 1)
         asn = simota_assign(field, gts, CLASSES)
-        g_small = loss_gradient(field, gts, asn, CLASSES, box_fd_step=1e-4)
-        g_large = loss_gradient(field, gts, asn, CLASSES, box_fd_step=1e-3)
-        pos = np.nonzero(asn.cell_to_gt >= 0)[0]
-        scale = max(np.abs(g_small.box_raw[pos]).max(), 1e-9)
-        rel = np.abs(g_small.box_raw[pos] - g_large.box_raw[pos]).max() / scale
-        assert rel < 1e-3
+        grad = loss_gradient(field, gts, asn, CLASSES)
+        targets = positive_targets(field, gts, asn, CLASSES)
+        pos = targets.cells
+        scale = max(np.abs(grad.box_raw[pos]).max(), 1e-9)
+        for step in (1e-4, 1e-3):
+            fd = fd_box_gradient(targets, field.box_raw[pos], step)
+            rel = np.abs(grad.box_raw[pos] - fd).max() / scale
+            assert rel < 1e-3
+
+    def test_box_chain_matches_central_differences(self, rng):
+        # Random positives near their ground truths over three strides,
+        # through offsets, log-sizes (some held by the clip) and angles
+        # outside [0, 180).
+        n = 400
+        strides = rng.choice([0.4, 0.8, 1.6], n)
+        centers = rng.uniform(-8.0, 8.0, (n, 2))
+        boxes = np.column_stack([centers + rng.normal(0.0, 1.0, (n, 2)) * strides[:, None],
+                                 strides[:, None] * rng.uniform(1.0, 6.0, (n, 2)),
+                                 rng.uniform(0.0, 180.0, n)])
+        raw = np.column_stack([rng.normal(0.0, 0.7, (n, 2)),
+                               np.log(boxes[:, 2:4] / strides[:, None])
+                               + rng.normal(0.0, 0.3, (n, 2)),
+                               boxes[:, 4] + rng.normal(0.0, 30.0, n) + 180.0 * rng.integers(-2, 3, n)])
+        raw[:20, 2] = _RAW_CLIP + 5.0
+        raw[20:40, 3] = -_RAW_CLIP - 5.0
+        pos = box_positives(centers, strides, boxes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box_terms(pos, raw).gradient()[3]
+        want = fd_box_gradient(pos, raw, 1e-6)
+        tol = 1e-6 * np.abs(want).max(axis=1, keepdims=True) + 1e-9
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(got[:20, 2] == 0.0) and np.all(got[20:40, 3] == 0.0)
+        assert (np.abs(got[40:]) > 0).all(axis=1).sum() > 200
+
+    def test_coincident_edges_follow_the_closed_convention(self):
+        # Identical boxes, axis-aligned and turned, decoded exactly: the size
+        # terms are backward differences (the edges move into the ground
+        # truth), and shift and turn cancel to 0. A box inside a twice-as-big
+        # ground truth that shares its right edge: the x offset and the width
+        # take backward differences, y and the angle central ones.
+        centers = np.array([[1.0, -2.0]] * 4)
+        strides = np.array([0.5, 1.0, 1.0, 0.5])
+        raw = np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.5, -0.25, 0.0, 0.3, 30.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0, 0.0]])
+        boxes = _decode_raw(raw, centers, strides)
+        outer = boxes[2:].copy()
+        outer[:, 0] -= outer[:, 2] / 2.0
+        outer[:, 2:4] *= 2.0
+        boxes[2:] = outer
+        pos = box_positives(centers, strides, boxes)
+        got = box_terms(pos, raw).gradient()[3]
+        step = 1e-7
+        backward = one_sided_box_gradient(pos, raw, step, -1)
+        forward = one_sided_box_gradient(pos, raw, step, 1)
+        central = (forward + backward) / 2.0
+        assert np.all(got[:2, [0, 1, 4]] == 0.0)
+        assert np.allclose(got[:2, 2:4], backward[:2, 2:4], rtol=1e-5)
+        assert np.allclose(got[:2, 2:4], -2.0, rtol=1e-12)
+        assert np.allclose(got[2:, [0, 2]], backward[2:, [0, 2]], rtol=1e-5, atol=1e-8)
+        assert np.allclose(got[2:, [1, 4]], central[2:, [1, 4]], rtol=1e-5, atol=1e-8)
+        assert not np.allclose(forward[2:, [0, 2]], backward[2:, [0, 2]], rtol=1e-2)
+
+    def test_disjoint_and_guarded_rows_are_exactly_zero(self, rng):
+        centers = rng.uniform(-8.0, 8.0, (6, 2))
+        strides = np.full(6, 0.8)
+        boxes = np.column_stack([centers, np.full((6, 2), 0.8), np.zeros(6)])
+        raw = np.zeros((6, 5))
+        raw[0, 0] = 10.0                 # disjoint
+        raw[1, 1] = -6.0                 # disjoint
+        raw[2, 0] = 1e300                # huge decoded centre
+        raw[3, 0], raw[4, 1] = math.inf, -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms = box_terms(box_positives(centers, strides, boxes), raw)
+            got = terms.gradient()[3]
+        assert np.all(terms.iou[:5] == 0.0) and np.all(got[:5] == 0.0)
+        assert terms.iou[5] == 1.0
 
     def test_zero_everywhere_without_gts(self):
         field = toy_field()

@@ -86,8 +86,26 @@ class TestGenerate:
         ('{"illumination": {"light_dirs": "x"}}', "light_dirs"),
         ('{"decode": {"template_forces": 3}}', "template_forces"),
         ('{"decode": {"threshold": "x"}}', "threshold"),
+        ('{"material": {"e_star": true}}', "material.e_star"),
+        ('{"material": {"e_star": "x"}}', "material.e_star"),
+        ('{"decode": {"merge_dist_mm": true}}', "decode.merge_dist_mm"),
+        ('{"sensor": {"scale_mm_per_px": "0.25"}}', "sensor.scale_mm_per_px"),
+        ('{"illumination": {"ambient": null}}', "illumination.ambient"),
+        ('{"illumination": {"light_dirs": [[0, 0, true]]}}', "illumination.light_dirs"),
+        ('{"decode": {"template_forces": [2, false]}}', "decode.template_forces"),
+        ('{"decode": {"canonical_size": 1.5}}', "decode.canonical_size"),
+        ('{"decode": {"canonical_size": 0}}', "decode.canonical_size"),
+        ('{"decode": {"min_area_mm2": -1}}', "decode.min_area_mm2"),
+        ('{"decode": {"merge_dist_mm": -0.5}}', "decode.merge_dist_mm"),
+        ('{"decode": {"denoise_sigma_mm": -0.1}}', "decode.denoise_sigma_mm"),
+        ('{"decode": {"noise_sigma": -0.02}}', "decode.noise_sigma"),
+        ('{"decode": {"rotation_step_deg": 0}}', "decode.rotation_step_deg"),
     ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
-            "template-forces-number", "threshold-string"])
+            "template-forces-number", "threshold-string", "e-star-bool", "e-star-string",
+            "merge-dist-bool", "scale-string", "ambient-null", "light-dirs-bool",
+            "template-forces-bool", "canonical-size-fraction", "canonical-size-zero",
+            "min-area-negative", "merge-dist-negative", "denoise-sigma-negative",
+            "noise-sigma-negative", "rotation-step-zero"])
     def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tactwin import geometry
 from tactwin.geometry import (MERGE_EPS, OrientedBox, angle_error, boxes_to_corners,
                               normalize_angle, points_in_box, rotated_iou,
-                              rotated_iou_pairs)
+                              rotated_iou_gradient, rotated_iou_pairs)
 
 
 def random_boxes(rng, n, span=5.0, size=(0.5, 8.0)):
@@ -581,6 +582,200 @@ class TestBatchedIoU:
             warnings.simplefilter("error")
             got = rotated_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5)))
         assert got.shape == (0,)
+
+
+def iou_differences(a, b, step):
+    """Central, forward and backward differences of ``rotated_iou_pairs`` in
+    the five parameters of each first box, each (N, 5)."""
+    base = rotated_iou_pairs(a, b)
+    up, down = [], []
+    for j in range(5):
+        e = np.zeros(5)
+        e[j] = step
+        up.append(rotated_iou_pairs(a + e, b))
+        down.append(rotated_iou_pairs(a - e, b))
+    up, down = np.stack(up, axis=1), np.stack(down, axis=1)
+    return (up - down) / (2.0 * step), (up - base[:, None]) / step, (base[:, None] - down) / step
+
+
+def assert_matches_differences(a, b, step, rtol=1e-6, tight_share=0.99):
+    """The analytic gradient equals central differences to rtol of each row's
+    largest entry plus the IoU's float noise over the step, in at least
+    tight_share of the entries. Every entry is allowed half the spread of the
+    one-sided differences on top: a kink within the step widens that spread,
+    and the analytic value is then one side's slope, half the spread from
+    the mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rotated_iou_gradient(a, b, rotated_iou_pairs(a, b))
+    central, forward, backward = iou_differences(a, b, step)
+    err = np.abs(got - central)
+    tol = rtol * np.abs(central).max(axis=1, keepdims=True) + 1e-14 / step
+    assert np.all(err <= tol + np.abs(forward - backward) / 2.0)
+    assert (err <= tol).mean() >= tight_share
+    return got
+
+
+def exact_clip(subject, clip):
+    """Sutherland-Hodgman clip of one quad by another in exact rational
+    arithmetic, with no tolerance: a point on a clip edge is inside."""
+    out = subject
+    for k in range(4):
+        (ax, ay), (bx, by) = clip[k], clip[(k + 1) % 4]
+        pts, out = out, []
+        for i, cur in enumerate(pts):
+            prev = pts[i - 1]
+            ps = (bx - ax) * (prev[1] - ay) - (by - ay) * (prev[0] - ax)
+            cs = (bx - ax) * (cur[1] - ay) - (by - ay) * (cur[0] - ax)
+            if (ps >= 0) != (cs >= 0):
+                t = ps / (ps - cs)
+                out.append((prev[0] + t * (cur[0] - prev[0]),
+                            prev[1] + t * (cur[1] - prev[1])))
+            if cs >= 0:
+                out.append(cur)
+    return out
+
+
+def exact_area(poly):
+    n = len(poly)
+    if n < 3:
+        return Fraction(0)
+    return sum(poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
+               for i in range(n)) / 2
+
+
+def exact_central_differences(a, b, step=Fraction(1, 10 ** 12)):
+    """Central differences of the IoU in the five parameters of each first
+    box, in exact arithmetic on the float corners: each corner moves by
+    step times its velocity for that parameter. Free of the float clip's
+    tolerance, so a step far below any edge gap is usable."""
+    out = np.zeros_like(a)
+    for r, (pa, pb) in enumerate(zip(boxes_to_corners(a), boxes_to_corners(b))):
+        t = math.radians(a[r, 4])
+        along, across = np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)])
+        rel = pa - a[r, :2]
+        velocities = [np.tile([1.0, 0.0], (4, 1)), np.tile([0.0, 1.0], (4, 1)),
+                      np.sign(rel @ along)[:, None] * along / 2.0,
+                      np.sign(rel @ across)[:, None] * across / 2.0,
+                      np.column_stack([-rel[:, 1], rel[:, 0]]) * (math.pi / 180.0)]
+        clip = [tuple(map(Fraction, p)) for p in pb]
+        for j, vel in enumerate(velocities):
+            ious = []
+            for sign in (1, -1):
+                moved = [tuple(Fraction(x) + sign * step * Fraction(v) for x, v in zip(p, pv))
+                         for p, pv in zip(pa, vel)]
+                inter = exact_area(exact_clip(moved, clip))
+                ious.append(inter / (exact_area(moved) + exact_area(clip) - inter))
+            out[r, j] = float((ious[0] - ious[1]) / (2 * step))
+    return out
+
+
+def rotate_pairs(rng, a, b):
+    """The same pairs turned about the origin by one random angle per row."""
+    phi = rng.uniform(0.0, 180.0, a.shape[0])
+    c, s = np.cos(np.radians(phi)), np.sin(np.radians(phi))
+
+    def turn(boxes):
+        out = boxes.copy()
+        out[:, 0] = c * boxes[:, 0] - s * boxes[:, 1]
+        out[:, 1] = s * boxes[:, 0] + c * boxes[:, 1]
+        out[:, 4] = (boxes[:, 4] + phi) % 180.0
+        return out
+
+    return turn(a), turn(b)
+
+
+class TestIoUGradient:
+    """``rotated_iou_gradient`` against differences of ``rotated_iou_pairs``."""
+
+    def test_random_pairs(self, rng):
+        a, b = random_boxes(rng, 3000, span=3.0), random_boxes(rng, 3000, span=3.0)
+        got = assert_matches_differences(a, b, 1e-6)
+        assert (got != 0).any(axis=1).sum() > 1000
+
+    def test_containment(self, rng):
+        # The second box holds the first with a margin of at least 0.05 mm,
+        # or the other way round.
+        outer = random_boxes(rng, 500, size=(4.0, 8.0))
+        inner = outer.copy()
+        inner[:, 2:4] = outer[:, 2:4] * rng.uniform(0.1, 0.5, (500, 2))
+        room = (outer[:, 2:4] - inner[:, 2:4]) / 2.0 - 0.05
+        u, v = (rng.uniform(-1.0, 1.0, (500, 2)) * room).T
+        t = np.radians(outer[:, 4])
+        inner[:, 0] += u * np.cos(t) - v * np.sin(t)
+        inner[:, 1] += u * np.sin(t) + v * np.cos(t)
+        held = assert_matches_differences(inner, outer, 1e-6)
+        holding = assert_matches_differences(outer, inner, 1e-6)
+        # A held box's boundary is all inside: only its own area moves the IoU.
+        assert np.all(held[:, [0, 1, 4]] == 0.0)
+        iou = rotated_iou_pairs(outer, inner)
+        area = outer[:, 2] * outer[:, 3]
+        assert np.allclose(holding[:, 2], -iou * outer[:, 3] / area, rtol=1e-12)
+
+    def test_swapped_representation(self, rng):
+        # (w, h, theta) and (h, w, theta + 90) are one box: the gradient
+        # agrees, with the w and h columns swapped.
+        a, b = random_boxes(rng, 1000, span=3.0), random_boxes(rng, 1000, span=3.0)
+        swapped = np.column_stack([a[:, 0], a[:, 1], a[:, 3], a[:, 2],
+                                   (a[:, 4] + 90.0) % 180.0])
+        got = assert_matches_differences(swapped, b, 1e-6)
+        plain = rotated_iou_gradient(a, b, rotated_iou_pairs(a, b))
+        assert np.allclose(got, plain[:, [0, 1, 3, 2, 4]], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("gap", [-1e-3, -1e-4, -1e-5, 1e-5, 1e-3])
+    @pytest.mark.parametrize("touch", ["edge", "corner"])
+    def test_touching_pairs(self, rng, touch, gap):
+        # Parallel boxes side by side, or corner to corner, overlapping
+        # (gap < 0) or apart by more than the step; turned as a whole.
+        a, b = random_boxes(rng, 400), random_boxes(rng, 400)
+        a[:, 4] = b[:, 4] = 0.0
+        b[:, 0] = a[:, 0] + (a[:, 2] + b[:, 2]) / 2.0 + gap
+        b[:, 1] = a[:, 1]
+        if touch == "corner":
+            b[:, 1] += (a[:, 3] + b[:, 3]) / 2.0 + gap
+        a, b = rotate_pairs(rng, a, b)
+        got = assert_matches_differences(a, b, 1e-6)
+        if gap > 0:
+            assert np.all(got == 0.0)
+        else:
+            assert np.all(got[:, 0] != 0.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4, 1e-3])
+    def test_near_identical_pairs(self, rng, eps):
+        # Edges lie within eps of each other, closer than the float clip's
+        # tolerance lets a float difference resolve: compare with exact ones.
+        a = random_boxes(rng, 40)
+        b = a + rng.uniform(-eps, eps, a.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotated_iou_gradient(a, b, rotated_iou_pairs(a, b))
+        want = exact_central_differences(a, b)
+        assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want).max(axis=1, keepdims=True))
+        assert np.all(np.abs(got[:, 2:4]) > 0)
+
+    def test_disjoint_and_guarded_pairs_are_exactly_zero(self, rng):
+        inf = math.inf
+        a, b = random_boxes(rng, 300), random_boxes(rng, 300)
+        b[:100] = a[:100] + np.array([40.0, -25.0, 0.0, 0.0, 0.0])
+        a[100], a[101, 0], a[102, 1] = [1e308, 0, 2, 2, 10], inf, -inf
+        a[103, 0] = 1e300    # guarded: more than twice the reach apart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iou = rotated_iou_pairs(a, b)
+            got = rotated_iou_gradient(a, b, iou)
+        assert np.all(iou[:104] == 0.0) and np.all(got[:104] == 0.0)
+        assert (got[104:] != 0).any()
+
+    def test_coincident_edges_follow_the_closed_convention(self):
+        # Identical boxes: every edge lies on the other box's boundary. The
+        # size terms are those of shrinking (the edges move inside); shift
+        # and turn move coincident edges both ways and cancel to 0.
+        box = np.array([[0.5, -0.25, 2.0, 3.0, 0.0], [1.0, 2.0, 1.5, 0.5, 30.0]])
+        got = rotated_iou_gradient(box, box, rotated_iou_pairs(box, box))
+        _, _, backward = iou_differences(box, box, 1e-7)
+        assert np.all(got[:, [0, 1, 4]] == 0.0)
+        assert np.allclose(got[:, 2:4], backward[:, 2:4], rtol=1e-6)
+        assert np.allclose(got[:, 2:4], 1.0 / box[:, 2:4], rtol=1e-12)
 
 
 class TestPointsInBox:

@@ -11,9 +11,8 @@ from .assignment import (Assignment, LossBreakdown, PredictionField, bce,
                          box_loss, loss_gradient, simota_assign, smooth_l1,
                          total_loss)
 from .contact import (ContactScenario, FootprintProbe, GroundTruth,
-                      HeightField, MaterialParams, SphereProbe, StripProbe,
-                      ground_truth, height_field, hertz_indentation,
-                      punch_indentation)
+                      HeightField, MaterialParams, SphereProbe, ground_truth,
+                      height_field, hertz_indentation, punch_indentation)
 from .dataset import DatasetSpec, generate_dataset, read_pgm, write_pgm
 from .decoder import (Blob, CalibrationTable, DecodeConfig, Detection,
                       TactileDecoder, TemplateLibrary, build_calibration,

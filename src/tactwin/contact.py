@@ -1,13 +1,13 @@
 """Contact mechanics and membrane deformation for the simulated sensor.
 
 Spherical probes indent following Hertz theory, F = (4/3) E* sqrt(R) d^(3/2)
-with contact radius a = sqrt(R d). Flat probes (strips and arbitrary
-footprints) use the circular flat-punch stiffness with an equivalent radius,
+with contact radius a = sqrt(R d). Flat probes, each a binary footprint
+stencil, use the circular flat-punch stiffness with an equivalent radius,
 d = F / (2 E* sqrt(A / pi)). Outside the contact region the membrane height
 decays as a Gaussian of the distance to the contact boundary.
 
-Every probe kind (``SphereProbe``, ``StripProbe``, ``FootprintProbe``) owns
-the facts its callers need, so no caller asks which kind it holds:
+Both probe kinds, ``SphereProbe`` and ``FootprintProbe``, own the facts
+their callers need, so no caller asks which kind it holds:
 
 - ``class_name`` and ``label``, the class and its calibration variant;
 - ``reach_mm(force_n, e_star)``, the farthest contact point from the probe
@@ -95,41 +95,6 @@ class SphereProbe:
         return {"kind": "sphere", "diameter_mm": self.diameter_mm}
 
 
-@dataclass(frozen=True)
-class StripProbe:
-    length_mm: float
-    width_mm: float
-
-    def __post_init__(self):
-        if not (self.length_mm > 0 and self.width_mm > 0):
-            raise ConfigError("strip dimensions must be > 0")
-
-    @property
-    def class_name(self) -> str:
-        return "strip"
-
-    @property
-    def label(self) -> str:
-        return f"strip_{self.length_mm:g}x{self.width_mm:g}"
-
-    @property
-    def area_mm2(self) -> float:
-        return self.length_mm * self.width_mm
-
-    def reach_mm(self, force_n: float, e_star: float) -> float:
-        """Half-diagonal; a flat probe's contact does not grow with load."""
-        return math.hypot(self.length_mm, self.width_mm) / 2.0
-
-    def contact_mask(self, u, v, force_n: float, e_star: float):
-        return (np.abs(u) <= self.length_mm / 2.0) & (np.abs(v) <= self.width_mm / 2.0)
-
-    def box_mm(self, force_n: float, e_star: float) -> tuple:
-        return 0.0, 0.0, self.length_mm, self.width_mm
-
-    def params(self) -> dict:
-        return {"kind": "strip", "length_mm": self.length_mm, "width_mm": self.width_mm}
-
-
 @dataclass(frozen=True, eq=False)
 class FootprintProbe:
     """Flat probe with an arbitrary binary stencil (True = contact).
@@ -213,7 +178,7 @@ class FootprintProbe:
         }
 
 
-Probe = SphereProbe | StripProbe | FootprintProbe
+Probe = SphereProbe | FootprintProbe
 
 
 @dataclass(frozen=True)

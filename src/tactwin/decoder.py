@@ -3,11 +3,14 @@
 Pipeline: difference against the flat reference, denoise, threshold into
 blobs, estimate pose from second moments, classify by rotation- and
 scale-normalized mask correlation against forward-model templates, and invert
-a per-class force calibration table (area first, edge contrast to pick among
-probe-size variants whose areas overlap). Detection boxes come from weighted
-percentile extents along the principal axes, rescaled by the calibration's
-measured-vs-true box ratio so they track the contact footprint rather than
-the wider deviation band.
+a per-class force calibration table (one weighted fit of area, edge contrast
+and deviation energy over every probe-size variant). The energy, the integral
+of |dev| over the blob, is the observable calibration requires to rise
+strictly with force: a flat punch's depth grows with the load while its
+footprint, and so most of its area, stays put. Detection boxes come from
+weighted percentile extents along the principal axes, rescaled by the
+calibration's measured-vs-true box ratio so they track the contact footprint
+rather than the wider deviation band.
 
 Every measurement filters and labels only G: the smallest rectangle W that
 holds every pixel where the image differs from the reference (any rectangle
@@ -63,10 +66,11 @@ class DecodeConfig:
 
     def __post_init__(self):
         # Kinds are checked where a config is read (cli._check_section).
-        for name in ("canonical_size", "rotation_step_deg", "noise_sigma",
-                     "denoise_sigma_mm", "min_area_mm2", "merge_dist_mm"):
+        positives = ("canonical_size", "canonical_pad", "rotation_step_deg")
+        for name in positives + ("noise_sigma", "denoise_sigma_mm", "min_area_mm2",
+                                 "merge_dist_mm", "low_eccentricity"):
             value = getattr(self, name)
-            positive = name in ("canonical_size", "rotation_step_deg")
+            positive = name in positives
             if not (value > 0 if positive else value >= 0):
                 raise ConfigError(f"decode.{name} must be {'> 0' if positive else '>= 0'}, "
                                   f"got {value!r}")
@@ -374,9 +378,10 @@ class CalibrationCurve:
 
     label: str
     forces: np.ndarray
-    areas: np.ndarray           # strictly increasing past the zero row
+    areas: np.ndarray           # blob area, mm^2; may stall for a flat punch
     contrasts: np.ndarray
-    energies: np.ndarray        # integrated |dev| per blob, intensity mm^2
+    energies: np.ndarray        # integrated |dev| per blob, intensity mm^2;
+                                # strictly increasing
     raw_ws: np.ndarray          # measured box extents before correction
     raw_hs: np.ndarray
     gt_ws: np.ndarray
@@ -498,9 +503,9 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
                       forces=CALIBRATION_FORCES) -> CalibrationTable:
     """Sweep the forward model over a force grid for each probe variant.
 
-    Raises CalibrationError if the measured area is not strictly increasing;
-    a non-monotone sweep means the simulator configuration cannot support
-    inverse force lookup.
+    Raises CalibrationError if the blob vanishes above the visibility floor or
+    its deviation energy is not strictly increasing in force; such a sweep
+    cannot be inverted for force. The area need not rise.
     """
     reference = make_reference(sensor, illum)
     curves = []
@@ -539,21 +544,21 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             raise CalibrationError(
                 f"{class_name} ({probe.label}): no force in the grid "
                 "produces a detectable signature")
-        areas = np.array(rows["area"])
-        drops = np.flatnonzero(np.diff(areas) <= 0)
+        energies = np.array(rows["energy"])
+        drops = np.flatnonzero(np.diff(energies) <= 0)
         if drops.size:
             i = drops[0]
             f0, f1 = rows["force"][i], rows["force"][i + 1]
             raise CalibrationError(
-                f"{class_name} ({probe.label}): deviation area is not "
-                f"strictly increasing in force: {areas[i + 1]:.10g} mm^2 at "
-                f"{f1:g} N after {areas[i]:.10g} mm^2 at {f0:g} N")
+                f"{class_name} ({probe.label}): deviation energy is not "
+                f"strictly increasing in force: {energies[i + 1]:.10g} at "
+                f"{f1:g} N after {energies[i]:.10g} at {f0:g} N")
         curves.append(CalibrationCurve(
             label=probe.label,
             forces=np.array(rows["force"]),
-            areas=areas,
+            areas=np.array(rows["area"]),
             contrasts=np.array(rows["contrast"]),
-            energies=np.array(rows["energy"]),
+            energies=energies,
             raw_ws=np.array(rows["raw_w"]),
             raw_hs=np.array(rows["raw_h"]),
             gt_ws=np.array(rows["gt_w"]),
@@ -563,9 +568,8 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
                             params_hash=params_hash(material, illum, sensor, cfg))
 
 
-_LOG_CONTRAST_FLOOR = 0.002
-# Observable scales for the weighted refinement: an absolute floor plus a
-# relative term that absorbs rotation/discretization transfer error.
+# Observable scales for the weighted fit: an absolute floor plus a relative
+# term that absorbs rotation/discretization transfer error.
 _AREA_SCALE = (0.5, 0.01)        # mm^2 floor, relative
 _CONTRAST_SCALE = (0.002, 0.05)  # intensity floor, relative
 _ENERGY_SCALE = (0.02, 0.015)    # intensity mm^2 floor, relative
@@ -574,36 +578,33 @@ _ENERGY_SCALE = (0.02, 0.015)    # intensity mm^2 floor, relative
 def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> ForceEstimate:
     """Invert the force calibration for a blob of a known class.
 
-    Area is inverted on each variant's monotone curve and edge contrast picks
-    the variant (two probe sizes can share an area). The force is then read
-    off a sensitivity-weighted fit of area, contrast, and integrated
-    deviation over the variant's full curve, so each observable contributes
-    only where its curve actually moves. Clamped to the calibrated range.
+    The force and the probe-size variant are the pair whose calibrated area,
+    edge contrast and deviation energy fit the blob's best, in a
+    sensitivity-weighted least-squares sense over each variant's full curve;
+    each observable contributes only where its curve actually moves. Area and
+    contrast tell two probe sizes of one energy apart. Clamped to the
+    calibrated range; an energy more than 2 % past the top of the chosen
+    curve is flagged out of range.
     """
     if table.class_name != class_name:
         raise CalibrationError(
             f"calibration table is for {table.class_name!r}, not {class_name!r}")
-    best = None
-    for curve in table.curves:
-        f_area = float(np.interp(blob.area_mm2, curve.areas, curve.forces))
-        c_pred = float(np.interp(f_area, curve.forces, curve.contrasts))
-        resid = abs(math.log((c_pred + _LOG_CONTRAST_FLOOR)
-                             / (blob.edge_contrast + _LOG_CONTRAST_FLOOR)))
-        if best is None or resid < best[0]:
-            best = (resid, curve, f_area)
-    _, curve, f_area = best
-    grid = np.linspace(float(curve.forces[0]), float(curve.forces[-1]), 401)
-    areas = np.interp(grid, curve.forces, curve.areas)
-    contrasts = np.interp(grid, curve.forces, curve.contrasts)
-    energies = np.interp(grid, curve.forces, curve.energies)
     s_a = _AREA_SCALE[0] + _AREA_SCALE[1] * blob.area_mm2
     s_c = _CONTRAST_SCALE[0] + _CONTRAST_SCALE[1] * blob.edge_contrast
     s_e = _ENERGY_SCALE[0] + _ENERGY_SCALE[1] * blob.deviation_integral
-    resid = (((areas - blob.area_mm2) / s_a) ** 2
-             + ((contrasts - blob.edge_contrast) / s_c) ** 2
-             + ((energies - blob.deviation_integral) / s_e) ** 2)
-    force = float(grid[int(np.argmin(resid))])
-    out_of_range = blob.area_mm2 > float(curve.areas[-1]) * 1.02
+    best = None
+    for curve in table.curves:
+        grid = np.linspace(float(curve.forces[0]), float(curve.forces[-1]), 401)
+        resid = (((np.interp(grid, curve.forces, curve.areas) - blob.area_mm2) / s_a) ** 2
+                 + ((np.interp(grid, curve.forces, curve.contrasts)
+                     - blob.edge_contrast) / s_c) ** 2
+                 + ((np.interp(grid, curve.forces, curve.energies)
+                     - blob.deviation_integral) / s_e) ** 2)
+        k = int(np.argmin(resid))
+        if best is None or resid[k] < best[0]:
+            best = (resid[k], float(grid[k]), curve)
+    _, force, curve = best
+    out_of_range = blob.deviation_integral > float(curve.energies[-1]) * 1.02
     return ForceEstimate(force_n=min(max(force, 0.0), float(curve.forces[-1])),
                          variant_label=curve.label,
                          out_of_range=out_of_range)

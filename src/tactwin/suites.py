@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .contact import (ContactScenario, FootprintProbe, Probe, SphereProbe,
-                      StripProbe)
+from .contact import ContactScenario, FootprintProbe, Probe, SphereProbe
 from .errors import ConfigError
 from .frames import SensorConfig
 
@@ -85,10 +84,6 @@ def sphere_probes() -> list[Probe]:
     return [SphereProbe(d) for d in SPHERE_DIAMETERS_MM]
 
 
-def strip_probe() -> Probe:
-    return StripProbe(20.0, 4.0)
-
-
 def screw_part_probes() -> list[Probe]:
     """Four screw-grasp contact parts as footprint stencils."""
     s = STENCIL_SCALE_MM
@@ -101,9 +96,11 @@ def screw_part_probes() -> list[Probe]:
 
 
 def roundtrip_probes() -> list[Probe]:
-    """Mixed library: five sphere sizes (one class), strip, five footprints."""
-    punches = [p for p in footprint_probes() if p.class_name != "strip"]
-    return sphere_probes() + [strip_probe()] + punches
+    """Mixed library: five sphere sizes (one class), then the six footprints
+    with the strip first, at draw index 5 as in earlier roundtrip datasets."""
+    punches = footprint_probes()
+    strip = [p for p in punches if p.class_name == "strip"]
+    return sphere_probes() + strip + [p for p in punches if p.class_name != "strip"]
 
 
 SUITES = {

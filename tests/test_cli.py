@@ -100,12 +100,15 @@ class TestGenerate:
         ('{"decode": {"denoise_sigma_mm": -0.1}}', "decode.denoise_sigma_mm"),
         ('{"decode": {"noise_sigma": -0.02}}', "decode.noise_sigma"),
         ('{"decode": {"rotation_step_deg": 0}}', "decode.rotation_step_deg"),
+        ('{"decode": {"canonical_pad": -1}}', "decode.canonical_pad"),
+        ('{"decode": {"low_eccentricity": -0.05}}', "decode.low_eccentricity"),
     ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
             "template-forces-number", "threshold-string", "e-star-bool", "e-star-string",
             "merge-dist-bool", "scale-string", "ambient-null", "light-dirs-bool",
             "template-forces-bool", "canonical-size-fraction", "canonical-size-zero",
             "min-area-negative", "merge-dist-negative", "denoise-sigma-negative",
-            "noise-sigma-negative", "rotation-step-zero"])
+            "noise-sigma-negative", "rotation-step-zero", "canonical-pad-negative",
+            "low-eccentricity-negative"])
     def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)

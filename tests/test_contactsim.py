@@ -5,20 +5,21 @@ import pytest
 from scipy import ndimage
 
 from tactwin.contact import (ContactScenario, FootprintProbe, MaterialParams,
-                             SphereProbe, StripProbe, ground_truth,
-                             height_field, hertz_indentation,
-                             punch_indentation)
+                             SphereProbe, ground_truth, height_field,
+                             hertz_indentation, punch_indentation)
 from tactwin.errors import ConfigError, ScenarioError
 from tactwin.frames import SensorConfig, pixel_centers_mm
 from tactwin.render import (IlluminationModel, baseline_intensity,
                             contact_band_contrast, deviation_area_mm2,
                             make_reference, render, resolution_sweep,
                             ring_lights, simulate)
-from tactwin.suites import (SUITES, footprint_probes, sample_scenario,
-                            stencil_circle, stencil_strip)
+from tactwin.suites import (STENCIL_SCALE_MM, SUITES, footprint_probes,
+                            sample_scenario, stencil_circle, stencil_strip)
 
 # 160 px over the standard 32 mm active area.
 SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
+# The strip of the roundtrip and six-footprint suites.
+STRIP = FootprintProbe("strip", stencil_strip(20.0, 4.0), STENCIL_SCALE_MM)
 
 
 def frozen_band_contrast(scenario, material, illum, sensor, band_mm=0.5):
@@ -105,7 +106,7 @@ class TestHeightField:
         assert np.abs(gy).max() < 60 and np.abs(gx).max() < 60
 
     def test_strip_moment_axis(self, material, sensor):
-        sc = ContactScenario(StripProbe(20, 4), 0, 0, 30, 3.0)
+        sc = ContactScenario(STRIP, 0, 0, 30, 3.0)
         hf = height_field(sc, material, sensor)
         X, Y = pixel_centers_mm(sensor)
         w = hf.z
@@ -161,10 +162,10 @@ class TestHeightField:
         assert hf.max_depth == pytest.approx(d, rel=1e-9)
 
     @pytest.mark.parametrize("probe", [
-        StripProbe(10.0, 0.05), FootprintProbe("strip", stencil_strip(10.0, 0.05), 0.1),
-    ], ids=["strip", "footprint"])
+        FootprintProbe("strip", stencil_strip(10.0, 0.05), 0.1),
+    ], ids=["footprint"])
     def test_punch_between_pixel_centres_rejected(self, probe, material):
-        # 0.05 mm wide and centred on the boundary between two pixel rows:
+        # 0.1 mm wide and centred on the boundary between two pixel rows:
         # no pixel centre of the 160 px raster lies on the contact.
         with pytest.raises(ScenarioError, match="covers no pixel"):
             height_field(ContactScenario(probe, 0, 0, 0, 1.0), material, SENSOR_160)
@@ -260,9 +261,10 @@ class TestSimulate:
         assert (gt.box.cx, gt.box.cy) == (-2, 4)
 
     def test_strip_label_passthrough(self, material, illum, sensor):
-        sc = ContactScenario(StripProbe(20, 4), 0, 0, 45, 3.0)
+        sc = ContactScenario(STRIP, 0, 0, 45, 3.0)
         _, gt = simulate(sc, material, illum, sensor)
-        assert (gt.box.w, gt.box.h, gt.theta_deg) == (20, 4, 45)
+        # 201 x 41 stencil cells of 0.1 mm
+        assert (gt.box.w, gt.box.h, gt.theta_deg) == (201 * 0.1, 41 * 0.1, 45)
         assert gt.class_name == "strip" and gt.force_n == 3.0
 
     def test_noise_clamped(self, material, illum, small_sensor):

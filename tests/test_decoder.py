@@ -1,21 +1,30 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tactwin import contact
-from tactwin.contact import ContactScenario, SphereProbe, StripProbe
+from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
                              TemplateLibrary, build_calibration, build_decoder,
                              classify, difference_image, estimate_force,
                              estimate_pose, extract_blobs, params_hash)
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
+from tactwin.frames import SensorConfig
+from tactwin.metrics import evaluate_detections
 from tactwin.render import make_reference, simulate
-from tactwin.suites import roundtrip_probes, screw_part_probes
+from tactwin.suites import (STENCIL_SCALE_MM, SUITES, roundtrip_probes,
+                            screw_part_probes, stencil_strip)
+
+from test_acceptance import SCREW_FORCE_TARGETS, run_suite
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+# The strip of the roundtrip and six-footprint suites.
+STRIP = FootprintProbe("strip", stencil_strip(20.0, 4.0), STENCIL_SCALE_MM)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +39,7 @@ def reference(sensor, illum):
 
 @pytest.fixture(scope="module")
 def small_decoder(material, illum, sensor, cfg):
-    probes = [SphereProbe(10.0), StripProbe(20.0, 4.0)]
+    probes = [SphereProbe(10.0), STRIP]
     return build_decoder(probes, material, illum, sensor, cfg)
 
 
@@ -110,7 +119,7 @@ class TestExtractBlobs:
 
 class TestEstimatePose:
     def test_strip_angle(self, material, illum, sensor, reference, cfg):
-        sc = ContactScenario(StripProbe(20, 4), 0, 0, 30, 3.0)
+        sc = ContactScenario(STRIP, 0, 0, 30, 3.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
         pose = estimate_pose(blob)
@@ -118,7 +127,7 @@ class TestEstimatePose:
         assert pose.theta_deg == pytest.approx(30.0, abs=0.5)
 
     def test_axis_aligned_strip(self, material, illum, sensor, reference, cfg):
-        sc = ContactScenario(StripProbe(20, 4), 0, 0, 0, 3.0)
+        sc = ContactScenario(STRIP, 0, 0, 0, 3.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
         pose = estimate_pose(blob)
@@ -145,7 +154,7 @@ class TestClassify:
 
     def test_strip_beats_sphere(self, small_decoder, material, illum, sensor,
                                 reference, cfg):
-        sc = ContactScenario(StripProbe(20, 4), 0, 0, 40, 4.0)
+        sc = ContactScenario(STRIP, 0, 0, 40, 4.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
         cls, score = classify(blob, small_decoder.templates,
@@ -168,29 +177,40 @@ class TestCalibration:
         assert curve.forces[0] == 0.0 and curve.areas[0] == 0.0
 
     def test_strictly_increasing_area(self, small_decoder):
+        # Energy is the strict observable; the strip's area may stall.
         for table in small_decoder.calibrations.values():
             for curve in table.curves:
-                assert np.all(np.diff(curve.areas) > 0)
+                assert np.all(np.diff(curve.energies) > 0)
 
     def test_non_increasing_area_names_the_forces(self, material, illum, sensor):
-        # At noise 0 and 640 px the screw body's deviation area is 74.1 mm^2
-        # at both 8.25 and 8.5 N.
+        # A descending force grid makes the screw body's energy fall.
         body = next(p for p in screw_part_probes() if p.class_name == "body")
-        with pytest.raises(CalibrationError) as err:
-            build_decoder([body], material, illum, sensor, DecodeConfig(noise_sigma=0.0))
+        with pytest.raises(CalibrationError) as err, contact.punch_profile_memo():
+            build_calibration("body", [body], material, illum, sensor,
+                              DecodeConfig(noise_sigma=0.0), forces=(8.5, 8.25))
         message = str(err.value)
-        assert "deviation area is not strictly increasing in force" in message
-        assert message.endswith("74.1 mm^2 at 8.5 N after 74.1 mm^2 at 8.25 N")
+        assert "deviation energy is not strictly increasing in force" in message
+        assert re.search(r": [0-9.]+ at 8.25 N after [0-9.]+ at 8.5 N$", message)
         assert contact._PROFILE_MEMO.get() is None
 
     def test_roundtrip_strip_calibrates_at_noise_0(self, material, illum, sensor):
-        # The reason the roundtrip suite keeps StripProbe: the six-footprint
-        # suite's stencil strip of the same size fails this sweep, its area
-        # flat at 84 mm^2 from 8.25 to 8.5 N.
+        # The strip's area is flat at 84 mm^2 from 8.25 to 8.5 N; its energy
+        # still rises, and only the energy has to.
         strip = [p for p in roundtrip_probes() if p.class_name == "strip"]
         table = build_calibration("strip", strip, material, illum, sensor,
                                   DecodeConfig(noise_sigma=0.0))
-        assert [c.label for c in table.curves] == ["strip_20x4"]
+        assert [c.label for c in table.curves] == ["strip"]
+        curve = table.curves[0]
+        k = list(curve.forces).index(8.25)
+        assert curve.areas[k] == curve.areas[k + 1]
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_every_suite_calibrates_at_160px(self, suite, noise, material, illum):
+        probes = SUITES[suite]()
+        decoder = build_decoder(probes, material, illum, SensorConfig(160, 0.2),
+                                DecodeConfig(noise_sigma=noise))
+        assert sorted(decoder.calibrations) == sorted({p.class_name for p in probes})
 
     def test_stale_hash_rejected(self, material, illum, sensor, cfg,
                                  small_decoder):
@@ -267,6 +287,39 @@ class TestForceRoundTrip:
         assert est.out_of_range
         assert est.force_n == 10.0
 
+    def test_out_of_range_punch_flagged_by_energy(self, small_decoder):
+        # A punch's footprint does not grow past the top force; its
+        # deviation energy does.
+        table = small_decoder.calibrations["strip"]
+        curve = table.curves[0]
+        blob = _FakeBlob(area=float(curve.areas[-1]),
+                         contrast=float(curve.contrasts[-1]),
+                         energy=float(curve.energies[-1]) * 1.05)
+        est = estimate_force(blob, "strip", table)
+        assert est.out_of_range
+        assert est.force_n == 10.0
+
+
+class TestScrewNoiseless:
+    def test_criterion_9_bounds_at_noise_0(self, material, illum, sensor):
+        # Criterion 9's per-part force bounds and recall, on noise-free images.
+        decoder = build_decoder(screw_part_probes(), material, illum, sensor,
+                                DecodeConfig(noise_sigma=0.0))
+        samples = run_suite(decoder, screw_part_probes(), 200, 0.0, seed=9,
+                            material=material, illum=illum, sensor=sensor)
+        classes = sorted(SCREW_FORCE_TARGETS)
+        errors = {c: [] for c in classes}
+        for dets, (gt,) in samples:
+            if dets:
+                errors[gt.class_name].append(abs(dets[0].force_n - gt.force_n))
+        maes = {c: float(np.mean(errors[c])) for c in classes}
+        report = evaluate_detections(samples, classes)
+        recalls = {c: report.per_class[c]["recall"] for c in classes}
+        print(f"screw at noise 0: MAE {maes}, recall {recalls}")
+        for c in classes:
+            assert maes[c] <= SCREW_FORCE_TARGETS[c] + 0.05, (c, maes[c])
+            assert recalls[c] is not None and recalls[c] >= 0.95, (c, recalls[c])
+
 
 class _FakeBlob:
     def __init__(self, area, contrast, energy):
@@ -287,10 +340,10 @@ class TestDecode:
 
     def test_translation_equivariance(self, small_decoder, material, illum,
                                       sensor):
-        base = ContactScenario(StripProbe(20, 4), 0, 0, 20, 3.0)
+        base = ContactScenario(STRIP, 0, 0, 20, 3.0)
         img, _ = simulate(base, material, illum, sensor)
         d0 = small_decoder.decode(img)[0]
-        shifted = ContactScenario(StripProbe(20, 4), 2.0, -1.5, 20, 3.0)
+        shifted = ContactScenario(STRIP, 2.0, -1.5, 20, 3.0)
         img2, _ = simulate(shifted, material, illum, sensor)
         d1 = small_decoder.decode(img2)[0]
         px = sensor.scale_mm_per_px
@@ -300,7 +353,7 @@ class TestDecode:
     def test_rotation_consistency(self, small_decoder, material, illum, sensor):
         thetas = []
         for delta in (0.0, 23.0, 77.0, 141.0):
-            sc = ContactScenario(StripProbe(20, 4), 0, 0, delta, 3.0)
+            sc = ContactScenario(STRIP, 0, 0, delta, 3.0)
             img, _ = simulate(sc, material, illum, sensor)
             det = small_decoder.decode(img)[0]
             from tactwin.geometry import angle_error

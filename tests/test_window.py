@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from tactwin.contact import ContactScenario, SphereProbe, StripProbe, height_field
+from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe, height_field
 from tactwin.dataset import DatasetSpec, sample_for_index
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
@@ -27,7 +27,7 @@ from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
 from tactwin.render import (IlluminationModel, TactileImage, _shade,
                             contact_window, make_reference, resolution_sweep,
                             ring_lights, simulate)
-from tactwin.suites import SUITES, footprint_probes
+from tactwin.suites import STENCIL_SCALE_MM, SUITES, footprint_probes, stencil_strip
 
 # 160 px over the standard 32 mm active area: windows reach the raster edge
 # for edge-placed contacts and for the largest probes' calibration windows.
@@ -179,7 +179,8 @@ class TestMeasurementWindow:
 
     @pytest.mark.parametrize("scenario, corner", [
         (ContactScenario(SphereProbe(10.0), -12.0, -12.0, 0.0, 5.0), (0, 0)),
-        (ContactScenario(StripProbe(8.0, 3.0), 11.0, 11.0, 30.0, 8.0), (160, 160)),
+        (ContactScenario(FootprintProbe("strip", stencil_strip(8.0, 3.0), STENCIL_SCALE_MM),
+                         11.0, 11.0, 30.0, 8.0), (160, 160)),
     ], ids=["sphere-first-corner", "strip-last-corner"])
     @pytest.mark.parametrize("decode_noise", [0.0, 0.02])
     def test_contact_at_the_raster_corner(self, scenario, corner, decode_noise,
@@ -222,9 +223,8 @@ class TestSimulateExact:
 
 
 class TestCalibrationExact:
-    # Flat probes do not calibrate at 160 px (their area steps are too coarse
-    # to rise at every force), so the sweep's measurements are compared
-    # directly, force by force, for every probe of every suite.
+    # The sweep's measurements are compared force by force for every probe
+    # of every suite.
     @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: "-".join(
         [type(p).__name__, p.class_name, f"{getattr(p, 'diameter_mm', '')}"]))
     def test_160px_sweep(self, probe, material, illum, decode_cfg):
@@ -378,8 +378,9 @@ class TestProfileMemo:
         contact_mask = contact.contact_mask
         monkeypatch.setattr(render_module, "height_field", spy_field)
         monkeypatch.setattr(contact, "contact_mask", spy_mask)
-        lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
-        build_decoder([StripProbe(20.0, 4.0), lshape, SphereProbe(20.0)],
+        strip, lshape = (next(p for p in footprint_probes() if p.class_name == name)
+                         for name in ("strip", "lshape"))
+        build_decoder([strip, lshape, SphereProbe(20.0)],
                       material, illum, sensor, decode_cfg)
         assert contact._PROFILE_MEMO.get() is None
         # one profile per punch in the calibration sweep, one per template

@@ -25,6 +25,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -134,7 +135,21 @@ class FootprintProbe:
     def label(self) -> str:
         return self.name
 
-    @property
+    # Reach, box and area depend on the stencil alone: each probe derives them
+    # on first use and keeps them. They are not fields, so __eq__, __hash__
+    # and params() still read name, stencil and scale only.
+    @cached_property
+    def _extents(self) -> tuple:
+        ys, xs = np.nonzero(self.stencil)
+        s = self.stencil_scale_mm
+        du = xs - (self.stencil.shape[1] - 1) / 2.0
+        dv = ys - (self.stencil.shape[0] - 1) / 2.0
+        reach = np.hypot(np.abs(du) * s + s / 2.0, np.abs(dv) * s + s / 2.0).max()
+        box = ((du.min() + du.max()) / 2.0 * s, (dv.min() + dv.max()) / 2.0 * s,
+               (du.max() - du.min() + 1) * s, (dv.max() - dv.min() + 1) * s)
+        return float(reach), box
+
+    @cached_property
     def area_mm2(self) -> float:
         return float(self.stencil.sum()) * self.stencil_scale_mm ** 2
 
@@ -144,11 +159,7 @@ class FootprintProbe:
         A raster point is in contact when its nearest stencil cell is set, so
         the contact region is the union of the set cells' squares.
         """
-        ys, xs = np.nonzero(self.stencil)
-        s = self.stencil_scale_mm
-        u = np.abs(xs - (self.stencil.shape[1] - 1) / 2.0) * s + s / 2.0
-        v = np.abs(ys - (self.stencil.shape[0] - 1) / 2.0) * s + s / 2.0
-        return float(np.hypot(u, v).max())
+        return self._extents[0]
 
     def contact_mask(self, u, v, force_n: float, e_star: float):
         st = self.stencil
@@ -161,12 +172,7 @@ class FootprintProbe:
 
     def box_mm(self, force_n: float, e_star: float) -> tuple:
         """The stencil's tight box; off the array centre for asymmetric shapes."""
-        ys, xs = np.nonzero(self.stencil)
-        s = self.stencil_scale_mm
-        cu = (xs.min() + xs.max()) / 2.0 - (self.stencil.shape[1] - 1) / 2.0
-        cv = (ys.min() + ys.max()) / 2.0 - (self.stencil.shape[0] - 1) / 2.0
-        return (cu * s, cv * s, (xs.max() - xs.min() + 1) * s,
-                (ys.max() - ys.min() + 1) * s)
+        return self._extents[1]
 
     def params(self) -> dict:
         return {

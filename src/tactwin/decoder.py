@@ -3,14 +3,16 @@
 Pipeline: difference against the flat reference, denoise, threshold into
 blobs, estimate pose from second moments, classify by rotation- and
 scale-normalized mask correlation against forward-model templates, and invert
-a per-class force calibration table (one weighted fit of area, edge contrast
-and deviation energy over every probe-size variant). The energy, the integral
+a per-class force calibration table (one weighted fit of deviation energy and
+radius of gyration over every probe-size variant). The energy, the integral
 of |dev| over the blob, is the observable calibration requires to rise
 strictly with force: a flat punch's depth grows with the load while its
-footprint, and so most of its area, stays put. Detection boxes come from
-weighted percentile extents along the principal axes, rescaled by the
-calibration's measured-vs-true box ratio so they track the contact footprint
-rather than the wider deviation band.
+footprint, and so most of its area, stays put. The |dev|-weighted radius of
+gyration tells probe sizes of one energy apart: by Hertz the contact radius
+grows as (F R)^(1/3), so at one energy a larger sphere spreads wider.
+Detection boxes come from weighted percentile extents along the principal
+axes, rescaled by the calibration's measured-vs-true box ratio so they track
+the contact footprint rather than the wider deviation band.
 
 Every measurement filters and labels only G: the smallest rectangle W that
 holds every pixel where the image differs from the reference (any rectangle
@@ -44,7 +46,7 @@ from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
 from .render import IlluminationModel, TactileImage, make_reference, simulate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
 _GAUSS_TRUNCATE = 3.0
 
@@ -148,15 +150,17 @@ class Blob:
     mu20: float                 # weighted central second moments, mm^2
     mu02: float
     mu11: float
-    mean_dev: float
-    peak_dev: float
-    edge_contrast: float        # 98th percentile of |dev| over the blob
     deviation_integral: float   # sum of |dev| times pixel area, intensity mm^2
     ys: np.ndarray              # pixel rows
     xs: np.ndarray              # pixel cols
     weights: np.ndarray         # |dev| at the pixels
     scale_mm_per_px: float
     extent_mm: float
+
+    @property
+    def gyration_mm(self) -> float:
+        """|dev|-weighted radius of gyration about the centroid."""
+        return math.sqrt(self.mu20 + self.mu02)
 
     def pixel_xy_mm(self):
         return px_to_mm(self.xs, self.ys, self.scale_mm_per_px, self.extent_mm)
@@ -229,9 +233,6 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
             mu20=float((gw * dx * dx).sum() / wsum),
             mu02=float((gw * dy * dy).sum() / wsum),
             mu11=float((gw * dx * dy).sum() / wsum),
-            mean_dev=float(gw.mean()),
-            peak_dev=float(gw.max()),
-            edge_contrast=float(np.percentile(gw, 98)),
             deviation_integral=float(gw.sum() * px_area),
             ys=gys, xs=gxs, weights=gw,
             scale_mm_per_px=scale_mm_per_px,
@@ -378,10 +379,9 @@ class CalibrationCurve:
 
     label: str
     forces: np.ndarray
-    areas: np.ndarray           # blob area, mm^2; may stall for a flat punch
-    contrasts: np.ndarray
     energies: np.ndarray        # integrated |dev| per blob, intensity mm^2;
                                 # strictly increasing
+    gyrations: np.ndarray       # radius of gyration, mm
     raw_ws: np.ndarray          # measured box extents before correction
     raw_hs: np.ndarray
     gt_ws: np.ndarray
@@ -402,9 +402,8 @@ class CalibrationTable:
             "curves": [{
                 "label": c.label,
                 "forces": list(map(float, c.forces)),
-                "areas": list(map(float, c.areas)),
-                "contrasts": list(map(float, c.contrasts)),
                 "energies": list(map(float, c.energies)),
+                "gyrations": list(map(float, c.gyrations)),
                 "raw_ws": list(map(float, c.raw_ws)),
                 "raw_hs": list(map(float, c.raw_hs)),
                 "gt_ws": list(map(float, c.gt_ws)),
@@ -414,12 +413,14 @@ class CalibrationTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CalibrationTable":
+        if data["schema_version"] != SCHEMA_VERSION:  # other columns: stale, not malformed
+            raise StaleCalibrationError(SCHEMA_VERSION, data["schema_version"],
+                                        what="schema version")
         curves = [CalibrationCurve(
             label=c["label"],
             forces=np.array(c["forces"]),
-            areas=np.array(c["areas"]),
-            contrasts=np.array(c["contrasts"]),
             energies=np.array(c["energies"]),
+            gyrations=np.array(c["gyrations"]),
             raw_ws=np.array(c["raw_ws"]),
             raw_hs=np.array(c["raw_hs"]),
             gt_ws=np.array(c["gt_ws"]),
@@ -514,97 +515,77 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             raise CalibrationError(
                 f"probe class {probe.class_name!r} does not match table class "
                 f"{class_name!r}")
-        rows = {"force": [], "area": [], "contrast": [], "energy": [],
-                "raw_w": [], "raw_h": [], "gt_w": [], "gt_h": []}
+        rows = []   # in CalibrationCurve's column order, force first
         seen_blob = False
         for force in forces:
             if force == 0:
-                vals = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            else:
-                blobs, gt = _calibration_blobs(probe, force, material, illum,
-                                               sensor, cfg, reference)
-                if not blobs:
-                    if seen_blob:
-                        raise CalibrationError(
-                            f"{class_name}: blob vanished at {force} N after "
-                            "appearing at a lower force; simulator parameters "
-                            "are inconsistent")
-                    continue  # below the visibility floor: no usable row
-                seen_blob = True
-                blob = blobs[0]
-                _, _, raw_w, raw_h = box_extents(blob, 0.0)
-                vals = (blob.area_mm2, blob.edge_contrast,
-                        blob.deviation_integral, raw_w, raw_h,
-                        gt.box.w, gt.box.h)
-            for key, value in zip(("area", "contrast", "energy", "raw_w",
-                                   "raw_h", "gt_w", "gt_h"), vals):
-                rows[key].append(value)
-            rows["force"].append(force)
+                rows.append((force, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            blobs, gt = _calibration_blobs(probe, force, material, illum,
+                                           sensor, cfg, reference)
+            if not blobs:
+                if seen_blob:
+                    raise CalibrationError(
+                        f"{class_name}: blob vanished at {force} N after "
+                        "appearing at a lower force; simulator parameters "
+                        "are inconsistent")
+                continue  # below the visibility floor: no usable row
+            seen_blob = True
+            blob = blobs[0]
+            _, _, raw_w, raw_h = box_extents(blob, 0.0)
+            rows.append((force, blob.deviation_integral, blob.gyration_mm,
+                         raw_w, raw_h, gt.box.w, gt.box.h))
         if not seen_blob:
             raise CalibrationError(
                 f"{class_name} ({probe.label}): no force in the grid "
                 "produces a detectable signature")
-        energies = np.array(rows["energy"])
-        drops = np.flatnonzero(np.diff(energies) <= 0)
+        curve = CalibrationCurve(probe.label, *np.array(rows, dtype=float).T)
+        drops = np.flatnonzero(np.diff(curve.energies) <= 0)
         if drops.size:
             i = drops[0]
-            f0, f1 = rows["force"][i], rows["force"][i + 1]
+            (f0, f1), (e0, e1) = curve.forces[i:i + 2], curve.energies[i:i + 2]
             raise CalibrationError(
                 f"{class_name} ({probe.label}): deviation energy is not "
-                f"strictly increasing in force: {energies[i + 1]:.10g} at "
-                f"{f1:g} N after {energies[i]:.10g} at {f0:g} N")
-        curves.append(CalibrationCurve(
-            label=probe.label,
-            forces=np.array(rows["force"]),
-            areas=np.array(rows["area"]),
-            contrasts=np.array(rows["contrast"]),
-            energies=energies,
-            raw_ws=np.array(rows["raw_w"]),
-            raw_hs=np.array(rows["raw_h"]),
-            gt_ws=np.array(rows["gt_w"]),
-            gt_hs=np.array(rows["gt_h"]),
-        ))
+                f"strictly increasing in force: {e1:.10g} at "
+                f"{f1:g} N after {e0:.10g} at {f0:g} N")
+        curves.append(curve)
     return CalibrationTable(class_name=class_name, curves=curves,
                             params_hash=params_hash(material, illum, sensor, cfg))
 
 
 # Observable scales for the weighted fit: an absolute floor plus a relative
 # term that absorbs rotation/discretization transfer error.
-_AREA_SCALE = (0.5, 0.01)        # mm^2 floor, relative
-_CONTRAST_SCALE = (0.002, 0.05)  # intensity floor, relative
 _ENERGY_SCALE = (0.02, 0.015)    # intensity mm^2 floor, relative
+_GYRATION_SCALE = (0.5, 0.01)    # pixel pitches floor, relative
 
 
 def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> ForceEstimate:
     """Invert the force calibration for a blob of a known class.
 
-    The force and the probe-size variant are the pair whose calibrated area,
-    edge contrast and deviation energy fit the blob's best, in a
-    sensitivity-weighted least-squares sense over each variant's full curve;
-    each observable contributes only where its curve actually moves. Area and
-    contrast tell two probe sizes of one energy apart. Clamped to the
-    calibrated range; an energy more than 2 % past the top of the chosen
-    curve is flagged out of range.
+    The force and the probe-size variant are the pair whose calibrated
+    deviation energy and radius of gyration fit the blob's best, in a weighted
+    least-squares sense over each variant's full curve. The energy sets the
+    force; the radius tells probe sizes of one energy apart, since by Hertz a
+    larger sphere spreads wider at the same load. Clamped to the calibrated
+    range; an energy more than 2 % past the top of the chosen curve is flagged
+    out of range.
     """
     if table.class_name != class_name:
         raise CalibrationError(
             f"calibration table is for {table.class_name!r}, not {class_name!r}")
-    s_a = _AREA_SCALE[0] + _AREA_SCALE[1] * blob.area_mm2
-    s_c = _CONTRAST_SCALE[0] + _CONTRAST_SCALE[1] * blob.edge_contrast
-    s_e = _ENERGY_SCALE[0] + _ENERGY_SCALE[1] * blob.deviation_integral
+    energy, r_g = blob.deviation_integral, blob.gyration_mm
+    s_e = _ENERGY_SCALE[0] + _ENERGY_SCALE[1] * energy
+    s_g = _GYRATION_SCALE[0] * blob.scale_mm_per_px + _GYRATION_SCALE[1] * r_g
     best = None
     for curve in table.curves:
         grid = np.linspace(float(curve.forces[0]), float(curve.forces[-1]), 401)
-        resid = (((np.interp(grid, curve.forces, curve.areas) - blob.area_mm2) / s_a) ** 2
-                 + ((np.interp(grid, curve.forces, curve.contrasts)
-                     - blob.edge_contrast) / s_c) ** 2
-                 + ((np.interp(grid, curve.forces, curve.energies)
-                     - blob.deviation_integral) / s_e) ** 2)
+        resid = (((np.interp(grid, curve.forces, curve.energies) - energy) / s_e) ** 2
+                 + ((np.interp(grid, curve.forces, curve.gyrations) - r_g) / s_g) ** 2)
         k = int(np.argmin(resid))
         if best is None or resid[k] < best[0]:
             best = (resid[k], float(grid[k]), curve)
     _, force, curve = best
-    out_of_range = blob.deviation_integral > float(curve.energies[-1]) * 1.02
+    out_of_range = energy > float(curve.energies[-1]) * 1.02
     return ForceEstimate(force_n=min(max(force, 0.0), float(curve.forces[-1])),
                          variant_label=curve.label,
                          out_of_range=out_of_range)

@@ -14,11 +14,11 @@ class CalibrationError(RuntimeError):
 
 
 class StaleCalibrationError(RuntimeError):
-    """Calibration parameter hash does not match the current configuration."""
+    """Calibration parameter hash or schema version does not match the configuration."""
 
-    def __init__(self, expected: str, found: str):
+    def __init__(self, expected, found, what: str = "hash"):
         super().__init__(
-            f"stale calibration: expected hash {expected}, found {found}"
+            f"stale calibration: expected {what} {expected}, found {found}"
         )
         self.expected = expected
         self.found = found

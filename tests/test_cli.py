@@ -146,6 +146,25 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "hash" in err
 
+    def test_schema_1_model_exit_4(self, workspace, tmp_path, capsys):
+        # A schema-1 model fits force on area, contrast and energy; its
+        # curves have no radius of gyration.
+        shutil.copytree(workspace / "model", tmp_path / "model")
+        path = tmp_path / "model" / "calibration.json"
+        data = json.loads(path.read_text())
+        for table in data.values():
+            table["schema_version"] = 1
+            for curve in table["curves"]:
+                del curve["gyrations"]
+                curve["areas"] = curve["contrasts"] = [0.0] * len(curve["forces"])
+        path.write_text(json.dumps(data))
+        rc = main(["decode", "--dataset", str(workspace / "ds"),
+                   "--model", str(tmp_path / "model"),
+                   "--out", str(tmp_path / "dets")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "stale" in err and "expected schema version 2, found 1" in err
+
     def test_decode_missing_dataset_exit_3(self, workspace, tmp_path):
         rc = main(["decode", "--dataset", str(tmp_path / "nope"),
                    "--model", str(workspace / "model"),

@@ -8,16 +8,18 @@ import pytest
 from tactwin import contact
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
-                             TemplateLibrary, build_calibration, build_decoder,
-                             classify, difference_image, estimate_force,
-                             estimate_pose, extract_blobs, params_hash)
+                             TemplateLibrary, _calibration_blobs,
+                             build_calibration, build_decoder, classify,
+                             difference_image, estimate_force, estimate_pose,
+                             extract_blobs, params_hash)
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.frames import SensorConfig
 from tactwin.metrics import evaluate_detections
 from tactwin.render import make_reference, simulate
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, roundtrip_probes,
-                            screw_part_probes, stencil_strip)
+                            sample_scenario, screw_part_probes, sphere_probes,
+                            stencil_strip)
 
 from test_acceptance import SCREW_FORCE_TARGETS, run_suite
 
@@ -174,15 +176,16 @@ class TestClassify:
 class TestCalibration:
     def test_zero_force_row(self, small_decoder):
         curve = small_decoder.calibrations["sphere"].curves[0]
-        assert curve.forces[0] == 0.0 and curve.areas[0] == 0.0
+        assert curve.forces[0] == 0.0
+        assert curve.energies[0] == 0.0 and curve.gyrations[0] == 0.0
 
-    def test_strictly_increasing_area(self, small_decoder):
+    def test_strictly_increasing_energy(self, small_decoder):
         # Energy is the strict observable; the strip's area may stall.
         for table in small_decoder.calibrations.values():
             for curve in table.curves:
                 assert np.all(np.diff(curve.energies) > 0)
 
-    def test_non_increasing_area_names_the_forces(self, material, illum, sensor):
+    def test_non_increasing_energy_names_the_forces(self, material, illum, sensor):
         # A descending force grid makes the screw body's energy fall.
         body = next(p for p in screw_part_probes() if p.class_name == "body")
         with pytest.raises(CalibrationError) as err, contact.punch_profile_memo():
@@ -194,15 +197,16 @@ class TestCalibration:
         assert contact._PROFILE_MEMO.get() is None
 
     def test_roundtrip_strip_calibrates_at_noise_0(self, material, illum, sensor):
-        # The strip's area is flat at 84 mm^2 from 8.25 to 8.5 N; its energy
-        # still rises, and only the energy has to.
+        # The strip's blob area is flat at 84 mm^2 from 8.25 to 8.5 N; its
+        # energy still rises, and only the energy has to.
         strip = [p for p in roundtrip_probes() if p.class_name == "strip"]
-        table = build_calibration("strip", strip, material, illum, sensor,
-                                  DecodeConfig(noise_sigma=0.0))
+        cfg = DecodeConfig(noise_sigma=0.0)
+        table = build_calibration("strip", strip, material, illum, sensor, cfg)
         assert [c.label for c in table.curves] == ["strip"]
-        curve = table.curves[0]
-        k = list(curve.forces).index(8.25)
-        assert curve.areas[k] == curve.areas[k + 1]
+        reference = make_reference(sensor, illum)
+        areas = [_calibration_blobs(strip[0], force, material, illum, sensor, cfg,
+                                    reference)[0][0].area_mm2 for force in (8.25, 8.5)]
+        assert areas[0] == areas[1]
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     @pytest.mark.parametrize("noise", [0.0, 0.02])
@@ -226,7 +230,8 @@ class TestCalibration:
         assert back.params_hash == table.params_hash
         for a, b in zip(back.curves, table.curves):
             assert np.array_equal(a.forces, b.forces)
-            assert np.array_equal(a.areas, b.areas)
+            assert np.array_equal(a.energies, b.energies)
+            assert np.array_equal(a.gyrations, b.gyrations)
 
     def test_template_json_round_trip(self, small_decoder):
         lib = small_decoder.templates
@@ -265,24 +270,22 @@ class TestForceRoundTrip:
             assert est.force_n == pytest.approx(force, abs=0.05)
             assert not est.out_of_range
 
-    def test_monotone_in_blob_area(self, small_decoder):
+    def test_monotone_in_energy(self, small_decoder):
         # force estimates inherit the calibration's monotonicity
         table = small_decoder.calibrations["sphere"]
         curve = table.curves[0]
         forces = []
         for k in range(5, 35, 5):
-            blob = _FakeBlob(area=float(curve.areas[k]),
-                             contrast=float(curve.contrasts[k]),
-                             energy=float(curve.energies[k]))
+            blob = _FakeBlob(energy=float(curve.energies[k]),
+                             gyration=float(curve.gyrations[k]))
             forces.append(estimate_force(blob, "sphere", table).force_n)
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_out_of_range_flagged(self, small_decoder):
         table = small_decoder.calibrations["sphere"]
         curve = table.curves[0]
-        blob = _FakeBlob(area=float(curve.areas[-1]) * 1.5,
-                         contrast=float(curve.contrasts[-1]),
-                         energy=float(curve.energies[-1]) * 1.5)
+        blob = _FakeBlob(energy=float(curve.energies[-1]) * 1.5,
+                         gyration=float(curve.gyrations[-1]) * 1.5)
         est = estimate_force(blob, "sphere", table)
         assert est.out_of_range
         assert est.force_n == 10.0
@@ -292,12 +295,39 @@ class TestForceRoundTrip:
         # deviation energy does.
         table = small_decoder.calibrations["strip"]
         curve = table.curves[0]
-        blob = _FakeBlob(area=float(curve.areas[-1]),
-                         contrast=float(curve.contrasts[-1]),
-                         energy=float(curve.energies[-1]) * 1.05)
+        blob = _FakeBlob(energy=float(curve.energies[-1]) * 1.05,
+                         gyration=float(curve.gyrations[-1]))
         est = estimate_force(blob, "strip", table)
         assert est.out_of_range
         assert est.force_n == 10.0
+
+
+class TestCoarseSpheres:
+    def test_diameter_and_force_at_128px(self, material, illum, small_sensor):
+        # 200 noisy spheres at 0.25 mm/px, decoded with the true class: the
+        # radius of gyration must pick the diameter that area and contrast
+        # could not. A sample without a blob counts as a wrong diameter.
+        probes = sphere_probes()
+        cfg = DecodeConfig(noise_sigma=0.02)
+        table = build_calibration("sphere", probes, material, illum,
+                                  small_sensor, cfg)
+        reference = make_reference(small_sensor, illum)
+        rng = np.random.default_rng(23)
+        errors, right = [], 0
+        for i in range(200):
+            sc = sample_scenario(rng, probes, small_sensor, material.e_star,
+                                 force_range=(0.8, 10.0), noise_sigma=0.02)
+            img, gt = simulate(sc, material, illum, small_sensor, seed=2300000 + i)
+            blobs = decode_measurements(img, reference, small_sensor, cfg)
+            if blobs:
+                est = estimate_force(blobs[0], "sphere", table)
+                errors.append(abs(est.force_n - gt.force_n))
+                right += est.variant_label == sc.probe.label
+        mae, share = float(np.mean(errors)), right / 200
+        print(f"spheres at 128 px, noise 0.02: force MAE {mae:.4f} N, "
+              f"right diameter {share:.3f}, {len(errors)} blobs")
+        assert mae <= 0.10
+        assert share >= 0.95
 
 
 class TestScrewNoiseless:
@@ -322,10 +352,12 @@ class TestScrewNoiseless:
 
 
 class _FakeBlob:
-    def __init__(self, area, contrast, energy):
-        self.area_mm2 = area
-        self.edge_contrast = contrast
+    """The observables estimate_force reads, at the default sensor's pitch."""
+
+    def __init__(self, energy, gyration):
         self.deviation_integral = energy
+        self.gyration_mm = gyration
+        self.scale_mm_per_px = SensorConfig().scale_mm_per_px
 
 
 class TestDecode:

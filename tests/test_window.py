@@ -88,8 +88,8 @@ def _simulated_pixels(*args):
 
 def _blob_fields(blobs):
     return [(b.area_mm2, b.n_pixels, b.centroid_mm, b.mu20, b.mu02, b.mu11,
-             b.mean_dev, b.peak_dev, b.edge_contrast, b.deviation_integral,
-             b.ys.tolist(), b.xs.tolist(), b.weights.tolist(), b.extent_mm)
+             b.deviation_integral, b.ys.tolist(), b.xs.tolist(),
+             b.weights.tolist(), b.extent_mm)
             for b in blobs]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ class DatasetSpec:
             if not self.sphere_diameters or any(d <= 0 for d in self.sphere_diameters):
                 raise ConfigError("sphere_diameters must be positive and nonempty")
 
-    def probes(self):
+    @cached_property
+    def probes(self) -> list:
         if self.sphere_diameters is not None:
             return [SphereProbe(d) for d in self.sphere_diameters]
         return SUITES[self.suite]()
@@ -139,7 +141,7 @@ def sample_for_index(spec: DatasetSpec, index: int) -> tuple[ContactScenario, in
     """Scenario and simulation seed for one sample index."""
     rng = np.random.default_rng([spec.master_seed, 0, index])
     scenario = sample_scenario(
-        rng, spec.probes(), spec.sensor, spec.material.e_star,
+        rng, spec.probes, spec.sensor, spec.material.e_star,
         force_range=spec.force_range, noise_sigma=spec.noise_sigma)
     sim_seed = int(rng.integers(0, 2 ** 31))
     return scenario, sim_seed

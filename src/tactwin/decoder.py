@@ -22,8 +22,10 @@ so a pixel more than r beyond W reads only zeros, reflected at the raster's
 edges or not, and the whole-raster filtered deviation is exactly 0 outside
 G. Inside G the crop's reflected border reads the same zeros where G ends
 inside the raster and reflects as the whole raster does at its edges, so the
-filtered values are equal too. Fragments merge through chains of
-neighbouring pixels within half the merge distance of the mask. Clamped into
+filtered values are equal too. A calibration render is measured on its
+contact window alone: W lies in it, and G's pixels beyond it are padded with
+zeros. Fragments merge through chains of neighbouring pixels within half the
+merge distance of the mask. Clamped into
 G, which holds the whole mask, such a chain stays a chain and comes no
 farther from any mask pixel, so no zero pad beyond G is needed. Blob pixels,
 moments and areas come out bit-equal to a whole-raster measurement. A noisy
@@ -40,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .contact import ContactScenario, MaterialParams, punch_profile_memo
+from .contact import ContactScenario, MaterialParams, ground_truth, punch_profile_memo
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
-from .render import IlluminationModel, TactileImage, make_reference, simulate
+from .render import IlluminationModel, TactileImage, make_reference, render_window
 
 SCHEMA_VERSION = 2
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
@@ -80,6 +82,11 @@ class DecodeConfig:
     def denoise_sigma_px(self, sensor: SensorConfig) -> float:
         return self.denoise_sigma_mm / sensor.scale_mm_per_px
 
+    def denoise_radius_px(self, sensor: SensorConfig) -> int:
+        """Radius of the denoise filter's kernel: scipy's int(truncate s + 0.5)."""
+        s = self.denoise_sigma_px(sensor)
+        return int(_GAUSS_TRUNCATE * s + 0.5) if s > 0 else 0
+
     def filtered_noise_sigma(self, sensor: SensorConfig) -> float:
         """Pixel-noise std after the denoise filter (white-noise propagation)."""
         if self.noise_sigma == 0:
@@ -87,7 +94,7 @@ class DecodeConfig:
         s = self.denoise_sigma_px(sensor)
         if s <= 0:
             return self.noise_sigma
-        radius = int(math.ceil(_GAUSS_TRUNCATE * s))
+        radius = self.denoise_radius_px(sensor)
         x = np.arange(-radius, radius + 1)
         k = np.exp(-x.astype(float) ** 2 / (2 * s * s))
         k /= k.sum()
@@ -464,33 +471,41 @@ def box_extents(blob: Blob, theta_deg: float):
     return cx, cy, max(u98 - u2, blob.scale_mm_per_px), max(v98 - v2, blob.scale_mm_per_px)
 
 
-def _decode_measurements(image: TactileImage, reference: TactileImage,
-                         sensor: SensorConfig, cfg: DecodeConfig):
-    """Blobs of image - reference, filtered and labelled on the deviation's
-    support grown by the denoise kernel's radius (see the module docstring)."""
-    dev = difference_image(image, reference)
+def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfig,
+                         window: PixelWindow | None = None):
+    """Blobs of a deviation that covers ``window`` of the raster (default: all
+    of it) and is 0 beyond it, filtered and labelled on its support grown by
+    the denoise kernel's radius, zero-padded (see the module docstring)."""
+    window = window or PixelWindow.full(dev.shape[0])
     differs = dev != 0
     rows = np.flatnonzero(differs.any(axis=1))
     if rows.size == 0:
         return []
     cols = np.flatnonzero(differs.any(axis=0))
+    support = PixelWindow(window.y0 + int(rows[0]), window.y0 + int(rows[-1]) + 1,
+                          window.x0 + int(cols[0]), window.x0 + int(cols[-1]) + 1,
+                          window.n)
+    dev = dev[support.slices_in(window)]
+    grown = support.grow(cfg.denoise_radius_px(sensor))
+    if grown != support:
+        dev = np.pad(dev, ((support.y0 - grown.y0, grown.y1 - support.y1),
+                           (support.x0 - grown.x0, grown.x1 - support.x1)))
     sp = cfg.denoise_sigma_px(sensor)
-    radius = int(_GAUSS_TRUNCATE * sp + 0.5) if sp > 0 else 0  # scipy's kernel radius
-    window = PixelWindow(int(rows[0]), int(rows[-1]) + 1, int(cols[0]),
-                         int(cols[-1]) + 1, dev.shape[0]).grow(radius)
-    dev = dev[window.slices]
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
     return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2, cfg.merge_dist_mm, window=window)
+                         cfg.min_area_mm2, cfg.merge_dist_mm, window=grown)
 
 
 def _calibration_blobs(probe, force: float, material: MaterialParams,
                        illum: IlluminationModel, sensor: SensorConfig,
                        cfg: DecodeConfig, reference: TactileImage):
-    """Noise-free forward render of a centred probe and its blobs."""
-    image, gt = simulate(calibration_scenario(probe, force), material, illum, sensor)
-    return _decode_measurements(image, reference, sensor, cfg), gt
+    """Noise-free forward render of a centred probe and its blobs, measured
+    on ``render_window``'s pixels alone."""
+    scenario = calibration_scenario(probe, force)
+    window, patch = render_window(scenario, material, illum, sensor)
+    dev = patch.pixels - reference.pixels[window.slices]
+    return _decode_measurements(dev, sensor, cfg, window), ground_truth(scenario, material)
 
 
 def calibration_scenario(probe, force: float) -> ContactScenario:
@@ -684,7 +699,8 @@ class TactileDecoder:
     def decode(self, image: TactileImage,
                reference: TactileImage | None = None) -> list[Detection]:
         reference = reference if reference is not None else self.reference
-        blobs = _decode_measurements(image, reference, self.sensor, self.cfg)
+        blobs = _decode_measurements(difference_image(image, reference),
+                                     self.sensor, self.cfg)
         detections = []
         for blob in blobs:
             pose = estimate_pose(blob, self.cfg.low_eccentricity)

@@ -15,9 +15,9 @@ light's term is then the flat membrane's, and the pixel takes the flat
 value bit for bit, for every light set and exponent. NaN slopes count as
 sloped.
 
-``simulate`` computes and shades only a pixel window around the contact and
-pastes it into the flat reference; every pixel outside the window is
-bit-equal to the reference anyway, so the image is the same as a
+``render_window`` shades only a pixel window around the contact, and
+``simulate`` pastes it into the flat reference; every pixel outside the
+window is bit-equal to the reference anyway, so the image is the same as a
 whole-raster render (see ``contact_window`` for the argument).
 """
 
@@ -125,18 +125,39 @@ def _shade(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> n
     return out
 
 
+# Pixels shaded per block: the per-light buffers of one block stay in cache.
+_SHADE_BLOCK = 16384
+
+
 def _shade_slopes(fx: np.ndarray, fy: np.ndarray, illum: IlluminationModel) -> np.ndarray:
-    """Intensity of pixels with surface gradient (fx, fy), elementwise."""
-    inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
-    shade = np.zeros(fx.shape)
-    for lx, ly, lz in illum.light_dirs:
-        dot = (-fx * lx - fy * ly + lz) * inv_norm
-        np.maximum(dot, 0.0, out=dot)
-        if illum.exponent != 1.0:
-            dot **= illum.exponent
-        shade += dot
-    shade /= illum.light_dirs.shape[0]
-    return np.clip(illum.ambient + illum.diffuse * shade, 0.0, 1.0)
+    """Intensity of pixels with surface gradient (fx, fy), two 1-D arrays,
+    elementwise; computed in place on one block's buffers at a time."""
+    out = np.empty(fx.shape)
+    buffers = np.empty((5, min(fx.size, _SHADE_BLOCK)))
+    for start in range(0, fx.size, _SHADE_BLOCK):
+        bx, by = fx[start:start + _SHADE_BLOCK], fy[start:start + _SHADE_BLOCK]
+        nx, inv, d, t, sh = buffers[:, :bx.size]   # nx = -fx, inv = 1 / |n|
+        np.negative(bx, out=nx)
+        np.multiply(bx, bx, out=inv)
+        inv += 1.0
+        inv += np.multiply(by, by, out=t)
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        sh.fill(0.0)
+        for lx, ly, lz in illum.light_dirs:
+            np.multiply(nx, lx, out=d)
+            d -= np.multiply(by, ly, out=t)
+            d += lz
+            d *= inv
+            np.maximum(d, 0.0, out=d)
+            if illum.exponent != 1.0:
+                d **= illum.exponent
+            sh += d
+        sh /= illum.light_dirs.shape[0]
+        sh *= illum.diffuse
+        sh += illum.ambient
+        np.clip(sh, 0.0, 1.0, out=out[start:start + bx.size])
+    return out
 
 
 def _flat_pixels(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
@@ -180,6 +201,19 @@ def contact_window(scenario: ContactScenario, material: MaterialParams,
     return PixelWindow.around(scenario.x_mm, scenario.y_mm, reach + pad, sensor)
 
 
+def render_window(scenario: ContactScenario, material: MaterialParams,
+                  illum: IlluminationModel,
+                  sensor: SensorConfig) -> tuple[PixelWindow, TactileImage]:
+    """``contact_window`` and the noise-free image of its pixels. A one-pixel
+    ring is computed too, so that the window's gradients see the same
+    neighbours as on the whole raster."""
+    window = contact_window(scenario, material, illum, sensor)
+    ring = window.grow(1)
+    img = render(height_field(scenario, material, sensor, window=ring), illum)
+    return window, TactileImage(img.pixels[window.slices_in(ring)],
+                                img.scale_mm_per_px, img.is_reference)
+
+
 def simulate(scenario: ContactScenario, material: MaterialParams,
              illum: IlluminationModel, sensor: SensorConfig,
              seed: int = 0) -> tuple[TactileImage, GroundTruth]:
@@ -187,19 +221,16 @@ def simulate(scenario: ContactScenario, material: MaterialParams,
 
     Deterministic in (scenario, parameters, seed); pixel noise is zero-mean
     Gaussian with the scenario's noise_sigma, applied before clamping.
-    Only ``contact_window`` plus a one-pixel ring is computed, so that the
-    window's gradients see the same neighbours as on the whole raster.
+    Only ``render_window`` is computed and pasted into the flat reference.
     """
-    window = contact_window(scenario, material, illum, sensor)
-    ring = window.grow(1)
-    img = render(height_field(scenario, material, sensor, window=ring), illum)
+    window, patch = render_window(scenario, material, illum, sensor)
     pixels = _flat_pixels(sensor, illum)
-    pixels[window.slices] = img.pixels[window.slices_in(ring)]
+    pixels[window.slices] = patch.pixels
     if scenario.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
                          0.0, 1.0)
-    return (TactileImage(pixels, img.scale_mm_per_px, is_reference=img.is_reference),
+    return (TactileImage(pixels, patch.scale_mm_per_px, is_reference=patch.is_reference),
             ground_truth(scenario, material))
 
 

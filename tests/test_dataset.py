@@ -7,7 +7,7 @@ import pytest
 
 from tactwin.dataset import (ANNOTATION_KEYS, DatasetSpec, assign_splits,
                              generate_dataset, read_jsonl, read_manifest,
-                             read_pgm, write_pgm)
+                             read_pgm, sample_for_index, write_pgm)
 from tactwin.errors import ConfigError
 from tactwin.frames import SensorConfig
 from tactwin.render import TactileImage
@@ -116,6 +116,15 @@ class TestGenerate:
             DatasetSpec(count=5, master_seed=1, force_range=(5.0, 1.0))
         with pytest.raises(ConfigError):
             DatasetSpec(count=5, master_seed=1, sphere_diameters=(10.0, -5.0))
+
+    def test_samples_share_one_probe_list(self):
+        # the probes, and the reach and box each caches, are built once per
+        # spec, not once per sample
+        spec = DatasetSpec(count=30, master_seed=2, suite="roundtrip")
+        probes = spec.probes
+        drawn = [sample_for_index(spec, i)[0].probe for i in range(spec.count)]
+        assert spec.probes is probes
+        assert all(any(p is q for q in probes) for p in drawn)
 
     def test_five_diameter_sphere_suite_shape(self, tmp_path):
         # the normal-force data-collection shape: five sphere sizes under one

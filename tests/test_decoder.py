@@ -16,7 +16,7 @@ from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.frames import SensorConfig
 from tactwin.metrics import evaluate_detections
-from tactwin.render import make_reference, simulate
+from tactwin.render import TactileImage, make_reference, simulate
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, roundtrip_probes,
                             sample_scenario, screw_part_probes, sphere_probes,
                             stencil_strip)
@@ -47,7 +47,7 @@ def small_decoder(material, illum, sensor, cfg):
 
 def decode_measurements(img, reference, sensor, cfg):
     from tactwin.decoder import _decode_measurements
-    return _decode_measurements(img, reference, sensor, cfg)
+    return _decode_measurements(difference_image(img, reference), sensor, cfg)
 
 
 class TestDifferenceImage:
@@ -256,6 +256,28 @@ class TestCalibration:
         other = params_hash(material, illum, sensor,
                             DecodeConfig(noise_sigma=0.01))
         assert other != base
+
+
+class TestDenoiseKernel:
+    @pytest.mark.parametrize("denoise_sigma_mm", [0.055, 0.25])
+    def test_one_radius_rule(self, denoise_sigma_mm, sensor, reference):
+        # At 0.055 mm (1.1 px) ceil(3 s) would give 4 px and scipy's
+        # int(3 s + 0.5) gives 3: the noise propagation and the support
+        # growth must both use the filter's own kernel.
+        cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300, min_area_mm2=0.0,
+                           denoise_sigma_mm=denoise_sigma_mm)
+        pixels = reference.pixels.copy()
+        pixels[320, 320] -= 0.5
+        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        blob, = decode_measurements(image, reference, sensor, cfg)
+        r = cfg.denoise_radius_px(sensor)
+        assert r == {0.055: 3, 0.25: 15}[denoise_sigma_mm]
+        assert (blob.xs.min(), blob.xs.max(), blob.ys.min(), blob.ys.max()) == (
+            320 - r, 320 + r, 320 - r, 320 + r)
+        # The filtered impulse is the 2-D kernel, whose norm is the 1-D
+        # kernel's sum of squares.
+        assert cfg.filtered_noise_sigma(sensor) == pytest.approx(
+            0.02 * math.sqrt(np.sum((blob.weights / 0.5) ** 2)), rel=1e-9)
 
 
 class TestForceRoundTrip:

@@ -5,8 +5,11 @@ return the whole raster runs the same code on every pixel, which is what the
 windowed results must equal byte for byte. ``_decode_measurements`` filters
 and labels only the deviation's support grown by the denoise kernel's radius;
 it is held to a frozen copy of the whole-raster measurement it replaced. The
-sloped-pixel shading is held to a frozen copy of the per-light shading it
-replaced, and the sweep's reused punch profiles to fresh height fields.
+calibration sweeps and templates measure ``render_window``'s patch alone;
+they are held to whole-frame ``simulate`` measured by that frozen copy. The
+sloped-pixel shading and its blocked per-light kernel are held to a frozen
+copy of the per-light shading they replaced, and the sweep's reused punch
+profiles to fresh height fields.
 """
 
 import contextlib
@@ -22,11 +25,11 @@ from tactwin.dataset import DatasetSpec, sample_for_index
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
-                             calibration_scenario, extract_blobs)
+                             calibration_scenario, difference_image, extract_blobs)
 from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
-from tactwin.render import (IlluminationModel, TactileImage, _shade,
-                            contact_window, make_reference, resolution_sweep,
-                            ring_lights, simulate)
+from tactwin.render import (_SHADE_BLOCK, IlluminationModel, TactileImage, _shade,
+                            _shade_slopes, contact_window, make_reference,
+                            resolution_sweep, ring_lights, simulate)
 from tactwin.suites import STENCIL_SCALE_MM, SUITES, footprint_probes, stencil_strip
 
 # 160 px over the standard 32 mm active area: windows reach the raster edge
@@ -55,17 +58,26 @@ def frozen_measurements(image, reference, sensor, cfg):
                          cfg.min_area_mm2, cfg.merge_dist_mm)
 
 
+def frozen_calibration_blobs(probe, force, material, illum, sensor, cfg, reference):
+    """Oracle for ``_calibration_blobs``: the whole frame simulated and
+    measured by the frozen whole-raster copy."""
+    with whole_frame():
+        image, gt = simulate(calibration_scenario(probe, force), material, illum, sensor)
+    return frozen_measurements(image, reference, sensor, cfg), gt
+
+
 @contextlib.contextmanager
-def whole_raster_measurement():
-    """Make the calibration sweeps measure with the frozen whole-raster copy."""
+def whole_raster_calibration():
+    """Make the calibration sweeps and templates render and measure with the
+    whole-raster oracle."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("tactwin.decoder"), "_decode_measurements",
-                   frozen_measurements)
+        mp.setattr(importlib.import_module("tactwin.decoder"), "_calibration_blobs",
+                   frozen_calibration_blobs)
         yield
 
 
 def assert_measures_like_oracle(image, reference, sensor, cfg):
-    blobs = _decode_measurements(image, reference, sensor, cfg)
+    blobs = _decode_measurements(difference_image(image, reference), sensor, cfg)
     assert _blob_fields(blobs) == _blob_fields(
         frozen_measurements(image, reference, sensor, cfg))
     return blobs
@@ -93,12 +105,15 @@ def _blob_fields(blobs):
             for b in blobs]
 
 
-def _sweep(probe, material, illum, sensor, cfg):
-    """Every blob field the calibration sweep measures, for each force."""
+def _sweep(calibration_blobs, probe, material, illum, sensor, cfg):
+    """Every blob field and ground-truth box the calibration sweep measures,
+    for each force."""
     reference = make_reference(sensor, illum)
-    return [_blob_fields(_calibration_blobs(probe, force, material, illum,
-                                            sensor, cfg, reference)[0])
-            for force in CALIBRATION_FORCES[1:]]
+    out = []
+    for force in CALIBRATION_FORCES[1:]:
+        blobs, gt = calibration_blobs(probe, force, material, illum, sensor, cfg, reference)
+        out.append((_blob_fields(blobs), gt.box))
+    return out
 
 
 def _unique_probes():
@@ -174,7 +189,8 @@ class TestMeasurementWindow:
 
     def test_reference_decodes_to_nothing(self, illum, sensor, decode_cfg):
         reference = make_reference(sensor, illum)
-        assert _decode_measurements(reference, reference, sensor, decode_cfg) == []
+        assert _decode_measurements(difference_image(reference, reference),
+                                    sensor, decode_cfg) == []
         assert frozen_measurements(reference, reference, sensor, decode_cfg) == []
 
     @pytest.mark.parametrize("scenario, corner", [
@@ -228,9 +244,8 @@ class TestCalibrationExact:
     @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: "-".join(
         [type(p).__name__, p.class_name, f"{getattr(p, 'diameter_mm', '')}"]))
     def test_160px_sweep(self, probe, material, illum, decode_cfg):
-        windowed = _sweep(probe, material, illum, SENSOR_160, decode_cfg)
-        with whole_frame(), whole_raster_measurement():
-            assert windowed == _sweep(probe, material, illum, SENSOR_160, decode_cfg)
+        args = (probe, material, illum, SENSOR_160, decode_cfg)
+        assert _sweep(_calibration_blobs, *args) == _sweep(frozen_calibration_blobs, *args)
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_160px_templates(self, suite, material, illum, decode_cfg):
@@ -239,7 +254,7 @@ class TestCalibrationExact:
             by_class.setdefault(probe.class_name, []).append(probe)
         probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
         windowed = _templates_json(probes, material, illum, SENSOR_160, decode_cfg)
-        with whole_frame(), whole_raster_measurement():
+        with whole_raster_calibration():
             assert windowed == _templates_json(probes, material, illum,
                                                SENSOR_160, decode_cfg)
 
@@ -247,7 +262,7 @@ class TestCalibrationExact:
         cfg = DecodeConfig(noise_sigma=0.0)
         probes = SUITES["spheres"]()
         windowed = _calibration_json(probes, material, illum, SENSOR_160, cfg)
-        with whole_frame(), whole_raster_measurement():
+        with whole_raster_calibration():
             assert windowed == _calibration_json(probes, material, illum,
                                                  SENSOR_160, cfg)
 
@@ -256,7 +271,7 @@ class TestCalibrationExact:
         probes = [SphereProbe(20.0), lshape]
         windowed = (_calibration_json(probes, material, illum, sensor, decode_cfg),
                     _templates_json(probes, material, illum, sensor, decode_cfg))
-        with whole_frame(), whole_raster_measurement():
+        with whole_raster_calibration():
             assert windowed == (
                 _calibration_json(probes, material, illum, sensor, decode_cfg),
                 _templates_json(probes, material, illum, sensor, decode_cfg))
@@ -267,8 +282,14 @@ def frozen_shade(z, scale_mm_per_px, illum):
     ``render._shade`` replaced; its outputs are the bit-exact reference for
     the sloped-pixel rule."""
     fy, fx = np.gradient(z, scale_mm_per_px)
+    return frozen_shade_slopes(fx, fy, illum)
+
+
+def frozen_shade_slopes(fx, fy, illum):
+    """Frozen copy of the whole-array per-light shading that the blocked
+    ``render._shade_slopes`` replaced."""
     inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
-    shade = np.zeros(z.shape)
+    shade = np.zeros(fx.shape)
     for lx, ly, lz in illum.light_dirs:
         dot = (-fx * lx - fy * ly + lz) * inv_norm
         np.maximum(dot, 0.0, out=dot)
@@ -350,6 +371,19 @@ class TestSlopedShading:
         X, Y = pixel_centers_mm(sensor)
         z = 16.0 * t / (2.0 * X.max()) * (X * X + Y * Y)
         assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
+
+    @pytest.mark.parametrize("light", ["default", *sorted(OTHER_LIGHTS)])
+    @pytest.mark.parametrize("size", [1, _SHADE_BLOCK, 3 * _SHADE_BLOCK + 777])
+    def test_blocked_kernel(self, light, size):
+        # Slopes from flat to steep, in every direction, with NaNs; the
+        # largest size spans several blocks and ends in a ragged one.
+        illum = OTHER_LIGHTS.get(light, IlluminationModel())
+        rng = np.random.default_rng(size)
+        fx, fy = rng.standard_normal((2, size)) * np.exp(rng.uniform(-40.0, 3.0, (2, size)))
+        fx[::97] = np.nan
+        fy[5::89] = np.nan
+        assert (_shade_slopes(fx, fy, illum).tobytes()
+                == frozen_shade_slopes(fx, fy, illum).tobytes())
 
     def test_nan_heights_shade_as_before(self, illum, small_sensor):
         z = np.zeros((small_sensor.input_size,) * 2)

@@ -167,6 +167,8 @@ def _log(out_dir: Path, message: str):
 
 
 def cmd_generate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     sensor, material, illum, _ = _build_params(cfg, args)
     diameters = None

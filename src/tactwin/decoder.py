@@ -34,9 +34,13 @@ image differs almost everywhere and is measured whole.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -513,25 +517,15 @@ def calibration_scenario(probe, force: float) -> ContactScenario:
                            force_n=force, noise_sigma=0.0)
 
 
-def build_calibration(class_name: str, probes: list, material: MaterialParams,
-                      illum: IlluminationModel, sensor: SensorConfig,
-                      cfg: DecodeConfig,
-                      forces=CALIBRATION_FORCES) -> CalibrationTable:
-    """Sweep the forward model over a force grid for each probe variant.
-
-    Raises CalibrationError if the blob vanishes above the visibility floor or
-    its deviation energy is not strictly increasing in force; such a sweep
-    cannot be inverted for force. The area need not rise.
-    """
-    reference = make_reference(sensor, illum)
-    curves = []
-    for probe in probes:
-        if probe.class_name != class_name:
-            raise CalibrationError(
-                f"probe class {probe.class_name!r} does not match table class "
-                f"{class_name!r}")
-        rows = []   # in CalibrationCurve's column order, force first
-        seen_blob = False
+def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
+                 sensor: SensorConfig, cfg: DecodeConfig, reference: TactileImage,
+                 forces=CALIBRATION_FORCES) -> CalibrationCurve:
+    """One probe variant's force sweep, its punch profile reused across the
+    forces (see ``build_calibration``)."""
+    class_name = probe.class_name
+    rows = []   # in CalibrationCurve's column order, force first
+    seen_blob = False
+    with punch_profile_memo():
         for force in forces:
             if force == 0:
                 rows.append((force, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
@@ -550,20 +544,41 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
             _, _, raw_w, raw_h = box_extents(blob, 0.0)
             rows.append((force, blob.deviation_integral, blob.gyration_mm,
                          raw_w, raw_h, gt.box.w, gt.box.h))
-        if not seen_blob:
+    if not seen_blob:
+        raise CalibrationError(
+            f"{class_name} ({probe.label}): no force in the grid "
+            "produces a detectable signature")
+    curve = CalibrationCurve(probe.label, *np.array(rows, dtype=float).T)
+    drops = np.flatnonzero(np.diff(curve.energies) <= 0)
+    if drops.size:
+        i = drops[0]
+        (f0, f1), (e0, e1) = curve.forces[i:i + 2], curve.energies[i:i + 2]
+        raise CalibrationError(
+            f"{class_name} ({probe.label}): deviation energy is not "
+            f"strictly increasing in force: {e1:.10g} at "
+            f"{f1:g} N after {e0:.10g} at {f0:g} N")
+    return curve
+
+
+def build_calibration(class_name: str, probes: list, material: MaterialParams,
+                      illum: IlluminationModel, sensor: SensorConfig,
+                      cfg: DecodeConfig,
+                      forces=CALIBRATION_FORCES) -> CalibrationTable:
+    """Sweep the forward model over a force grid for each probe variant.
+
+    Raises CalibrationError if the blob vanishes above the visibility floor or
+    its deviation energy is not strictly increasing in force; such a sweep
+    cannot be inverted for force. The area need not rise.
+    """
+    reference = make_reference(sensor, illum)
+    curves = []
+    for probe in probes:
+        if probe.class_name != class_name:
             raise CalibrationError(
-                f"{class_name} ({probe.label}): no force in the grid "
-                "produces a detectable signature")
-        curve = CalibrationCurve(probe.label, *np.array(rows, dtype=float).T)
-        drops = np.flatnonzero(np.diff(curve.energies) <= 0)
-        if drops.size:
-            i = drops[0]
-            (f0, f1), (e0, e1) = curve.forces[i:i + 2], curve.energies[i:i + 2]
-            raise CalibrationError(
-                f"{class_name} ({probe.label}): deviation energy is not "
-                f"strictly increasing in force: {e1:.10g} at "
-                f"{f1:g} N after {e0:.10g} at {f0:g} N")
-        curves.append(curve)
+                f"probe class {probe.class_name!r} does not match table class "
+                f"{class_name!r}")
+        curves.append(_sweep_curve(probe, material, illum, sensor, cfg,
+                                   reference, forces))
     return CalibrationTable(class_name=class_name, curves=curves,
                             params_hash=params_hash(material, illum, sensor, cfg))
 
@@ -645,6 +660,30 @@ class Detection:
         }
 
 
+def _template_variants(probe, offset, material: MaterialParams,
+                       illum: IlluminationModel, sensor: SensorConfig,
+                       cfg: DecodeConfig, reference: TactileImage):
+    """Canonical masks of one probe at the template forces, turned by its
+    class's offset. An offset of None is set by the first render's pose.
+    Returns (offset, variants)."""
+    variants = []
+    with punch_profile_memo():
+        for force in cfg.template_forces:
+            blobs, _ = _calibration_blobs(probe, force, material, illum,
+                                          sensor, cfg, reference)
+            if not blobs:
+                raise CalibrationError(
+                    f"template for {probe.class_name} at {force} N produced no blob")
+            blob = blobs[0]
+            if offset is None:
+                pose = estimate_pose(blob, cfg.low_eccentricity)
+                offset = pose.theta_deg if pose.confident else 0.0
+            mask = _canonical_patches(blob, [offset], cfg.canonical_size,
+                                      cfg.canonical_pad)[0]
+            variants.append(TemplateVariant(mask, force))
+    return offset, variants
+
+
 def build_templates(probes: list, material: MaterialParams,
                     illum: IlluminationModel, sensor: SensorConfig,
                     cfg: DecodeConfig) -> TemplateLibrary:
@@ -654,19 +693,9 @@ def build_templates(probes: list, material: MaterialParams,
     offsets: dict = {}
     for probe in probes:
         cls = probe.class_name
-        for force in cfg.template_forces:
-            blobs, _ = _calibration_blobs(probe, force, material, illum,
-                                          sensor, cfg, reference)
-            if not blobs:
-                raise CalibrationError(
-                    f"template for {cls} at {force} N produced no blob")
-            blob = blobs[0]
-            pose = estimate_pose(blob, cfg.low_eccentricity)
-            if cls not in offsets:
-                offsets[cls] = pose.theta_deg if pose.confident else 0.0
-            mask = _canonical_patches(blob, [offsets[cls]], cfg.canonical_size,
-                                      cfg.canonical_pad)[0]
-            by_class.setdefault(cls, []).append(TemplateVariant(mask, force))
+        offsets[cls], variants = _template_variants(
+            probe, offsets.get(cls), material, illum, sensor, cfg, reference)
+        by_class.setdefault(cls, []).extend(variants)
     return TemplateLibrary(
         classes=sorted(by_class),
         variants=by_class,
@@ -723,22 +752,71 @@ class TactileDecoder:
         return detections
 
 
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+_UNITS: list = []   # set in each worker process by _take_units
+
+
+def _take_units(units: list):
+    global _UNITS
+    _UNITS = units
+
+
+def _run_unit(i: int):
+    return _UNITS[i]()
+
+
+def _run_units(units: list) -> list:
+    """Results of the zero-argument ``units``, in order.
+
+    They run in forked worker processes, one per CPU the process may use
+    (capped at the number of units), or in a plain loop if that is one.
+    Fork hands the units to the workers without pickling them, along with
+    the parent's module state (a test's patched oracle too). It copies only
+    the calling thread, so no other thread may be busy in the units' code.
+    The first unit in order that fails raises its exception here, whichever
+    worker finished first; no worker outlives the call.
+    """
+    workers = min(_available_cpus(), len(units))
+    if workers <= 1:
+        return [unit() for unit in units]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_take_units, initargs=(units,))
+    try:
+        return list(pool.map(_run_unit, range(len(units))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def build_decoder(probes: list, material: MaterialParams,
                   illum: IlluminationModel, sensor: SensorConfig,
                   cfg: DecodeConfig) -> TactileDecoder:
     """Calibrate and assemble a decoder for a probe library.
 
     Probes sharing a class name become variants of one calibration table
-    (e.g. the five sphere diameters).
+    (e.g. the five sphere diameters). Each variant's force sweep and each
+    class's template renders are independent units of work; their results
+    and errors are taken in the order of a serial run, so the output does
+    not depend on how many workers run them.
     """
     by_class: dict = {}
     for probe in probes:
         by_class.setdefault(probe.class_name, []).append(probe)
-    template_probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
-    with punch_profile_memo():
-        calibrations = {
-            cls: build_calibration(cls, plist, material, illum, sensor, cfg)
-            for cls, plist in sorted(by_class.items())
-        }
-        templates = build_templates(template_probes, material, illum, sensor, cfg)
+    classes = sorted(by_class)
+    template_probes = [by_class[cls][len(by_class[cls]) // 2] for cls in classes]
+    reference = make_reference(sensor, illum)
+    args = (material, illum, sensor, cfg, reference)
+    results = iter(_run_units(
+        [functools.partial(_sweep_curve, p, *args) for cls in classes for p in by_class[cls]]
+        + [functools.partial(_template_variants, p, None, *args) for p in template_probes]))
+    phash = params_hash(material, illum, sensor, cfg)
+    calibrations = {cls: CalibrationTable(cls, [next(results) for _ in by_class[cls]], phash)
+                    for cls in classes}
+    offsets, variants = {}, {}
+    for cls, (offset, masks) in zip(classes, results):
+        offsets[cls], variants[cls] = offset, masks
+    templates = TemplateLibrary(classes=classes, variants=variants, offsets=offsets,
+                                canonical_size=cfg.canonical_size, params_hash=phash)
     return TactileDecoder(material, illum, sensor, cfg, calibrations, templates)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tactwin import decoder
 from tactwin.cli import main
 from tactwin.dataset import ANNOTATION_KEYS, pgm_bytes
 from tactwin.render import TactileImage
@@ -59,6 +61,15 @@ class TestGenerate:
                    "--force-range", "5:1", *SMALL])
         assert rc == 2
         assert "force-range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_1_exit_2(self, workers, tmp_path, capsys):
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
+                   "--workers", workers, *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--workers" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_probe_diameters_flags(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "ds"), "--count", "12",
@@ -472,3 +483,51 @@ class TestConfigEcho:
         echoed = json.loads((tmp_path / "ds" / "run_config.json").read_text())
         assert echoed["command"] == "generate"
         assert echoed["spec"]["sensor"]["input_size"] == 128
+
+
+class TestCalibrateWorkers:
+    """Calibration output and errors do not depend on the worker count."""
+
+    ARGS = ["--size", "160", "--scale", "0.2", "--noise", "0.02"]
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(decoder, "_available_cpus", lambda: n)
+
+    @pytest.mark.parametrize("suite", ["roundtrip", "spheres"])
+    def test_same_bytes_at_1_and_2_workers(self, suite, tmp_path, monkeypatch):
+        files = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            out = tmp_path / f"w{n}"
+            assert main(["calibrate", "--out", str(out), "--suite", suite, *self.ARGS]) == 0
+            assert multiprocessing.active_children() == []
+            files.append([(out / name).read_bytes()
+                          for name in ("calibration.json", "templates.json")])
+        assert files[0] == files[1]
+
+    def test_failing_sweep_same_error_at_1_and_2_workers(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # Two sphere variants lose their blob: 10 mm late in its sweep and
+        # 15 mm early in its own. Two workers start both at once and finish
+        # 15 mm first, but the first in suite order is reported, as in a
+        # serial run. Fork hands the patch to the workers.
+        calibration_blobs = decoder._calibration_blobs
+
+        def vanishing(probe, force, *args):
+            blobs, gt = calibration_blobs(probe, force, *args)
+            if (probe.diameter_mm, force) in ((10.0, 9.0), (15.0, 2.0)):
+                return [], gt
+            return blobs, gt
+
+        monkeypatch.setattr(decoder, "_calibration_blobs", vanishing)
+        errors = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            rc = main(["calibrate", "--out", str(tmp_path / f"w{n}"),
+                       "--suite", "spheres", *self.ARGS])
+            assert rc == 5
+            assert multiprocessing.active_children() == []
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "blob vanished at 9.0 N" in errors[0] and "Traceback" not in errors[0]

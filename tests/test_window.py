@@ -6,7 +6,8 @@ windowed results must equal byte for byte. ``_decode_measurements`` filters
 and labels only the deviation's support grown by the denoise kernel's radius;
 it is held to a frozen copy of the whole-raster measurement it replaced. The
 calibration sweeps and templates measure ``render_window``'s patch alone;
-they are held to whole-frame ``simulate`` measured by that frozen copy. The
+they are held to whole-frame ``simulate`` measured by that frozen copy, also
+through ``build_decoder``'s forked workers, which inherit the patch. The
 sloped-pixel shading and its blocked per-light kernel are held to a frozen
 copy of the per-light shading they replaced, and the sweep's reused punch
 profiles to fresh height fields.
@@ -138,6 +139,12 @@ def _templates_json(probes, material, illum, sensor, cfg):
                       sort_keys=True)
 
 
+def _decoder_json(probes, material, illum, sensor, cfg):
+    decoder = build_decoder(probes, material, illum, sensor, cfg)
+    return json.dumps([{cls: t.to_json() for cls, t in decoder.calibrations.items()},
+                       decoder.templates.to_json()], sort_keys=True)
+
+
 class TestContactWindow:
     def test_window_is_part_of_the_raster(self, material, illum, sensor):
         sc = sample_for_index(DatasetSpec(count=1, master_seed=3), 0)[0]
@@ -265,6 +272,17 @@ class TestCalibrationExact:
         with whole_raster_calibration():
             assert windowed == _calibration_json(probes, material, illum,
                                                  SENSOR_160, cfg)
+
+    def test_160px_decoder_at_2_workers(self, material, illum, decode_cfg, monkeypatch):
+        # Fork hands the patched oracle to the worker processes, so the
+        # oracle arm also runs in the pool.
+        monkeypatch.setattr(importlib.import_module("tactwin.decoder"),
+                            "_available_cpus", lambda: 2)
+        probes = SUITES["spheres"]()
+        windowed = _decoder_json(probes, material, illum, SENSOR_160, decode_cfg)
+        with whole_raster_calibration():
+            assert windowed == _decoder_json(probes, material, illum,
+                                             SENSOR_160, decode_cfg)
 
     def test_640px_two_roundtrip_probes(self, material, illum, sensor, decode_cfg):
         lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
@@ -410,6 +428,9 @@ class TestProfileMemo:
             return contact_mask(scenario, *args)
 
         contact_mask = contact.contact_mask
+        # The spies record in this process only: sweep without workers.
+        monkeypatch.setattr(importlib.import_module("tactwin.decoder"),
+                            "_available_cpus", lambda: 1)
         monkeypatch.setattr(render_module, "height_field", spy_field)
         monkeypatch.setattr(contact, "contact_mask", spy_mask)
         strip, lshape = (next(p for p in footprint_probes() if p.class_name == name)

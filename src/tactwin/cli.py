@@ -33,7 +33,7 @@ from .errors import (AssignmentError, CalibrationError, ConfigError,
 from .frames import SensorConfig
 from .geometry import OrientedBox
 from .metrics import evaluate_detections, write_report
-from .render import IlluminationModel, make_reference, resolution_sweep, ring_lights
+from .render import IlluminationModel, make_reference, resolution_sweep
 from .suites import ANISOTROPIC_CLASSES, SUITES
 from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
 
@@ -77,17 +77,17 @@ def _is_number_list(value) -> bool:
 
 
 def _check_section(section: str, cls, values: dict):
-    """Reject a config value of the wrong kind, naming ``section.key``.
+    """Reject a key that ``cls`` lacks or a value of the wrong kind, naming
+    ``section.key``.
 
     Booleans are not numbers. A field whose default is an int takes an
     integer, one whose default is None also takes null, and one whose
-    default is a sequence (or made by a factory) takes a list of numbers.
-    Unknown keys are left to the constructor, which names them.
+    default is made by a factory takes a list of numbers.
     """
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in values.items():
         if key not in defaults:
-            continue
+            raise ConfigError(f"unknown config key {section}.{key}")
         default = defaults[key]
         if isinstance(default, int):
             kind, ok = "an integer", type(value) is int
@@ -109,25 +109,11 @@ def _build_params(cfg: dict, args=None) -> tuple:
         sensor_kw["input_size"] = args.size
     if getattr(args, "scale", None) is not None:
         sensor_kw["scale_mm_per_px"] = args.scale
-    material_kw = dict(cfg.get("material", {}))
-    illum_kw = dict(cfg.get("illumination", {}))
-    if "n_lights" in illum_kw and "light_dirs" not in illum_kw:
-        n = illum_kw.pop("n_lights")
-        if type(n) is not int or n < 1:
-            raise ConfigError(f"illumination n_lights must be a positive integer, "
-                              f"got {n!r}")
-        illum_kw["light_dirs"] = ring_lights(n)
     decode_kw = dict(cfg.get("decode", {}))
     if getattr(args, "noise", None) is not None:
         decode_kw["noise_sigma"] = args.noise
-    try:
-        sensor = SensorConfig(**sensor_kw)
-        material = MaterialParams(**material_kw)
-        illum = IlluminationModel(**illum_kw)
-        decode_cfg = DecodeConfig(**decode_kw)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameter in config: {exc}") from exc
-    return sensor, material, illum, decode_cfg
+    return (SensorConfig(**sensor_kw), MaterialParams(**cfg.get("material", {})),
+            IlluminationModel(**cfg.get("illumination", {})), DecodeConfig(**decode_kw))
 
 
 def _manifest_config(spec: dict, cfg: dict | None = None, noise=None) -> dict:
@@ -386,7 +372,13 @@ def cmd_train_toy(args) -> int:
 def cmd_resolution(args) -> int:
     cfg = _load_config(args.config)
     sensor, material, illum, _ = _build_params(cfg, args)
-    freqs = [float(v) for v in args.frequencies.split(",")]
+    try:
+        freqs = [float(v) for v in args.frequencies.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--frequencies must be a comma-separated list of numbers, "
+                          f"got {args.frequencies!r}") from exc
+    if not all(0 < f < math.inf for f in freqs):
+        raise ConfigError(f"--frequencies must be finite and > 0, got {args.frequencies!r}")
     out = Path(args.out)
     _echo_config(out, {"command": "resolution", "frequencies": freqs,
                        "sensor": sensor.params()})

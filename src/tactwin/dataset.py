@@ -40,7 +40,7 @@ def write_pgm(path: Path, image: TactileImage) -> None:
     Path(path).write_bytes(pgm_bytes(image))
 
 
-def read_pgm(path: Path, scale_mm_per_px: float, is_reference: bool = False) -> TactileImage:
+def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
     """Read a 16-bit binary PGM as ``write_pgm`` writes it. A malformed header
     or a payload of the wrong length is an IOError naming the file."""
     with open(path, "rb") as fh:
@@ -63,8 +63,7 @@ def read_pgm(path: Path, scale_mm_per_px: float, is_reference: bool = False) -> 
         raise IOError(f"{path}: PGM payload is {len(payload)} bytes, expected "
                       f"{w * h * 2} for {w}x{h} pixels")
     raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
-    return TactileImage(raw.astype(float) / PGM_MAXVAL, scale_mm_per_px,
-                        is_reference=is_reference)
+    return TactileImage(raw.astype(float) / PGM_MAXVAL, scale_mm_per_px)
 
 
 def json_line(obj: dict) -> str:
@@ -92,6 +91,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.count <= 0:
             raise ConfigError(f"count must be positive, got {self.count}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; options: {sorted(SUITES)}")
         lo, hi = self.force_range

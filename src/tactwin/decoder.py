@@ -54,34 +54,31 @@ from .render import IlluminationModel, TactileImage, make_reference, render_wind
 
 SCHEMA_VERSION = 2
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
+TEMPLATE_FORCES = (2.0, 6.0)
+MERGE_DIST_MM = 3.0         # fragments closer than this are one signature
+LOW_ECCENTRICITY = 0.05     # moment anisotropy below which a pose is not confident
+CANONICAL_SIZE = 64         # side of a canonical patch, px
+CANONICAL_PAD = 1.15        # patch half-extent over the blob's 99th-percentile radius
+ROTATION_STEP_DEG = 10.0    # rotation sweep step for a blob without a confident pose
 _GAUSS_TRUNCATE = 3.0
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decode-side knobs; all enter the calibration parameter hash."""
+    """Decode-side knobs. They and the decode constants above all enter the
+    calibration parameter hash."""
 
     noise_sigma: float = 0.0
     threshold: float | None = None      # None: 0.01 at sigma=0, else 3x filtered noise
     denoise_sigma_mm: float = 0.25
     min_area_mm2: float = 1.0
-    merge_dist_mm: float = 3.0
-    low_eccentricity: float = 0.05
-    canonical_size: int = 64
-    canonical_pad: float = 1.15
-    rotation_step_deg: float = 10.0
-    template_forces: tuple = (2.0, 6.0)
 
     def __post_init__(self):
         # Kinds are checked where a config is read (cli._check_section).
-        positives = ("canonical_size", "canonical_pad", "rotation_step_deg")
-        for name in positives + ("noise_sigma", "denoise_sigma_mm", "min_area_mm2",
-                                 "merge_dist_mm", "low_eccentricity"):
+        for name in ("noise_sigma", "denoise_sigma_mm", "min_area_mm2"):
             value = getattr(self, name)
-            positive = name in positives
-            if not (value > 0 if positive else value >= 0):
-                raise ConfigError(f"decode.{name} must be {'> 0' if positive else '>= 0'}, "
-                                  f"got {value!r}")
+            if not (value >= 0):
+                raise ConfigError(f"decode.{name} must be >= 0, got {value!r}")
 
     def denoise_sigma_px(self, sensor: SensorConfig) -> float:
         return self.denoise_sigma_mm / sensor.scale_mm_per_px
@@ -117,12 +114,12 @@ class DecodeConfig:
             "threshold": self.effective_threshold(sensor),
             "denoise_sigma_mm": self.denoise_sigma_mm,
             "min_area_mm2": self.min_area_mm2,
-            "merge_dist_mm": self.merge_dist_mm,
-            "low_eccentricity": self.low_eccentricity,
-            "canonical_size": self.canonical_size,
-            "canonical_pad": self.canonical_pad,
-            "rotation_step_deg": self.rotation_step_deg,
-            "template_forces": list(self.template_forces),
+            "merge_dist_mm": MERGE_DIST_MM,
+            "low_eccentricity": LOW_ECCENTRICITY,
+            "canonical_size": CANONICAL_SIZE,
+            "canonical_pad": CANONICAL_PAD,
+            "rotation_step_deg": ROTATION_STEP_DEG,
+            "template_forces": list(TEMPLATE_FORCES),
         }
 
 
@@ -178,11 +175,11 @@ class Blob:
 
 
 def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
-                  min_area_mm2: float = 1.0, merge_dist_mm: float = 3.0,
+                  min_area_mm2: float = 1.0,
                   window: PixelWindow | None = None) -> list[Blob]:
     """8-connected components of |dev| >= threshold, nearby fragments merged.
 
-    Fragments closer than merge_dist_mm belong to one contact signature (flat
+    Fragments closer than MERGE_DIST_MM belong to one contact signature (flat
     probes leave separated edge bands); components are merged before the
     minimum-area filter. Moments are weighted by |dev|. ``window`` says where
     dev lies in a larger raster (default: dev is the raster); blob pixels and
@@ -208,9 +205,9 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     if not keep[1:].all():
         mask = keep[labels]
     n_groups = int(keep.sum())
-    if merge_dist_mm > 0 and n_groups > 1:
+    if n_groups > 1:
         dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
-        groups, n_groups = ndimage.label(dist <= merge_dist_mm / 2.0, structure=eight)
+        groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)
     else:
         groups = labels
     ys, xs = np.nonzero(mask)
@@ -259,13 +256,13 @@ class PoseEstimate:
     confident: bool
 
 
-def estimate_pose(blob: Blob, low_eccentricity: float = 0.05) -> PoseEstimate:
+def estimate_pose(blob: Blob) -> PoseEstimate:
     """Principal-axis orientation of the blob's weighted second moments."""
     trace = blob.mu20 + blob.mu02
     if trace <= 0:
         raise ValueError("degenerate blob moments")
     anisotropy = math.hypot(blob.mu20 - blob.mu02, 2.0 * blob.mu11) / trace
-    if anisotropy < low_eccentricity:
+    if anisotropy < LOW_ECCENTRICITY:
         return PoseEstimate(0.0, False)
     theta = 0.5 * math.degrees(math.atan2(2.0 * blob.mu11, blob.mu20 - blob.mu02))
     return PoseEstimate(normalize_angle(theta), True)
@@ -275,17 +272,17 @@ def estimate_pose(blob: Blob, low_eccentricity: float = 0.05) -> PoseEstimate:
 # Template classification.
 # ---------------------------------------------------------------------------
 
-def _canonical_patches(blob: Blob, angles_deg, size: int, pad: float) -> np.ndarray:
-    """Resample the blob mask into (len(angles), size, size) patches,
-    normalized for rotation (by each angle) and scale (by the blob's
-    99th-percentile radius)."""
+def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
+    """Resample the blob mask into len(angles) square patches of side
+    CANONICAL_SIZE, normalized for rotation (by each angle) and scale (by the
+    blob's 99th-percentile radius)."""
     xs_mm, ys_mm = blob.pixel_xy_mm()
     cx, cy = blob.centroid_mm
     r99 = np.percentile(np.hypot(xs_mm - cx, ys_mm - cy), 99)
-    half_extent = max(pad * r99, blob.scale_mm_per_px)
+    half_extent = max(CANONICAL_PAD * r99, blob.scale_mm_per_px)
     t = np.radians(np.asarray(angles_deg, dtype=float))[:, None, None]
     c, s = np.cos(t), np.sin(t)
-    lin = ((np.arange(size) + 0.5) / size * 2.0 - 1.0) * half_extent
+    lin = ((np.arange(CANONICAL_SIZE) + 0.5) / CANONICAL_SIZE * 2.0 - 1.0) * half_extent
     U, V = np.meshgrid(lin, lin)
     px = cx + U[None] * c - V[None] * s
     py = cy + U[None] * s + V[None] * c
@@ -348,9 +345,7 @@ class TemplateLibrary:
 
 
 def classify(blob: Blob, templates: TemplateLibrary,
-             pose: PoseEstimate | None = None,
-             rotation_step_deg: float = 10.0,
-             canonical_pad: float = 1.15):
+             pose: PoseEstimate | None = None):
     """Best-matching class by mask IoU over candidate rotations.
 
     Returns (class_name, score). Confident poses need only the principal
@@ -362,9 +357,8 @@ def classify(blob: Blob, templates: TemplateLibrary,
     if pose is not None and pose.confident:
         angles = [pose.theta_deg, pose.theta_deg + 180.0]
     else:
-        angles = list(np.arange(0.0, 360.0, rotation_step_deg))
-    size = templates.canonical_size
-    patches = _canonical_patches(blob, angles, size, canonical_pad).reshape(len(angles), -1)
+        angles = list(np.arange(0.0, 360.0, ROTATION_STEP_DEG))
+    patches = _canonical_patches(blob, angles).reshape(len(angles), -1)
     best_per_class = {}
     for cls in templates.classes:
         best = 0.0
@@ -498,7 +492,7 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
     return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2, cfg.merge_dist_mm, window=grown)
+                         cfg.min_area_mm2, window=grown)
 
 
 def _calibration_blobs(probe, force: float, material: MaterialParams,
@@ -668,7 +662,7 @@ def _template_variants(probe, offset, material: MaterialParams,
     Returns (offset, variants)."""
     variants = []
     with punch_profile_memo():
-        for force in cfg.template_forces:
+        for force in TEMPLATE_FORCES:
             blobs, _ = _calibration_blobs(probe, force, material, illum,
                                           sensor, cfg, reference)
             if not blobs:
@@ -676,10 +670,9 @@ def _template_variants(probe, offset, material: MaterialParams,
                     f"template for {probe.class_name} at {force} N produced no blob")
             blob = blobs[0]
             if offset is None:
-                pose = estimate_pose(blob, cfg.low_eccentricity)
+                pose = estimate_pose(blob)
                 offset = pose.theta_deg if pose.confident else 0.0
-            mask = _canonical_patches(blob, [offset], cfg.canonical_size,
-                                      cfg.canonical_pad)[0]
+            mask = _canonical_patches(blob, [offset])[0]
             variants.append(TemplateVariant(mask, force))
     return offset, variants
 
@@ -700,7 +693,7 @@ def build_templates(probes: list, material: MaterialParams,
         classes=sorted(by_class),
         variants=by_class,
         offsets=offsets,
-        canonical_size=cfg.canonical_size,
+        canonical_size=CANONICAL_SIZE,
         params_hash=params_hash(material, illum, sensor, cfg),
     )
 
@@ -725,17 +718,13 @@ class TactileDecoder:
         if templates.params_hash != expected:
             raise StaleCalibrationError(expected, templates.params_hash)
 
-    def decode(self, image: TactileImage,
-               reference: TactileImage | None = None) -> list[Detection]:
-        reference = reference if reference is not None else self.reference
-        blobs = _decode_measurements(difference_image(image, reference),
+    def decode(self, image: TactileImage) -> list[Detection]:
+        blobs = _decode_measurements(difference_image(image, self.reference),
                                      self.sensor, self.cfg)
         detections = []
         for blob in blobs:
-            pose = estimate_pose(blob, self.cfg.low_eccentricity)
-            cls, score = classify(blob, self.templates, pose,
-                                  self.cfg.rotation_step_deg,
-                                  self.cfg.canonical_pad)
+            pose = estimate_pose(blob)
+            cls, score = classify(blob, self.templates, pose)
             if pose.confident:
                 theta = normalize_angle(pose.theta_deg - self.templates.offsets[cls])
             else:
@@ -818,5 +807,5 @@ def build_decoder(probes: list, material: MaterialParams,
     for cls, (offset, masks) in zip(classes, results):
         offsets[cls], variants[cls] = offset, masks
     templates = TemplateLibrary(classes=classes, variants=variants, offsets=offsets,
-                                canonical_size=cfg.canonical_size, params_hash=phash)
+                                canonical_size=CANONICAL_SIZE, params_hash=phash)
     return TactileDecoder(material, illum, sensor, cfg, calibrations, templates)

@@ -207,8 +207,9 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     catches oscillating blowup (saturated sigmoids flip-flop instead of
     growing monotonically) without tripping on transient plateaus.
     """
-    if learning_rate < 0 or epochs < 0:
-        raise ConfigError("learning_rate and epochs must be nonnegative")
+    if not (0 <= learning_rate < math.inf) or epochs < 0:
+        raise ConfigError(f"learning_rate must be finite and >= 0 and epochs >= 0, "
+                          f"got {learning_rate!r} and {epochs!r}")
     n_samples = len(features_per_sample)
     if n_samples == 0 or n_samples != len(gts_per_sample):
         raise ConfigError("need matching nonempty feature and ground-truth lists")

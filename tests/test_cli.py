@@ -71,6 +71,14 @@ class TestGenerate:
         assert "--workers" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
+                   "--seed", "-1", *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_probe_diameters_flags(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "ds"), "--count", "12",
                    "--seed", "3", "--probe", "sphere",
@@ -113,13 +121,24 @@ class TestGenerate:
         ('{"decode": {"rotation_step_deg": 0}}', "decode.rotation_step_deg"),
         ('{"decode": {"canonical_pad": -1}}', "decode.canonical_pad"),
         ('{"decode": {"low_eccentricity": -0.05}}', "decode.low_eccentricity"),
+        # The fixed decode constants and the removed light-count alias, each
+        # at a value that used to be accepted.
+        ('{"decode": {"merge_dist_mm": 3.0}}', "decode.merge_dist_mm"),
+        ('{"decode": {"low_eccentricity": 0.05}}', "decode.low_eccentricity"),
+        ('{"decode": {"canonical_size": 64}}', "decode.canonical_size"),
+        ('{"decode": {"canonical_pad": 1.15}}', "decode.canonical_pad"),
+        ('{"decode": {"rotation_step_deg": 10.0}}', "decode.rotation_step_deg"),
+        ('{"decode": {"template_forces": [2.0, 6.0]}}', "decode.template_forces"),
+        ('{"illumination": {"n_lights": 12}}', "illumination.n_lights"),
     ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
             "template-forces-number", "threshold-string", "e-star-bool", "e-star-string",
             "merge-dist-bool", "scale-string", "ambient-null", "light-dirs-bool",
             "template-forces-bool", "canonical-size-fraction", "canonical-size-zero",
             "min-area-negative", "merge-dist-negative", "denoise-sigma-negative",
             "noise-sigma-negative", "rotation-step-zero", "canonical-pad-negative",
-            "low-eccentricity-negative"])
+            "low-eccentricity-negative", "merge-dist-fixed", "low-eccentricity-fixed",
+            "canonical-size-fixed", "canonical-pad-fixed", "rotation-step-fixed",
+            "template-forces-fixed", "n-lights-removed"])
     def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
@@ -455,6 +474,15 @@ class TestTrainToy:
         assert rc == 5
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+    def test_bad_lr_exit_2(self, workspace, tmp_path, capsys, lr):
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "2", "--lr", lr])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "learning_rate" in err and "Traceback" not in err
+        assert not (tmp_path / "toy").exists()
+
 
 class TestResolution:
     def test_both_orientations_and_limit(self, tmp_path):
@@ -472,6 +500,15 @@ class TestResolution:
         assert main(args + ["--out", str(tmp_path / "r1")]) == 0
         assert main(args + ["--out", str(tmp_path / "r2")]) == 0
         assert digest_tree(tmp_path / "r1") == digest_tree(tmp_path / "r2")
+
+    @pytest.mark.parametrize("freqs", ["a,b", "", "nan"])
+    def test_bad_frequencies_exit_2(self, tmp_path, capsys, freqs):
+        rc = main(["resolution", "--out", str(tmp_path / "res"), "--frequencies", freqs,
+                   *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--frequencies" in err and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
 
 
 class TestConfigEcho:

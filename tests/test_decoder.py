@@ -257,6 +257,15 @@ class TestCalibration:
                             DecodeConfig(noise_sigma=0.01))
         assert other != base
 
+    @pytest.mark.parametrize("noise, digest", [
+        (0.0, "a02caceb69cebd45ef40bace504d0ff0e1397edf6816bbaa22538614e6ab6817"),
+        (0.02, "e49492dc8764ee7204651b742d1da21ae5fc66180cfec713a9d6eb9c3e15cce4"),
+    ])
+    def test_params_hash_pinned(self, material, illum, sensor, noise, digest):
+        # Every model on disk carries this digest: a change to the hashed
+        # payload, such as a decode constant dropped from it, makes them stale.
+        assert params_hash(material, illum, sensor, DecodeConfig(noise_sigma=noise)) == digest
+
 
 class TestDenoiseKernel:
     @pytest.mark.parametrize("denoise_sigma_mm", [0.055, 0.25])

@@ -56,7 +56,7 @@ def frozen_measurements(image, reference, sensor, cfg):
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)
     return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2, cfg.merge_dist_mm)
+                         cfg.min_area_mm2)
 
 
 def frozen_calibration_blobs(probe, force, material, illum, sensor, cfg, reference):

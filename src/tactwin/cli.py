@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,8 +26,9 @@ import numpy as np
 from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
                       load_sample_image, read_json, read_jsonl, read_manifest)
-from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
-                      TemplateLibrary, build_decoder, params_hash)
+from .decoder import (THREAD_MIN_PIXELS, CalibrationTable, DecodeConfig, Detection,
+                      TactileDecoder, TemplateLibrary, build_decoder, params_hash,
+                      render_threads, run_units)
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
                      ContractViolation, ScenarioError, StaleCalibrationError)
@@ -153,7 +155,7 @@ def _log(out_dir: Path, message: str):
 
 
 def cmd_generate(args) -> int:
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     sensor, material, illum, _ = _build_params(cfg, args)
@@ -174,10 +176,11 @@ def cmd_generate(args) -> int:
         sphere_diameters=diameters,
         sensor=sensor, material=material, illum=illum,
     )
+    workers = min(args.workers or render_threads(sensor), spec.count)
     out = Path(args.out)
     _echo_config(out, {"command": "generate", "spec": spec.params()})
-    manifest = generate_dataset(spec, out, workers=args.workers)
-    _log(out, f"generate count={args.count} seed={args.seed} workers={args.workers}")
+    manifest = generate_dataset(spec, out, workers=workers)
+    _log(out, f"generate count={args.count} seed={args.seed} workers={workers}")
     print(f"wrote {manifest['counts']} to {out}")
     return EXIT_OK
 
@@ -261,6 +264,10 @@ def _load_model(model_dir: Path):
     return tables, read_json(model_dir / "templates.json", TemplateLibrary.from_json)
 
 
+def _decode_row(decoder: TactileDecoder, dataset: Path, ann: dict) -> list:
+    return decoder.decode(load_sample_image(dataset, ann, decoder.sensor))
+
+
 def cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     dataset = Path(args.dataset)
@@ -278,10 +285,13 @@ def cmd_decode(args) -> int:
         "split": args.split, "decode": decode_cfg.params(sensor),
         "params_hash": params_hash(material, illum, sensor, decode_cfg),
     })
+    # One unit per image, on every CPU: decode gains from threads at every
+    # raster size measured, 128 px included.
+    per_image = run_units([functools.partial(_decode_row, decoder, dataset, ann)
+                           for ann, _ in annotations])
     lines = []
-    for ann, _ in annotations:
-        image = load_sample_image(dataset, ann, sensor)
-        for det in decoder.decode(image):
+    for (ann, _), detections in zip(annotations, per_image):
+        for det in detections:
             row = {"index": ann["index"], "split": ann["split"]}
             row.update(det.to_json_dict())
             lines.append(row)
@@ -419,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameters", default="10,15,20,25,30",
                    help="sphere diameters in mm when --probe sphere is given")
     p.add_argument("--force-range", default="0.8:10")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int,
+                   help="render on exactly N threads, or one per image if fewer "
+                        "(default: one per CPU on a raster of at least "
+                        f"{math.isqrt(THREAD_MIN_PIXELS)} px square, else 1)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("calibrate", help="build calibration tables and templates")

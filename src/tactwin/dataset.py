@@ -12,14 +12,14 @@ the output.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .contact import ContactScenario, MaterialParams, SphereProbe
+from .decoder import render_threads, run_units
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
@@ -148,10 +148,16 @@ def sample_for_index(spec: DatasetSpec, index: int) -> tuple[ContactScenario, in
     return scenario, sim_seed
 
 
-def _render_sample(spec: DatasetSpec, index: int, split: str):
+def _write_sample(spec: DatasetSpec, index: int, split: str, out: Path) -> dict:
+    """Render one sample, write its PGM and return its annotation row."""
     scenario, sim_seed = sample_for_index(spec, index)
     image, gt = simulate(scenario, spec.material, spec.illum, spec.sensor, seed=sim_seed)
-    ann = {
+    try:
+        with open(out / split / f"{index:06d}.pgm", "wb") as fh:
+            fh.write(pgm_bytes(image))
+    except OSError as exc:
+        raise IOError(f"failed writing sample {index} to {out}: {exc}") from exc
+    return {
         "index": index,
         "split": split,
         "class": gt.class_name,
@@ -164,32 +170,20 @@ def _render_sample(spec: DatasetSpec, index: int, split: str):
         "probe": scenario.probe.params(),
         "seed": sim_seed,
     }
-    return pgm_bytes(image), ann
 
 
-def generate_dataset(spec: DatasetSpec, out_dir, workers: int = 1) -> dict:
-    """Write images, annotations.jsonl, and manifest.json; returns the manifest."""
+def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> dict:
+    """Write images, annotations.jsonl, and manifest.json; returns the manifest.
+    The images render on ``workers`` threads (default: ``render_threads``),
+    each written as soon as it is rendered."""
     out = Path(out_dir)
     splits = assign_splits(spec.count, spec.master_seed)
     for name in ("train", "val", "test"):
         (out / name).mkdir(parents=True, exist_ok=True)
 
     indices = range(spec.count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda i: _render_sample(spec, i, splits[i]), indices))
-    else:
-        results = [_render_sample(spec, i, splits[i]) for i in indices]
-
-    annotations = []
-    for i, (blob, ann) in zip(indices, results):
-        try:
-            with open(out / splits[i] / f"{i:06d}.pgm", "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            raise IOError(f"failed writing sample {i} to {out}: {exc}") from exc
-        annotations.append(ann)
+    annotations = run_units([partial(_write_sample, spec, i, splits[i], out) for i in indices],
+                            render_threads(spec.sensor) if workers is None else workers)
 
     with open(out / "annotations.jsonl", "w") as fh:
         for ann in annotations:
@@ -246,8 +240,11 @@ def read_json(path, parse):
 
 def _checked_manifest(manifest: dict) -> dict:
     """The manifest, once it has every field that readers of the dataset use."""
-    for key in ("sensor", "material", "illumination", "noise_sigma"):
-        manifest["spec"][key]   # a KeyError names the missing field
+    spec = manifest["spec"]   # a KeyError names the missing field
+    for key in ("sensor", "material", "illumination"):
+        if not isinstance(spec[key], dict):
+            raise TypeError(f"spec.{key} must be a JSON object, got {spec[key]!r}")
+    spec["noise_sigma"]
     manifest["classes"]
     return manifest
 

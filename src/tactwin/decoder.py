@@ -40,7 +40,7 @@ import json
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -741,8 +741,21 @@ class TactileDecoder:
         return detections
 
 
+# Threads render a dataset faster than one thread only on a large raster:
+# below it each image's numpy calls are too short to overlap under the GIL.
+# Crossover, 300 sphere images, 2 threads against 1 in fresh processes:
+# slower at 128 and 192 px, mixed at 256-320 px, faster from 384 px on.
+THREAD_MIN_PIXELS = 384 * 384
+
+
 def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
+
+
+def render_threads(sensor: SensorConfig) -> int:
+    """Threads that render a dataset by default: one per CPU the process may
+    use on a raster of at least ``THREAD_MIN_PIXELS``, else one."""
+    return _available_cpus() if sensor.input_size ** 2 >= THREAD_MIN_PIXELS else 1
 
 
 _UNITS: list = []   # set in each worker process by _take_units
@@ -757,24 +770,30 @@ def _run_unit(i: int):
     return _UNITS[i]()
 
 
-def _run_units(units: list) -> list:
+def run_units(units: list, workers: int | None = None, fork: bool = False) -> list:
     """Results of the zero-argument ``units``, in order.
 
-    They run in forked worker processes, one per CPU the process may use
-    (capped at the number of units), or in a plain loop if that is one.
-    Fork hands the units to the workers without pickling them, along with
-    the parent's module state (a test's patched oracle too). It copies only
-    the calling thread, so no other thread may be busy in the units' code.
-    The first unit in order that fails raises its exception here, whichever
-    worker finished first; no worker outlives the call.
+    They run on ``workers`` threads (default: one per CPU the process may
+    use), or in as many forked worker processes with ``fork``, never more
+    than there are units; one worker runs them in a plain loop. Fork hands
+    the units to the workers without pickling them, along with the parent's
+    module state (a test's patched oracle too). It copies only the calling
+    thread, so no other thread may be busy in the units' code. The first
+    unit in order that fails raises its exception here, whichever finished
+    first; units not yet started are cancelled, and no thread or worker
+    outlives the call.
     """
-    workers = min(_available_cpus(), len(units))
+    workers = min(_available_cpus() if workers is None else workers, len(units))
     if workers <= 1:
         return [unit() for unit in units]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_take_units, initargs=(units,))
+    if fork:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_take_units, initargs=(units,))
+        run = _run_unit
+    else:
+        pool, run = ThreadPoolExecutor(workers), lambda i: units[i]()
     try:
-        return list(pool.map(_run_unit, range(len(units))))
+        return list(pool.map(run, range(len(units))))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -797,9 +816,10 @@ def build_decoder(probes: list, material: MaterialParams,
     template_probes = [by_class[cls][len(by_class[cls]) // 2] for cls in classes]
     reference = make_reference(sensor, illum)
     args = (material, illum, sensor, cfg, reference)
-    results = iter(_run_units(
+    results = iter(run_units(
         [functools.partial(_sweep_curve, p, *args) for cls in classes for p in by_class[cls]]
-        + [functools.partial(_template_variants, p, None, *args) for p in template_probes]))
+        + [functools.partial(_template_variants, p, None, *args) for p in template_probes],
+        fork=True))
     phash = params_hash(material, illum, sensor, cfg)
     calibrations = {cls: CalibrationTable(cls, [next(results) for _ in by_class[cls]], phash)
                     for cls in classes}

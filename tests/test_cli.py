@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import shutil
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactwin import decoder
+from tactwin import cli, decoder
 from tactwin.cli import main
-from tactwin.dataset import ANNOTATION_KEYS, pgm_bytes
+from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes
+from tactwin.frames import SensorConfig
 from tactwin.render import TactileImage
 
 SMALL = ["--size", "128", "--scale", "0.25"]
@@ -70,6 +73,19 @@ class TestGenerate:
         assert rc == 2
         assert "--workers" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unwritable_sample_exit_3(self, workers, tmp_path, capsys):
+        # A directory stands at the PGM paths of samples 3 and 7; the first
+        # in order is reported, whichever thread fails first.
+        splits = assign_splits(8, 5)
+        for i in (3, 7):
+            (tmp_path / "x" / splits[i] / f"{i:06d}.pgm").mkdir(parents=True)
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "8",
+                   "--seed", "5", "--workers", workers, *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "failed writing sample 3 " in err and "Traceback" not in err
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
@@ -419,6 +435,23 @@ class TestCorruptJsonInputs:
         assert str(tmp_path / victim) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["sensor", "material", "illumination"])
+    @pytest.mark.parametrize("command", ["decode", "train-toy"])
+    def test_manifest_section_not_object_exit_3(self, workspace, tmp_path, capsys,
+                                                key, command):
+        shutil.copytree(workspace / "ds", tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["spec"][key] = 5
+        manifest.write_text(json.dumps(data))
+        argv = {"decode": ["decode", "--model", str(workspace / "model"), "--split", "all"],
+                "train-toy": ["train-toy", "--epochs", "1"]}[command]
+        rc = main([*argv, "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(manifest) in err and f"spec.{key}" in err
+        assert "Traceback" not in err
+
     def test_truncated_resume_head_exit_3(self, workspace, tmp_path, capsys):
         rc = main(["train-toy", "--dataset", str(workspace / "ds"),
                    "--out", str(tmp_path / "toy"), "--epochs", "1"])
@@ -568,3 +601,97 @@ class TestCalibrateWorkers:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "blob vanished at 9.0 N" in errors[0] and "Traceback" not in errors[0]
+
+
+class TestThreadedGenerateAndDecode:
+    """Datasets, detections and the first error do not depend on how many
+    threads generate and decode run on, and no thread outlives a command."""
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(decoder, "_available_cpus", lambda: n)
+
+    def test_default_threads_follow_the_raster(self, monkeypatch):
+        self.use_cpus(monkeypatch, 3)
+        assert decoder.render_threads(SensorConfig(input_size=128, scale_mm_per_px=0.25)) == 1
+        assert decoder.render_threads(SensorConfig()) == 3
+
+    def test_640px_same_bytes_at_1_and_2_cpus(self, roundtrip_decoder, tmp_path,
+                                              monkeypatch):
+        model = tmp_path / "model"
+        model.mkdir()
+        tables = {cls: t.to_json() for cls, t in roundtrip_decoder.calibrations.items()}
+        (model / "calibration.json").write_text(json.dumps(tables, sort_keys=True))
+        (model / "templates.json").write_text(
+            json.dumps(roundtrip_decoder.templates.to_json(), sort_keys=True))
+        outputs = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            threads = threading.active_count()
+            ds, dets = tmp_path / f"ds{n}", tmp_path / f"dets{n}"
+            assert main(["generate", "--out", str(ds), "--count", "8", "--seed", "17",
+                         "--suite", "roundtrip", "--noise", "0.02"]) == 0
+            assert threading.active_count() == threads
+            assert f"workers={n}" in (ds / "run.log").read_text()
+            assert main(["decode", "--dataset", str(ds), "--model", str(model),
+                         "--out", str(dets), "--split", "all"]) == 0
+            assert threading.active_count() == threads
+            outputs.append((digest_tree(ds), (dets / "detections.jsonl").read_bytes()))
+        assert outputs[0][1].count(b"\n") >= 8
+        assert outputs[0] == outputs[1]
+
+    def test_first_bad_row_reported_at_1_and_2_cpus(self, workspace, tmp_path,
+                                                    monkeypatch, capsys):
+        # Rows 3 and 7 have truncated PGMs. On a pool thread, row 3 waits to
+        # load until row 7 has failed, so two threads finish the later
+        # failure first; both counts must report row 3, as a serial run does.
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        rows = read_rows(ds / "annotations.jsonl")
+        for row in (rows[3], rows[7]):
+            truncate(ds / row["split"] / f"{row['index']:06d}.pgm")
+        load = cli.load_sample_image
+        row_7_failed = threading.Event()
+
+        def ordered(dataset, ann, sensor):
+            if ann["index"] == 3 and threading.current_thread() is not threading.main_thread():
+                assert row_7_failed.wait(timeout=60)
+            try:
+                return load(dataset, ann, sensor)
+            except IOError:
+                if ann["index"] == 7:
+                    row_7_failed.set()
+                raise
+
+        monkeypatch.setattr(cli, "load_sample_image", ordered)
+        errors = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            row_7_failed.clear()
+            threads = threading.active_count()
+            rc = main(["decode", "--dataset", str(ds), "--model", str(workspace / "model"),
+                       "--out", str(tmp_path / f"dets{n}"), "--split", "all"])
+            assert rc == 3
+            assert threading.active_count() == threads
+            assert row_7_failed.is_set() == (n == 2)
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "000003.pgm" in errors[0] and "Traceback" not in errors[0]
+
+    def test_units_not_started_are_cancelled(self):
+        started = []
+
+        def unit(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("unit 0")
+            time.sleep(0.05)
+            return i
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="unit 0"):
+            decoder.run_units([lambda i=i: unit(i) for i in range(40)], workers=2)
+        assert threading.active_count() == threads
+        assert len(started) < 40
+        assert decoder.run_units([lambda i=i: i * i for i in range(40)], workers=3) == [
+            i * i for i in range(40)]

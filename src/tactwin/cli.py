@@ -26,9 +26,9 @@ import numpy as np
 from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
                       load_sample_image, read_json, read_jsonl, read_manifest)
-from .decoder import (THREAD_MIN_PIXELS, CalibrationTable, DecodeConfig, Detection,
-                      TactileDecoder, TemplateLibrary, build_decoder, params_hash,
-                      render_threads, run_units)
+from .decoder import (FORK_MIN_IMAGES, THREAD_MIN_PIXELS, CalibrationTable, DecodeConfig,
+                      Detection, TactileDecoder, TemplateLibrary, build_decoder,
+                      params_hash, render_workers, run_units)
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
                      ContractViolation, ScenarioError, StaleCalibrationError)
@@ -176,7 +176,7 @@ def cmd_generate(args) -> int:
         sphere_diameters=diameters,
         sensor=sensor, material=material, illum=illum,
     )
-    workers = min(args.workers or render_threads(sensor), spec.count)
+    workers, _ = render_workers(sensor, spec.count, args.workers)
     out = Path(args.out)
     _echo_config(out, {"command": "generate", "spec": spec.params()})
     manifest = generate_dataset(spec, out, workers=workers)
@@ -375,7 +375,8 @@ def cmd_train_toy(args) -> int:
         print("training diverged (five consecutive loss increases)",
               file=sys.stderr)
         return EXIT_CONTRACT
-    print(f"trained {len(result.losses)} epochs, final loss {result.losses[-1]:.4f}")
+    final = f", final loss {result.losses[-1]:.4f}" if result.losses else ""
+    print(f"trained {len(result.losses)} epochs{final}")
     return EXIT_OK
 
 
@@ -430,9 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sphere diameters in mm when --probe sphere is given")
     p.add_argument("--force-range", default="0.8:10")
     p.add_argument("--workers", type=int,
-                   help="render on exactly N threads, or one per image if fewer "
-                        "(default: one per CPU on a raster of at least "
-                        f"{math.isqrt(THREAD_MIN_PIXELS)} px square, else 1)")
+                   help="render on exactly N workers, or one per image if fewer: "
+                        f"threads on a raster of at least {math.isqrt(THREAD_MIN_PIXELS)} "
+                        "px square, forked processes below (default: one per CPU, "
+                        f"but 1 below that size for fewer than {FORK_MIN_IMAGES} images)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("calibrate", help="build calibration tables and templates")

@@ -5,7 +5,7 @@ Images are 16-bit big-endian binary PGM (P5, maxval 65535), one per sample at
 sample; a single manifest JSON records the generation spec and splits. Every
 byte is a pure function of the manifest spec and the master seed: sample i
 draws from ``default_rng([master_seed, 0, i])`` and the split permutation from
-``default_rng([master_seed, 1])``, so thread count and run order cannot change
+``default_rng([master_seed, 1])``, so worker count and run order cannot change
 the output.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import ContactScenario, MaterialParams, SphereProbe
-from .decoder import render_threads, run_units
+from .decoder import render_workers, run_units
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
@@ -174,7 +174,7 @@ def _write_sample(spec: DatasetSpec, index: int, split: str, out: Path) -> dict:
 
 def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> dict:
     """Write images, annotations.jsonl, and manifest.json; returns the manifest.
-    The images render on ``workers`` threads (default: ``render_threads``),
+    The images render on ``render_workers``' threads or forked processes,
     each written as soon as it is rendered."""
     out = Path(out_dir)
     splits = assign_splits(spec.count, spec.master_seed)
@@ -182,8 +182,11 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
         (out / name).mkdir(parents=True, exist_ok=True)
 
     indices = range(spec.count)
+    workers, fork = render_workers(spec.sensor, spec.count, workers)
+    # Forked workers take a quarter of their share of samples at a time, so
+    # that task traffic stays small against the renders and the load even.
     annotations = run_units([partial(_write_sample, spec, i, splits[i], out) for i in indices],
-                            render_threads(spec.sensor) if workers is None else workers)
+                            workers, fork, chunksize=max(1, spec.count // (4 * workers)))
 
     with open(out / "annotations.jsonl", "w") as fh:
         for ann in annotations:

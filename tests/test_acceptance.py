@@ -410,7 +410,7 @@ class TestCriterion12Determinism:
         generate_dataset(spec, tmp_path / "b", workers=1)
         generate_dataset(spec, tmp_path / "c", workers=4)
         same_rerun = dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
-        same_threads = dir_digest(tmp_path / "a") == dir_digest(tmp_path / "c")
-        ok = same_rerun and same_threads
+        same_workers = dir_digest(tmp_path / "a") == dir_digest(tmp_path / "c")
+        ok = same_rerun and same_workers
         report(12, ok, f"rerun identical={same_rerun}, "
-                       f"4-thread identical={same_threads}")
+                       f"4-worker identical={same_workers}")

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactwin import cli, decoder
+from tactwin import cli, dataset, decoder
 from tactwin.cli import main
 from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes
+from tactwin.errors import ScenarioError
 from tactwin.frames import SensorConfig
 from tactwin.render import TactileImage
 
@@ -498,6 +499,15 @@ class TestTrainToy:
         losses = {row.split(",")[1] for row in rows}
         assert len(losses) == 1
 
+    def test_zero_epochs_exit_0(self, workspace, tmp_path, capsys):
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "trained 0 epochs" in out and "final loss" not in out
+        assert (tmp_path / "toy" / "curve.csv").read_text() == "epoch,loss\n"
+        assert (tmp_path / "toy" / "head.json").is_file()
+
     def test_divergence_nonzero_exit(self, workspace, tmp_path, capsys):
         import numpy as np
         with np.errstate(over="ignore"):
@@ -605,7 +615,8 @@ class TestCalibrateWorkers:
 
 class TestThreadedGenerateAndDecode:
     """Datasets, detections and the first error do not depend on how many
-    threads generate and decode run on, and no thread outlives a command."""
+    threads or forked workers generate and decode run on, and no thread or
+    worker process outlives a command."""
 
     @staticmethod
     def use_cpus(monkeypatch, n):
@@ -613,8 +624,67 @@ class TestThreadedGenerateAndDecode:
 
     def test_default_threads_follow_the_raster(self, monkeypatch):
         self.use_cpus(monkeypatch, 3)
-        assert decoder.render_threads(SensorConfig(input_size=128, scale_mm_per_px=0.25)) == 1
-        assert decoder.render_threads(SensorConfig()) == 3
+        small = SensorConfig(input_size=128, scale_mm_per_px=0.25)
+        floor = decoder.FORK_MIN_IMAGES
+        assert decoder.render_workers(small, floor) == (3, True)
+        assert decoder.render_workers(small, floor - 1) == (1, True)
+        assert decoder.render_workers(small, 8, workers=4) == (4, True)
+        assert decoder.render_workers(SensorConfig(), 8) == (3, False)
+        assert decoder.render_workers(SensorConfig(), 2) == (2, False)
+
+    def test_128px_above_the_floor_same_bytes_at_1_and_2_cpus(self, tmp_path, monkeypatch):
+        trees = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            threads = threading.active_count()
+            ds = tmp_path / f"ds{n}"
+            assert main(["generate", "--out", str(ds), "--count", str(decoder.FORK_MIN_IMAGES),
+                         "--seed", "19", "--suite", "spheres", "--noise", "0.02", *SMALL]) == 0
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
+            assert f"workers={n}" in (ds / "run.log").read_text()
+            trees.append(digest_tree(ds))
+        assert len(trees[0]) == decoder.FORK_MIN_IMAGES + 3
+        assert trees[0] == trees[1]
+
+    # At the floor two forked workers take chunks of a quarter of their share,
+    # so the second worker starts at sample CHUNK and fails there before the
+    # first worker reaches its earlier failure.
+    COUNT = decoder.FORK_MIN_IMAGES
+    CHUNK = COUNT // 8
+
+    def forked_errors(self, tmp_path, monkeypatch, capsys, expected_rc):
+        errors = []
+        for n in (1, 2):
+            self.use_cpus(monkeypatch, n)
+            threads = threading.active_count()
+            rc = main(["generate", "--out", str(tmp_path / "x"), "--count", str(self.COUNT),
+                       "--seed", "5", *SMALL])
+            assert rc == expected_rc
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "Traceback" not in errors[0]
+        return errors[0]
+
+    def test_unwritable_sample_on_forked_workers_exit_3(self, tmp_path, monkeypatch, capsys):
+        splits = assign_splits(self.COUNT, 5)
+        for i in (3, 7, self.CHUNK):
+            (tmp_path / "x" / splits[i] / f"{i:06d}.pgm").mkdir(parents=True)
+        err = self.forked_errors(tmp_path, monkeypatch, capsys, 3)
+        assert "failed writing sample 3 " in err
+
+    def test_scenario_error_on_forked_workers_exit_2(self, tmp_path, monkeypatch, capsys):
+        sample_for_index = dataset.sample_for_index
+
+        def failing(spec, index):
+            if index in (5, self.CHUNK):
+                raise ScenarioError(f"probe leaves the sensor at sample {index}")
+            return sample_for_index(spec, index)
+
+        monkeypatch.setattr(dataset, "sample_for_index", failing)
+        err = self.forked_errors(tmp_path, monkeypatch, capsys, 2)
+        assert "probe leaves the sensor at sample 5\n" in err
 
     def test_640px_same_bytes_at_1_and_2_cpus(self, roundtrip_decoder, tmp_path,
                                               monkeypatch):
@@ -695,3 +765,20 @@ class TestThreadedGenerateAndDecode:
         assert len(started) < 40
         assert decoder.run_units([lambda i=i: i * i for i in range(40)], workers=3) == [
             i * i for i in range(40)]
+
+    def test_forked_chunks_keep_order_and_first_failure(self):
+        # The second chunk fails at once, while the first still sleeps before
+        # its own failure at unit 3.
+        def unit(i):
+            if i in (3, 5):
+                raise ValueError(f"unit {i}")
+            time.sleep(0.05 if i < 3 else 0)
+            return i * i
+
+        squares = [lambda i=i: i * i for i in range(40)]
+        assert decoder.run_units(squares, workers=2, fork=True, chunksize=5) == [
+            i * i for i in range(40)]
+        with pytest.raises(ValueError, match="unit 3"):
+            decoder.run_units([lambda i=i: unit(i) for i in range(40)], workers=2,
+                              fork=True, chunksize=5)
+        assert multiprocessing.active_children() == []

@@ -14,22 +14,23 @@ Detection boxes come from weighted percentile extents along the principal
 axes, rescaled by the calibration's measured-vs-true box ratio so they track
 the contact footprint rather than the wider deviation band.
 
-Every measurement filters and labels only G: the smallest rectangle W that
-holds every pixel where the image differs from the reference (any rectangle
-that holds them all would do), grown by the denoise kernel's radius r. The
-deviation is exactly 0 outside W. The filter runs along one axis at a time,
-so a pixel more than r beyond W reads only zeros, reflected at the raster's
-edges or not, and the whole-raster filtered deviation is exactly 0 outside
-G. Inside G the crop's reflected border reads the same zeros where G ends
-inside the raster and reflects as the whole raster does at its edges, so the
-filtered values are equal too. A calibration render is measured on its
-contact window alone: W lies in it, and G's pixels beyond it are padded with
-zeros. Fragments merge through chains of neighbouring pixels within half the
-merge distance of the mask. Clamped into
+Every measurement filters and labels only G: W grown by the denoise kernel's
+radius r, where W is the smallest rectangle that holds every pixel whose
+|dev| reaches t0 = t (1 - 2^-40), a hair under the threshold t. Each 1-D
+pass of the filter is a mean with nonnegative weights that sum to 1 within a
+few ulps, so a pixel more than r beyond W, reflected at the raster's edges or
+not, reads only |dev| < t0 and filters below t: the whole-raster mask lies in
+G. The two passes read, for a pixel of G, only pixels of W grown by 2r. That
+crop is filtered; it reflects at the raster's edges as the whole raster
+does, so the filtered values on G are equal. A calibration render is
+measured on its contact window alone: dev is 0 beyond it, and the crop's
+pixels there are padded with zeros. Fragments merge through chains of
+neighbouring pixels within half the merge distance of the mask. Clamped into
 G, which holds the whole mask, such a chain stays a chain and comes no
 farther from any mask pixel, so no zero pad beyond G is needed. Blob pixels,
 moments and areas come out bit-equal to a whole-raster measurement. A noisy
-image differs almost everywhere and is measured whole.
+image reaches t0 almost everywhere and is measured whole; a noise-free one,
+read back from a PGM too, is measured around its contact.
 """
 
 from __future__ import annotations
@@ -472,27 +473,32 @@ def box_extents(blob: Blob, theta_deg: float):
 def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfig,
                          window: PixelWindow | None = None):
     """Blobs of a deviation that covers ``window`` of the raster (default: all
-    of it) and is 0 beyond it, filtered and labelled on its support grown by
-    the denoise kernel's radius, zero-padded (see the module docstring)."""
+    of it) and is 0 beyond it, labelled around the pixels that can reach the
+    threshold and filtered on a crop twice the kernel's radius wider,
+    zero-padded (see the module docstring)."""
     window = window or PixelWindow.full(dev.shape[0])
-    differs = dev != 0
-    rows = np.flatnonzero(differs.any(axis=1))
+    threshold = cfg.effective_threshold(sensor)
+    reaches = np.abs(dev) >= threshold * (1.0 - 2.0 ** -40)
+    rows = np.flatnonzero(reaches.any(axis=1))
     if rows.size == 0:
         return []
-    cols = np.flatnonzero(differs.any(axis=0))
-    support = PixelWindow(window.y0 + int(rows[0]), window.y0 + int(rows[-1]) + 1,
-                          window.x0 + int(cols[0]), window.x0 + int(cols[-1]) + 1,
-                          window.n)
-    dev = dev[support.slices_in(window)]
-    grown = support.grow(cfg.denoise_radius_px(sensor))
-    if grown != support:
-        dev = np.pad(dev, ((support.y0 - grown.y0, grown.y1 - support.y1),
-                           (support.x0 - grown.x0, grown.x1 - support.x1)))
+    cols = np.flatnonzero(reaches.any(axis=0))
+    core = PixelWindow(window.y0 + int(rows[0]), window.y0 + int(rows[-1]) + 1,
+                       window.x0 + int(cols[0]), window.x0 + int(cols[-1]) + 1,
+                       window.n)
+    radius = cfg.denoise_radius_px(sensor)
+    crop, labelled = core.grow(2 * radius), core.grow(radius)
+    given = PixelWindow(max(crop.y0, window.y0), min(crop.y1, window.y1),
+                        max(crop.x0, window.x0), min(crop.x1, window.x1), window.n)
+    dev = dev[given.slices_in(window)]
+    if given != crop:
+        dev = np.pad(dev, ((given.y0 - crop.y0, crop.y1 - given.y1),
+                           (given.x0 - crop.x0, crop.x1 - given.x1)))
     sp = cfg.denoise_sigma_px(sensor)
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
-    return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2, window=grown)
+    return extract_blobs(dev[labelled.slices_in(crop)], sensor.scale_mm_per_px,
+                         threshold, cfg.min_area_mm2, window=labelled)
 
 
 def _calibration_blobs(probe, force: float, material: MaterialParams,
@@ -513,11 +519,13 @@ def calibration_scenario(probe, force: float) -> ContactScenario:
 
 def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
                  sensor: SensorConfig, cfg: DecodeConfig, reference: TactileImage,
-                 forces=CALIBRATION_FORCES) -> CalibrationCurve:
+                 forces=CALIBRATION_FORCES, keep=()):
     """One probe variant's force sweep, its punch profile reused across the
-    forces (see ``build_calibration``)."""
+    forces (see ``build_calibration``). Returns the curve and, for each force
+    in ``keep``, a list of its first blob if it had one."""
     class_name = probe.class_name
     rows = []   # in CalibrationCurve's column order, force first
+    kept = {force: [] for force in keep}
     seen_blob = False
     with punch_profile_memo():
         for force in forces:
@@ -526,6 +534,8 @@ def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
                 continue
             blobs, gt = _calibration_blobs(probe, force, material, illum,
                                            sensor, cfg, reference)
+            if force in kept:
+                kept[force] = blobs[:1]
             if not blobs:
                 if seen_blob:
                     raise CalibrationError(
@@ -551,7 +561,7 @@ def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
             f"{class_name} ({probe.label}): deviation energy is not "
             f"strictly increasing in force: {e1:.10g} at "
             f"{f1:g} N after {e0:.10g} at {f0:g} N")
-    return curve
+    return curve, list(kept.values())
 
 
 def build_calibration(class_name: str, probes: list, material: MaterialParams,
@@ -572,7 +582,7 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
                 f"probe class {probe.class_name!r} does not match table class "
                 f"{class_name!r}")
         curves.append(_sweep_curve(probe, material, illum, sensor, cfg,
-                                   reference, forces))
+                                   reference, forces)[0])
     return CalibrationTable(class_name=class_name, curves=curves,
                             params_hash=params_hash(material, illum, sensor, cfg))
 
@@ -654,26 +664,22 @@ class Detection:
         }
 
 
-def _template_variants(probe, offset, material: MaterialParams,
-                       illum: IlluminationModel, sensor: SensorConfig,
-                       cfg: DecodeConfig, reference: TactileImage):
-    """Canonical masks of one probe at the template forces, turned by its
-    class's offset. An offset of None is set by the first render's pose.
-    Returns (offset, variants)."""
+def _template_variants(class_name: str, blobs_at, offset=None):
+    """Canonical masks of one probe's blobs at the template forces
+    (``blobs_at``: one blob list per force), turned by its class's offset.
+    An offset of None is set by the first force's pose. Returns (offset,
+    variants)."""
     variants = []
-    with punch_profile_memo():
-        for force in TEMPLATE_FORCES:
-            blobs, _ = _calibration_blobs(probe, force, material, illum,
-                                          sensor, cfg, reference)
-            if not blobs:
-                raise CalibrationError(
-                    f"template for {probe.class_name} at {force} N produced no blob")
-            blob = blobs[0]
-            if offset is None:
-                pose = estimate_pose(blob)
-                offset = pose.theta_deg if pose.confident else 0.0
-            mask = _canonical_patches(blob, [offset])[0]
-            variants.append(TemplateVariant(mask, force))
+    for force, blobs in zip(TEMPLATE_FORCES, blobs_at):
+        if not blobs:
+            raise CalibrationError(
+                f"template for {class_name} at {force} N produced no blob")
+        blob = blobs[0]
+        if offset is None:
+            pose = estimate_pose(blob)
+            offset = pose.theta_deg if pose.confident else 0.0
+        mask = _canonical_patches(blob, [offset])[0]
+        variants.append(TemplateVariant(mask, force))
     return offset, variants
 
 
@@ -686,8 +692,11 @@ def build_templates(probes: list, material: MaterialParams,
     offsets: dict = {}
     for probe in probes:
         cls = probe.class_name
-        offsets[cls], variants = _template_variants(
-            probe, offsets.get(cls), material, illum, sensor, cfg, reference)
+        with punch_profile_memo():
+            blobs_at = [_calibration_blobs(probe, force, material, illum, sensor,
+                                           cfg, reference)[0]
+                        for force in TEMPLATE_FORCES]
+        offsets[cls], variants = _template_variants(cls, blobs_at, offsets.get(cls))
         by_class.setdefault(cls, []).extend(variants)
     return TemplateLibrary(
         classes=sorted(by_class),
@@ -819,28 +828,30 @@ def build_decoder(probes: list, material: MaterialParams,
     """Calibrate and assemble a decoder for a probe library.
 
     Probes sharing a class name become variants of one calibration table
-    (e.g. the five sphere diameters). Each variant's force sweep and each
-    class's template renders are independent units of work; their results
-    and errors are taken in the order of a serial run, so the output does
-    not depend on how many workers run them.
+    (e.g. the five sphere diameters). Each variant's force sweep is an
+    independent unit of work; the sweep of each class's middle probe also
+    keeps its blobs at the template forces, which become the class's
+    templates once every sweep is in. Results and errors are taken in the
+    order of a serial run, so the output does not depend on how many workers
+    run them.
     """
     by_class: dict = {}
     for probe in probes:
         by_class.setdefault(probe.class_name, []).append(probe)
     classes = sorted(by_class)
-    template_probes = [by_class[cls][len(by_class[cls]) // 2] for cls in classes]
     reference = make_reference(sensor, illum)
     args = (material, illum, sensor, cfg, reference)
     results = iter(run_units(
-        [functools.partial(_sweep_curve, p, *args) for cls in classes for p in by_class[cls]]
-        + [functools.partial(_template_variants, p, None, *args) for p in template_probes],
+        [functools.partial(_sweep_curve, p, *args,
+                           keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())
+         for cls in classes for i, p in enumerate(by_class[cls])],
         fork=True))
     phash = params_hash(material, illum, sensor, cfg)
-    calibrations = {cls: CalibrationTable(cls, [next(results) for _ in by_class[cls]], phash)
-                    for cls in classes}
-    offsets, variants = {}, {}
-    for cls, (offset, masks) in zip(classes, results):
-        offsets[cls], variants[cls] = offset, masks
+    calibrations, offsets, variants = {}, {}, {}
+    for cls in classes:
+        swept = [next(results) for _ in by_class[cls]]
+        calibrations[cls] = CalibrationTable(cls, [curve for curve, _ in swept], phash)
+        offsets[cls], variants[cls] = _template_variants(cls, swept[len(swept) // 2][1])
     templates = TemplateLibrary(classes=classes, variants=variants, offsets=offsets,
                                 canonical_size=CANONICAL_SIZE, params_hash=phash)
     return TactileDecoder(material, illum, sensor, cfg, calibrations, templates)

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -215,6 +217,37 @@ class TestCalibration:
         decoder = build_decoder(probes, material, illum, SensorConfig(160, 0.2),
                                 DecodeConfig(noise_sigma=noise))
         assert sorted(decoder.calibrations) == sorted({p.class_name for p in probes})
+
+    @pytest.mark.parametrize("sweep_fails", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_template_error_after_every_sweep(self, sweep_fails, cpus, material,
+                                              illum, monkeypatch):
+        # The sphere's template force has no blob (nor any force below it, so
+        # its sweep passes), and the strip, a later class, loses its blob late
+        # in its sweep. The templates come from the sweeps' blobs, but the
+        # strip's sweep error comes first, as in a serial run that renders
+        # the templates after every sweep. Fork hands the patch to the workers.
+        decoder = importlib.import_module("tactwin.decoder")
+        calibration_blobs = decoder._calibration_blobs
+
+        def patched(probe, force, *args):
+            blobs, gt = calibration_blobs(probe, force, *args)
+            if probe.class_name == "sphere" and force <= 2.0:
+                return [], gt
+            if sweep_fails and probe.class_name == "strip" and force == 9.0:
+                return [], gt
+            return blobs, gt
+
+        monkeypatch.setattr(decoder, "_calibration_blobs", patched)
+        monkeypatch.setattr(decoder, "_available_cpus", lambda: cpus)
+        with pytest.raises(CalibrationError) as err:
+            build_decoder([SphereProbe(10.0), STRIP], material, illum,
+                          SensorConfig(160, 0.2), DecodeConfig(noise_sigma=0.02))
+        assert multiprocessing.active_children() == []
+        assert str(err.value) == (
+            "strip: blob vanished at 9.0 N after appearing at a lower force; "
+            "simulator parameters are inconsistent" if sweep_fails
+            else "template for sphere at 2.0 N produced no blob")
 
     def test_stale_hash_rejected(self, material, illum, sensor, cfg,
                                  small_decoder):

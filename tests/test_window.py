@@ -2,12 +2,16 @@
 
 ``contact_window`` decides which pixels ``simulate`` computes. Patching it to
 return the whole raster runs the same code on every pixel, which is what the
-windowed results must equal byte for byte. ``_decode_measurements`` filters
-and labels only the deviation's support grown by the denoise kernel's radius;
-it is held to a frozen copy of the whole-raster measurement it replaced. The
-calibration sweeps and templates measure ``render_window``'s patch alone;
-they are held to whole-frame ``simulate`` measured by that frozen copy, also
-through ``build_decoder``'s forked workers, which inherit the patch. The
+windowed results must equal byte for byte. ``_decode_measurements`` labels
+only the rectangle of the pixels whose deviation can reach the threshold,
+grown by the denoise kernel's radius, and filters it grown by twice the
+radius; it is held to a frozen copy of the whole-raster measurement it
+replaced, also under a skirt just below the threshold that reaches farther
+than the crop, and on a noise-free image read back from a PGM. The calibration
+sweeps and templates measure ``render_window``'s patch alone; they are held to
+whole-frame ``simulate`` measured by that frozen copy, also through
+``build_decoder``'s forked workers, which inherit the patch; the templates
+``build_decoder`` takes from its sweeps are held to that frozen copy too. The
 sloped-pixel shading and its blocked per-light kernel are held to a frozen
 copy of the per-light shading they replaced, and the sweep's reused punch
 profiles to fresh height fields.
@@ -22,7 +26,7 @@ import pytest
 from scipy import ndimage
 
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe, height_field
-from tactwin.dataset import DatasetSpec, sample_for_index
+from tactwin.dataset import DatasetSpec, read_pgm, sample_for_index, write_pgm
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
@@ -50,7 +54,7 @@ def whole_frame():
 
 def frozen_measurements(image, reference, sensor, cfg):
     """Frozen copy of the whole-raster ``_decode_measurements`` that the
-    support-windowed measurement replaced: filter and label every pixel."""
+    windowed measurement replaced: filter and label every pixel."""
     dev = image.pixels - reference.pixels
     sp = cfg.denoise_sigma_px(sensor)
     if sp > 0:
@@ -194,6 +198,57 @@ class TestMeasurementWindow:
         # 15 px: the kernel radius at 0.25 mm / 0.05 mm
         assert (blob.xs.min(), blob.ys.max()) == (300 - 15, 279 + 15)
 
+    @pytest.mark.parametrize("size, core", [
+        (640, (slice(300, 330), slice(200, 260))),
+        (160, (slice(70, 78), slice(60, 90))),
+        (160, (slice(0, 8), slice(140, 160))),
+    ], ids=["640px", "160px", "160px-raster-edge"])
+    def test_skirt_just_under_the_threshold(self, size, core, illum, sensor):
+        # A core above the threshold in a skirt that fills the raster, every
+        # skirt value a hair under the rectangle's cut t (1 - 2^-40). The
+        # filter carries the skirt's values from up to twice the kernel radius
+        # beyond the core into the mask's edge pixels, and a skirt that
+        # reaches the threshold after filtering would fall outside the label
+        # rectangle.
+        sensor = sensor if size == 640 else SENSOR_160
+        cfg = DecodeConfig(noise_sigma=0.0)
+        t = cfg.effective_threshold(sensor)
+        rng = np.random.default_rng(size)
+        reference = make_reference(sensor, illum)
+        skirt = t * (1.0 - 2.0 ** -39) * rng.uniform(1.0 - 2.0 ** -8, 1.0, (size, size))
+        pixels = reference.pixels - skirt
+        pixels[core] -= 0.05
+        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        dev = difference_image(image, reference)
+        assert np.abs(dev[np.abs(dev) < 0.02]).max() < t * (1.0 - 2.0 ** -40)
+        blob, = assert_measures_like_oracle(image, reference, sensor, cfg)
+        radius = cfg.denoise_radius_px(sensor)
+        assert blob.ys.max() >= core[0].stop + radius - 2
+
+    def test_noise_free_pgm_is_measured_around_its_contact(self, material, illum, sensor,
+                                                          tmp_path, monkeypatch):
+        # 16-bit rounding moves every pixel of a PGM off the float reference,
+        # but far below the threshold: the filter still runs on a crop.
+        cfg = DecodeConfig(noise_sigma=0.0)
+        reference = make_reference(sensor, illum)
+        shapes = []
+
+        def spy(dev, **kwargs):
+            shapes.append(dev.shape)
+            return gaussian_filter(dev, **kwargs)
+
+        gaussian_filter = ndimage.gaussian_filter
+        monkeypatch.setattr(ndimage, "gaussian_filter", spy)
+        for i, image in enumerate(_simulated_images("roundtrip", sensor, 7, 0.0,
+                                                    material, illum)):
+            write_pgm(tmp_path / f"{i}.pgm", image)
+            image = read_pgm(tmp_path / f"{i}.pgm", sensor.scale_mm_per_px)
+            assert (image.pixels != reference.pixels).all()
+            shapes.clear()
+            assert assert_measures_like_oracle(image, reference, sensor, cfg)
+            # the measurement's crop, then the whole-raster oracle
+            assert max(shapes[0]) < sensor.input_size and len(shapes) == 2
+
     def test_reference_decodes_to_nothing(self, illum, sensor, decode_cfg):
         reference = make_reference(sensor, illum)
         assert _decode_measurements(difference_image(reference, reference),
@@ -209,7 +264,7 @@ class TestMeasurementWindow:
     def test_contact_at_the_raster_corner(self, scenario, corner, decode_noise,
                                           material, illum):
         # A noise-free contact whose support reaches two raster edges: the
-        # filter reflects there, and the support window must reflect alike.
+        # filter reflects there, and the measured crop must reflect alike.
         image = simulate(scenario, material, illum, SENSOR_160)[0]
         reference = make_reference(SENSOR_160, illum)
         differs = image.pixels != reference.pixels
@@ -261,6 +316,9 @@ class TestCalibrationExact:
             by_class.setdefault(probe.class_name, []).append(probe)
         probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
         windowed = _templates_json(probes, material, illum, SENSOR_160, decode_cfg)
+        # build_decoder takes the same templates from the middle probes' sweeps
+        swept = build_decoder(SUITES[suite](), material, illum, SENSOR_160, decode_cfg)
+        assert json.dumps(swept.templates.to_json(), sort_keys=True) == windowed
         with whole_raster_calibration():
             assert windowed == _templates_json(probes, material, illum,
                                                SENSOR_160, decode_cfg)
@@ -438,9 +496,10 @@ class TestProfileMemo:
         build_decoder([strip, lshape, SphereProbe(20.0)],
                       material, illum, sensor, decode_cfg)
         assert contact._PROFILE_MEMO.get() is None
-        # one profile per punch in the calibration sweep, one per template
-        assert built == ["lshape", "strip", "lshape", "strip"]
+        # one profile per punch, in its calibration sweep; the templates
+        # take the sweep's renders at their forces and render nothing
+        assert built == ["lshape", "strip"]
         monkeypatch.undo()
-        assert len(seen) == 3 * (len(CALIBRATION_FORCES) - 1 + 2)
+        assert len(seen) == 3 * (len(CALIBRATION_FORCES) - 1)
         for scenario, window, z in seen:
             assert height_field(scenario, material, sensor, window=window).z.tobytes() == z

@@ -54,7 +54,7 @@ from .geometry import OrientedBox, normalize_angle
 from .render import IlluminationModel, TactileImage, make_reference, render_window
 
 SCHEMA_VERSION = 2
-CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 0.25))
+CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 1.0))
 TEMPLATE_FORCES = (2.0, 6.0)
 MERGE_DIST_MM = 3.0         # fragments closer than this are one signature
 LOW_ECCENTRICITY = 0.05     # moment anisotropy below which a pose is not confident
@@ -121,6 +121,7 @@ class DecodeConfig:
             "canonical_pad": CANONICAL_PAD,
             "rotation_step_deg": ROTATION_STEP_DEG,
             "template_forces": list(TEMPLATE_FORCES),
+            "calibration_forces": list(map(float, CALIBRATION_FORCES)),
         }
 
 
@@ -379,6 +380,31 @@ def classify(blob: Blob, templates: TemplateLibrary,
 # Force calibration.
 # ---------------------------------------------------------------------------
 
+def monotone_cubic(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Values at ``at``, in [x[0], x[-1]], of the monotone piecewise cubic
+    through the knots (x, y[:, j]) of each column j (Fritsch and Carlson,
+    1980), with SciPy's PCHIP slopes at the inner knots and at the ends."""
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    d = np.vstack([m[:1], m[-1:]])      # two knots: a straight line
+    if len(x) > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        e = np.where(np.sign(e) != np.sign(m0), 0.0, e)
+        e = np.where((np.sign(m0) != np.sign(m1)) & (abs(e) > 3 * abs(m0)), 3 * m0, e)
+        d = np.vstack([e[:1], inner, e[1:]])
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(x) - 2)
+    s, h, m = (at - x[i])[:, None], h[i], m[i]
+    t = (d[i] + d[i + 1] - 2 * m) / h
+    out = y[i] + d[i] * s + ((m - d[i]) / h - t) * (s * s) + t / h * (s * s * s)
+    out[at == x[-1]] = y[-1]
+    return out
+
+
 @dataclass
 class CalibrationCurve:
     """Forward-model sweep for one probe variant of a class."""
@@ -392,6 +418,15 @@ class CalibrationCurve:
     raw_hs: np.ndarray
     gt_ws: np.ndarray
     gt_hs: np.ndarray
+
+    @functools.cached_property
+    def resampled(self) -> tuple:
+        """(grid, columns): 401 forces spanning the curve, and the six columns
+        after ``forces`` on them by ``monotone_cubic``; built on first use."""
+        grid = np.linspace(float(self.forces[0]), float(self.forces[-1]), 401)
+        columns = np.column_stack([self.energies, self.gyrations, self.raw_ws,
+                                   self.raw_hs, self.gt_ws, self.gt_hs])
+        return grid, monotone_cubic(self.forces, columns, grid).T
 
 
 @dataclass
@@ -612,9 +647,8 @@ def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> Forc
     s_g = _GYRATION_SCALE[0] * blob.scale_mm_per_px + _GYRATION_SCALE[1] * r_g
     best = None
     for curve in table.curves:
-        grid = np.linspace(float(curve.forces[0]), float(curve.forces[-1]), 401)
-        resid = (((np.interp(grid, curve.forces, curve.energies) - energy) / s_e) ** 2
-                 + ((np.interp(grid, curve.forces, curve.gyrations) - r_g) / s_g) ** 2)
+        grid, (energies, gyrations, *_) = curve.resampled
+        resid = ((energies - energy) / s_e) ** 2 + ((gyrations - r_g) / s_g) ** 2
         k = int(np.argmin(resid))
         if best is None or resid[k] < best[0]:
             best = (resid[k], float(grid[k]), curve)
@@ -630,10 +664,8 @@ def corrected_box(blob: Blob, theta_deg: float, force_n: float,
     """Detection box: raw percentile extents rescaled by the calibration's
     measured-to-true ratio at the estimated force."""
     cx, cy, raw_w, raw_h = box_extents(blob, theta_deg)
-    cal_raw_w = float(np.interp(force_n, curve.forces, curve.raw_ws))
-    cal_raw_h = float(np.interp(force_n, curve.forces, curve.raw_hs))
-    gt_w = float(np.interp(force_n, curve.forces, curve.gt_ws))
-    gt_h = float(np.interp(force_n, curve.forces, curve.gt_hs))
+    grid, (_, _, *boxes) = curve.resampled
+    cal_raw_w, cal_raw_h, gt_w, gt_h = (float(np.interp(force_n, grid, c)) for c in boxes)
     w = raw_w * gt_w / cal_raw_w if cal_raw_w > 0 else raw_w
     h = raw_h * gt_h / cal_raw_h if cal_raw_h > 0 else raw_h
     return OrientedBox(cx, cy, max(w, 1e-6), max(h, 1e-6), theta_deg)
@@ -840,7 +872,7 @@ def build_decoder(probes: list, material: MaterialParams,
         by_class.setdefault(probe.class_name, []).append(probe)
     classes = sorted(by_class)
     reference = make_reference(sensor, illum)
-    args = (material, illum, sensor, cfg, reference)
+    args = (material, illum, sensor, cfg, reference, CALIBRATION_FORCES)
     results = iter(run_units(
         [functools.partial(_sweep_curve, p, *args,
                            keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())

@@ -212,6 +212,26 @@ class TestPipeline:
         assert rc == 4
         assert "stale" in err and "expected schema version 2, found 1" in err
 
+    def test_model_on_another_force_grid_exit_4(self, tmp_path, monkeypatch, capsys):
+        # The force grid enters the parameter hash: a model swept on the old
+        # 0.25 N grid decodes on that grid and is stale on the default one.
+        args = ["--suite", "spheres", "--size", "160", "--scale", "0.2", "--noise", "0.02"]
+        assert main(["generate", "--out", str(tmp_path / "ds"), "--count", "2",
+                     "--seed", "5", *args]) == 0
+        monkeypatch.setattr(decoder, "CALIBRATION_FORCES",
+                            tuple(np.arange(0.0, 10.0 + 1e-9, 0.25)))
+        assert main(["calibrate", "--out", str(tmp_path / "model"), *args]) == 0
+        tables = json.loads((tmp_path / "model" / "calibration.json").read_text())
+        assert {curve["forces"][-2] for table in tables.values()
+                for curve in table["curves"]} == {9.75}
+        decode = ["decode", "--dataset", str(tmp_path / "ds"), "--model",
+                  str(tmp_path / "model"), "--split", "all"]
+        assert main([*decode, "--out", str(tmp_path / "dets")]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main([*decode, "--out", str(tmp_path / "stale")]) == 4
+        assert "hash" in capsys.readouterr().err
+
     def test_decode_missing_dataset_exit_3(self, workspace, tmp_path):
         rc = main(["decode", "--dataset", str(tmp_path / "nope"),
                    "--model", str(workspace / "model"),

@@ -2,10 +2,15 @@ import importlib
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from tactwin import contact
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
@@ -13,7 +18,7 @@ from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
                              TemplateLibrary, _calibration_blobs,
                              build_calibration, build_decoder, classify,
                              difference_image, estimate_force, estimate_pose,
-                             extract_blobs, params_hash)
+                             extract_blobs, monotone_cubic, params_hash)
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.frames import SensorConfig
@@ -291,9 +296,9 @@ class TestCalibration:
         assert other != base
 
     @pytest.mark.parametrize("noise, digest", [
-        (0.0, "a02caceb69cebd45ef40bace504d0ff0e1397edf6816bbaa22538614e6ab6817"),
-        (0.02, "e49492dc8764ee7204651b742d1da21ae5fc66180cfec713a9d6eb9c3e15cce4"),
-    ])
+        (0.0, "3a3ed227aa554a3a5b555374fd87b288c64bb4919c295f3eb2ca36cb466e3f5e"),
+        (0.02, "c7fe364af62766d4218cbc383338381dcb632e217df6ada1970e4e43b459437f"),
+    ], ids=["0.0", "0.02"])
     def test_params_hash_pinned(self, material, illum, sensor, noise, digest):
         # Every model on disk carries this digest: a change to the hashed
         # payload, such as a decode constant dropped from it, makes them stale.
@@ -335,14 +340,17 @@ class TestForceRoundTrip:
             assert not est.out_of_range
 
     def test_monotone_in_energy(self, small_decoder):
-        # force estimates inherit the calibration's monotonicity
+        # force estimates inherit the calibration's monotonicity: every
+        # inner knot, and the midpoint between each pair of neighbouring
+        # knots, in order of energy
         table = small_decoder.calibrations["sphere"]
         curve = table.curves[0]
-        forces = []
-        for k in range(5, 35, 5):
-            blob = _FakeBlob(energy=float(curve.energies[k]),
-                             gyration=float(curve.gyrations[k]))
-            forces.append(estimate_force(blob, "sphere", table).force_n)
+        e, g = curve.energies, curve.gyrations
+        points = [((e[k] + e[k + 1]) / 2, (g[k] + g[k + 1]) / 2) for k in range(len(e) - 1)]
+        points = sorted(points + list(zip(e[1:-1], g[1:-1])))
+        assert len(points) == 19    # 10 midpoints and 9 inner knots of 11 rows
+        forces = [estimate_force(_FakeBlob(energy=float(en), gyration=float(gy)),
+                                 "sphere", table).force_n for en, gy in points]
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_out_of_range_flagged(self, small_decoder):
@@ -364,6 +372,74 @@ class TestForceRoundTrip:
         est = estimate_force(blob, "strip", table)
         assert est.out_of_range
         assert est.force_n == 10.0
+
+
+def _random_columns(rng, n, cols=6):
+    """Knots at uneven spacing and increasing columns with flat stretches."""
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, n - 1))])
+    steps = rng.uniform(0.0, 3.0, (n - 1, cols)) * (rng.random((n - 1, cols)) > 0.2)
+    return x, np.vstack([np.zeros(cols), np.cumsum(steps, axis=0)])
+
+
+class TestMonotoneCubic:
+    """The calibration's inversion: a numpy monotone cubic held to SciPy's
+    PCHIP, which only this module imports."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 41])
+    def test_matches_pchip_on_random_columns(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            x, y = _random_columns(rng, n)
+            if rng.random() < 0.3:
+                y = rng.normal(size=y.shape)    # turns, for the end-slope rule
+            at = np.sort(np.concatenate([x, rng.uniform(x[0], x[-1], 300)]))
+            np.testing.assert_allclose(monotone_cubic(x, y, at), PchipInterpolator(x, y)(at),
+                                       rtol=0, atol=1e-12 * max(1.0, np.abs(y).max()))
+
+    def test_matches_pchip_on_every_roundtrip_curve(self, roundtrip_decoder):
+        for table in roundtrip_decoder.calibrations.values():
+            for curve in table.curves:
+                grid, columns = curve.resampled
+                assert grid.size == 401 and (grid[0], grid[-1]) == (curve.forces[0], curve.forces[-1])
+                for column, name in zip(columns, ("energies", "gyrations", "raw_ws",
+                                                  "raw_hs", "gt_ws", "gt_hs")):
+                    knots = getattr(curve, name)
+                    oracle = PchipInterpolator(curve.forces, knots)(grid)
+                    assert np.abs(column - oracle).max() <= 1e-12 * max(1.0, np.abs(knots).max()), (
+                        table.class_name, curve.label, name)
+
+    def test_through_knots_and_monotone_between(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 11, 41):
+            x, y = _random_columns(rng, n)
+            assert np.array_equal(monotone_cubic(x, y, x), y)
+            at = np.linspace(x[0], x[-1], 20 * n + 1)
+            values = monotone_cubic(x, y, at)
+            assert (np.diff(values, axis=0) >= 0).all()
+            i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, n - 2)
+            assert ((values >= y[i]) & (values <= y[i + 1])).all()
+
+    def test_cli_never_imports_scipy_interpolate(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from tactwin.cli import main\n"
+            "out, common = sys.argv[1], sys.argv[2:]\n"
+            "assert main(['generate', '--out', out + '/ds', '--count', '4', '--seed', '3',"
+            " *common]) == 0\n"
+            "assert main(['calibrate', '--out', out + '/model', *common]) == 0\n"
+            "assert main(['decode', '--dataset', out + '/ds', '--model', out + '/model',"
+            " '--out', out + '/dets', '--split', 'all']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), "--suite", "spheres",
+             "--size", "128", "--scale", "0.25", "--noise", "0.02"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "dets" / "detections.jsonl").read_text().count("sphere") == 4
 
 
 class TestCoarseSpheres:

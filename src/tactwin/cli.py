@@ -26,9 +26,8 @@ import numpy as np
 from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
                       load_sample_image, read_json, read_jsonl, read_manifest)
-from .decoder import (FORK_MIN_IMAGES, THREAD_MIN_PIXELS, CalibrationTable, DecodeConfig,
-                      Detection, TactileDecoder, TemplateLibrary, build_decoder,
-                      params_hash, render_workers, run_units)
+from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
+                      TemplateLibrary, build_decoder, params_hash)
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
                      ContractViolation, ScenarioError, StaleCalibrationError)
@@ -36,6 +35,7 @@ from .frames import SensorConfig
 from .geometry import OrientedBox
 from .metrics import evaluate_detections, write_report
 from .render import IlluminationModel, make_reference, resolution_sweep
+from .runner import render_workers, run_units
 from .suites import ANISOTROPIC_CLASSES, SUITES
 from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
 
@@ -155,8 +155,6 @@ def _log(out_dir: Path, message: str):
 
 
 def cmd_generate(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     sensor, material, illum, _ = _build_params(cfg, args)
     diameters = None
@@ -176,7 +174,7 @@ def cmd_generate(args) -> int:
         sphere_diameters=diameters,
         sensor=sensor, material=material, illum=illum,
     )
-    workers, _ = render_workers(sensor, spec.count, args.workers)
+    workers, _ = render_workers(sensor, spec.count)
     out = Path(args.out)
     _echo_config(out, {"command": "generate", "spec": spec.params()})
     manifest = generate_dataset(spec, out, workers=workers)
@@ -430,11 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameters", default="10,15,20,25,30",
                    help="sphere diameters in mm when --probe sphere is given")
     p.add_argument("--force-range", default="0.8:10")
-    p.add_argument("--workers", type=int,
-                   help="render on exactly N workers, or one per image if fewer: "
-                        f"threads on a raster of at least {math.isqrt(THREAD_MIN_PIXELS)} "
-                        "px square, forked processes below (default: one per CPU, "
-                        f"but 1 below that size for fewer than {FORK_MIN_IMAGES} images)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("calibrate", help="build calibration tables and templates")

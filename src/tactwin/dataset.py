@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .contact import ContactScenario, MaterialParams, SphereProbe
-from .decoder import render_workers, run_units
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
+from .runner import render_workers, run_units
 from .suites import SUITES, sample_scenario
 
 PGM_MAXVAL = 65535
@@ -183,10 +183,8 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
 
     indices = range(spec.count)
     workers, fork = render_workers(spec.sensor, spec.count, workers)
-    # Forked workers take a quarter of their share of samples at a time, so
-    # that task traffic stays small against the renders and the load even.
     annotations = run_units([partial(_write_sample, spec, i, splits[i], out) for i in indices],
-                            workers, fork, chunksize=max(1, spec.count // (4 * workers)))
+                            workers, fork)
 
     with open(out / "annotations.jsonl", "w") as fh:
         for ann in annotations:

@@ -181,13 +181,6 @@ class ConfusionMatrix:
                      for lbl, row in zip(self.labels, self.matrix)},
         }
 
-    def diagonal_recall(self) -> dict:
-        out = {}
-        for i, lbl in enumerate(self.labels):
-            total = self.matrix[i].sum()
-            out[lbl] = float(self.matrix[i, i] / total) if total else None
-        return out
-
 
 def confusion_matrix(per_sample_matches, classes) -> ConfusionMatrix:
     """Counts over class-agnostic matched pairs plus per-class misses.

@@ -292,8 +292,10 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         gz_pos[:, cols["force"]] = g_force[:, None]
         gz_pos[:, cols["box"]] = g_box
 
-        # obj is output column 0; the positive-cell outputs follow it.
-        grad_w = np.concatenate([x_all.T @ gz_obj, x_pos.T @ gz_pos], axis=1)
+        # obj is output column 0; the positive-cell outputs follow it. einsum
+        # sums x_all's rows in one order; threaded BLAS in one per thread count.
+        grad_w = np.concatenate([np.einsum("ij,ik->jk", x_all, gz_obj),
+                                 x_pos.T @ gz_pos], axis=1)
         grad_b = np.concatenate([gz_obj.sum(axis=0), gz_pos.sum(axis=0)])
         head.weights = head.weights - lr_per_output * grad_w / n_samples
         head.bias = head.bias - lr_per_output * grad_b / n_samples

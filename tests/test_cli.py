@@ -1,7 +1,10 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactwin import cli, dataset, decoder
+from tactwin import cli, dataset, decoder, runner
 from tactwin.cli import main
 from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes
 from tactwin.errors import ScenarioError
@@ -53,11 +56,14 @@ class TestGenerate:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert digest_tree(tmp_path / "a") == digest_tree(tmp_path / "b")
 
-    def test_worker_count_invariance(self, tmp_path):
-        args = ["generate", "--count", "8", "--seed", "5", "--suite", "spheres",
-                "--force-range", "1:4", *SMALL]
-        assert main(args + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
-        assert main(args + ["--out", str(tmp_path / "w4"), "--workers", "4"]) == 0
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        # 128 images at 128 px fork one worker per CPU.
+        args = ["generate", "--count", str(runner.FORK_MIN_IMAGES), "--seed", "5",
+                "--suite", "spheres", "--force-range", "1:4", *SMALL]
+        for n in (1, 4):
+            monkeypatch.setattr(runner, "_available_cpus", lambda: n)
+            assert main(args + ["--out", str(tmp_path / f"w{n}")]) == 0
+            assert f"workers={n}" in (tmp_path / f"w{n}" / "run.log").read_text()
         assert digest_tree(tmp_path / "w1") == digest_tree(tmp_path / "w4")
 
     def test_invalid_force_range_exit_2(self, tmp_path, capsys):
@@ -66,24 +72,25 @@ class TestGenerate:
         assert rc == 2
         assert "force-range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-4"])
-    def test_workers_below_1_exit_2(self, workers, tmp_path, capsys):
-        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
-                   "--workers", workers, *SMALL])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "--workers" in err and "Traceback" not in err
+    def test_workers_flag_rejected_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
+                  "--workers", "2", *SMALL])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_unwritable_sample_exit_3(self, workers, tmp_path, capsys):
+    def test_unwritable_sample_exit_3(self, workers, tmp_path, monkeypatch, capsys):
         # A directory stands at the PGM paths of samples 3 and 7; the first
-        # in order is reported, whichever thread fails first.
-        splits = assign_splits(8, 5)
+        # in order is reported, whichever worker fails first.
+        count = runner.FORK_MIN_IMAGES
+        splits = assign_splits(count, 5)
         for i in (3, 7):
             (tmp_path / "x" / splits[i] / f"{i:06d}.pgm").mkdir(parents=True)
-        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "8",
-                   "--seed", "5", "--workers", workers, *SMALL])
+        monkeypatch.setattr(runner, "_available_cpus", lambda: int(workers))
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", str(count),
+                   "--seed", "5", *SMALL])
         err = capsys.readouterr().err
         assert rc == 3
         assert "failed writing sample 3 " in err and "Traceback" not in err
@@ -510,6 +517,30 @@ class TestTrainToy:
         assert ((tmp_path / "toy2" / "curve.csv").read_text()
                 == (tmp_path / "toy3" / "curve.csv").read_text())
 
+    def test_same_bytes_at_1_and_2_blas_threads(self, tmp_path):
+        # OpenBLAS 0.3.31 splits the sums of a product over about 23,000 rows
+        # or more among its threads. The 98 training samples of 336 cells each
+        # give 32,928 rows, so the bytes would follow the CPU count if
+        # training summed them that way.
+        ds = tmp_path / "ds"
+        assert main(["generate", "--out", str(ds), "--count", "120", "--seed", "41",
+                     "--probe", "sphere", "--force-range", "0.2:3", *SMALL]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"toy{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            run = subprocess.run(
+                [sys.executable, "-m", "tactwin.cli", "train-toy", "--dataset", str(ds),
+                 "--out", str(out), "--epochs", "20"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append([(out / name).read_bytes() for name in ("head.json", "curve.csv")])
+        assert outputs[0][1].count(b"\n") == 21
+        assert outputs[0] == outputs[1]
+
     def test_zero_lr_flat_curve(self, workspace, tmp_path):
         rc = main(["train-toy", "--dataset", str(workspace / "ds"),
                    "--out", str(tmp_path / "toy"), "--epochs", "4",
@@ -592,7 +623,7 @@ class TestCalibrateWorkers:
 
     @staticmethod
     def use_cpus(monkeypatch, n):
-        monkeypatch.setattr(decoder, "_available_cpus", lambda: n)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: n)
 
     @pytest.mark.parametrize("suite", ["roundtrip", "spheres"])
     def test_same_bytes_at_1_and_2_workers(self, suite, tmp_path, monkeypatch):
@@ -640,17 +671,17 @@ class TestThreadedGenerateAndDecode:
 
     @staticmethod
     def use_cpus(monkeypatch, n):
-        monkeypatch.setattr(decoder, "_available_cpus", lambda: n)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: n)
 
     def test_default_threads_follow_the_raster(self, monkeypatch):
         self.use_cpus(monkeypatch, 3)
         small = SensorConfig(input_size=128, scale_mm_per_px=0.25)
-        floor = decoder.FORK_MIN_IMAGES
-        assert decoder.render_workers(small, floor) == (3, True)
-        assert decoder.render_workers(small, floor - 1) == (1, True)
-        assert decoder.render_workers(small, 8, workers=4) == (4, True)
-        assert decoder.render_workers(SensorConfig(), 8) == (3, False)
-        assert decoder.render_workers(SensorConfig(), 2) == (2, False)
+        floor = runner.FORK_MIN_IMAGES
+        assert runner.render_workers(small, floor) == (3, True)
+        assert runner.render_workers(small, floor - 1) == (1, True)
+        assert runner.render_workers(small, 8, workers=4) == (4, True)
+        assert runner.render_workers(SensorConfig(), 8) == (3, False)
+        assert runner.render_workers(SensorConfig(), 2) == (2, False)
 
     def test_128px_above_the_floor_same_bytes_at_1_and_2_cpus(self, tmp_path, monkeypatch):
         trees = []
@@ -658,19 +689,19 @@ class TestThreadedGenerateAndDecode:
             self.use_cpus(monkeypatch, n)
             threads = threading.active_count()
             ds = tmp_path / f"ds{n}"
-            assert main(["generate", "--out", str(ds), "--count", str(decoder.FORK_MIN_IMAGES),
+            assert main(["generate", "--out", str(ds), "--count", str(runner.FORK_MIN_IMAGES),
                          "--seed", "19", "--suite", "spheres", "--noise", "0.02", *SMALL]) == 0
             assert multiprocessing.active_children() == []
             assert threading.active_count() == threads
             assert f"workers={n}" in (ds / "run.log").read_text()
             trees.append(digest_tree(ds))
-        assert len(trees[0]) == decoder.FORK_MIN_IMAGES + 3
+        assert len(trees[0]) == runner.FORK_MIN_IMAGES + 3
         assert trees[0] == trees[1]
 
     # At the floor two forked workers take chunks of a quarter of their share,
     # so the second worker starts at sample CHUNK and fails there before the
     # first worker reaches its earlier failure.
-    COUNT = decoder.FORK_MIN_IMAGES
+    COUNT = runner.FORK_MIN_IMAGES
     CHUNK = COUNT // 8
 
     def forked_errors(self, tmp_path, monkeypatch, capsys, expected_rc):
@@ -780,15 +811,16 @@ class TestThreadedGenerateAndDecode:
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="unit 0"):
-            decoder.run_units([lambda i=i: unit(i) for i in range(40)], workers=2)
+            runner.run_units([lambda i=i: unit(i) for i in range(40)], workers=2)
         assert threading.active_count() == threads
         assert len(started) < 40
-        assert decoder.run_units([lambda i=i: i * i for i in range(40)], workers=3) == [
+        assert runner.run_units([lambda i=i: i * i for i in range(40)], workers=3) == [
             i * i for i in range(40)]
 
     def test_forked_chunks_keep_order_and_first_failure(self):
-        # The second chunk fails at once, while the first still sleeps before
-        # its own failure at unit 3.
+        # Two workers take chunks of 40 // (4 * 2) = 5 units. The second chunk
+        # fails at once, while the first still sleeps before its own failure
+        # at unit 3.
         def unit(i):
             if i in (3, 5):
                 raise ValueError(f"unit {i}")
@@ -796,9 +828,8 @@ class TestThreadedGenerateAndDecode:
             return i * i
 
         squares = [lambda i=i: i * i for i in range(40)]
-        assert decoder.run_units(squares, workers=2, fork=True, chunksize=5) == [
+        assert runner.run_units(squares, workers=2, fork=True) == [
             i * i for i in range(40)]
         with pytest.raises(ValueError, match="unit 3"):
-            decoder.run_units([lambda i=i: unit(i) for i in range(40)], workers=2,
-                              fork=True, chunksize=5)
+            runner.run_units([lambda i=i: unit(i) for i in range(40)], workers=2, fork=True)
         assert multiprocessing.active_children() == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from tactwin import contact
+from tactwin import contact, runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
                              TemplateLibrary, _calibration_blobs,
@@ -244,7 +244,7 @@ class TestCalibration:
             return blobs, gt
 
         monkeypatch.setattr(decoder, "_calibration_blobs", patched)
-        monkeypatch.setattr(decoder, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
         with pytest.raises(CalibrationError) as err:
             build_decoder([SphereProbe(10.0), STRIP], material, illum,
                           SensorConfig(160, 0.2), DecodeConfig(noise_sigma=0.02))

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from tactwin import runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe, height_field
 from tactwin.dataset import DatasetSpec, read_pgm, sample_for_index, write_pgm
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
@@ -334,8 +335,7 @@ class TestCalibrationExact:
     def test_160px_decoder_at_2_workers(self, material, illum, decode_cfg, monkeypatch):
         # Fork hands the patched oracle to the worker processes, so the
         # oracle arm also runs in the pool.
-        monkeypatch.setattr(importlib.import_module("tactwin.decoder"),
-                            "_available_cpus", lambda: 2)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
         probes = SUITES["spheres"]()
         windowed = _decoder_json(probes, material, illum, SENSOR_160, decode_cfg)
         with whole_raster_calibration():
@@ -487,8 +487,7 @@ class TestProfileMemo:
 
         contact_mask = contact.contact_mask
         # The spies record in this process only: sweep without workers.
-        monkeypatch.setattr(importlib.import_module("tactwin.decoder"),
-                            "_available_cpus", lambda: 1)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)
         monkeypatch.setattr(render_module, "height_field", spy_field)
         monkeypatch.setattr(contact, "contact_mask", spy_mask)
         strip, lshape = (next(p for p in footprint_probes() if p.class_name == name)

@@ -8,8 +8,7 @@ smooth angle labels, rotated-IoU geometry, and evaluation metrics.
 """
 
 from .assignment import (Assignment, LossBreakdown, PredictionField, bce,
-                         box_loss, loss_gradient, simota_assign, smooth_l1,
-                         total_loss)
+                         loss_gradient, simota_assign, smooth_l1, total_loss)
 from .contact import (ContactScenario, FootprintProbe, GroundTruth,
                       HeightField, MaterialParams, SphereProbe, ground_truth,
                       height_field, hertz_indentation, punch_indentation)

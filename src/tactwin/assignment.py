@@ -30,8 +30,7 @@ import numpy as np
 
 from .encoding import CSL_BINS, RegionGrid, csl_encode
 from .errors import AssignmentError, ContractViolation
-from .geometry import (OrientedBox, points_in_box, rotated_iou, rotated_iou_gradient,
-                       rotated_iou_pairs)
+from .geometry import points_in_box, rotated_iou_gradient, rotated_iou_pairs
 
 PROB_EPS = 1e-7
 DEFAULT_CENTER_RADIUS = 2.5
@@ -67,11 +66,6 @@ def smooth_l1(x):
 def smooth_l1_grad(x):
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) < 1.0, x, np.sign(x))
-
-
-def box_loss(pred: OrientedBox, gt: OrientedBox) -> float:
-    iou = rotated_iou(pred, gt)
-    return 1.0 - iou * iou
 
 
 @dataclass

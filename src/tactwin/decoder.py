@@ -552,10 +552,16 @@ def calibration_scenario(probe, force: float) -> ContactScenario:
 
 def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
                  sensor: SensorConfig, cfg: DecodeConfig, reference: TactileImage,
-                 forces=CALIBRATION_FORCES, keep=()):
-    """One probe variant's force sweep, its punch profile reused across the
-    forces (see ``build_calibration``). Returns the curve and, for each force
-    in ``keep``, a list of its first blob if it had one."""
+                 forces, keep=()):
+    """One probe variant's sweep over ``forces``, its punch profile reused
+    across them. Returns the curve and, for each force in ``keep``, a list of
+    its first blob if it had one.
+
+    Raises CalibrationError if no force gives a blob, if the blob vanishes
+    above the visibility floor, or if its deviation energy is not strictly
+    increasing in force; such a sweep cannot be inverted for force. The area
+    need not rise.
+    """
     class_name = probe.class_name
     rows = []   # in CalibrationCurve's column order, force first
     kept = {force: [] for force in keep}
@@ -597,26 +603,46 @@ def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
     return curve, list(kept.values())
 
 
+def _class_sweeps(probes: list, material: MaterialParams, illum: IlluminationModel,
+                  sensor: SensorConfig, cfg: DecodeConfig) -> dict:
+    """Every probe's force sweep, as a list of (curve, kept blobs) per class
+    in sorted class order, the probes of a class in their given order.
+
+    Probes sharing a class name are variants of one calibration table (e.g.
+    the five sphere diameters). Each sweep is an independent unit of work in
+    a forked worker; the sweep of each class's middle probe also keeps its
+    blobs at the template forces. Results and errors are taken in the order
+    of a serial run, so the output does not depend on how many workers run
+    them.
+    """
+    by_class: dict = {}
+    for probe in probes:
+        by_class.setdefault(probe.class_name, []).append(probe)
+    classes = sorted(by_class)
+    reference = make_reference(sensor, illum)
+    args = (material, illum, sensor, cfg, reference, CALIBRATION_FORCES)
+    results = iter(run_units(
+        [functools.partial(_sweep_curve, p, *args,
+                           keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())
+         for cls in classes for i, p in enumerate(by_class[cls])],
+        fork=True))
+    return {cls: [next(results) for _ in by_class[cls]] for cls in classes}
+
+
 def build_calibration(class_name: str, probes: list, material: MaterialParams,
                       illum: IlluminationModel, sensor: SensorConfig,
-                      cfg: DecodeConfig,
-                      forces=CALIBRATION_FORCES) -> CalibrationTable:
-    """Sweep the forward model over a force grid for each probe variant.
-
-    Raises CalibrationError if the blob vanishes above the visibility floor or
-    its deviation energy is not strictly increasing in force; such a sweep
-    cannot be inverted for force. The area need not rise.
-    """
-    reference = make_reference(sensor, illum)
-    curves = []
+                      cfg: DecodeConfig) -> CalibrationTable:
+    """The calibration table ``build_decoder`` builds for ``class_name`` from
+    these probes. Kept only because the benchmark's tracer wraps it by name;
+    it goes once that tracer sees ``build_decoder``'s worker sweeps."""
     for probe in probes:
         if probe.class_name != class_name:
             raise CalibrationError(
                 f"probe class {probe.class_name!r} does not match table class "
                 f"{class_name!r}")
-        curves.append(_sweep_curve(probe, material, illum, sensor, cfg,
-                                   reference, forces)[0])
-    return CalibrationTable(class_name=class_name, curves=curves,
+    sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
+    return CalibrationTable(class_name=class_name,
+                            curves=[curve for curve, _ in sweeps.get(class_name, [])],
                             params_hash=params_hash(material, illum, sensor, cfg))
 
 
@@ -694,47 +720,36 @@ class Detection:
         }
 
 
-def _template_variants(class_name: str, blobs_at, offset=None):
-    """Canonical masks of one probe's blobs at the template forces
-    (``blobs_at``: one blob list per force), turned by its class's offset.
-    An offset of None is set by the first force's pose. Returns (offset,
-    variants)."""
-    variants = []
-    for force, blobs in zip(TEMPLATE_FORCES, blobs_at):
-        if not blobs:
-            raise CalibrationError(
-                f"template for {class_name} at {force} N produced no blob")
-        blob = blobs[0]
-        if offset is None:
-            pose = estimate_pose(blob)
-            offset = pose.theta_deg if pose.confident else 0.0
-        mask = _canonical_patches(blob, [offset])[0]
-        variants.append(TemplateVariant(mask, force))
-    return offset, variants
+def _templates(sweeps: dict, phash: str) -> TemplateLibrary:
+    """Template library from ``_class_sweeps``' output: the canonical masks
+    of each class's middle probe's blobs at the template forces, turned by
+    the class's offset, the moment angle at the first force (0 if that pose
+    is not confident)."""
+    offsets, variants = {}, {}
+    for cls, swept in sweeps.items():
+        offset, variants[cls] = None, []
+        for force, blobs in zip(TEMPLATE_FORCES, swept[len(swept) // 2][1]):
+            if not blobs:
+                raise CalibrationError(
+                    f"template for {cls} at {force} N produced no blob")
+            if offset is None:
+                pose = estimate_pose(blobs[0])
+                offset = pose.theta_deg if pose.confident else 0.0
+            mask = _canonical_patches(blobs[0], [offset])[0]
+            variants[cls].append(TemplateVariant(mask, force))
+        offsets[cls] = offset
+    return TemplateLibrary(classes=list(sweeps), variants=variants, offsets=offsets,
+                           canonical_size=CANONICAL_SIZE, params_hash=phash)
 
 
 def build_templates(probes: list, material: MaterialParams,
                     illum: IlluminationModel, sensor: SensorConfig,
                     cfg: DecodeConfig) -> TemplateLibrary:
-    """Render each probe class at the template forces and store canonical masks."""
-    reference = make_reference(sensor, illum)
-    by_class: dict = {}
-    offsets: dict = {}
-    for probe in probes:
-        cls = probe.class_name
-        with punch_profile_memo():
-            blobs_at = [_calibration_blobs(probe, force, material, illum, sensor,
-                                           cfg, reference)[0]
-                        for force in TEMPLATE_FORCES]
-        offsets[cls], variants = _template_variants(cls, blobs_at, offsets.get(cls))
-        by_class.setdefault(cls, []).extend(variants)
-    return TemplateLibrary(
-        classes=sorted(by_class),
-        variants=by_class,
-        offsets=offsets,
-        canonical_size=CANONICAL_SIZE,
-        params_hash=params_hash(material, illum, sensor, cfg),
-    )
+    """The template library ``build_decoder`` builds from these probes. Kept
+    only because the benchmark's tracer wraps it by name; it goes once that
+    tracer sees ``build_decoder``'s worker sweeps."""
+    return _templates(_class_sweeps(probes, material, illum, sensor, cfg),
+                      params_hash(material, illum, sensor, cfg))
 
 
 class TactileDecoder:
@@ -783,33 +798,13 @@ class TactileDecoder:
 def build_decoder(probes: list, material: MaterialParams,
                   illum: IlluminationModel, sensor: SensorConfig,
                   cfg: DecodeConfig) -> TactileDecoder:
-    """Calibrate and assemble a decoder for a probe library.
-
-    Probes sharing a class name become variants of one calibration table
-    (e.g. the five sphere diameters). Each variant's force sweep is an
-    independent unit of work; the sweep of each class's middle probe also
-    keeps its blobs at the template forces, which become the class's
-    templates once every sweep is in. Results and errors are taken in the
-    order of a serial run, so the output does not depend on how many workers
-    run them.
-    """
-    by_class: dict = {}
-    for probe in probes:
-        by_class.setdefault(probe.class_name, []).append(probe)
-    classes = sorted(by_class)
-    reference = make_reference(sensor, illum)
-    args = (material, illum, sensor, cfg, reference, CALIBRATION_FORCES)
-    results = iter(run_units(
-        [functools.partial(_sweep_curve, p, *args,
-                           keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())
-         for cls in classes for i, p in enumerate(by_class[cls])],
-        fork=True))
+    """Calibrate and assemble a decoder for a probe library: one table per
+    class from its probes' sweeps, and the templates from the same sweeps
+    (see ``_class_sweeps``). Every sweep error comes before any template
+    error, as in a serial run that renders the templates last."""
+    sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
     phash = params_hash(material, illum, sensor, cfg)
-    calibrations, offsets, variants = {}, {}, {}
-    for cls in classes:
-        swept = [next(results) for _ in by_class[cls]]
-        calibrations[cls] = CalibrationTable(cls, [curve for curve, _ in swept], phash)
-        offsets[cls], variants[cls] = _template_variants(cls, swept[len(swept) // 2][1])
-    templates = TemplateLibrary(classes=classes, variants=variants, offsets=offsets,
-                                canonical_size=CANONICAL_SIZE, params_hash=phash)
-    return TactileDecoder(material, illum, sensor, cfg, calibrations, templates)
+    calibrations = {cls: CalibrationTable(cls, [curve for curve, _ in swept], phash)
+                    for cls, swept in sweeps.items()}
+    return TactileDecoder(material, illum, sensor, cfg, calibrations,
+                          _templates(sweeps, phash))

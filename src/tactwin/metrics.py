@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-# rotated_iou is not called here but stays importable from this module.
+# rotated_iou is not called here but stays importable from this module:
+# perfbench/tests/test_perfbench_tracing.py asserts that the benchmark's
+# tracer rebinds metrics.rotated_iou.
 from .geometry import angle_error, rotated_iou, rotated_iou_pairs  # noqa: F401
 
 REPORT_SCHEMA_VERSION = 1

@@ -101,9 +101,9 @@ class TactileImage:
 
 
 def baseline_intensity(illum: IlluminationModel) -> float:
-    """Intensity of an undeformed (flat) membrane pixel."""
-    shade = np.maximum(illum.light_dirs[:, 2], 0.0) ** illum.exponent
-    return float(np.clip(illum.ambient + illum.diffuse * shade.mean(), 0.0, 1.0))
+    """Intensity of an undeformed (flat) membrane pixel: a zero slope shaded."""
+    zero = np.zeros(1)
+    return float(_shade_slopes(zero, zero, illum)[0])
 
 
 def render(height: HeightField, illum: IlluminationModel) -> TactileImage:
@@ -161,9 +161,7 @@ def _shade_slopes(fx: np.ndarray, fy: np.ndarray, illum: IlluminationModel) -> n
 
 
 def _flat_pixels(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
-    zero = np.zeros(1)
-    return np.full((sensor.input_size, sensor.input_size),
-                   _shade_slopes(zero, zero, illum)[0])
+    return np.full((sensor.input_size, sensor.input_size), baseline_intensity(illum))
 
 
 def make_reference(sensor: SensorConfig, illum: IlluminationModel) -> TactileImage:

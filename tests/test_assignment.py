@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tactwin.assignment import (_RAW_CLIP, Assignment, Positives, PositiveTerms,
-                                PredictionField, _decode_raw, bce, bce_grad, box_loss,
+                                PredictionField, _decode_raw, bce, bce_grad,
                                 loss_gradient, positive_targets, simota_assign,
                                 smooth_l1, smooth_l1_grad, total_loss)
 from tactwin.contact import GroundTruth
@@ -80,21 +80,6 @@ class TestSmoothL1:
         assert smooth_l1_grad(1 - 1e-12) == pytest.approx(1.0, abs=1e-9)
         assert smooth_l1_grad(2.0) == 1.0
         assert smooth_l1_grad(-2.0) == -1.0
-
-
-class TestBoxLoss:
-    def test_identical(self):
-        box = OrientedBox(0, 0, 3, 2, 10)
-        assert box_loss(box, box) == pytest.approx(0.0, abs=1e-12)
-
-    def test_one_third_iou(self):
-        a = OrientedBox(0, 0, 4, 2, 0)
-        b = OrientedBox(2, 0, 4, 2, 0)
-        assert box_loss(a, b) == pytest.approx(1 - 1 / 9, abs=1e-12)
-
-    def test_disjoint(self):
-        assert box_loss(OrientedBox(0, 0, 1, 1, 0),
-                        OrientedBox(9, 9, 1, 1, 0)) == 1.0
 
 
 class TestSimota:

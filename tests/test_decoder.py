@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 from tactwin import contact, runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
-                             TemplateLibrary, _calibration_blobs,
+                             TemplateLibrary, _calibration_blobs, _sweep_curve,
                              build_calibration, build_decoder, classify,
                              difference_image, estimate_force, estimate_pose,
                              extract_blobs, monotone_cubic, params_hash)
@@ -196,8 +196,8 @@ class TestCalibration:
         # A descending force grid makes the screw body's energy fall.
         body = next(p for p in screw_part_probes() if p.class_name == "body")
         with pytest.raises(CalibrationError) as err, contact.punch_profile_memo():
-            build_calibration("body", [body], material, illum, sensor,
-                              DecodeConfig(noise_sigma=0.0), forces=(8.5, 8.25))
+            _sweep_curve(body, material, illum, sensor, DecodeConfig(noise_sigma=0.0),
+                         make_reference(sensor, illum), forces=(8.5, 8.25))
         message = str(err.value)
         assert "deviation energy is not strictly increasing in force" in message
         assert re.search(r": [0-9.]+ at 8.25 N after [0-9.]+ at 8.5 N$", message)

@@ -334,6 +334,10 @@ class TestRotatedIoU:
         a = OrientedBox(0, 0, 4, 2, 0)
         b = OrientedBox(2, 0, 4, 2, 0)
         assert rotated_iou(a, b) == pytest.approx(1 / 3, abs=1e-12)
+        # A turned box on itself, and boxes far apart.
+        box = OrientedBox(0, 0, 3, 2, 10)
+        assert rotated_iou(box, box) == pytest.approx(1.0, abs=1e-12)
+        assert rotated_iou(OrientedBox(0, 0, 1, 1, 0), OrientedBox(9, 9, 1, 1, 0)) == 0.0
 
     def test_rotated_square_octagon_case(self):
         a = OrientedBox(0, 0, 2, 2, 0)

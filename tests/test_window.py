@@ -312,13 +312,11 @@ class TestCalibrationExact:
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_160px_templates(self, suite, material, illum, decode_cfg):
-        by_class = {}
-        for probe in SUITES[suite]():
-            by_class.setdefault(probe.class_name, []).append(probe)
-        probes = [plist[len(plist) // 2] for _, plist in sorted(by_class.items())]
+        # Several probes per class too: build_templates ships the library
+        # build_decoder does, from the middle probe's sweep only.
+        probes = SUITES[suite]()
         windowed = _templates_json(probes, material, illum, SENSOR_160, decode_cfg)
-        # build_decoder takes the same templates from the middle probes' sweeps
-        swept = build_decoder(SUITES[suite](), material, illum, SENSOR_160, decode_cfg)
+        swept = build_decoder(probes, material, illum, SENSOR_160, decode_cfg)
         assert json.dumps(swept.templates.to_json(), sort_keys=True) == windowed
         with whole_raster_calibration():
             assert windowed == _templates_json(probes, material, illum,
@@ -341,6 +339,16 @@ class TestCalibrationExact:
         with whole_raster_calibration():
             assert windowed == _decoder_json(probes, material, illum,
                                              SENSOR_160, decode_cfg)
+
+    def test_160px_sphere_table_at_1_and_2_cpus(self, material, illum, decode_cfg,
+                                                monkeypatch):
+        # build_calibration sweeps in forked workers, as build_decoder does.
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(runner, "_available_cpus", lambda n=cpus: n)
+            tables.append(_calibration_json(SUITES["spheres"](), material, illum,
+                                            SENSOR_160, decode_cfg))
+        assert tables[0] == tables[1]
 
     def test_640px_two_roundtrip_probes(self, material, illum, sensor, decode_cfg):
         lshape = next(p for p in footprint_probes() if p.class_name == "lshape")

@@ -46,8 +46,7 @@ def cell_features(image: TactileImage, reference: TactileImage,
     g_area = float(above.mean())
     g_area_hi = float((dev >= 4 * threshold).mean())
     g_mean = float(dev.mean())
-    g_p98 = float(np.percentile(dev, 98))
-    g_p999 = float(np.percentile(dev, 99.9))
+    g_p98, g_p999 = (float(v) for v in np.percentile(dev, [98, 99.9]))
     global_cols = np.array([
         g_area, g_area_hi, g_mean, g_p98, g_p999,
         g_area * np.sqrt(g_p98),
@@ -189,6 +188,14 @@ class FitResult:
     diverged: bool
 
 
+def _distinct_rows(x: np.ndarray, t: np.ndarray):
+    """Distinct rows of ``[x | t]``, sorted: rows, targets, and their counts."""
+    xt = np.column_stack([x, t])
+    xt = xt[np.lexsort(xt.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (xt[1:] != xt[:-1]).any(axis=1)])
+    return xt[starts, :-1], xt[starts, -1], np.diff(np.r_[starts, len(xt)])
+
+
 def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
                  scale_mm_per_px: float, classes, learning_rate: float = 0.02,
                  epochs: int = 200, init_head: ToyHead | None = None,
@@ -199,6 +206,8 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     Assignments come from the epoch-0 (uniform) predictions and stay frozen so
     the objective is a fixed function of the weights; an epoch's loss equals
     the sum of per-scene detection losses divided by the sample count.
+    The objectness term runs once per distinct (feature row, target) pair of
+    a sample, weighted by its cell count; noise-free backgrounds share a row.
     channel_lr_scales multiplies the step per output channel (the channels
     are independent affine maps, so each may carry its own rate).
     Divergence stops training early and flags the result: five consecutive
@@ -220,10 +229,13 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         mean = stacked.mean(axis=0)
         centered = stacked - mean
         cov = centered.T @ centered / max(stacked.shape[0] - 1, 1)
+        del centered
         evals, evecs = np.linalg.eigh(cov)
         scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
         transform = (evecs * scale) @ evecs.T
         head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
+    x_all = head.standardize(stacked)
+    del stacked
     s = head._slices()
     n_cells = grid.n_cells
 
@@ -239,9 +251,13 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
                                         window_radius, sigma))
     positives = Positives(*map(np.concatenate, zip(*batches)))
 
-    x_all = head.standardize(stacked)
     x_pos = x_all[np.concatenate([i * n_cells + b.cells
                                   for i, b in enumerate(batches)])]
+    x_obj, obj_t, counts = map(np.concatenate, zip(*(
+        _distinct_rows(x_all[i * n_cells:(i + 1) * n_cells],
+                       obj_t[i * n_cells:(i + 1) * n_cells])
+        for i in range(n_samples))))
+    del x_all
 
     w_obj = s["obj"]
     rest = slice(w_obj.stop, head.bias.shape[0])
@@ -260,7 +276,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     rising = 0
     blowup = 0
     for epoch in range(epochs):
-        z_obj = x_all @ head.weights[:, w_obj] + head.bias[w_obj]
+        z_obj = x_obj @ head.weights[:, w_obj] + head.bias[w_obj]
         p_obj = _sigmoid(z_obj[:, 0])
         z_pos = x_pos @ head.weights[:, rest] + head.bias[rest]
         p_cls = _sigmoid(z_pos[:, cols["cls"]])
@@ -270,7 +286,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
 
         # Summed obj, cls, csl, force, box: the curve's last bits depend on it.
         terms = PositiveTerms(positives, p_cls, p_csl, force, box_raw)
-        loss = float(bce(p_obj, obj_t).sum())
+        loss = float((counts * bce(p_obj, obj_t)).sum())
         for term in terms.loss():
             loss += term
         losses.append(loss / n_samples)
@@ -285,7 +301,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
 
         # Chain the loss gradients through the sigmoids into the logits.
         g_cls, g_csl, g_force, g_box = terms.gradient()
-        gz_obj = (bce_grad(p_obj, obj_t) * p_obj * (1.0 - p_obj))[:, None]
+        gz_obj = (counts * bce_grad(p_obj, obj_t) * p_obj * (1.0 - p_obj))[:, None]
         gz_pos = np.zeros_like(z_pos)
         gz_pos[:, cols["cls"]] = g_cls * p_cls * (1.0 - p_cls)
         gz_pos[:, cols["csl"]] = g_csl * p_csl * (1.0 - p_csl)
@@ -293,8 +309,8 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         gz_pos[:, cols["box"]] = g_box
 
         # obj is output column 0; the positive-cell outputs follow it. einsum
-        # sums x_all's rows in one order; threaded BLAS in one per thread count.
-        grad_w = np.concatenate([np.einsum("ij,ik->jk", x_all, gz_obj),
+        # sums x_obj's rows in one order; threaded BLAS in one per thread count.
+        grad_w = np.concatenate([np.einsum("ij,ik->jk", x_obj, gz_obj),
                                  x_pos.T @ gz_pos], axis=1)
         grad_b = np.concatenate([gz_obj.sum(axis=0), gz_pos.sum(axis=0)])
         head.weights = head.weights - lr_per_output * grad_w / n_samples

@@ -519,12 +519,15 @@ class TestTrainToy:
 
     def test_same_bytes_at_1_and_2_blas_threads(self, tmp_path):
         # OpenBLAS 0.3.31 splits the sums of a product over about 23,000 rows
-        # or more among its threads. The 98 training samples of 336 cells each
-        # give 32,928 rows, so the bytes would follow the CPU count if
-        # training summed them that way.
+        # or more among its threads. Training merges the cells that share a
+        # feature row and an objectness target; with noise no two rows are
+        # equal, so the 98 training samples of 336 cells each keep 32,928
+        # rows, and the bytes would follow the CPU count if training summed
+        # them that way.
         ds = tmp_path / "ds"
         assert main(["generate", "--out", str(ds), "--count", "120", "--seed", "41",
-                     "--probe", "sphere", "--force-range", "0.2:3", *SMALL]) == 0
+                     "--probe", "sphere", "--force-range", "0.2:3", "--noise", "0.02",
+                     *SMALL]) == 0
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("1", "2"):

@@ -195,13 +195,23 @@ class TestCalibration:
     def test_non_increasing_energy_names_the_forces(self, material, illum, sensor):
         # A descending force grid makes the screw body's energy fall.
         body = next(p for p in screw_part_probes() if p.class_name == "body")
-        with pytest.raises(CalibrationError) as err, contact.punch_profile_memo():
+        with pytest.raises(CalibrationError) as err:
             _sweep_curve(body, material, illum, sensor, DecodeConfig(noise_sigma=0.0),
                          make_reference(sensor, illum), forces=(8.5, 8.25))
         message = str(err.value)
         assert "deviation energy is not strictly increasing in force" in message
         assert re.search(r": [0-9.]+ at 8.25 N after [0-9.]+ at 8.5 N$", message)
-        assert contact._PROFILE_MEMO.get() is None
+
+    def test_sweep_error_restores_the_profile_memo(self, material, illum, sensor):
+        # The screw body's blob vanishes at 0.01 N after one at 8.5 N, which
+        # raises inside the sweep's memo block; the enclosing memo is back.
+        body = next(p for p in screw_part_probes() if p.class_name == "body")
+        with contact.punch_profile_memo():
+            outer = contact._PROFILE_MEMO.get()
+            with pytest.raises(CalibrationError, match="blob vanished at 0.01 N"):
+                _sweep_curve(body, material, illum, sensor, DecodeConfig(noise_sigma=0.0),
+                             make_reference(sensor, illum), forces=(8.5, 0.01))
+            assert contact._PROFILE_MEMO.get() is outer
 
     def test_roundtrip_strip_calibrates_at_noise_0(self, material, illum, sensor):
         # The strip's blob area is flat at 84 mm^2 from 8.25 to 8.5 N; its

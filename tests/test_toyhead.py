@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tactwin import toyhead
 from tactwin.assignment import loss_gradient, simota_assign, total_loss
 from tactwin.contact import GroundTruth
 from tactwin.encoding import build_region_grid
@@ -13,10 +14,14 @@ SCALE = 0.5
 CLASSES = ["a", "b"]
 
 
-def synthetic_sample(rng, cls_index, force):
+def synthetic_sample(rng, cls_index, force, repeat=False):
     """Feature matrix with a bump at one cell, class clusters on three global
-    columns, and a global column tracking force; ground truth at the bump."""
-    feats = rng.normal(0, 0.05, size=(GRID.n_cells, FEATURE_DIM))
+    columns, and a global column tracking force; ground truth at the bump.
+    With ``repeat`` all cells but the bump share one row, as on a noise-free
+    image."""
+    rows = 1 if repeat else GRID.n_cells
+    feats = np.repeat(rng.normal(0, 0.05, size=(rows, FEATURE_DIM)),
+                      GRID.n_cells // rows, axis=0)
     cell = int(rng.integers(GRID.n_cells))
     feats[cell, 0] += 2.0
     feats[:, 8] += force * 0.5
@@ -28,14 +33,53 @@ def synthetic_sample(rng, cls_index, force):
     return feats, [gt]
 
 
-def make_dataset(rng, n):
+def make_dataset(rng, n, repeat=False):
     feats, gts = [], []
     for _ in range(n):
         f, g = synthetic_sample(rng, int(rng.integers(2)),
-                                float(rng.uniform(0.5, 3)))
+                                float(rng.uniform(0.5, 3)), repeat)
         feats.append(f)
         gts.append(g)
     return feats, gts
+
+
+def scene_loss_mean(head, feats, gts):
+    """Mean over the scenes of their detection loss under ``head``."""
+    total = 0.0
+    for f, g in zip(feats, gts):
+        preds = head.predict(f, GRID, SCALE)
+        asn = simota_assign(preds, g, CLASSES)
+        total += total_loss(preds, g, asn, CLASSES).total
+    return total / len(feats)
+
+
+def assert_step_is_scene_gradient_mean(feats, gts, lr=0.03):
+    """One training step from a zero head equals the step along the mean of
+    the per-scene loss gradients."""
+    head = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+                        learning_rate=lr, epochs=0).head
+    s = head._slices()
+    grad_w = np.zeros_like(head.weights)
+    grad_b = np.zeros_like(head.bias)
+    for f, g in zip(feats, gts):
+        preds = head.predict(f, GRID, SCALE)
+        asn = simota_assign(preds, g, CLASSES)
+        grad = loss_gradient(preds, g, asn, CLASSES)
+        gz = np.zeros((GRID.n_cells, head.bias.shape[0]))
+        gz[:, s["obj"]] = (grad.obj * preds.obj * (1 - preds.obj))[:, None]
+        gz[:, s["cls"]] = grad.cls * preds.cls * (1 - preds.cls)
+        gz[:, s["csl"]] = grad.csl * preds.csl * (1 - preds.csl)
+        gz[:, s["force"]] = grad.force[:, None]
+        gz[:, s["box"]] = grad.box_raw
+        grad_w += head.standardize(f).T @ gz
+        grad_b += gz.sum(axis=0)
+    res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+                       learning_rate=lr, epochs=1)
+    assert np.abs(grad_w[:, s["box"]]).max() > 0
+    np.testing.assert_allclose(res.head.weights, -lr * grad_w / len(feats),
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(res.head.bias, -lr * grad_b / len(feats),
+                               rtol=1e-9, atol=1e-12)
 
 
 class TestFit:
@@ -75,44 +119,35 @@ class TestFit:
         feats, gts = make_dataset(rng, 5)
         res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
                            learning_rate=0.0, epochs=1)
-        total = 0.0
-        head = res.head
-        for f, g in zip(feats, gts):
-            preds = head.predict(f, GRID, SCALE)
-            asn = simota_assign(preds, g, CLASSES)
-            total += total_loss(preds, g, asn, CLASSES).total
-        assert res.losses[0] == pytest.approx(total / len(feats), rel=1e-12)
+        assert res.losses[0] == pytest.approx(scene_loss_mean(res.head, feats, gts),
+                                              rel=1e-12)
 
     def test_epoch_step_equals_scene_gradient_sum(self, rng):
         # one step from a zero head moves weights and bias by the per-scene
         # loss gradients, chained through the sigmoids and the whitened
         # features and averaged over the samples
         feats, gts = make_dataset(rng, 5)
-        lr = 0.03
-        head = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
-                            learning_rate=lr, epochs=0).head
-        s = head._slices()
-        grad_w = np.zeros_like(head.weights)
-        grad_b = np.zeros_like(head.bias)
-        for f, g in zip(feats, gts):
-            preds = head.predict(f, GRID, SCALE)
-            asn = simota_assign(preds, g, CLASSES)
-            grad = loss_gradient(preds, g, asn, CLASSES)
-            gz = np.zeros((GRID.n_cells, head.bias.shape[0]))
-            gz[:, s["obj"]] = (grad.obj * preds.obj * (1 - preds.obj))[:, None]
-            gz[:, s["cls"]] = grad.cls * preds.cls * (1 - preds.cls)
-            gz[:, s["csl"]] = grad.csl * preds.csl * (1 - preds.csl)
-            gz[:, s["force"]] = grad.force[:, None]
-            gz[:, s["box"]] = grad.box_raw
-            grad_w += head.standardize(f).T @ gz
-            grad_b += gz.sum(axis=0)
+        assert_step_is_scene_gradient_mean(feats, gts)
+
+    def test_repeated_rows_merge_exactly(self, rng, monkeypatch):
+        # cells that share a feature row and an objectness target are scored
+        # once, weighted by their count, with the per-scene loss and step
+        feats, gts = make_dataset(rng, 5, repeat=True)
+        merged, merge = [], toyhead._distinct_rows
+
+        def distinct_rows(x, t):
+            rows = merge(x, t)
+            merged.append(len(rows[0]))
+            return rows
+
+        monkeypatch.setattr(toyhead, "_distinct_rows", distinct_rows)
         res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
-                           learning_rate=lr, epochs=1)
-        assert np.abs(grad_w[:, s["box"]]).max() > 0
-        np.testing.assert_allclose(res.head.weights, -lr * grad_w / len(feats),
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(res.head.bias, -lr * grad_b / len(feats),
-                                   rtol=1e-9, atol=1e-12)
+                           learning_rate=0.0, epochs=1)
+        assert len(merged) == len(feats)
+        assert sum(merged) < len(feats) * GRID.n_cells
+        assert res.losses[0] == pytest.approx(scene_loss_mean(res.head, feats, gts),
+                                              rel=1e-12)
+        assert_step_is_scene_gradient_mean(feats, gts)
 
     def test_divergence_detected_and_reported(self, rng):
         feats, gts = make_dataset(rng, 6)

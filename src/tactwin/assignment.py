@@ -187,9 +187,9 @@ def simota_assign(preds: PredictionField, gts, classes,
         top10 = np.sort(ious)[::-1][:10]
         dyn_k = int(np.clip(np.floor(top10.sum()), 1, cand.size))
         ordered = cand[order]
-        per_gt_order.append((ordered, cost[order]))
-        for j in range(dyn_k):
-            selections.append((gi, int(ordered[j]), float(cost[order][j])))
+        per_gt_order.append(ordered)
+        selections += [(gi, int(cell), float(c))
+                       for cell, c in zip(ordered[:dyn_k], cost[order[:dyn_k]])]
 
     # A contested cell keeps only its cheapest ground truth.
     best = {}
@@ -201,7 +201,7 @@ def simota_assign(preds: PredictionField, gts, classes,
         positives[gi].append(cell)
 
     taken = set(best.keys())
-    for gi, (ordered, _) in enumerate(per_gt_order):
+    for gi, ordered in enumerate(per_gt_order):
         if positives[gi]:
             continue
         refill = next((int(c) for c in ordered if int(c) not in taken), None)

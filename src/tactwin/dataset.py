@@ -31,9 +31,10 @@ ANNOTATION_KEYS = ("index", "split", "class", "cx_mm", "cy_mm", "w_mm", "h_mm",
 
 
 def pgm_bytes(image: TactileImage) -> bytes:
-    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
+    data = np.clip(image.pixels, 0.0, 1.0)
+    data = np.rint(np.multiply(data, PGM_MAXVAL, out=data), out=data).astype(">u2")
     h, w = data.shape
-    return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
+    return b"".join((f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"), data))
 
 
 def write_pgm(path: Path, image: TactileImage) -> None:
@@ -63,7 +64,7 @@ def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
         raise IOError(f"{path}: PGM payload is {len(payload)} bytes, expected "
                       f"{w * h * 2} for {w}x{h} pixels")
     raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
-    return TactileImage(raw.astype(float) / PGM_MAXVAL, scale_mm_per_px)
+    return TactileImage(np.divide(raw, PGM_MAXVAL, dtype=float), scale_mm_per_px)
 
 
 def json_line(obj: dict) -> str:

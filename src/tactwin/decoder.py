@@ -184,38 +184,48 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     minimum-area filter. Moments are weighted by |dev|. ``window`` says where
     dev lies in a larger raster (default: dev is the raster); blob pixels and
     extents are in that raster's frame.
+
+    The merge distance transform runs on the kept pixels' bounding box grown
+    by half the merge distance in px, plus 1, clipped to dev. The box holds
+    every kept pixel (the only zeros) and every pixel within half the merge
+    distance of one, and the transform reads only offsets between pixels, so
+    distances, groups and scan-order group labels are the whole raster's.
     """
     if not (threshold > 0):
         raise ConfigError("threshold must be > 0")
-    mag = np.abs(dev)
-    mask = mag >= threshold
-    if not mask.any():
+    mask = dev >= threshold
+    mask |= dev <= -threshold
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
         return []
     px_area = scale_mm_per_px ** 2
     eight = np.ones((3, 3), dtype=int)
     labels, n_comp = ndimage.label(mask, structure=eight)
     # Component-level area filter first: isolated specks must not survive by
     # unioning with each other through the merge dilation.
-    comp_px = (np.bincount(labels.ravel(), minlength=n_comp + 1) if n_comp > 1
-               else np.array([0, np.count_nonzero(mask)]))
-    keep = comp_px * px_area >= min_area_mm2
+    gid = labels[ys, xs] if n_comp > 1 else None
+    keep = (np.bincount(gid, minlength=n_comp + 1) if n_comp > 1
+            else np.array([0, ys.size])) * px_area >= min_area_mm2
     keep[0] = False
     if not keep.any():
         return []
     if not keep[1:].all():
-        mask = keep[labels]
+        kept = keep[gid]
+        ys, xs, gid = ys[kept], xs[kept], gid[kept]
     n_groups = int(keep.sum())
     if n_groups > 1:
-        dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
+        reach = int(MERGE_DIST_MM / 2.0 / scale_mm_per_px) + 1
+        y0, x0 = max(int(ys[0]) - reach, 0), max(int(xs.min()) - reach, 0)
+        box = np.ones((min(int(ys[-1]) + reach + 1, dev.shape[0]) - y0,
+                       min(int(xs.max()) + reach + 1, dev.shape[1]) - x0), dtype=bool)
+        box[ys - y0, xs - x0] = False
+        dist = ndimage.distance_transform_edt(box, sampling=scale_mm_per_px)
         groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)
-    else:
-        groups = labels
-    ys, xs = np.nonzero(mask)
-    w = mag[ys, xs]
+        gid = groups[ys - y0, xs - x0]
+    w = np.abs(dev[ys, xs])
     if n_groups == 1:
         bounds = [0, ys.size]
     else:
-        gid = groups[ys, xs]
         order = np.argsort(gid, kind="stable")
         ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
         bounds = np.searchsorted(gid, np.unique(gid))
@@ -289,12 +299,14 @@ def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
     fx, fy = mm_to_px(px, py, blob.scale_mm_per_px, blob.extent_mm)
     ix = np.rint(fx).astype(int)
     iy = np.rint(fy).astype(int)
-    n_img = int(round(blob.extent_mm / blob.scale_mm_per_px))
-    ok = (ix >= 0) & (ix < n_img) & (iy >= 0) & (iy < n_img)
-    flat = np.zeros((n_img, n_img), dtype=bool)
-    flat[blob.ys, blob.xs] = True
+    y0, x0 = blob.ys.min(), blob.xs.min()
+    box = np.zeros((blob.ys.max() - y0 + 1, blob.xs.max() - x0 + 1), dtype=bool)
+    box[blob.ys - y0, blob.xs - x0] = True
+    iy -= y0
+    ix -= x0
+    ok = (ix >= 0) & (ix < box.shape[1]) & (iy >= 0) & (iy < box.shape[0])
     out = np.zeros(px.shape, dtype=bool)
-    out[ok] = flat[iy[ok], ix[ok]]
+    out[ok] = box[iy[ok], ix[ok]]
     return out
 
 
@@ -359,17 +371,17 @@ def classify(blob: Blob, templates: TemplateLibrary,
     else:
         angles = list(np.arange(0.0, 360.0, ROTATION_STEP_DEG))
     patches = _canonical_patches(blob, angles).reshape(len(angles), -1)
-    best_per_class = {}
-    for cls in templates.classes:
-        best = 0.0
-        for variant in templates.variants[cls]:
-            t = variant.mask.ravel()
-            inter = (patches & t).sum(axis=1)
-            union = (patches | t).sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-            best = max(best, float(scores.max()))
-        best_per_class[cls] = best
+    masks = np.array([v.mask.ravel() for cls in templates.classes
+                      for v in templates.variants[cls]]).reshape(-1, patches.shape[1])
+    # Intersections are counts of at most CANONICAL_SIZE^2 pixels, exact in
+    # float32; einsum, since a threaded BLAS product costs more than it saves.
+    inter = np.einsum("ij,kj->ik", patches.astype(np.float32),
+                      masks.astype(np.float32)).astype(np.int64)
+    union = patches.sum(axis=1)[:, None] + masks.sum(axis=1) - inter
+    scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+    ends = np.cumsum([len(templates.variants[cls]) for cls in templates.classes])
+    best_per_class = {cls: float(s.max(initial=0.0)) for cls, s in
+                      zip(templates.classes, np.split(scores, ends[:-1], axis=1))}
     ranked = sorted(best_per_class.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[0]
 
@@ -508,10 +520,13 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     """Blobs of a deviation that covers ``window`` of the raster (default: all
     of it) and is 0 beyond it, labelled around the pixels that can reach the
     threshold and filtered on a crop twice the kernel's radius wider,
-    zero-padded (see the module docstring)."""
+    zero-padded (see the module docstring). ``dev`` is consumed: the filter
+    writes into it, so callers pass a temporary."""
     window = window or PixelWindow.full(dev.shape[0])
     threshold = cfg.effective_threshold(sensor)
-    reaches = np.abs(dev) >= threshold * (1.0 - 2.0 ** -40)
+    t0 = threshold * (1.0 - 2.0 ** -40)
+    reaches = dev >= t0
+    reaches |= dev <= -t0
     rows = np.flatnonzero(reaches.any(axis=1))
     if rows.size == 0:
         return []
@@ -529,7 +544,7 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
                            (given.x0 - crop.x0, crop.x1 - given.x1)))
     sp = cfg.denoise_sigma_px(sensor)
     if sp > 0:
-        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE)
+        ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE, output=dev)
     return extract_blobs(dev[labelled.slices_in(crop)], sensor.scale_mm_per_px,
                          threshold, cfg.min_area_mm2, window=labelled)
 

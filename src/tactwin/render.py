@@ -222,12 +222,16 @@ def simulate(scenario: ContactScenario, material: MaterialParams,
     Only ``render_window`` is computed and pasted into the flat reference.
     """
     window, patch = render_window(scenario, material, illum, sensor)
-    pixels = _flat_pixels(sensor, illum)
-    pixels[window.slices] = patch.pixels
     if scenario.noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
-                         0.0, 1.0)
+        pixels = rng.normal(0.0, scenario.noise_sigma, (sensor.input_size,) * 2)
+        noisy = patch.pixels + pixels[window.slices]
+        pixels += baseline_intensity(illum)
+        pixels[window.slices] = noisy
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    else:
+        pixels = _flat_pixels(sensor, illum)
+        pixels[window.slices] = patch.pixels
     return (TactileImage(pixels, patch.scale_mm_per_px, is_reference=patch.is_reference),
             ground_truth(scenario, material))
 

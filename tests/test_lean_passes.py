@@ -1,0 +1,285 @@
+"""The per-image passes against frozen copies of the expressions they
+replaced.
+
+``simulate``'s noise, ``pgm_bytes``/``read_pgm``, ``extract_blobs`` and
+``classify`` keep no whole-raster temporaries beyond the image, its deviation
+and the label raster; each is held here bit for bit to a frozen copy of the
+expressions it had before. ``TactileDecoder.decode`` filters a temporary of
+its own, never the caller's image.
+"""
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from tactwin.contact import ContactScenario, SphereProbe, ground_truth
+from tactwin.dataset import PGM_MAXVAL, DatasetSpec, pgm_bytes, read_pgm, sample_for_index
+from tactwin.decoder import (MERGE_DIST_MM, ROTATION_STEP_DEG, TemplateLibrary,
+                             TemplateVariant, _canonical_patches, _decode_measurements,
+                             classify, difference_image, estimate_pose, extract_blobs)
+from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
+from tactwin.render import (TactileImage, baseline_intensity, make_reference,
+                            render_window, simulate)
+from tactwin.suites import SUITES
+
+from test_window import _blob_fields
+
+SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
+
+
+def frozen_simulate(scenario, material, illum, sensor, seed=0):
+    """Frozen copy of ``simulate``: the window pasted into a full flat
+    raster, then the noise added and clipped into new arrays."""
+    window, patch = render_window(scenario, material, illum, sensor)
+    pixels = np.full((sensor.input_size, sensor.input_size), baseline_intensity(illum))
+    pixels[window.slices] = patch.pixels
+    if scenario.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
+                         0.0, 1.0)
+    return (TactileImage(pixels, patch.scale_mm_per_px, is_reference=patch.is_reference),
+            ground_truth(scenario, material))
+
+
+def frozen_pgm_bytes(image):
+    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
+    h, w = data.shape
+    return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
+
+
+def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, window=None):
+    """Frozen copy of the whole-raster ``extract_blobs``: |dev| and the kept
+    mask as rasters, the merge distance transform over all of dev."""
+    mag = np.abs(dev)
+    mask = mag >= threshold
+    if not mask.any():
+        return []
+    px_area = scale_mm_per_px ** 2
+    eight = np.ones((3, 3), dtype=int)
+    labels, n_comp = ndimage.label(mask, structure=eight)
+    comp_px = (np.bincount(labels.ravel(), minlength=n_comp + 1) if n_comp > 1
+               else np.array([0, np.count_nonzero(mask)]))
+    keep = comp_px * px_area >= min_area_mm2
+    keep[0] = False
+    if not keep.any():
+        return []
+    if not keep[1:].all():
+        mask = keep[labels]
+    n_groups = int(keep.sum())
+    if n_groups > 1:
+        dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
+        groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)
+    else:
+        groups = labels
+    ys, xs = np.nonzero(mask)
+    w = mag[ys, xs]
+    if n_groups == 1:
+        bounds = [0, ys.size]
+    else:
+        gid = groups[ys, xs]
+        order = np.argsort(gid, kind="stable")
+        ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
+        bounds = np.append(np.searchsorted(gid, np.unique(gid)), gid.size)
+    window = window or PixelWindow.full(dev.shape[0])
+    ys, xs = ys + window.y0, xs + window.x0
+    extent = window.n * scale_mm_per_px
+    out = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        gys, gxs, gw = ys[b0:b1], xs[b0:b1], w[b0:b1]
+        x_mm, y_mm = px_to_mm(gxs, gys, scale_mm_per_px, extent)
+        wsum = gw.sum()
+        cx = float((gw * x_mm).sum() / wsum)
+        cy = float((gw * y_mm).sum() / wsum)
+        dx, dy = x_mm - cx, y_mm - cy
+        out.append((float((b1 - b0) * px_area), int(b1 - b0), (cx, cy),
+                    float((gw * dx * dx).sum() / wsum), float((gw * dy * dy).sum() / wsum),
+                    float((gw * dx * dy).sum() / wsum), float(gw.sum() * px_area),
+                    gys.tolist(), gxs.tolist(), gw.tolist(), extent))
+    out.sort(key=lambda f: (-f[0], f[2]))
+    return out
+
+
+def frozen_scores(patches, templates):
+    """Each class's best IoU by the boolean ``&``/``|`` passes per variant
+    that ``classify`` replaced."""
+    best_per_class = {}
+    for cls in templates.classes:
+        best = 0.0
+        for variant in templates.variants[cls]:
+            t = variant.mask.ravel()
+            inter = (patches & t).sum(axis=1)
+            union = (patches | t).sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+            best = max(best, float(scores.max()))
+        best_per_class[cls] = best
+    return best_per_class
+
+
+def assert_blobs_like_frozen(dev, scale, threshold, min_area_mm2=1.0, window=None):
+    blobs = extract_blobs(dev.copy(), scale, threshold, min_area_mm2, window=window)
+    assert _blob_fields(blobs) == frozen_extract_blobs(dev, scale, threshold,
+                                                       min_area_mm2, window)
+    return blobs
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_160px_suite(self, suite, material, illum):
+        spec = DatasetSpec(count=40, master_seed=23, suite=suite, noise_sigma=0.02,
+                           sensor=SENSOR_160, material=material, illum=illum)
+        for i in range(spec.count):
+            scenario, seed = sample_for_index(spec, i)
+            got = simulate(scenario, material, illum, SENSOR_160, seed=seed)[0]
+            want = frozen_simulate(scenario, material, illum, SENSOR_160, seed=seed)[0]
+            assert got.pixels.tobytes() == want.pixels.tobytes()
+            assert got.is_reference == want.is_reference
+
+    @pytest.mark.parametrize("noise", [0.02, 0.5])
+    def test_640px_edge_contacts(self, noise, material, illum, sensor):
+        # Noise 0.5 clips at both ends; a contact at the edge clips the window.
+        half = sensor.extent_mm / 2
+        for x, y in ((0.0, 0.0), (half - 3.5, -half + 3.5), (-half + 3.5, 3.0)):
+            scenario = ContactScenario(SphereProbe(10.0), x, y, 0.0, 4.0, noise)
+            got = simulate(scenario, material, illum, sensor, seed=9)[0]
+            want = frozen_simulate(scenario, material, illum, sensor, seed=9)[0]
+            assert got.pixels.tobytes() == want.pixels.tobytes()
+
+
+class TestPgm:
+    def test_pgm_bytes(self, rng):
+        steps = np.arange(-3, PGM_MAXVAL + 4)
+        pixels = np.concatenate([steps / PGM_MAXVAL, (steps + 0.5) / PGM_MAXVAL,
+                                 rng.uniform(-0.5, 1.5, 6000), [-0.0, 0.0, 1.0]])
+        pixels = pixels[:pixels.size // 256 * 256].reshape(-1, 256)
+        image = TactileImage(pixels, 0.05)
+        assert pgm_bytes(image) == frozen_pgm_bytes(image)
+        assert np.array_equal(image.pixels, pixels)
+
+    def test_read_pgm(self, tmp_path, rng):
+        raw = np.concatenate([np.arange(PGM_MAXVAL + 1),
+                              rng.integers(0, PGM_MAXVAL + 1, 3 * 4096)]).astype(">u2")
+        raw = raw.reshape(-1, 128)
+        path = tmp_path / "x.pgm"
+        h, w = raw.shape
+        path.write_bytes(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + raw.tobytes())
+        got = read_pgm(path, 0.05).pixels
+        assert got.dtype == np.float64
+        assert got.tobytes() == (raw.astype(float) / PGM_MAXVAL).tobytes()
+
+
+def _bar(dev, y, x, h, w, value):
+    dev[y:y + h, x:x + w] = value
+
+
+class TestExtractBlobs:
+    SCALE = 0.05
+    THRESHOLD = 0.03
+
+    def noisy(self, rng, shape=(200, 220)):
+        # Specks: the noise reaches the threshold on about 0.3 % of pixels.
+        return rng.normal(0.0, 0.01, shape)
+
+    def test_specks_one_component_and_a_merged_pair(self, rng):
+        dev = self.noisy(rng)
+        _bar(dev, 20, 20, 30, 30, 0.2)          # kept, alone
+        _bar(dev, 120, 40, 12, 40, -0.1)        # the pair, 1.5 mm apart
+        _bar(dev, 120, 110, 12, 40, 0.15)
+        dev[rng.integers(0, 200, 40), rng.integers(0, 220, 40)] = np.nan
+        assert len(assert_blobs_like_frozen(dev, self.SCALE, self.THRESHOLD)) == 2
+        assert assert_blobs_like_frozen(dev, self.SCALE, self.THRESHOLD,
+                                        window=PixelWindow(30, 230, 5, 225, 300))
+
+    def test_all_components_kept(self):
+        # Deviations of exactly +-threshold are in the mask.
+        dev = np.zeros((200, 200))
+        _bar(dev, 50, 10, 20, 30, 0.2)
+        _bar(dev, 50, 70, 20, 30, -self.THRESHOLD)      # 1.5 mm apart: merged
+        _bar(dev, 150, 150, 25, 25, self.THRESHOLD)     # 4 mm from the pair
+        assert len(assert_blobs_like_frozen(dev, self.SCALE, self.THRESHOLD)) == 2
+
+    @pytest.mark.parametrize("corner", ["top", "bottom", "left", "right"])
+    def test_merged_pair_at_the_raster_edge(self, corner, rng):
+        # Two fragments 2.25 mm apart, 3 px from the edge: the merge reach
+        # (31 px at 0.05 mm/px) runs off the raster, so the box is clipped.
+        dev = self.noisy(rng, (160, 160))
+        _bar(dev, 3, 30, 12, 40, 0.2)
+        _bar(dev, 3, 115, 12, 40, -0.2)
+        dev = {"top": dev, "bottom": dev[::-1], "left": dev.T,
+               "right": dev.T[:, ::-1]}[corner]
+        blobs = assert_blobs_like_frozen(np.ascontiguousarray(dev), self.SCALE,
+                                         self.THRESHOLD)
+        assert len(blobs) == 1
+
+    def test_three_fragments_at_a_coarse_pitch(self):
+        # 0.1 mm/px: a merge reach of 16 px; the fragments chain into one.
+        dev = np.zeros((120, 120))
+        _bar(dev, 40, 30, 20, 20, 0.1)
+        _bar(dev, 45, 75, 20, 20, 0.1)
+        _bar(dev, 90, 52, 20, 20, 0.1)
+        assert len(assert_blobs_like_frozen(dev, 0.1, self.THRESHOLD)) == 1
+
+
+def _roundtrip_blobs(decoder, material, illum, sensor, count=6):
+    spec = DatasetSpec(count=count, master_seed=41, suite="roundtrip", noise_sigma=0.02,
+                       sensor=sensor, material=material, illum=illum)
+    for i in range(count):
+        scenario, seed = sample_for_index(spec, i)
+        image = simulate(scenario, material, illum, sensor, seed=seed)[0]
+        yield from _decode_measurements(difference_image(image, decoder.reference),
+                                        sensor, decoder.cfg)
+
+
+def _patches(blob, pose):
+    """The flattened canonical patches ``classify`` scores for this pose."""
+    angles = ([pose.theta_deg, pose.theta_deg + 180.0] if pose and pose.confident
+              else list(np.arange(0.0, 360.0, ROTATION_STEP_DEG)))
+    return _canonical_patches(blob, angles).reshape(len(angles), -1)
+
+
+class TestClassify:
+    def test_scores_per_class(self, roundtrip_decoder, material, illum, sensor):
+        templates = roundtrip_decoder.templates
+        for blob in _roundtrip_blobs(roundtrip_decoder, material, illum, sensor):
+            pose = estimate_pose(blob)
+            for p in (pose, None):
+                want = frozen_scores(_patches(blob, p), templates)
+                for cls in templates.classes:
+                    one = TemplateLibrary([cls], {cls: templates.variants[cls]},
+                                          templates.offsets, templates.canonical_size,
+                                          templates.params_hash)
+                    assert classify(blob, one, p) == (cls, want[cls])
+                ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
+                assert classify(blob, templates, p) == ranked[0]
+
+    def test_ties(self, roundtrip_decoder, material, illum, sensor):
+        # "a" and "b" hold one class's variants in either order; "c" holds an
+        # empty mask and "d" nothing, so both score 0.
+        templates = roundtrip_decoder.templates
+        blob = next(_roundtrip_blobs(roundtrip_decoder, material, illum, sensor, 1))
+        pose = estimate_pose(blob)
+        cls = templates.classes[0]
+        empty = np.zeros_like(templates.variants[cls][0].mask)
+        twins = {"b": templates.variants[cls],
+                 "a": list(reversed(templates.variants[cls])),
+                 "c": [TemplateVariant(empty, 1.0)], "d": []}
+        lib = TemplateLibrary(["b", "a", "c", "d"], twins, {}, templates.canonical_size,
+                              templates.params_hash)
+        want = frozen_scores(_patches(blob, pose), lib)
+        assert want["a"] == want["b"] > 0 and want["c"] == want["d"] == 0.0
+        assert classify(blob, lib, pose) == ("a", want["a"])
+        low = TemplateLibrary(["d", "c"], twins, {}, templates.canonical_size,
+                              templates.params_hash)
+        assert classify(blob, low, pose) == ("c", 0.0)
+
+
+class TestDecodeLeavesTheImage:
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_pixels_untouched(self, noise, roundtrip_decoder, material, illum, sensor):
+        scenario = ContactScenario(SUITES["roundtrip"]()[0], 2.0, -3.0, 20.0, 5.0, noise)
+        image = simulate(scenario, material, illum, sensor, seed=3)[0]
+        before = image.pixels.copy()
+        assert roundtrip_decoder.decode(image)
+        assert np.array_equal(image.pixels, before)
+        reference = make_reference(sensor, illum)
+        assert np.array_equal(roundtrip_decoder.reference.pixels, reference.pixels)

@@ -18,8 +18,7 @@ from .decoder import (Blob, CalibrationTable, DecodeConfig, Detection,
                       build_decoder, build_templates, classify,
                       difference_image, estimate_force, estimate_pose,
                       extract_blobs)
-from .encoding import (RegionGrid, build_region_grid, cell_center_mm,
-                       csl_decode, csl_encode)
+from .encoding import RegionGrid, build_region_grid, csl_decode, csl_encode
 from .frames import SensorConfig
 from .geometry import (OrientedBox, angle_error, normalize_angle, rotated_iou,
                        rotated_iou_pairs)

@@ -131,10 +131,6 @@ class Assignment:
     cell_to_gt: np.ndarray           # (n,) int, -1 for background
     positives_per_gt: list           # list of int arrays, one per ground truth
 
-    @property
-    def n_positives(self) -> int:
-        return int((self.cell_to_gt >= 0).sum())
-
     def obj_targets(self) -> np.ndarray:
         return (self.cell_to_gt >= 0).astype(float)
 

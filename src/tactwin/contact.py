@@ -224,10 +224,6 @@ class HeightField:
     z: np.ndarray
     scale_mm_per_px: float
 
-    @property
-    def max_depth(self) -> float:
-        return float(self.z.max(initial=0.0))
-
 
 @dataclass(frozen=True)
 class GroundTruth:

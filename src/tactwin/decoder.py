@@ -185,11 +185,15 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     dev lies in a larger raster (default: dev is the raster); blob pixels and
     extents are in that raster's frame.
 
-    The merge distance transform runs on the kept pixels' bounding box grown
-    by half the merge distance in px, plus 1, clipped to dev. The box holds
-    every kept pixel (the only zeros) and every pixel within half the merge
-    distance of one, and the transform reads only offsets between pixels, so
-    distances, groups and scan-order group labels are the whole raster's.
+    The merge distance transform runs on the kept pixels' bounding box alone.
+    Its zeros, the kept pixels, all lie in the box, and the transform reads
+    only offsets between pixels, so each distance in the box is the whole
+    raster's. An 8-connected chain of pixels within half the merge distance
+    of the mask, clamped into the box, stays such a chain: clamping keeps
+    neighbours neighbours and moves no pixel farther from any point of the
+    box. So the kept pixels fall into the whole raster's groups. The groups'
+    labels may come in another order, which orders only blobs that tie in
+    both area and centroid.
     """
     if not (threshold > 0):
         raise ConfigError("threshold must be > 0")
@@ -214,10 +218,8 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
         ys, xs, gid = ys[kept], xs[kept], gid[kept]
     n_groups = int(keep.sum())
     if n_groups > 1:
-        reach = int(MERGE_DIST_MM / 2.0 / scale_mm_per_px) + 1
-        y0, x0 = max(int(ys[0]) - reach, 0), max(int(xs.min()) - reach, 0)
-        box = np.ones((min(int(ys[-1]) + reach + 1, dev.shape[0]) - y0,
-                       min(int(xs.max()) + reach + 1, dev.shape[1]) - x0), dtype=bool)
+        y0, x0 = int(ys[0]), int(xs.min())
+        box = np.ones((int(ys[-1]) + 1 - y0, int(xs.max()) + 1 - x0), dtype=bool)
         box[ys - y0, xs - x0] = False
         dist = ndimage.distance_transform_edt(box, sampling=scale_mm_per_px)
         groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)

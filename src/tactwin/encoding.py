@@ -105,13 +105,3 @@ def build_region_grid(input_size: int, strides=DEFAULT_STRIDES) -> RegionGrid:
         center_x_px=np.concatenate(cx_l).astype(float),
         center_y_px=np.concatenate(cy_l).astype(float),
     )
-
-
-def cell_center_mm(grid: RegionGrid, index: int, scale_mm_per_px: float):
-    """Physical center of one cell, origin at the image center."""
-    if not (scale_mm_per_px > 0):
-        raise ConfigError("scale must be > 0")
-    if not (0 <= index < grid.n_cells):
-        raise IndexError(f"cell index {index} out of range [0, {grid.n_cells})")
-    return px_to_mm(grid.center_x_px[index] - 0.5, grid.center_y_px[index] - 0.5,
-                    scale_mm_per_px, grid.input_size * scale_mm_per_px)

@@ -108,12 +108,6 @@ def _corner_planes(boxes: np.ndarray) -> tuple:
     return lx * c - ly * s + boxes[:, 0], lx * s + ly * c + boxes[:, 1]
 
 
-def boxes_to_corners(boxes: np.ndarray) -> np.ndarray:
-    """Corners of (N, 5) boxes as (N, 4, 2), counter-clockwise."""
-    x, y = _corner_planes(np.asarray(boxes, dtype=float))
-    return np.stack([x.T, y.T], axis=2)
-
-
 def _padded_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Shoelace areas of (N, 16) vertex planes padded with their last vertex."""
     rx = np.concatenate([x[:, 1:], x[:, :1]], axis=1)

@@ -199,8 +199,7 @@ def _distinct_rows(x: np.ndarray, t: np.ndarray):
 def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
                  scale_mm_per_px: float, classes, learning_rate: float = 0.02,
                  epochs: int = 200, init_head: ToyHead | None = None,
-                 window_radius: float = 6.0, sigma: float = 4.0,
-                 channel_lr_scales: dict | None = None) -> FitResult:
+                 window_radius: float = 6.0, sigma: float = 4.0) -> FitResult:
     """Full-batch gradient descent of the detection loss over a linear head.
 
     Assignments come from the epoch-0 (uniform) predictions and stay frozen so
@@ -208,8 +207,6 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     the sum of per-scene detection losses divided by the sample count.
     The objectness term runs once per distinct (feature row, target) pair of
     a sample, weighted by its cell count; noise-free backgrounds share a row.
-    channel_lr_scales multiplies the step per output channel (the channels
-    are independent affine maps, so each may carry its own rate).
     Divergence stops training early and flags the result: five consecutive
     loss increases (the plain reading), or five consecutive epochs whose
     trailing-5 mean loss exceeds twice the best loss seen. The second rule
@@ -264,11 +261,6 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     # Columns of each channel among the positive-cell outputs (all but obj).
     cols = {name: slice(c.start - rest.start, c.stop - rest.start)
             for name, c in s.items() if name != "obj"}
-    lr_per_output = np.full(head.bias.shape[0], learning_rate)
-    for name, factor in (channel_lr_scales or {}).items():
-        if name not in s:
-            raise ConfigError(f"unknown channel {name!r} in channel_lr_scales")
-        lr_per_output[s[name]] = learning_rate * factor
 
     losses = []
     diverged = False
@@ -313,8 +305,8 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         grad_w = np.concatenate([np.einsum("ij,ik->jk", x_obj, gz_obj),
                                  x_pos.T @ gz_pos], axis=1)
         grad_b = np.concatenate([gz_obj.sum(axis=0), gz_pos.sum(axis=0)])
-        head.weights = head.weights - lr_per_output * grad_w / n_samples
-        head.bias = head.bias - lr_per_output * grad_b / n_samples
+        head.weights = head.weights - learning_rate * grad_w / n_samples
+        head.bias = head.bias - learning_rate * grad_b / n_samples
     return FitResult(head=head, losses=losses, diverged=diverged)
 
 

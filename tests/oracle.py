@@ -1,0 +1,220 @@
+"""Whole-raster references for each stage of the image path.
+
+The image path renders a contact scenario, adds pixel noise, writes the image
+as a PGM, measures its deviation from the flat reference into blobs, and
+scores each blob against the class templates. Every fast path of that path
+(a rendered window, sloped-pixel and blocked shading, in-place noise, a
+measured crop, a merge box, one product for every template's intersections)
+equals its reference here bit for bit: the same pixels, PGM bytes, blob
+pixels, weights and moments, calibration tables, templates and class scores.
+
+Each reference works on every pixel of the raster, with the expressions the
+fast paths replaced: the whole-raster height field, shaded light by light;
+the noise added and clipped into new arrays; the whole deviation filtered,
+then labelled, merged and measured as whole rasters; and each template
+variant scored by boolean ``&`` and ``|`` passes. No reference calls the
+stage it checks; the height field, computed on the whole raster, is the one
+step a reference shares with the program, so a fault in a fast path cannot
+hide in its own reference.
+
+``boxes_to_corners`` serves the rotated-IoU tests, which hold the batched
+corners to ``OrientedBox.corners``.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from tactwin import decoder, geometry
+from tactwin.contact import ground_truth, height_field
+from tactwin.dataset import PGM_MAXVAL
+from tactwin.decoder import MERGE_DIST_MM, Blob, calibration_scenario
+from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
+from tactwin.render import TactileImage
+
+# 160 px over the standard 32 mm active area: windows reach the raster edge
+# for edge-placed contacts and for the largest probes' calibration windows.
+SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
+
+
+def _blob_fields(blobs):
+    """Every measured field of each blob, as plain values."""
+    return [(b.area_mm2, b.n_pixels, b.centroid_mm, b.mu20, b.mu02, b.mu11,
+             b.deviation_integral, b.ys.tolist(), b.xs.tolist(),
+             b.weights.tolist(), b.extent_mm)
+            for b in blobs]
+
+
+# ---------------------------------------------------------------------------
+# Render and simulate.
+# ---------------------------------------------------------------------------
+
+def frozen_shade(z, scale_mm_per_px, illum):
+    """Per-light shading of every pixel of the height field ``z``."""
+    fy, fx = np.gradient(z, scale_mm_per_px)
+    return frozen_shade_slopes(fx, fy, illum)
+
+
+def frozen_shade_slopes(fx, fy, illum):
+    """Per-light shading of surface gradients (fx, fy), whole arrays at once."""
+    inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
+    shade = np.zeros(fx.shape)
+    for lx, ly, lz in illum.light_dirs:
+        dot = (-fx * lx - fy * ly + lz) * inv_norm
+        np.maximum(dot, 0.0, out=dot)
+        if illum.exponent != 1.0:
+            dot **= illum.exponent
+        shade += dot
+    shade /= illum.light_dirs.shape[0]
+    return np.clip(illum.ambient + illum.diffuse * shade, 0.0, 1.0)
+
+
+def frozen_render(scenario, material, illum, sensor):
+    """The whole-raster height field, shaded per light on every pixel."""
+    z = height_field(scenario, material, sensor).z
+    return TactileImage(frozen_shade(z, sensor.scale_mm_per_px, illum),
+                        sensor.scale_mm_per_px, is_reference=not z.any())
+
+
+def frozen_simulate(scenario, material, illum, sensor, seed=0):
+    """``frozen_render``, then the noise added and clipped into new arrays."""
+    image = frozen_render(scenario, material, illum, sensor)
+    pixels = image.pixels
+    if scenario.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
+                         0.0, 1.0)
+    return (TactileImage(pixels, image.scale_mm_per_px, is_reference=image.is_reference),
+            ground_truth(scenario, material))
+
+
+# ---------------------------------------------------------------------------
+# PGM encoding.
+# ---------------------------------------------------------------------------
+
+def frozen_pgm_bytes(image):
+    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
+    h, w = data.shape
+    return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Measure.
+# ---------------------------------------------------------------------------
+
+def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, window=None):
+    """Blobs of ``dev`` with |dev| and the kept mask as rasters, and the
+    merge distance transform over all of dev."""
+    mag = np.abs(dev)
+    mask = mag >= threshold
+    if not mask.any():
+        return []
+    px_area = scale_mm_per_px ** 2
+    eight = np.ones((3, 3), dtype=int)
+    labels, n_comp = ndimage.label(mask, structure=eight)
+    comp_px = (np.bincount(labels.ravel(), minlength=n_comp + 1) if n_comp > 1
+               else np.array([0, np.count_nonzero(mask)]))
+    keep = comp_px * px_area >= min_area_mm2
+    keep[0] = False
+    if not keep.any():
+        return []
+    if not keep[1:].all():
+        mask = keep[labels]
+    n_groups = int(keep.sum())
+    if n_groups > 1:
+        dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
+        groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)
+    else:
+        groups = labels
+    ys, xs = np.nonzero(mask)
+    w = mag[ys, xs]
+    if n_groups == 1:
+        bounds = [0, ys.size]
+    else:
+        gid = groups[ys, xs]
+        order = np.argsort(gid, kind="stable")
+        ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
+        bounds = np.append(np.searchsorted(gid, np.unique(gid)), gid.size)
+    window = window or PixelWindow.full(dev.shape[0])
+    ys, xs = ys + window.y0, xs + window.x0
+    extent = window.n * scale_mm_per_px
+    out = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        gys, gxs, gw = ys[b0:b1], xs[b0:b1], w[b0:b1]
+        x_mm, y_mm = px_to_mm(gxs, gys, scale_mm_per_px, extent)
+        wsum = gw.sum()
+        cx = float((gw * x_mm).sum() / wsum)
+        cy = float((gw * y_mm).sum() / wsum)
+        dx, dy = x_mm - cx, y_mm - cy
+        out.append(Blob(
+            area_mm2=float((b1 - b0) * px_area), n_pixels=int(b1 - b0),
+            centroid_mm=(cx, cy),
+            mu20=float((gw * dx * dx).sum() / wsum),
+            mu02=float((gw * dy * dy).sum() / wsum),
+            mu11=float((gw * dx * dy).sum() / wsum),
+            deviation_integral=float(gw.sum() * px_area),
+            ys=gys, xs=gxs, weights=gw,
+            scale_mm_per_px=scale_mm_per_px, extent_mm=extent))
+    out.sort(key=lambda b: (-b.area_mm2, b.centroid_mm))
+    return out
+
+
+def frozen_measurements(image, reference, sensor, cfg):
+    """The whole deviation filtered, then measured by ``frozen_extract_blobs``."""
+    dev = image.pixels - reference.pixels
+    sp = cfg.denoise_sigma_px(sensor)
+    if sp > 0:
+        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)
+    return frozen_extract_blobs(dev, sensor.scale_mm_per_px,
+                                cfg.effective_threshold(sensor), cfg.min_area_mm2)
+
+
+def frozen_calibration_blobs(probe, force, material, illum, sensor, cfg, reference):
+    """Reference for ``decoder._calibration_blobs``: the calibration scenario
+    simulated and measured whole."""
+    image, gt = frozen_simulate(calibration_scenario(probe, force), material, illum, sensor)
+    return frozen_measurements(image, reference, sensor, cfg), gt
+
+
+@contextlib.contextmanager
+def whole_raster_calibration():
+    """Make the calibration sweeps, and the templates taken from them,
+    render and measure with ``frozen_calibration_blobs``. Forked sweep
+    workers inherit the patch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_calibration_blobs", frozen_calibration_blobs)
+        yield
+
+
+# ---------------------------------------------------------------------------
+# Classify.
+# ---------------------------------------------------------------------------
+
+def frozen_scores(patches, templates):
+    """Each class's best IoU between the flattened ``patches`` and its
+    variants, by boolean ``&``/``|`` passes per variant."""
+    best_per_class = {}
+    for cls in templates.classes:
+        best = 0.0
+        for variant in templates.variants[cls]:
+            t = variant.mask.ravel()
+            inter = (patches & t).sum(axis=1)
+            union = (patches | t).sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+            best = max(best, float(scores.max()))
+        best_per_class[cls] = best
+    return best_per_class
+
+
+# ---------------------------------------------------------------------------
+# Box geometry, for the rotated-IoU tests.
+# ---------------------------------------------------------------------------
+
+def boxes_to_corners(boxes):
+    """Corners of (N, 5) boxes as (N, 4, 2), counter-clockwise, from the
+    corner planes that the batched rotated IoU clips."""
+    x, y = geometry._corner_planes(np.asarray(boxes, dtype=float))
+    return np.stack([x.T, y.T], axis=2)

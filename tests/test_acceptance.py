@@ -2,9 +2,13 @@
 
 Each test prints one PASS/FAIL line (run with -s to stream them). The heavy
 decoders are session fixtures shared across criteria; all randomness is
-seeded. Pixel-level suites run at the default 640 px raster.
+seeded. Pixel-level suites run at the default 640 px raster. The decode round
+trips and the Monte Carlo IoU oracle run in forked workers, one per CPU; each
+unit's seed is fixed by its index, so every number is the same on any number
+of CPUs.
 """
 
+import functools
 import math
 import time
 from collections import defaultdict
@@ -12,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from tactwin import runner
 from tactwin.assignment import PredictionField, loss_gradient, simota_assign, total_loss
 from tactwin.contact import ContactScenario, GroundTruth, SphereProbe, hertz_indentation
 from tactwin.dataset import DatasetSpec, generate_dataset
@@ -36,16 +41,25 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
+def _simulate_and_decode(decoder, scenario, seed, material, illum, sensor):
+    img, gt = simulate(scenario, material, illum, sensor, seed=seed)
+    return decoder.decode(img), [gt]
+
+
 def run_suite(decoder, probes, n, noise_sigma, seed, material, illum, sensor):
-    """Simulate and decode n random scenarios; returns per-sample lists."""
+    """Simulate and decode n random scenarios; returns per-sample lists.
+
+    The scenarios are drawn here in order; the i-th is simulated with seed
+    ``seed * 100000 + i`` and decoded as one unit in a forked worker.
+    """
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        sc = sample_scenario(rng, probes, sensor, material.e_star,
-                             force_range=(0.8, 10.0), noise_sigma=noise_sigma)
-        img, gt = simulate(sc, material, illum, sensor, seed=seed * 100000 + i)
-        samples.append((decoder.decode(img), [gt]))
-    return samples
+    scenarios = [sample_scenario(rng, probes, sensor, material.e_star,
+                                 force_range=(0.8, 10.0), noise_sigma=noise_sigma)
+                 for _ in range(n)]
+    return runner.run_units(
+        [functools.partial(_simulate_and_decode, decoder, sc, seed * 100000 + i,
+                           material, illum, sensor) for i, sc in enumerate(scenarios)],
+        fork=True)
 
 
 def suite_errors(samples):
@@ -82,17 +96,20 @@ class TestCriterion1AngleMetric:
                       f"(1,179)->{example:.12f}, {elapsed:.2f}s")
 
 
+def _mc_iou_error(ra, rb, seed):
+    a, b = OrientedBox(*ra), OrientedBox(*rb)
+    return abs(rotated_iou(a, b) - mc_iou(a, b, 1_000_000, seed=seed))
+
+
 class TestCriterion2RotatedIoU:
     def test_monte_carlo_and_closed_forms(self):
         rng = np.random.default_rng(202)
         t0 = time.perf_counter()
         boxes_a = random_boxes(rng, 200)
         boxes_b = random_boxes(rng, 200)
-        worst = 0.0
-        for i, (ra, rb) in enumerate(zip(boxes_a, boxes_b)):
-            a, b = OrientedBox(*ra), OrientedBox(*rb)
-            approx = mc_iou(a, b, 1_000_000, seed=7000 + i)
-            worst = max(worst, abs(rotated_iou(a, b) - approx))
+        worst = max(runner.run_units(
+            [functools.partial(_mc_iou_error, ra, rb, 7000 + i)
+             for i, (ra, rb) in enumerate(zip(boxes_a, boxes_b))], fork=True))
         axis_err = abs(rotated_iou(OrientedBox(0, 0, 4, 2, 0),
                                    OrientedBox(2, 0, 4, 2, 0)) - 1 / 3)
         inter = 8 * (math.sqrt(2) - 1)
@@ -290,6 +307,19 @@ class TestCriterion6SimulatorPhysics:
         report(6, ok, f"slope={slope:.4f}, area mono(F)={mono_force}, "
                       f"mono(d)={mono_diam}, contrast up(F)={up_in_force}, "
                       f"down(d)={down_in_diam}")
+
+
+class TestRunSuite:
+    def test_same_samples_at_1_and_2_cpus(self, roundtrip_decoder, material, illum,
+                                          sensor, monkeypatch):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(runner, "_available_cpus", lambda n=cpus: n)
+            runs.append(run_suite(roundtrip_decoder, roundtrip_probes(), 12, 0.02,
+                                  seed=13, material=material, illum=illum,
+                                  sensor=sensor))
+        assert all(dets for dets, _ in runs[0])
+        assert runs[0] == runs[1]
 
 
 class TestCriterion7RoundTripNoiseless:

@@ -8,7 +8,7 @@ from tactwin.contact import (ContactScenario, FootprintProbe, MaterialParams,
                              SphereProbe, ground_truth, height_field,
                              hertz_indentation, punch_indentation)
 from tactwin.errors import ConfigError, ScenarioError
-from tactwin.frames import SensorConfig, pixel_centers_mm
+from tactwin.frames import pixel_centers_mm
 from tactwin.render import (IlluminationModel, baseline_intensity,
                             contact_band_contrast, deviation_area_mm2,
                             make_reference, render, resolution_sweep,
@@ -16,8 +16,8 @@ from tactwin.render import (IlluminationModel, baseline_intensity,
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, footprint_probes,
                             sample_scenario, stencil_circle, stencil_strip)
 
-# 160 px over the standard 32 mm active area.
-SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
+from oracle import SENSOR_160
+
 # The strip of the roundtrip and six-footprint suites.
 STRIP = FootprintProbe("strip", stencil_strip(20.0, 4.0), STENCIL_SCALE_MM)
 
@@ -36,7 +36,7 @@ def frozen_band_contrast(scenario, material, illum, sensor, band_mm=0.5):
         r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
         band = (r <= a) & (r >= a - band_mm)
     else:
-        inside = hf.z >= hf.max_depth * (1.0 - 1e-9)
+        inside = hf.z >= hf.z.max() * (1.0 - 1e-9)
         dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
         band = inside & (dist <= band_mm)
     if not band.any():
@@ -95,7 +95,7 @@ class TestHeightField:
         # the grid's nearest pixel sits up to half a pixel diagonal off the
         # apex, costing r^2 / (2R) of height
         sag = (sensor.scale_mm_per_px / math.sqrt(2)) ** 2 / (2 * 5.0)
-        assert depth - hf.max_depth == pytest.approx(0.0, abs=2 * sag)
+        assert depth - hf.z.max() == pytest.approx(0.0, abs=2 * sag)
 
     def test_field_continuous_and_nonnegative(self, material, sensor):
         sc = ContactScenario(SphereProbe(20), 0, 0, 0, 5.0)
@@ -159,7 +159,7 @@ class TestHeightField:
         sc = ContactScenario(probe, 1.0, 1.0, 0, 2.0)
         hf = height_field(sc, material, sensor)
         d = punch_indentation(2.0, probe.area_mm2, material.e_star)
-        assert hf.max_depth == pytest.approx(d, rel=1e-9)
+        assert hf.z.max() == pytest.approx(d, rel=1e-9)
 
     @pytest.mark.parametrize("probe", [
         FootprintProbe("strip", stencil_strip(10.0, 0.05), 0.1),

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactwin.encoding import (CSL_BINS, build_region_grid, cell_center_mm,
-                              csl_decode, csl_encode)
+from tactwin.encoding import CSL_BINS, build_region_grid, csl_decode, csl_encode
 from tactwin.errors import ConfigError, DecodeError
 
 
@@ -109,22 +108,17 @@ class TestRegionGrid:
 class TestCellCenterMm:
     def test_corner_cell(self):
         grid = build_region_grid(640)
-        x, y = cell_center_mm(grid, 0, 0.05)
+        x, y = grid.centers_mm(0.05)[0]
         assert (x, y) == pytest.approx((-15.8, -15.8))
 
     def test_symmetry_about_center(self):
         grid = build_region_grid(640)
         level0 = np.nonzero(grid.level == 0)[0]
-        xs = [cell_center_mm(grid, int(i), 0.05)[0] for i in level0]
+        xs = grid.centers_mm(0.05)[level0, 0]
         assert np.mean(xs) == pytest.approx(0.0, abs=1e-9)
 
     def test_scale_linearity(self):
         grid = build_region_grid(640)
-        x1, y1 = cell_center_mm(grid, 17, 0.05)
-        x2, y2 = cell_center_mm(grid, 17, 0.1)
+        x1, y1 = grid.centers_mm(0.05)[17]
+        x2, y2 = grid.centers_mm(0.1)[17]
         assert (x2, y2) == pytest.approx((2 * x1, 2 * y1))
-
-    def test_out_of_range_index(self):
-        grid = build_region_grid(64)
-        with pytest.raises(IndexError):
-            cell_center_mm(grid, grid.n_cells, 0.05)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tactwin import geometry
-from tactwin.geometry import (MERGE_EPS, OrientedBox, angle_error, boxes_to_corners,
-                              normalize_angle, points_in_box, rotated_iou,
-                              rotated_iou_gradient, rotated_iou_pairs)
+from tactwin.geometry import (MERGE_EPS, OrientedBox, angle_error, normalize_angle,
+                              points_in_box, rotated_iou, rotated_iou_gradient,
+                              rotated_iou_pairs)
+
+from oracle import boxes_to_corners
 
 
 def random_boxes(rng, n, span=5.0, size=(0.5, 8.0)):

@@ -1,125 +1,30 @@
-"""The per-image passes against frozen copies of the expressions they
-replaced.
-
-``simulate``'s noise, ``pgm_bytes``/``read_pgm``, ``extract_blobs`` and
-``classify`` keep no whole-raster temporaries beyond the image, its deviation
-and the label raster; each is held here bit for bit to a frozen copy of the
-expressions it had before. ``TactileDecoder.decode`` filters a temporary of
-its own, never the caller's image.
+"""The per-image passes against their whole-raster references in
+``oracle``: noisy ``simulate``, ``pgm_bytes`` and ``read_pgm``,
+``extract_blobs`` (also at the raster's edges and through a ``window``) and
+``classify``'s scores per class, with ties. ``TactileDecoder.decode`` filters
+a temporary of its own, never the caller's image.
 """
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
-from tactwin.contact import ContactScenario, SphereProbe, ground_truth
+from tactwin.contact import ContactScenario, SphereProbe
 from tactwin.dataset import PGM_MAXVAL, DatasetSpec, pgm_bytes, read_pgm, sample_for_index
-from tactwin.decoder import (MERGE_DIST_MM, ROTATION_STEP_DEG, TemplateLibrary,
-                             TemplateVariant, _canonical_patches, _decode_measurements,
-                             classify, difference_image, estimate_pose, extract_blobs)
-from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
-from tactwin.render import (TactileImage, baseline_intensity, make_reference,
-                            render_window, simulate)
+from tactwin.decoder import (ROTATION_STEP_DEG, TemplateLibrary, TemplateVariant,
+                             _canonical_patches, _decode_measurements, classify,
+                             difference_image, estimate_pose, extract_blobs)
+from tactwin.frames import PixelWindow
+from tactwin.render import TactileImage, make_reference, simulate
 from tactwin.suites import SUITES
 
-from test_window import _blob_fields
-
-SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
-
-
-def frozen_simulate(scenario, material, illum, sensor, seed=0):
-    """Frozen copy of ``simulate``: the window pasted into a full flat
-    raster, then the noise added and clipped into new arrays."""
-    window, patch = render_window(scenario, material, illum, sensor)
-    pixels = np.full((sensor.input_size, sensor.input_size), baseline_intensity(illum))
-    pixels[window.slices] = patch.pixels
-    if scenario.noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
-                         0.0, 1.0)
-    return (TactileImage(pixels, patch.scale_mm_per_px, is_reference=patch.is_reference),
-            ground_truth(scenario, material))
-
-
-def frozen_pgm_bytes(image):
-    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
-    h, w = data.shape
-    return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
-
-
-def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, window=None):
-    """Frozen copy of the whole-raster ``extract_blobs``: |dev| and the kept
-    mask as rasters, the merge distance transform over all of dev."""
-    mag = np.abs(dev)
-    mask = mag >= threshold
-    if not mask.any():
-        return []
-    px_area = scale_mm_per_px ** 2
-    eight = np.ones((3, 3), dtype=int)
-    labels, n_comp = ndimage.label(mask, structure=eight)
-    comp_px = (np.bincount(labels.ravel(), minlength=n_comp + 1) if n_comp > 1
-               else np.array([0, np.count_nonzero(mask)]))
-    keep = comp_px * px_area >= min_area_mm2
-    keep[0] = False
-    if not keep.any():
-        return []
-    if not keep[1:].all():
-        mask = keep[labels]
-    n_groups = int(keep.sum())
-    if n_groups > 1:
-        dist = ndimage.distance_transform_edt(~mask, sampling=scale_mm_per_px)
-        groups, n_groups = ndimage.label(dist <= MERGE_DIST_MM / 2.0, structure=eight)
-    else:
-        groups = labels
-    ys, xs = np.nonzero(mask)
-    w = mag[ys, xs]
-    if n_groups == 1:
-        bounds = [0, ys.size]
-    else:
-        gid = groups[ys, xs]
-        order = np.argsort(gid, kind="stable")
-        ys, xs, gid, w = ys[order], xs[order], gid[order], w[order]
-        bounds = np.append(np.searchsorted(gid, np.unique(gid)), gid.size)
-    window = window or PixelWindow.full(dev.shape[0])
-    ys, xs = ys + window.y0, xs + window.x0
-    extent = window.n * scale_mm_per_px
-    out = []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        gys, gxs, gw = ys[b0:b1], xs[b0:b1], w[b0:b1]
-        x_mm, y_mm = px_to_mm(gxs, gys, scale_mm_per_px, extent)
-        wsum = gw.sum()
-        cx = float((gw * x_mm).sum() / wsum)
-        cy = float((gw * y_mm).sum() / wsum)
-        dx, dy = x_mm - cx, y_mm - cy
-        out.append((float((b1 - b0) * px_area), int(b1 - b0), (cx, cy),
-                    float((gw * dx * dx).sum() / wsum), float((gw * dy * dy).sum() / wsum),
-                    float((gw * dx * dy).sum() / wsum), float(gw.sum() * px_area),
-                    gys.tolist(), gxs.tolist(), gw.tolist(), extent))
-    out.sort(key=lambda f: (-f[0], f[2]))
-    return out
-
-
-def frozen_scores(patches, templates):
-    """Each class's best IoU by the boolean ``&``/``|`` passes per variant
-    that ``classify`` replaced."""
-    best_per_class = {}
-    for cls in templates.classes:
-        best = 0.0
-        for variant in templates.variants[cls]:
-            t = variant.mask.ravel()
-            inter = (patches & t).sum(axis=1)
-            union = (patches | t).sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-            best = max(best, float(scores.max()))
-        best_per_class[cls] = best
-    return best_per_class
+from oracle import (SENSOR_160, _blob_fields, frozen_extract_blobs, frozen_pgm_bytes,
+                    frozen_scores, frozen_simulate)
 
 
 def assert_blobs_like_frozen(dev, scale, threshold, min_area_mm2=1.0, window=None):
     blobs = extract_blobs(dev.copy(), scale, threshold, min_area_mm2, window=window)
-    assert _blob_fields(blobs) == frozen_extract_blobs(dev, scale, threshold,
-                                                       min_area_mm2, window)
+    assert _blob_fields(blobs) == _blob_fields(
+        frozen_extract_blobs(dev, scale, threshold, min_area_mm2, window))
     return blobs
 
 
@@ -200,8 +105,9 @@ class TestExtractBlobs:
 
     @pytest.mark.parametrize("corner", ["top", "bottom", "left", "right"])
     def test_merged_pair_at_the_raster_edge(self, corner, rng):
-        # Two fragments 2.25 mm apart, 3 px from the edge: the merge reach
-        # (31 px at 0.05 mm/px) runs off the raster, so the box is clipped.
+        # Two fragments 2.25 mm apart, 3 px from the edge: the pixels within
+        # half the merge distance of them (30 px at 0.05 mm/px) run off the
+        # raster, and the merge box is the fragments' bounding box alone.
         dev = self.noisy(rng, (160, 160))
         _bar(dev, 3, 30, 12, 40, 0.2)
         _bar(dev, 3, 115, 12, 40, -0.2)
@@ -212,7 +118,8 @@ class TestExtractBlobs:
         assert len(blobs) == 1
 
     def test_three_fragments_at_a_coarse_pitch(self):
-        # 0.1 mm/px: a merge reach of 16 px; the fragments chain into one.
+        # 0.1 mm/px: half the merge distance is 15 px; the fragments chain
+        # into one.
         dev = np.zeros((120, 120))
         _bar(dev, 40, 30, 20, 20, 0.1)
         _bar(dev, 45, 75, 20, 20, 0.1)

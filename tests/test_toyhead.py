@@ -93,8 +93,7 @@ class TestFit:
     def test_separable_classes_converge(self, rng):
         feats, gts = make_dataset(rng, 40)
         res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
-                           learning_rate=0.05, epochs=500,
-                           channel_lr_scales={"cls": 20.0})
+                           learning_rate=0.3, epochs=1000)
         assert not res.diverged
         cls_losses = []
         for f, g in zip(feats, gts):

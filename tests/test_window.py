@@ -1,23 +1,18 @@
-"""The windowed forward model and measurement against whole-raster oracles.
+"""The windowed forward model and measurement against their whole-raster
+references in ``oracle``.
 
-``contact_window`` decides which pixels ``simulate`` computes. Patching it to
-return the whole raster runs the same code on every pixel, which is what the
-windowed results must equal byte for byte. ``_decode_measurements`` labels
-only the rectangle of the pixels whose deviation can reach the threshold,
-grown by the denoise kernel's radius, and filters it grown by twice the
-radius; it is held to a frozen copy of the whole-raster measurement it
-replaced, also under a skirt just below the threshold that reaches farther
-than the crop, and on a noise-free image read back from a PGM. The calibration
-sweeps and templates measure ``render_window``'s patch alone; they are held to
-whole-frame ``simulate`` measured by that frozen copy, also through
-``build_decoder``'s forked workers, which inherit the patch; the templates
-``build_decoder`` takes from its sweeps are held to that frozen copy too. The
-sloped-pixel shading and its blocked per-light kernel are held to a frozen
-copy of the per-light shading they replaced, and the sweep's reused punch
-profiles to fresh height fields.
+``simulate`` renders only ``contact_window``. ``_decode_measurements``
+filters and labels a crop around the pixels that can reach the threshold;
+it is checked also under a skirt just below the threshold that reaches
+farther than the crop, with the contact at a raster corner, and on a
+noise-free image read back from a PGM. The calibration sweeps measure
+``render_window``'s patch alone; their blobs, tables and templates are
+checked, also from ``build_decoder``'s forked workers. Sloped-pixel shading
+and its blocked per-light kernel are checked against per-light shading of
+every pixel, and a sweep's reused punch profiles against fresh height
+fields.
 """
 
-import contextlib
 import importlib
 import json
 
@@ -31,55 +26,16 @@ from tactwin.dataset import DatasetSpec, read_pgm, sample_for_index, write_pgm
 from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
-                             calibration_scenario, difference_image, extract_blobs)
-from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
+                             calibration_scenario, difference_image)
+from tactwin.frames import PixelWindow, pixel_centers_mm
 from tactwin.render import (_SHADE_BLOCK, IlluminationModel, TactileImage, _shade,
                             _shade_slopes, contact_window, make_reference,
                             resolution_sweep, ring_lights, simulate)
 from tactwin.suites import STENCIL_SCALE_MM, SUITES, footprint_probes, stencil_strip
 
-# 160 px over the standard 32 mm active area: windows reach the raster edge
-# for edge-placed contacts and for the largest probes' calibration windows.
-SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
-
-
-@contextlib.contextmanager
-def whole_frame():
-    """Make ``simulate`` render the whole raster."""
-    def full(scenario, material, illum, sensor):
-        return PixelWindow.full(sensor.input_size)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("tactwin.render"), "contact_window", full)
-        yield
-
-
-def frozen_measurements(image, reference, sensor, cfg):
-    """Frozen copy of the whole-raster ``_decode_measurements`` that the
-    windowed measurement replaced: filter and label every pixel."""
-    dev = image.pixels - reference.pixels
-    sp = cfg.denoise_sigma_px(sensor)
-    if sp > 0:
-        dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)
-    return extract_blobs(dev, sensor.scale_mm_per_px, cfg.effective_threshold(sensor),
-                         cfg.min_area_mm2)
-
-
-def frozen_calibration_blobs(probe, force, material, illum, sensor, cfg, reference):
-    """Oracle for ``_calibration_blobs``: the whole frame simulated and
-    measured by the frozen whole-raster copy."""
-    with whole_frame():
-        image, gt = simulate(calibration_scenario(probe, force), material, illum, sensor)
-    return frozen_measurements(image, reference, sensor, cfg), gt
-
-
-@contextlib.contextmanager
-def whole_raster_calibration():
-    """Make the calibration sweeps and templates render and measure with the
-    whole-raster oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("tactwin.decoder"), "_calibration_blobs",
-                   frozen_calibration_blobs)
-        yield
+from oracle import (SENSOR_160, _blob_fields, frozen_calibration_blobs,
+                    frozen_measurements, frozen_shade, frozen_shade_slopes,
+                    frozen_simulate, whole_raster_calibration)
 
 
 def assert_measures_like_oracle(image, reference, sensor, cfg):
@@ -89,26 +45,20 @@ def assert_measures_like_oracle(image, reference, sensor, cfg):
     return blobs
 
 
-def _simulated_images(suite, sensor, count, noise_sigma, material, illum):
+def _simulated_images(suite, sensor, count, noise_sigma, material, illum,
+                      simulator=simulate):
     spec = DatasetSpec(count=count, master_seed=17, suite=suite,
                        noise_sigma=noise_sigma, sensor=sensor,
                        material=material, illum=illum)
     for i in range(count):
         scenario, seed = sample_for_index(spec, i)
-        yield simulate(scenario, material, illum, sensor, seed=seed)[0]
+        yield simulator(scenario, material, illum, sensor, seed=seed)[0]
 
 
 def _simulated_pixels(*args):
     """Raw float64 pixels: equal pixels give equal PGM bytes, and the float
     comparison also catches last-bit differences that PGM rounding hides."""
     return [image.pixels.tobytes() for image in _simulated_images(*args)]
-
-
-def _blob_fields(blobs):
-    return [(b.area_mm2, b.n_pixels, b.centroid_mm, b.mu20, b.mu02, b.mu11,
-             b.deviation_integral, b.ys.tolist(), b.xs.tolist(),
-             b.weights.tolist(), b.extent_mm)
-            for b in blobs]
 
 
 def _sweep(calibration_blobs, probe, material, illum, sensor, cfg):
@@ -289,16 +239,12 @@ class TestSimulateExact:
     @pytest.mark.parametrize("noise", [0.0, 0.02])
     def test_160px_suite(self, suite, noise, material, illum):
         args = (suite, SENSOR_160, 200, noise, material, illum)
-        windowed = _simulated_pixels(*args)
-        with whole_frame():
-            assert windowed == _simulated_pixels(*args)
+        assert _simulated_pixels(*args) == _simulated_pixels(*args, frozen_simulate)
 
     @pytest.mark.parametrize("noise", [0.0, 0.02])
     def test_640px_roundtrip(self, noise, material, illum, sensor):
         args = ("roundtrip", sensor, 12, noise, material, illum)
-        windowed = _simulated_pixels(*args)
-        with whole_frame():
-            assert windowed == _simulated_pixels(*args)
+        assert _simulated_pixels(*args) == _simulated_pixels(*args, frozen_simulate)
 
 
 class TestCalibrationExact:
@@ -359,29 +305,6 @@ class TestCalibrationExact:
             assert windowed == (
                 _calibration_json(probes, material, illum, sensor, decode_cfg),
                 _templates_json(probes, material, illum, sensor, decode_cfg))
-
-
-def frozen_shade(z, scale_mm_per_px, illum):
-    """Frozen copy of the per-light shading of every pixel that
-    ``render._shade`` replaced; its outputs are the bit-exact reference for
-    the sloped-pixel rule."""
-    fy, fx = np.gradient(z, scale_mm_per_px)
-    return frozen_shade_slopes(fx, fy, illum)
-
-
-def frozen_shade_slopes(fx, fy, illum):
-    """Frozen copy of the whole-array per-light shading that the blocked
-    ``render._shade_slopes`` replaced."""
-    inv_norm = 1.0 / np.sqrt(1.0 + fx * fx + fy * fy)
-    shade = np.zeros(fx.shape)
-    for lx, ly, lz in illum.light_dirs:
-        dot = (-fx * lx - fy * ly + lz) * inv_norm
-        np.maximum(dot, 0.0, out=dot)
-        if illum.exponent != 1.0:
-            dot **= illum.exponent
-        shade += dot
-    shade /= illum.light_dirs.shape[0]
-    return np.clip(illum.ambient + illum.diffuse * shade, 0.0, 1.0)
 
 
 OTHER_LIGHTS = {

@@ -13,6 +13,7 @@ calibration, 5 internal contract violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -471,7 +472,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed heap memory for the next image's rasters.
+
+    A stage frees several 3.3 MB rasters per 640 px image, which glibc by
+    default gives back to the kernel: over 60 noisy roundtrip images
+    ``generate`` and ``decode`` took 56k-73k and 62k-180k minor faults
+    (0.18-0.42 s of system time a step), and about 7k and 300 with both
+    values set. Either alone turns off glibc's dynamic threshold, and
+    ``generate`` took 265k-310k. Workers and threads inherit the setting.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, glibc's 64-bit maximum
+    mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -284,10 +284,13 @@ def estimate_pose(blob: Blob) -> PoseEstimate:
 # Template classification.
 # ---------------------------------------------------------------------------
 
-def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
-    """Resample the blob mask into len(angles) square patches of side
-    CANONICAL_SIZE, normalized for rotation (by each angle) and scale (by the
-    blob's 99th-percentile radius)."""
+def _canonical_coords(blob: Blob, angles_deg):
+    """Fractional pixel coordinates (fx, fy), each of shape (len(angles),
+    CANONICAL_SIZE, CANONICAL_SIZE), of the canonical patches' sample points:
+    a square grid about the centroid, rotated by each angle and scaled by the
+    blob's 99th-percentile radius. Built in place, in the operation order of
+    ``cx + U c - V s``, ``cy + U s + V c`` and ``mm_to_px``, so that every
+    value equals that of the whole expressions bit for bit."""
     xs_mm, ys_mm = blob.pixel_xy_mm()
     cx, cy = blob.centroid_mm
     r99 = np.percentile(np.hypot(xs_mm - cx, ys_mm - cy), 99)
@@ -296,20 +299,33 @@ def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
     c, s = np.cos(t), np.sin(t)
     lin = ((np.arange(CANONICAL_SIZE) + 0.5) / CANONICAL_SIZE * 2.0 - 1.0) * half_extent
     U, V = np.meshgrid(lin, lin)
-    px = cx + U[None] * c - V[None] * s
-    py = cy + U[None] * s + V[None] * c
-    fx, fy = mm_to_px(px, py, blob.scale_mm_per_px, blob.extent_mm)
-    ix = np.rint(fx).astype(int)
-    iy = np.rint(fy).astype(int)
+    px, py, term = U * c, U * s, V * s
+    px += cx        # cx + U c: addition commutes exactly
+    px -= term
+    py += cy
+    py += np.multiply(V, c, out=term)
+    return mm_to_px(px, py, blob.scale_mm_per_px, blob.extent_mm, out=(px, py))
+
+
+def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
+    """Resample the blob mask into len(angles) square patches of side
+    CANONICAL_SIZE, normalized for rotation (by each angle) and scale (by the
+    blob's 99th-percentile radius): each sample point takes the mask pixel
+    nearest to it, or False off the blob's bounding box."""
+    fx, fy = _canonical_coords(blob, angles_deg)
     y0, x0 = blob.ys.min(), blob.xs.min()
-    box = np.zeros((blob.ys.max() - y0 + 1, blob.xs.max() - x0 + 1), dtype=bool)
-    box[blob.ys - y0, blob.xs - x0] = True
-    iy -= y0
-    ix -= x0
-    ok = (ix >= 0) & (ix < box.shape[1]) & (iy >= 0) & (iy < box.shape[0])
-    out = np.zeros(px.shape, dtype=bool)
-    out[ok] = box[iy[ok], ix[ok]]
-    return out
+    h, w = blob.ys.max() - y0 + 1, blob.xs.max() - x0 + 1
+    # The mask's box with a False border, onto which every point off the box
+    # is clipped. Rounded coordinates are small integers, so this is exact.
+    box = np.zeros((h + 2, w + 2), dtype=bool)
+    box[blob.ys - y0 + 1, blob.xs - x0 + 1] = True
+    for f, origin, n in ((fx, x0, w), (fy, y0, h)):
+        np.rint(f, out=f)
+        f -= origin - 1
+        np.clip(f, 0, n + 1, out=f)
+    fy *= w + 2
+    fy += fx
+    return box.ravel()[fy.astype(np.intp)]
 
 
 @dataclass

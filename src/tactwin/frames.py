@@ -48,11 +48,17 @@ def px_to_mm(ix, iy, scale_mm_per_px: float, extent_mm: float):
     return (np.asarray(ix) + 0.5) * s - half, (np.asarray(iy) + 0.5) * s - half
 
 
-def mm_to_px(x, y, scale_mm_per_px: float, extent_mm: float):
-    """Convert physical mm coordinates to fractional pixel indices."""
+def mm_to_px(x, y, scale_mm_per_px: float, extent_mm: float, out=(None, None)):
+    """Convert physical mm coordinates to fractional pixel indices, into the
+    pair of arrays ``out`` if given (such as ``x`` and ``y`` themselves)."""
     half = extent_mm / 2.0
     s = scale_mm_per_px
-    return (np.asarray(x) + half) / s - 0.5, (np.asarray(y) + half) / s - 0.5
+    fx, fy = np.add(x, half, out=out[0]), np.add(y, half, out=out[1])
+    fx /= s
+    fy /= s
+    fx -= 0.5
+    fy -= 0.5
+    return fx, fy
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ The image path renders a contact scenario, adds pixel noise, writes the image
 as a PGM, measures its deviation from the flat reference into blobs, and
 scores each blob against the class templates. Every fast path of that path
 (a rendered window, sloped-pixel and blocked shading, in-place noise, a
-measured crop, a merge box, one product for every template's intersections)
-equals its reference here bit for bit: the same pixels, PGM bytes, blob
-pixels, weights and moments, calibration tables, templates and class scores.
+measured crop, a merge box, canonical patches sampled in place, one product
+for every template's intersections) equals its reference here bit for bit:
+the same pixels, PGM bytes, blob pixels, weights and moments, calibration
+tables, templates, patch coordinates, patches and class scores.
 
 Each reference works on every pixel of the raster, with the expressions the
 fast paths replaced: the whole-raster height field, shaded light by light;
 the noise added and clipped into new arrays; the whole deviation filtered,
-then labelled, merged and measured as whole rasters; and each template
+then labelled, merged and measured as whole rasters; each patch's sample
+points as whole expressions, rounded to integer indices; and each template
 variant scored by boolean ``&`` and ``|`` passes. No reference calls the
 stage it checks; the height field, computed on the whole raster, is the one
 step a reference shares with the program, so a fault in a fast path cannot
@@ -191,6 +193,43 @@ def whole_raster_calibration():
 # ---------------------------------------------------------------------------
 # Classify.
 # ---------------------------------------------------------------------------
+
+def frozen_canonical_coords(blob, angles_deg):
+    """Reference for ``decoder._canonical_coords``: the fractional pixel
+    coordinates of every patch's sample points, each expression into a new
+    array, with ``frames.mm_to_px`` written out."""
+    xs_mm, ys_mm = blob.pixel_xy_mm()
+    cx, cy = blob.centroid_mm
+    r99 = np.percentile(np.hypot(xs_mm - cx, ys_mm - cy), 99)
+    half_extent = max(decoder.CANONICAL_PAD * r99, blob.scale_mm_per_px)
+    t = np.radians(np.asarray(angles_deg, dtype=float))[:, None, None]
+    c, s = np.cos(t), np.sin(t)
+    size = decoder.CANONICAL_SIZE
+    lin = ((np.arange(size) + 0.5) / size * 2.0 - 1.0) * half_extent
+    U, V = np.meshgrid(lin, lin)
+    px = cx + U[None] * c - V[None] * s
+    py = cy + U[None] * s + V[None] * c
+    half, scale = blob.extent_mm / 2.0, blob.scale_mm_per_px
+    return (px + half) / scale - 0.5, (py + half) / scale - 0.5
+
+
+def frozen_canonical_patches(blob, angles_deg):
+    """Reference for ``decoder._canonical_patches``: the blob's mask sampled
+    at the rounded ``frozen_canonical_coords``, with integer indices and one
+    mask per bound."""
+    fx, fy = frozen_canonical_coords(blob, angles_deg)
+    ix = np.rint(fx).astype(int)
+    iy = np.rint(fy).astype(int)
+    y0, x0 = blob.ys.min(), blob.xs.min()
+    box = np.zeros((blob.ys.max() - y0 + 1, blob.xs.max() - x0 + 1), dtype=bool)
+    box[blob.ys - y0, blob.xs - x0] = True
+    iy -= y0
+    ix -= x0
+    ok = (ix >= 0) & (ix < box.shape[1]) & (iy >= 0) & (iy < box.shape[0])
+    out = np.zeros(fx.shape, dtype=bool)
+    out[ok] = box[iy[ok], ix[ok]]
+    return out
+
 
 def frozen_scores(patches, templates):
     """Each class's best IoU between the flattened ``patches`` and its

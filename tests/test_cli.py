@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -836,3 +837,50 @@ class TestThreadedGenerateAndDecode:
         with pytest.raises(ValueError, match="unit 3"):
             runner.run_units([lambda i=i: unit(i) for i in range(40)], workers=2, fork=True)
         assert multiprocessing.active_children() == []
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Each cycle holds a 640 px float64 raster and one temporary of its size, as
+# a stage of the image path does. glibc's default thresholds keep a single
+# freed raster, but give two back to the kernel, so every cycle faults them
+# in again (about 1,570 faults a cycle).
+FAULT_SCRIPT = """
+import resource, sys
+import numpy as np
+from tactwin import cli
+
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        raster = np.empty((640, 640))
+        raster.fill(1.0)
+        temporary = raster * 2.0
+        del raster, temporary
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+imported = faults()
+code = cli.main(["generate", "--out", sys.argv[1], "--count", "1",
+                 "--size", "128", "--scale", "0.25"])
+print(code, imported, faults())
+"""
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+    def test_main_keeps_freed_rasters(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(tmp_path / "ds")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        code, imported, after_main = map(int, run.stdout.split()[-3:])
+        assert code == 0
+        assert imported > 10_000
+        assert after_main * 10 <= imported

@@ -11,13 +11,14 @@ import pytest
 from tactwin.contact import ContactScenario, SphereProbe
 from tactwin.dataset import PGM_MAXVAL, DatasetSpec, pgm_bytes, read_pgm, sample_for_index
 from tactwin.decoder import (ROTATION_STEP_DEG, TemplateLibrary, TemplateVariant,
-                             _canonical_patches, _decode_measurements, classify,
-                             difference_image, estimate_pose, extract_blobs)
+                             _canonical_coords, _canonical_patches, _decode_measurements,
+                             classify, difference_image, estimate_pose, extract_blobs)
 from tactwin.frames import PixelWindow
 from tactwin.render import TactileImage, make_reference, simulate
 from tactwin.suites import SUITES
 
-from oracle import (SENSOR_160, _blob_fields, frozen_extract_blobs, frozen_pgm_bytes,
+from oracle import (SENSOR_160, _blob_fields, frozen_canonical_coords,
+                    frozen_canonical_patches, frozen_extract_blobs, frozen_pgm_bytes,
                     frozen_scores, frozen_simulate)
 
 
@@ -137,14 +138,52 @@ def _roundtrip_blobs(decoder, material, illum, sensor, count=6):
                                         sensor, decoder.cfg)
 
 
+def _angles(pose):
+    """The rotations ``classify`` samples for this pose."""
+    return ([pose.theta_deg, pose.theta_deg + 180.0] if pose and pose.confident
+            else list(np.arange(0.0, 360.0, ROTATION_STEP_DEG)))
+
+
 def _patches(blob, pose):
     """The flattened canonical patches ``classify`` scores for this pose."""
-    angles = ([pose.theta_deg, pose.theta_deg + 180.0] if pose and pose.confident
-              else list(np.arange(0.0, 360.0, ROTATION_STEP_DEG)))
-    return _canonical_patches(blob, angles).reshape(len(angles), -1)
+    angles = _angles(pose)
+    return frozen_canonical_patches(blob, angles).reshape(len(angles), -1)
+
+
+def assert_patches_like_frozen(blob, pose):
+    # Every rint input bit for bit, then the sampled masks.
+    angles = _angles(pose)
+    assert ([f.tobytes() for f in _canonical_coords(blob, angles)]
+            == [f.tobytes() for f in frozen_canonical_coords(blob, angles)])
+    got = _canonical_patches(blob, angles)
+    assert got.dtype == bool
+    assert got.tobytes() == frozen_canonical_patches(blob, angles).tobytes()
 
 
 class TestClassify:
+    def test_canonical_patches(self, roundtrip_decoder, material, illum, sensor):
+        # Of the first ten images, the lshape and the strip have confident poses.
+        confident = 0
+        for blob in _roundtrip_blobs(roundtrip_decoder, material, illum, sensor, 10):
+            pose = estimate_pose(blob)
+            confident += pose.confident
+            for p in (pose, None):
+                assert_patches_like_frozen(blob, p)
+        assert confident > 0
+
+    def test_canonical_patches_at_the_raster_edge(self, roundtrip_decoder, material,
+                                                  illum, sensor):
+        # A sphere at the raster's corner: the blob's box meets two edges,
+        # and many sample points fall off it.
+        half = sensor.extent_mm / 2
+        scenario = ContactScenario(SphereProbe(10.0), half - 3.4, -half + 3.4, 0.0, 4.0,
+                                   0.02)
+        image = simulate(scenario, material, illum, sensor, seed=5)[0]
+        blob, = _decode_measurements(difference_image(image, roundtrip_decoder.reference),
+                                     sensor, roundtrip_decoder.cfg)
+        assert blob.ys.min() == 0 and blob.xs.max() == sensor.input_size - 1
+        assert_patches_like_frozen(blob, None)
+
     def test_scores_per_class(self, roundtrip_decoder, material, illum, sensor):
         templates = roundtrip_decoder.templates
         for blob in _roundtrip_blobs(roundtrip_decoder, material, illum, sensor):

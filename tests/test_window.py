@@ -299,12 +299,9 @@ class TestCalibrationExact:
     def test_640px_two_roundtrip_probes(self, material, illum, sensor, decode_cfg):
         lshape = next(p for p in footprint_probes() if p.class_name == "lshape")
         probes = [SphereProbe(20.0), lshape]
-        windowed = (_calibration_json(probes, material, illum, sensor, decode_cfg),
-                    _templates_json(probes, material, illum, sensor, decode_cfg))
+        windowed = _decoder_json(probes, material, illum, sensor, decode_cfg)
         with whole_raster_calibration():
-            assert windowed == (
-                _calibration_json(probes, material, illum, sensor, decode_cfg),
-                _templates_json(probes, material, illum, sensor, decode_cfg))
+            assert windowed == _decoder_json(probes, material, illum, sensor, decode_cfg)
 
 
 OTHER_LIGHTS = {

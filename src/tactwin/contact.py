@@ -261,7 +261,6 @@ def contact_mask(scenario: ContactScenario, material: MaterialParams, X, Y) -> n
     c, s = math.cos(t), math.sin(t)
     dx, dy = X - scenario.x_mm, Y - scenario.y_mm
     u, v = dx * c + dy * s, -dx * s + dy * c
-    del dx, dy  # not held through the probe's lookup
     return scenario.probe.contact_mask(u, v, scenario.force_n, material.e_star)
 
 
@@ -296,10 +295,7 @@ def _punch_profile(scenario: ContactScenario, material: MaterialParams,
     memo = _PROFILE_MEMO.get()
     if memo is not None and key in memo:
         return memo[key]
-    # Held until the profile is built: freeing X and Y first doubled the
-    # page faults and system time of a roundtrip calibrate.
-    X, Y = pixel_centers_mm(sensor, window)
-    inside = contact_mask(scenario, material, X, Y)
+    inside = contact_mask(scenario, material, *pixel_centers_mm(sensor, window))
     if not inside.any():
         raise ScenarioError(f"{probe.class_name} contact covers no pixel")
     dist = ndimage.distance_transform_edt(~inside, sampling=sensor.scale_mm_per_px)
@@ -339,12 +335,17 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
         _check_depth(depth, material)
         _check_bounds(scenario, a, sensor)
         r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
-        z = np.zeros(X.shape)
         inside = r <= a
-        z[inside] = depth - (R - np.sqrt(R * R - r[inside] ** 2))
+        # The membrane decay, z_edge * exp(-(r - a)^2 / (2 sigma^2)), in
+        # place on every pixel; the contact's pixels are then overwritten.
         z_edge = depth - (R - math.sqrt(max(R * R - a * a, 0.0)))
-        out = ~inside
-        z[out] = z_edge * np.exp(-((r[out] - a) ** 2) / (2.0 * sigma ** 2))
+        z = r - a
+        z **= 2
+        np.negative(z, out=z)
+        z /= 2.0 * sigma ** 2
+        np.exp(z, out=z)
+        z *= z_edge
+        z[inside] = depth - (R - np.sqrt(R * R - r[inside] ** 2))
         return HeightField(z, sensor.scale_mm_per_px)
 
     depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)

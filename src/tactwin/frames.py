@@ -115,8 +115,9 @@ def _pixel_axes(input_size: int, scale: float):
 
 
 def pixel_centers_mm(sensor: SensorConfig, window: PixelWindow | None = None):
-    """Meshgrid (X, Y) of pixel-center coordinates in mm over the window
-    (default: the whole raster), shape (rows, cols) each."""
+    """Pixel-center coordinates (X, Y) in mm over the window (default: the
+    whole raster), as a sparse meshgrid: X has shape (1, cols) and Y shape
+    (rows, 1), and together they broadcast to the window's (rows, cols)."""
     coords = _pixel_axes(sensor.input_size, sensor.scale_mm_per_px)
     rows, cols = (window or PixelWindow.full(sensor.input_size)).slices
-    return np.meshgrid(coords[cols], coords[rows])
+    return np.meshgrid(coords[cols], coords[rows], sparse=True)

@@ -132,7 +132,13 @@ class ToyHead:
 
     def predict(self, features: np.ndarray, grid: RegionGrid,
                 scale_mm_per_px: float) -> PredictionField:
-        z = self.standardize(features) @ self.weights + self.bias
+        return self.prediction_field(self.standardize(features), grid,
+                                     scale_mm_per_px)
+
+    def prediction_field(self, x: np.ndarray, grid: RegionGrid,
+                         scale_mm_per_px: float) -> PredictionField:
+        """The predictions for one image's standardized feature rows ``x``."""
+        z = x @ self.weights + self.bias
         s = self._slices()
         return PredictionField(
             grid=grid,
@@ -196,6 +202,44 @@ def _distinct_rows(x: np.ndarray, t: np.ndarray):
     return xt[starts, :-1], xt[starts, -1], np.diff(np.r_[starts, len(xt)])
 
 
+def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
+                scale_mm_per_px: float, classes, init_head: ToyHead | None,
+                window_radius: float, sigma: float):
+    """The head to train, the distinct objectness rows with their targets and
+    cell counts, and the positive rows with their ``Positives``.
+
+    A fresh head whitens with one concatenated copy of the rows, centred in
+    place. Each sample's block is standardized once, as one product (row by
+    row may differ in the last bits), and gives the initial predictions that
+    freeze the assignments, the distinct objectness rows and the positive rows.
+    """
+    if init_head is not None:
+        head = init_head
+    else:
+        centered = np.concatenate(features_per_sample, axis=0)
+        mean = centered.mean(axis=0)
+        centered -= mean
+        cov = centered.T @ centered / max(centered.shape[0] - 1, 1)
+        del centered
+        evals, evecs = np.linalg.eigh(cov)
+        scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
+        transform = (evecs * scale) @ evecs.T
+        head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
+
+    batches, pos_rows, obj_rows = [], [], []
+    for feats, gts in zip(features_per_sample, gts_per_sample):
+        x = head.standardize(feats)
+        preds = head.prediction_field(x, grid, scale_mm_per_px)
+        asn = simota_assign(preds, gts, classes)
+        batch = positive_targets(preds, gts, asn, classes, window_radius, sigma)
+        batches.append(batch)
+        pos_rows.append(x[batch.cells])
+        obj_rows.append(_distinct_rows(x, asn.obj_targets()))
+    positives = Positives(*map(np.concatenate, zip(*batches)))
+    x_obj, obj_t, counts = map(np.concatenate, zip(*obj_rows))
+    return head, x_obj, obj_t, counts, np.concatenate(pos_rows), positives
+
+
 def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
                  scale_mm_per_px: float, classes, learning_rate: float = 0.02,
                  epochs: int = 200, init_head: ToyHead | None = None,
@@ -219,42 +263,10 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     n_samples = len(features_per_sample)
     if n_samples == 0 or n_samples != len(gts_per_sample):
         raise ConfigError("need matching nonempty feature and ground-truth lists")
-    stacked = np.concatenate(features_per_sample, axis=0)
-    if init_head is not None:
-        head = init_head
-    else:
-        mean = stacked.mean(axis=0)
-        centered = stacked - mean
-        cov = centered.T @ centered / max(stacked.shape[0] - 1, 1)
-        del centered
-        evals, evecs = np.linalg.eigh(cov)
-        scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
-        transform = (evecs * scale) @ evecs.T
-        head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
-    x_all = head.standardize(stacked)
-    del stacked
+    head, x_obj, obj_t, counts, x_pos, positives = _fit_inputs(
+        features_per_sample, gts_per_sample, grid, scale_mm_per_px, classes,
+        init_head, window_radius, sigma)
     s = head._slices()
-    n_cells = grid.n_cells
-
-    # Freeze assignments from the initial predictions, then flatten all
-    # positives of all samples into one batch.
-    batches = []
-    obj_t = np.zeros(n_samples * n_cells)
-    for i, (feats, gts) in enumerate(zip(features_per_sample, gts_per_sample)):
-        preds = head.predict(feats, grid, scale_mm_per_px)
-        asn = simota_assign(preds, gts, classes)
-        obj_t[i * n_cells:(i + 1) * n_cells] = asn.obj_targets()
-        batches.append(positive_targets(preds, gts, asn, classes,
-                                        window_radius, sigma))
-    positives = Positives(*map(np.concatenate, zip(*batches)))
-
-    x_pos = x_all[np.concatenate([i * n_cells + b.cells
-                                  for i, b in enumerate(batches)])]
-    x_obj, obj_t, counts = map(np.concatenate, zip(*(
-        _distinct_rows(x_all[i * n_cells:(i + 1) * n_cells],
-                       obj_t[i * n_cells:(i + 1) * n_cells])
-        for i in range(n_samples))))
-    del x_all
 
     w_obj = s["obj"]
     rest = slice(w_obj.stop, head.bias.shape[0])

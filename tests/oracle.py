@@ -19,22 +19,32 @@ stage it checks; the height field, computed on the whole raster, is the one
 step a reference shares with the program, so a fault in a fast path cannot
 hide in its own reference.
 
+The height field has its own reference, ``frozen_height_field``: the field
+from dense X and Y pixel-centre grids, with every step into a new array.
+
+``frozen_fit_inputs`` is the toy head's training set-up as one batch: every
+sample's rows concatenated, centred into a copy and standardized together.
+
 ``boxes_to_corners`` serves the rotated-IoU tests, which hold the batched
 corners to ``OrientedBox.corners``.
 """
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from tactwin import decoder, geometry
-from tactwin.contact import ground_truth, height_field
+from tactwin.assignment import Positives, positive_targets, simota_assign
+from tactwin.contact import (SphereProbe, ground_truth, height_field, hertz_indentation,
+                             punch_indentation)
 from tactwin.dataset import PGM_MAXVAL
 from tactwin.decoder import MERGE_DIST_MM, Blob, calibration_scenario
 from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
 from tactwin.render import TactileImage
+from tactwin.toyhead import ToyHead, _distinct_rows
 
 # 160 px over the standard 32 mm active area: windows reach the raster edge
 # for edge-placed contacts and for the largest probes' calibration windows.
@@ -47,6 +57,44 @@ def _blob_fields(blobs):
              b.deviation_integral, b.ys.tolist(), b.xs.tolist(),
              b.weights.tolist(), b.extent_mm)
             for b in blobs]
+
+
+# ---------------------------------------------------------------------------
+# Height field.
+# ---------------------------------------------------------------------------
+
+def frozen_pixel_centers_mm(sensor, window=None):
+    """Dense (X, Y) pixel-centre grids in mm over the window, (rows, cols)."""
+    idx = np.arange(sensor.input_size)
+    coords = px_to_mm(idx, idx, sensor.scale_mm_per_px, sensor.extent_mm)[0]
+    rows, cols = (window or PixelWindow.full(sensor.input_size)).slices
+    return np.meshgrid(coords[cols], coords[rows])
+
+
+def frozen_height_field(scenario, material, sensor, window=None):
+    """The height field's values (no scenario checks) from dense grids."""
+    X, Y = frozen_pixel_centers_mm(sensor, window)
+    probe, sigma = scenario.probe, material.membrane_sigma_mm
+    if scenario.force_n == 0:
+        return np.zeros(X.shape)
+    if isinstance(probe, SphereProbe):
+        R = probe.radius_mm
+        depth, a = hertz_indentation(scenario.force_n, R, material.e_star)
+        r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
+        z = np.zeros(X.shape)
+        inside = r <= a
+        z[inside] = depth - (R - np.sqrt(R * R - r[inside] ** 2))
+        z_edge = depth - (R - math.sqrt(max(R * R - a * a, 0.0)))
+        z[~inside] = z_edge * np.exp(-((r[~inside] - a) ** 2) / (2.0 * sigma ** 2))
+        return z
+    t = math.radians(scenario.theta_deg)
+    c, s = math.cos(t), math.sin(t)
+    dx, dy = X - scenario.x_mm, Y - scenario.y_mm
+    inside = probe.contact_mask(dx * c + dy * s, -dx * s + dy * c,
+                                scenario.force_n, material.e_star)
+    dist = ndimage.distance_transform_edt(~inside, sampling=sensor.scale_mm_per_px)
+    depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
+    return depth * np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +294,47 @@ def frozen_scores(patches, templates):
             best = max(best, float(scores.max()))
         best_per_class[cls] = best
     return best_per_class
+
+
+# ---------------------------------------------------------------------------
+# Toy-head training set-up.
+# ---------------------------------------------------------------------------
+
+def frozen_fit_inputs(features_per_sample, gts_per_sample, grid, scale_mm_per_px,
+                      classes, init_head=None, window_radius=6.0, sigma=4.0):
+    """Reference for ``toyhead._fit_inputs``: all samples' rows concatenated,
+    centred into a copy for the covariance, standardized as one matrix, and
+    each sample predicted from its raw features."""
+    n_samples = len(features_per_sample)
+    stacked = np.concatenate(features_per_sample, axis=0)
+    if init_head is not None:
+        head = init_head
+    else:
+        mean = stacked.mean(axis=0)
+        centered = stacked - mean
+        cov = centered.T @ centered / max(stacked.shape[0] - 1, 1)
+        evals, evecs = np.linalg.eigh(cov)
+        scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
+        transform = (evecs * scale) @ evecs.T
+        head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
+    x_all = head.standardize(stacked)
+    n_cells = grid.n_cells
+    batches = []
+    obj_t = np.zeros(n_samples * n_cells)
+    for i, (feats, gts) in enumerate(zip(features_per_sample, gts_per_sample)):
+        preds = head.predict(feats, grid, scale_mm_per_px)
+        asn = simota_assign(preds, gts, classes)
+        obj_t[i * n_cells:(i + 1) * n_cells] = asn.obj_targets()
+        batches.append(positive_targets(preds, gts, asn, classes,
+                                        window_radius, sigma))
+    positives = Positives(*map(np.concatenate, zip(*batches)))
+    x_pos = x_all[np.concatenate([i * n_cells + b.cells
+                                  for i, b in enumerate(batches)])]
+    x_obj, obj_t, counts = map(np.concatenate, zip(*(
+        _distinct_rows(x_all[i * n_cells:(i + 1) * n_cells],
+                       obj_t[i * n_cells:(i + 1) * n_cells])
+        for i in range(n_samples))))
+    return head, x_obj, obj_t, counts, x_pos, positives
 
 
 # ---------------------------------------------------------------------------

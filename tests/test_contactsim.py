@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tactwin.contact import (ContactScenario, FootprintProbe, MaterialParams,
                              SphereProbe, ground_truth, height_field,
                              hertz_indentation, punch_indentation)
 from tactwin.errors import ConfigError, ScenarioError
-from tactwin.frames import pixel_centers_mm
+from tactwin.frames import PixelWindow, SensorConfig, pixel_centers_mm
 from tactwin.render import (IlluminationModel, baseline_intensity,
                             contact_band_contrast, deviation_area_mm2,
                             make_reference, render, resolution_sweep,
@@ -16,7 +17,7 @@ from tactwin.render import (IlluminationModel, baseline_intensity,
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, footprint_probes,
                             sample_scenario, stencil_circle, stencil_strip)
 
-from oracle import SENSOR_160
+from oracle import SENSOR_160, frozen_height_field, frozen_pixel_centers_mm
 
 # The strip of the roundtrip and six-footprint suites.
 STRIP = FootprintProbe("strip", stencil_strip(20.0, 4.0), STENCIL_SCALE_MM)
@@ -169,6 +170,58 @@ class TestHeightField:
         # no pixel centre of the 160 px raster lies on the contact.
         with pytest.raises(ScenarioError, match="covers no pixel"):
             height_field(ContactScenario(probe, 0, 0, 0, 1.0), material, SENSOR_160)
+
+
+# (x_mm, y_mm, theta_deg, force_n): centred, off centre and turned, light.
+POSES = [(0.0, 0.0, 0.0, 2.0), (1.3, -2.1, 33.0, 5.0), (-2.0, 1.5, 97.5, 0.8)]
+
+
+class TestPixelAxes:
+    @pytest.mark.parametrize("sensor", [SENSOR_160, SensorConfig()], ids=["160", "640"])
+    @pytest.mark.parametrize("window", [None, (3, 50, 7, 41)], ids=["full", "window"])
+    def test_axes_broadcast_to_the_meshgrid(self, sensor, window):
+        size = sensor.input_size
+        window = window and PixelWindow(*window, size)
+        rows, cols = (window or PixelWindow.full(size)).shape
+        X, Y = pixel_centers_mm(sensor, window)
+        assert X.shape == (1, cols) and Y.shape == (rows, 1)
+        for got, want in zip(np.broadcast_arrays(X, Y),
+                             frozen_pixel_centers_mm(sensor, window)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestHeightFieldExact:
+    @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: p.label)
+    def test_fields_match_dense_grids(self, probe, material, sensor):
+        # Every pose at 160 px, the first at 640 px; whole raster and a window.
+        for sens, poses in ((SENSOR_160, POSES), (sensor, POSES[:1])):
+            for x, y, theta, force in poses:
+                sc = ContactScenario(probe, x, y, theta, force)
+                for window in (None, PixelWindow.around(x, y, 6.0, sens)):
+                    got = height_field(sc, material, sens, window).z
+                    want = frozen_height_field(sc, material, sens, window)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
+class TestHeightFieldMemory:
+    @pytest.mark.parametrize("probe, arrays", [(STRIP, 6), (SphereProbe(10), 4)],
+                             ids=["strip", "sphere"])
+    def test_peak_in_raster_arrays(self, probe, arrays, material, sensor):
+        # The pixel axes broadcast, so no X, Y, dx or dy raster is built, and
+        # the sphere's decay runs in place: 5.2 and 2.2 rasters here, where
+        # dense grids peaked at 7.2 and 6.2.
+        sc = ContactScenario(probe, 1.0, -2.0, 30.0, 3.0)
+        height_field(sc, material, sensor)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            height_field(sc, material, sensor)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        raster = sensor.input_size ** 2 * 8
+        assert peak <= arrays * raster, peak / raster
 
 
 class TestProbeInterface:

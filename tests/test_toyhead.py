@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,12 @@ from tactwin.assignment import loss_gradient, simota_assign, total_loss
 from tactwin.contact import GroundTruth
 from tactwin.encoding import build_region_grid
 from tactwin.geometry import OrientedBox
+from tactwin.render import make_reference, simulate
+from tactwin.suites import sample_scenario, sphere_probes
 from tactwin.toyhead import (FEATURE_DIM, ToyHead, cell_features, fit_toy_head,
                              predict_sample_force)
+
+from oracle import frozen_fit_inputs
 
 GRID = build_region_grid(64)
 SCALE = 0.5
@@ -207,3 +213,61 @@ class TestFeatures:
         assert f1.shape == (grid.n_cells, FEATURE_DIM)
         assert np.array_equal(f1, f2)
         assert np.all(np.isfinite(f1))
+
+
+def sphere_set(noise_sigma, count, material, illum, sensor):
+    """Cell features and ground truths of ``count`` sphere images, drawn as
+    criterion 11 draws them."""
+    grid = build_region_grid(sensor.input_size)
+    reference = make_reference(sensor, illum)
+    rng = np.random.default_rng(29)
+    feats, gts = [], []
+    for i in range(count):
+        sc = sample_scenario(rng, sphere_probes(), sensor, material.e_star,
+                             force_range=(0.2, 3.0), noise_sigma=noise_sigma)
+        img, gt = simulate(sc, material, illum, sensor, seed=i)
+        feats.append(cell_features(img, reference, grid))
+        gts.append([gt])
+    return feats, gts, grid
+
+
+class TestFitInputs:
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_matches_one_batch_setup(self, noise, resume, material, illum,
+                                     small_sensor):
+        # Each sample standardized on its own gives the rows, targets, counts
+        # and positives of the whole set standardized as one matrix. A resumed
+        # head's nonzero weights reach the initial predictions.
+        feats, gts, grid = sphere_set(noise, 24, material, illum, small_sensor)
+        args = (feats, gts, grid, small_sensor.scale_mm_per_px, ["sphere"])
+        init = (fit_toy_head(*args, learning_rate=0.02, epochs=5).head
+                if resume else None)
+        got = toyhead._fit_inputs(*args, init, 6.0, 4.0)
+        want = frozen_fit_inputs(*args, init)
+        if resume:
+            assert np.abs(init.weights).max() > 0
+        for name in ("feature_mean", "feature_transform", "weights", "bias"):
+            assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
+        for a, b in zip(got[1:5], want[1:5]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got[5], want[5]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_setup_holds_under_two_feature_matrices(self, material, illum,
+                                                    small_sensor):
+        # One concatenated copy, centred in place and freed before the
+        # samples are standardized one by one; the one-batch set-up held a
+        # centred copy and the whole standardized matrix beside it (2.9).
+        feats, gts, grid = sphere_set(0.0, 60, material, illum, small_sensor)
+        matrix = sum(f.nbytes for f in feats)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_toy_head(feats, gts, grid, small_sensor.scale_mm_per_px,
+                         ["sphere"], epochs=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * matrix, peak / matrix

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import CSL_BINS, RegionGrid, csl_encode
+from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid, csl_encode
 from .errors import AssignmentError, ContractViolation
 from .geometry import points_in_box, rotated_iou_gradient, rotated_iou_pairs
 
@@ -85,13 +85,13 @@ class PredictionField:
     box_raw: np.ndarray   # (n, 5)
 
     @classmethod
-    def uniform(cls, grid: RegionGrid, scale_mm_per_px: float, n_classes: int,
-                p: float = 0.5) -> "PredictionField":
+    def uniform(cls, grid: RegionGrid, scale_mm_per_px: float,
+                n_classes: int) -> "PredictionField":
         n = grid.n_cells
         return cls(grid, scale_mm_per_px,
-                   obj=np.full(n, p),
-                   cls=np.full((n, n_classes), p),
-                   csl=np.full((n, CSL_BINS), p),
+                   obj=np.full(n, 0.5),
+                   cls=np.full((n, n_classes), 0.5),
+                   csl=np.full((n, CSL_BINS), 0.5),
                    force=np.zeros(n),
                    box_raw=np.zeros((n, 5)))
 
@@ -144,8 +144,7 @@ def _class_index(class_name: str, classes) -> int:
 
 
 def simota_assign(preds: PredictionField, gts, classes,
-                  center_radius: float = DEFAULT_CENTER_RADIUS,
-                  cost_iou_weight: float = DEFAULT_COST_IOU_WEIGHT) -> Assignment:
+                  center_radius: float = DEFAULT_CENTER_RADIUS) -> Assignment:
     """Select positive cells for each ground truth.
 
     Every ground truth keeps at least one cell; a cell contested by several
@@ -178,7 +177,7 @@ def simota_assign(preds: PredictionField, gts, classes,
         onehot = np.zeros(preds.n_classes)
         onehot[k_idx] = 1.0
         cls_cost = bce(preds.cls[cand], onehot[None, :]).sum(axis=1)
-        cost = cls_cost + cost_iou_weight * (1.0 - ious ** 2)
+        cost = cls_cost + DEFAULT_COST_IOU_WEIGHT * (1.0 - ious ** 2)
         order = np.lexsort((cand, cost))
         top10 = np.sort(ious)[::-1][:10]
         dyn_k = int(np.clip(np.floor(top10.sum()), 1, cand.size))
@@ -249,7 +248,8 @@ class Positives(NamedTuple):
 
 
 def positive_targets(preds: PredictionField, gts, assignment: Assignment, classes,
-                     window_radius: float = 6.0, sigma: float = 4.0) -> Positives:
+                     window_radius: float = DEFAULT_WINDOW_RADIUS,
+                     sigma: float = DEFAULT_SIGMA) -> Positives:
     """The scene's positive cells, each with its ground truth's targets."""
     _check_assignment(preds, gts, assignment)
     # Per ground truth, shaped for an empty list too.
@@ -311,7 +311,8 @@ class PositiveTerms:
 
 
 def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
-               window_radius: float = 6.0, sigma: float = 4.0) -> LossBreakdown:
+               window_radius: float = DEFAULT_WINDOW_RADIUS,
+               sigma: float = DEFAULT_SIGMA) -> LossBreakdown:
     """Evaluate the full multi-task loss for one scene."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     obj = float(bce(preds.obj, assignment.obj_targets()).sum())
@@ -330,7 +331,8 @@ class FieldGradient:
 
 
 def loss_gradient(preds: PredictionField, gts, assignment: Assignment, classes,
-                  window_radius: float = 6.0, sigma: float = 4.0) -> FieldGradient:
+                  window_radius: float = DEFAULT_WINDOW_RADIUS,
+                  sigma: float = DEFAULT_SIGMA) -> FieldGradient:
     """Analytic gradients of the scene loss, in prediction-field layout."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     grad = FieldGradient(bce_grad(preds.obj, assignment.obj_targets()),

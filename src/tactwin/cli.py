@@ -37,7 +37,7 @@ from .geometry import OrientedBox
 from .metrics import evaluate_detections, write_report
 from .render import IlluminationModel, make_reference, resolution_sweep
 from .runner import render_workers, run_units
-from .suites import ANISOTROPIC_CLASSES, SUITES
+from .suites import ANISOTROPIC_CLASSES, SPHERE_DIAMETERS_MM, SUITES
 from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
 
 EXIT_OK = 0
@@ -158,21 +158,13 @@ def _log(out_dir: Path, message: str):
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     sensor, material, illum, _ = _build_params(cfg, args)
-    diameters = None
-    if args.probe == "sphere":
-        try:
-            diameters = tuple(float(v) for v in args.diameters.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"diameters must be a comma-separated list, got {args.diameters!r}"
-            ) from exc
     spec = DatasetSpec(
         count=args.count,
         master_seed=args.seed,
         suite=args.suite,
         force_range=_parse_force_range(args.force_range),
         noise_sigma=args.noise if args.noise is not None else 0.0,
-        sphere_diameters=diameters,
+        sphere_diameters=SPHERE_DIAMETERS_MM if args.probe == "sphere" else None,
         sensor=sensor, material=material, illum=illum,
     )
     workers, _ = render_workers(sensor, spec.count)
@@ -425,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", default="roundtrip", choices=sorted(SUITES))
     p.add_argument("--probe", choices=("sphere",),
-                   help="override the suite with one probe family")
-    p.add_argument("--diameters", default="10,15,20,25,30",
-                   help="sphere diameters in mm when --probe sphere is given")
+                   help="override the suite with the spheres suite's five "
+                        "diameters as one class")
     p.add_argument("--force-range", default="0.8:10")
     p.set_defaults(func=cmd_generate)
 

@@ -206,16 +206,6 @@ class ContactScenario:
             raise ScenarioError("noise_sigma must be >= 0")
         object.__setattr__(self, "theta_deg", normalize_angle(self.theta_deg))
 
-    def params(self) -> dict:
-        return {
-            "probe": self.probe.params(),
-            "x_mm": self.x_mm,
-            "y_mm": self.y_mm,
-            "theta_deg": self.theta_deg,
-            "force_n": self.force_n,
-            "noise_sigma": self.noise_sigma,
-        }
-
 
 @dataclass(frozen=True)
 class HeightField:

@@ -236,18 +236,22 @@ def simulate(scenario: ContactScenario, material: MaterialParams,
             ground_truth(scenario, material))
 
 
-def deviation_area_mm2(img: TactileImage, illum: IlluminationModel,
-                       threshold: float = 0.0034) -> float:
+# Deviation from the flat baseline that counts toward the deviation area.
+DEVIATION_AREA_THRESHOLD = 0.0034
+# Width of the band inside the contact edge that contact_band_contrast reads.
+CONTACT_BAND_MM = 0.5
+
+
+def deviation_area_mm2(img: TactileImage, illum: IlluminationModel) -> float:
     """Area (mm^2) where the image deviates from the flat baseline."""
     dev = np.abs(img.pixels - baseline_intensity(illum))
-    return float((dev >= threshold).sum()) * img.scale_mm_per_px ** 2
+    return float((dev >= DEVIATION_AREA_THRESHOLD).sum()) * img.scale_mm_per_px ** 2
 
 
 def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
-                          illum: IlluminationModel, sensor: SensorConfig,
-                          band_mm: float = 0.5) -> float:
-    """Peak |I - baseline| on the probe's contact mask within band_mm of its
-    edge.
+                          illum: IlluminationModel, sensor: SensorConfig) -> float:
+    """Peak |I - baseline| on the probe's contact mask within CONTACT_BAND_MM
+    of its edge.
 
     The inside band isolates the indenter's own edge slope from the membrane
     decay outside the contact, which saturates the shading at high loads for
@@ -257,7 +261,7 @@ def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
     dev = np.abs(img.pixels - baseline_intensity(illum))
     inside = contact_mask(scenario, material, *pixel_centers_mm(sensor))
     dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
-    band = inside & (dist <= band_mm)
+    band = inside & (dist <= CONTACT_BAND_MM)
     if not band.any():
         return 0.0
     return float(dev[band].max())
@@ -295,6 +299,9 @@ def nyquist_lp_mm(sensor: SensorConfig) -> float:
 _BAR_PHASE_PX = 0.2347
 # Fixed conformance smoothing of the pressed profile, in px.
 _BAR_SMOOTH_PX = 1.5
+# Pressed depth of the bars and side of the square grating patch, in mm.
+_BAR_DEPTH_MM = 0.4
+_BAR_PATCH_MM = 24.0
 
 
 def _bar_coverage(u: np.ndarray, frequency: float, pixel_mm: float) -> np.ndarray:
@@ -312,8 +319,7 @@ def _bar_coverage(u: np.ndarray, frequency: float, pixel_mm: float) -> np.ndarra
 
 
 def resolution_sweep(frequencies, orientation: str, material: MaterialParams,
-                     illum: IlluminationModel, sensor: SensorConfig,
-                     depth_mm: float = 0.4, patch_mm: float = 24.0) -> ResolutionSweep:
+                     illum: IlluminationModel, sensor: SensorConfig) -> ResolutionSweep:
     """Press a stripe grating at each frequency and measure image modulation.
 
     Bars are rasterized by pixel coverage and smoothed by a fixed conformance
@@ -330,7 +336,7 @@ def resolution_sweep(frequencies, orientation: str, material: MaterialParams,
     nyq = nyquist_lp_mm(sensor)
     X, Y = pixel_centers_mm(sensor)
     u = Y if orientation == "horizontal" else X
-    half_patch = patch_mm / 2.0
+    half_patch = _BAR_PATCH_MM / 2.0
     patch = (np.abs(X) <= half_patch) & (np.abs(Y) <= half_patch)
     margin = 2.0
     region = (np.abs(X) <= half_patch - margin) & (np.abs(Y) <= half_patch - margin)
@@ -340,7 +346,7 @@ def resolution_sweep(frequencies, orientation: str, material: MaterialParams,
             rows.append(SweepRow(f, 0.0, False))
             continue
         cov = _bar_coverage(u, f, sensor.scale_mm_per_px)
-        z = np.where(patch, depth_mm * cov, 0.0)
+        z = np.where(patch, _BAR_DEPTH_MM * cov, 0.0)
         z = ndimage.gaussian_filter(z, sigma=_BAR_SMOOTH_PX)
         img = render(HeightField(z, sensor.scale_mm_per_px), illum)
         vals = img.pixels[region]

@@ -19,15 +19,17 @@ from scipy import ndimage
 from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_grad,
                          positive_targets, simota_assign)
 from .dataset import read_json
-from .encoding import CSL_BINS, RegionGrid
+from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid
 from .errors import ConfigError
 from .render import TactileImage
 
 HEAD_VERSION = 1
+# Deviation at which a pixel counts as touched; four times it is the high band.
+FEATURE_THRESHOLD = 0.01
 
 
 def cell_features(image: TactileImage, reference: TactileImage,
-                  grid: RegionGrid, threshold: float = 0.01) -> np.ndarray:
+                  grid: RegionGrid) -> np.ndarray:
     """Per-cell feature matrix (n_cells, 20), deterministic in the image.
 
     Local statistics are taken over each cell's own stride window, context
@@ -41,10 +43,10 @@ def cell_features(image: TactileImage, reference: TactileImage,
     dev = np.abs(image.pixels - reference.pixels)
     gy, gx = np.gradient(image.pixels)
     grad = np.hypot(gx, gy)
-    above = dev >= threshold
+    above = dev >= FEATURE_THRESHOLD
 
     g_area = float(above.mean())
-    g_area_hi = float((dev >= 4 * threshold).mean())
+    g_area_hi = float((dev >= 4 * FEATURE_THRESHOLD).mean())
     g_mean = float(dev.mean())
     g_p98, g_p999 = (float(v) for v in np.percentile(dev, [98, 99.9]))
     global_cols = np.array([
@@ -101,8 +103,6 @@ class ToyHead:
     feature_transform: np.ndarray   # (F, F)
     weights: np.ndarray             # (F, D_total)
     bias: np.ndarray                # (D_total,)
-    window_radius: float = 6.0
-    sigma: float = 4.0
 
     @property
     def n_classes(self) -> int:
@@ -119,13 +119,11 @@ class ToyHead:
         }
 
     @classmethod
-    def zeros(cls, classes, feature_mean, feature_transform,
-              window_radius: float = 6.0, sigma: float = 4.0) -> "ToyHead":
+    def zeros(cls, classes, feature_mean, feature_transform) -> "ToyHead":
         d_total = 7 + len(classes) + CSL_BINS
         f = feature_mean.shape[0]
         return cls(list(classes), feature_mean, feature_transform,
-                   np.zeros((f, d_total)), np.zeros(d_total),
-                   window_radius, sigma)
+                   np.zeros((f, d_total)), np.zeros(d_total))
 
     def standardize(self, features: np.ndarray) -> np.ndarray:
         return (features - self.feature_mean) @ self.feature_transform.T
@@ -154,8 +152,8 @@ class ToyHead:
         return {
             "version": HEAD_VERSION,
             "classes": self.classes,
-            "window_radius": self.window_radius,
-            "sigma": self.sigma,
+            "window_radius": DEFAULT_WINDOW_RADIUS,
+            "sigma": DEFAULT_SIGMA,
             "feature_mean": [float(v) for v in self.feature_mean],
             "feature_transform": [[float(v) for v in row]
                                   for row in self.feature_transform],
@@ -167,14 +165,17 @@ class ToyHead:
     def from_json(cls, data: dict) -> "ToyHead":
         if data.get("version") != HEAD_VERSION:
             raise ConfigError(f"unsupported head version {data.get('version')}")
+        # Heads train under the fixed angle label; refuse one recorded otherwise.
+        for key, value in (("window_radius", DEFAULT_WINDOW_RADIUS),
+                           ("sigma", DEFAULT_SIGMA)):
+            if data[key] != value:
+                raise TypeError(f"{key} must be {value!r}, got {data[key]!r}")
         return cls(
             classes=list(data["classes"]),
             feature_mean=np.array(data["feature_mean"]),
             feature_transform=np.array(data["feature_transform"]),
             weights=np.array(data["weights"]),
             bias=np.array(data["bias"]),
-            window_radius=data["window_radius"],
-            sigma=data["sigma"],
         )
 
     def save(self, path):
@@ -203,8 +204,7 @@ def _distinct_rows(x: np.ndarray, t: np.ndarray):
 
 
 def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
-                scale_mm_per_px: float, classes, init_head: ToyHead | None,
-                window_radius: float, sigma: float):
+                scale_mm_per_px: float, classes, init_head: ToyHead | None):
     """The head to train, the distinct objectness rows with their targets and
     cell counts, and the positive rows with their ``Positives``.
 
@@ -224,14 +224,14 @@ def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
         evals, evecs = np.linalg.eigh(cov)
         scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
         transform = (evecs * scale) @ evecs.T
-        head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
+        head = ToyHead.zeros(classes, mean, transform)
 
     batches, pos_rows, obj_rows = [], [], []
     for feats, gts in zip(features_per_sample, gts_per_sample):
         x = head.standardize(feats)
         preds = head.prediction_field(x, grid, scale_mm_per_px)
         asn = simota_assign(preds, gts, classes)
-        batch = positive_targets(preds, gts, asn, classes, window_radius, sigma)
+        batch = positive_targets(preds, gts, asn, classes)
         batches.append(batch)
         pos_rows.append(x[batch.cells])
         obj_rows.append(_distinct_rows(x, asn.obj_targets()))
@@ -242,8 +242,7 @@ def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
 
 def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
                  scale_mm_per_px: float, classes, learning_rate: float = 0.02,
-                 epochs: int = 200, init_head: ToyHead | None = None,
-                 window_radius: float = 6.0, sigma: float = 4.0) -> FitResult:
+                 epochs: int = 200, init_head: ToyHead | None = None) -> FitResult:
     """Full-batch gradient descent of the detection loss over a linear head.
 
     Assignments come from the epoch-0 (uniform) predictions and stay frozen so
@@ -265,7 +264,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         raise ConfigError("need matching nonempty feature and ground-truth lists")
     head, x_obj, obj_t, counts, x_pos, positives = _fit_inputs(
         features_per_sample, gts_per_sample, grid, scale_mm_per_px, classes,
-        init_head, window_radius, sigma)
+        init_head)
     s = head._slices()
 
     w_obj = s["obj"]

@@ -301,7 +301,7 @@ def frozen_scores(patches, templates):
 # ---------------------------------------------------------------------------
 
 def frozen_fit_inputs(features_per_sample, gts_per_sample, grid, scale_mm_per_px,
-                      classes, init_head=None, window_radius=6.0, sigma=4.0):
+                      classes, init_head=None):
     """Reference for ``toyhead._fit_inputs``: all samples' rows concatenated,
     centred into a copy for the covariance, standardized as one matrix, and
     each sample predicted from its raw features."""
@@ -316,7 +316,7 @@ def frozen_fit_inputs(features_per_sample, gts_per_sample, grid, scale_mm_per_px
         evals, evecs = np.linalg.eigh(cov)
         scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
         transform = (evecs * scale) @ evecs.T
-        head = ToyHead.zeros(classes, mean, transform, window_radius, sigma)
+        head = ToyHead.zeros(classes, mean, transform)
     x_all = head.standardize(stacked)
     n_cells = grid.n_cells
     batches = []
@@ -325,8 +325,7 @@ def frozen_fit_inputs(features_per_sample, gts_per_sample, grid, scale_mm_per_px
         preds = head.predict(feats, grid, scale_mm_per_px)
         asn = simota_assign(preds, gts, classes)
         obj_t[i * n_cells:(i + 1) * n_cells] = asn.obj_targets()
-        batches.append(positive_targets(preds, gts, asn, classes,
-                                        window_radius, sigma))
+        batches.append(positive_targets(preds, gts, asn, classes))
     positives = Positives(*map(np.concatenate, zip(*batches)))
     x_pos = x_all[np.concatenate([i * n_cells + b.cells
                                   for i, b in enumerate(batches)])]

@@ -104,16 +104,24 @@ class TestGenerate:
         assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    def test_probe_diameters_flags(self, tmp_path):
+    def test_probe_diameters_flags(self, tmp_path, capsys):
+        # --probe sphere takes the spheres suite's diameters; --diameters is gone.
         rc = main(["generate", "--out", str(tmp_path / "ds"), "--count", "12",
                    "--seed", "3", "--probe", "sphere",
-                   "--diameters", "10,15,20,25,30",
                    "--force-range", "0.5:10", *SMALL])
         assert rc == 0
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert manifest["spec"]["sphere_diameters"] == [10.0, 15.0, 20.0, 25.0, 30.0]
         rows = [json.loads(line) for line in
                 (tmp_path / "ds" / "annotations.jsonl").open()]
         assert {r["probe"]["diameter_mm"] for r in rows} <= {10, 15, 20, 25, 30}
         assert {r["class"] for r in rows} == {"sphere"}
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
+                  "--probe", "sphere", "--diameters", "10", *SMALL])
+        assert exc.value.code == 2
+        assert "--diameters" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -495,6 +503,29 @@ class TestCorruptJsonInputs:
         assert rc == 3
         assert str(head) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["window_radius", "sigma"])
+    def test_resume_head_with_other_angle_label_exit_3(self, workspace, tmp_path,
+                                                        capsys, key):
+        # Training always uses the fixed angle label, so a head that records
+        # another window or sigma would be trained under values it misstates.
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "1"])
+        assert rc == 0
+        head = tmp_path / "toy" / "head.json"
+        data = json.loads(head.read_text())
+        assert (data["window_radius"], data["sigma"]) == (6.0, 4.0)
+        data[key] = 3.0
+        head.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy2"), "--epochs", "1",
+                   "--resume", str(head)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(head) in err and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "toy2").exists()
 
 
 class TestTrainToy:

@@ -17,9 +17,9 @@ from tactwin.frames import PixelWindow
 from tactwin.render import TactileImage, make_reference, simulate
 from tactwin.suites import SUITES
 
-from oracle import (SENSOR_160, _blob_fields, frozen_canonical_coords,
-                    frozen_canonical_patches, frozen_extract_blobs, frozen_pgm_bytes,
-                    frozen_scores, frozen_simulate)
+from oracle import (_blob_fields, frozen_canonical_coords, frozen_canonical_patches,
+                    frozen_extract_blobs, frozen_pgm_bytes, frozen_scores,
+                    frozen_simulate)
 
 
 def assert_blobs_like_frozen(dev, scale, threshold, min_area_mm2=1.0, window=None):
@@ -30,17 +30,6 @@ def assert_blobs_like_frozen(dev, scale, threshold, min_area_mm2=1.0, window=Non
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("suite", sorted(SUITES))
-    def test_160px_suite(self, suite, material, illum):
-        spec = DatasetSpec(count=40, master_seed=23, suite=suite, noise_sigma=0.02,
-                           sensor=SENSOR_160, material=material, illum=illum)
-        for i in range(spec.count):
-            scenario, seed = sample_for_index(spec, i)
-            got = simulate(scenario, material, illum, SENSOR_160, seed=seed)[0]
-            want = frozen_simulate(scenario, material, illum, SENSOR_160, seed=seed)[0]
-            assert got.pixels.tobytes() == want.pixels.tobytes()
-            assert got.is_reference == want.is_reference
-
     @pytest.mark.parametrize("noise", [0.02, 0.5])
     def test_640px_edge_contacts(self, noise, material, illum, sensor):
         # Noise 0.5 clips at both ends; a contact at the edge clips the window.

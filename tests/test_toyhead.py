@@ -243,7 +243,7 @@ class TestFitInputs:
         args = (feats, gts, grid, small_sensor.scale_mm_per_px, ["sphere"])
         init = (fit_toy_head(*args, learning_rate=0.02, epochs=5).head
                 if resume else None)
-        got = toyhead._fit_inputs(*args, init, 6.0, 4.0)
+        got = toyhead._fit_inputs(*args, init)
         want = frozen_fit_inputs(*args, init)
         if resume:
             assert np.abs(init.weights).max() > 0

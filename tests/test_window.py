@@ -56,9 +56,11 @@ def _simulated_images(suite, sensor, count, noise_sigma, material, illum,
 
 
 def _simulated_pixels(*args):
-    """Raw float64 pixels: equal pixels give equal PGM bytes, and the float
-    comparison also catches last-bit differences that PGM rounding hides."""
-    return [image.pixels.tobytes() for image in _simulated_images(*args)]
+    """Raw float64 pixels and the reference flag: equal pixels give equal PGM
+    bytes, and the float comparison also catches last-bit differences that PGM
+    rounding hides."""
+    return [(image.pixels.tobytes(), image.is_reference)
+            for image in _simulated_images(*args)]
 
 
 def _sweep(calibration_blobs, probe, material, illum, sensor, cfg):

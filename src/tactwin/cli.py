@@ -27,8 +27,7 @@ import numpy as np
 from .contact import GroundTruth, MaterialParams
 from .dataset import (DatasetSpec, generate_dataset, json_line,
                       load_sample_image, read_json, read_jsonl, read_manifest)
-from .decoder import (CalibrationTable, DecodeConfig, Detection, TactileDecoder,
-                      TemplateLibrary, build_decoder, params_hash)
+from .decoder import DecodeConfig, Detection, TactileDecoder, build_decoder, params_hash
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
                      ContractViolation, ScenarioError, StaleCalibrationError)
@@ -188,16 +187,11 @@ def cmd_calibrate(args) -> int:
     })
     decoder = build_decoder(SUITES[args.suite](), material, illum, sensor,
                             decode_cfg)
-    tables = decoder.calibrations
     with open(out / "calibration.json", "w") as fh:
-        json.dump({cls: t.to_json() for cls, t in tables.items()}, fh,
-                  sort_keys=True)
-        fh.write("\n")
-    with open(out / "templates.json", "w") as fh:
-        json.dump(decoder.templates.to_json(), fh, sort_keys=True)
+        json.dump(decoder.to_json(), fh, sort_keys=True)
         fh.write("\n")
     _log(out, f"calibrate suite={args.suite}")
-    print(f"calibrated {sorted(tables)} -> {out}")
+    print(f"calibrated {decoder.templates.classes} -> {out}")
     return EXIT_OK
 
 
@@ -249,12 +243,6 @@ def _read_annotations(dataset: Path, split: str = "all") -> list:
             if split in ("all", ann["split"])]
 
 
-def _load_model(model_dir: Path):
-    tables = read_json(model_dir / "calibration.json", lambda data: {
-        cls: CalibrationTable.from_json(table) for cls, table in data.items()})
-    return tables, read_json(model_dir / "templates.json", TemplateLibrary.from_json)
-
-
 def _decode_row(decoder: TactileDecoder, dataset: Path, ann: dict) -> list:
     return decoder.decode(load_sample_image(dataset, ann, decoder.sensor))
 
@@ -266,9 +254,8 @@ def cmd_decode(args) -> int:
     # The dataset fixes the sensor: --size/--scale do not apply here.
     sensor, material, illum, decode_cfg = _build_params(
         _manifest_config(manifest["spec"], cfg, args.noise))
-    tables, templates = _load_model(Path(args.model))
-    decoder = TactileDecoder(material, illum, sensor, decode_cfg, tables,
-                             templates)
+    decoder = read_json(Path(args.model) / "calibration.json", lambda data:
+                        TactileDecoder.from_json(data, material, illum, sensor, decode_cfg))
     annotations = _read_annotations(dataset, args.split)
     out = Path(args.out)
     _echo_config(out, {
@@ -422,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-range", default="0.8:10")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("calibrate", help="build calibration tables and templates")
+    p = sub.add_parser("calibrate", help="build the decoder's model file")
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--suite", default="roundtrip", choices=sorted(SUITES))

@@ -51,7 +51,7 @@ from .geometry import OrientedBox, normalize_angle
 from .render import IlluminationModel, TactileImage, make_reference, render_window
 from .runner import run_units
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 1.0))
 TEMPLATE_FORCES = (2.0, 6.0)
 MERGE_DIST_MM = 3.0         # fragments closer than this are one signature
@@ -341,37 +341,6 @@ class TemplateLibrary:
     classes: list
     variants: dict              # class -> list[TemplateVariant]
     offsets: dict               # class -> moment angle at scenario theta = 0
-    canonical_size: int
-    params_hash: str
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "params_hash": self.params_hash,
-            "canonical_size": self.canonical_size,
-            "classes": self.classes,
-            "offsets": self.offsets,
-            "variants": {
-                cls: [{"force_n": v.force_n,
-                       "mask": ["".join("1" if b else "0" for b in row)
-                                for row in v.mask]}
-                      for v in vs]
-                for cls, vs in self.variants.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TemplateLibrary":
-        variants = {
-            name: [TemplateVariant(
-                mask=np.array([[ch == "1" for ch in row] for row in v["mask"]]),
-                force_n=v["force_n"]) for v in vs]
-            for name, vs in data["variants"].items()
-        }
-        return cls(classes=data["classes"], variants=variants,
-                   offsets=data["offsets"],
-                   canonical_size=data["canonical_size"],
-                   params_hash=data["params_hash"])
 
 
 def classify(blob: Blob, templates: TemplateLibrary,
@@ -433,9 +402,13 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out
 
 
+_COLUMNS = ("forces", "energies", "gyrations", "raw_ws", "raw_hs", "gt_ws", "gt_hs")
+
+
 @dataclass
 class CalibrationCurve:
-    """Forward-model sweep for one probe variant of a class."""
+    """Forward-model sweep for one probe variant of a class; the fields after
+    ``label`` are the ``_COLUMNS``."""
 
     label: str
     forces: np.ndarray
@@ -461,42 +434,6 @@ class CalibrationCurve:
 class CalibrationTable:
     class_name: str
     curves: list
-    params_hash: str
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "class_name": self.class_name,
-            "params_hash": self.params_hash,
-            "curves": [{
-                "label": c.label,
-                "forces": list(map(float, c.forces)),
-                "energies": list(map(float, c.energies)),
-                "gyrations": list(map(float, c.gyrations)),
-                "raw_ws": list(map(float, c.raw_ws)),
-                "raw_hs": list(map(float, c.raw_hs)),
-                "gt_ws": list(map(float, c.gt_ws)),
-                "gt_hs": list(map(float, c.gt_hs)),
-            } for c in self.curves],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CalibrationTable":
-        if data["schema_version"] != SCHEMA_VERSION:  # other columns: stale, not malformed
-            raise StaleCalibrationError(SCHEMA_VERSION, data["schema_version"],
-                                        what="schema version")
-        curves = [CalibrationCurve(
-            label=c["label"],
-            forces=np.array(c["forces"]),
-            energies=np.array(c["energies"]),
-            gyrations=np.array(c["gyrations"]),
-            raw_ws=np.array(c["raw_ws"]),
-            raw_hs=np.array(c["raw_hs"]),
-            gt_ws=np.array(c["gt_ws"]),
-            gt_hs=np.array(c["gt_hs"]),
-        ) for c in data["curves"]]
-        return cls(class_name=data["class_name"], curves=curves,
-                   params_hash=data["params_hash"])
 
 
 @dataclass(frozen=True)
@@ -674,9 +611,7 @@ def build_calibration(class_name: str, probes: list, material: MaterialParams,
                 f"probe class {probe.class_name!r} does not match table class "
                 f"{class_name!r}")
     sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
-    return CalibrationTable(class_name=class_name,
-                            curves=[curve for curve, _ in sweeps.get(class_name, [])],
-                            params_hash=params_hash(material, illum, sensor, cfg))
+    return CalibrationTable(class_name, [curve for curve, _ in sweeps.get(class_name, [])])
 
 
 # Observable scales for the weighted fit: an absolute floor plus a relative
@@ -753,7 +688,7 @@ class Detection:
         }
 
 
-def _templates(sweeps: dict, phash: str) -> TemplateLibrary:
+def _templates(sweeps: dict) -> TemplateLibrary:
     """Template library from ``_class_sweeps``' output: the canonical masks
     of each class's middle probe's blobs at the template forces, turned by
     the class's offset, the moment angle at the first force (0 if that pose
@@ -771,8 +706,7 @@ def _templates(sweeps: dict, phash: str) -> TemplateLibrary:
             mask = _canonical_patches(blobs[0], [offset])[0]
             variants[cls].append(TemplateVariant(mask, force))
         offsets[cls] = offset
-    return TemplateLibrary(classes=list(sweeps), variants=variants, offsets=offsets,
-                           canonical_size=CANONICAL_SIZE, params_hash=phash)
+    return TemplateLibrary(list(sweeps), variants, offsets)
 
 
 def build_templates(probes: list, material: MaterialParams,
@@ -781,12 +715,13 @@ def build_templates(probes: list, material: MaterialParams,
     """The template library ``build_decoder`` builds from these probes. Kept
     only because the benchmark's tracer wraps it by name; it goes once that
     tracer sees ``build_decoder``'s worker sweeps."""
-    return _templates(_class_sweeps(probes, material, illum, sensor, cfg),
-                      params_hash(material, illum, sensor, cfg))
+    return _templates(_class_sweeps(probes, material, illum, sensor, cfg))
 
 
 class TactileDecoder:
-    """Calibrated extraction pipeline bound to one simulator configuration."""
+    """Calibrated extraction pipeline bound to one simulator configuration.
+    Its model, per class a calibration table and template variants, is
+    written by ``to_json`` and read back by ``from_json``."""
 
     def __init__(self, material: MaterialParams, illum: IlluminationModel,
                  sensor: SensorConfig, cfg: DecodeConfig,
@@ -798,12 +733,78 @@ class TactileDecoder:
         self.calibrations = calibrations
         self.templates = templates
         self.reference = make_reference(sensor, illum)
+
+    def to_json(self) -> dict:
+        """The model file: the schema version and the parameter hash, then per
+        class its calibration curves, its moment-axis offset and its template
+        variants, each mask as rows of 0s and 1s."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "params_hash": params_hash(self.material, self.illum, self.sensor, self.cfg),
+            "classes": {cls: {
+                "curves": [{"label": c.label,
+                            **{k: list(map(float, getattr(c, k))) for k in _COLUMNS}}
+                           for c in self.calibrations[cls].curves],
+                "offset": self.templates.offsets[cls],
+                "variants": [{"force_n": v.force_n,
+                              "mask": ["".join("1" if b else "0" for b in row)
+                                       for row in v.mask]}
+                             for v in self.templates.variants[cls]],
+            } for cls in self.templates.classes},
+        }
+
+    @classmethod
+    def from_json(cls, data: dict, material: MaterialParams, illum: IlluminationModel,
+                  sensor: SensorConfig, cfg: DecodeConfig) -> "TactileDecoder":
+        """The decoder of a model file written under this configuration.
+
+        A file in the old layout, a table per class with its own schema
+        version beside a templates.json, is stale, as is one of another
+        schema version or parameter hash. A class without curves or variants,
+        a curve column of another length than its forces, or a mask that is
+        not CANONICAL_SIZE square is a TypeError naming the field, which
+        ``read_json`` reports as a malformed file.
+        """
+        if "schema_version" not in data:
+            old = {t["schema_version"] for t in data.values()
+                   if isinstance(t, dict) and "schema_version" in t}
+            if old:
+                raise StaleCalibrationError(
+                    SCHEMA_VERSION, f"{min(old)} in the old two-file layout "
+                    "(calibration.json and templates.json)", what="schema version")
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise StaleCalibrationError(SCHEMA_VERSION, data["schema_version"],
+                                        what="schema version")
         expected = params_hash(material, illum, sensor, cfg)
-        for table in calibrations.values():
-            if table.params_hash != expected:
-                raise StaleCalibrationError(expected, table.params_hash)
-        if templates.params_hash != expected:
-            raise StaleCalibrationError(expected, templates.params_hash)
+        if data["params_hash"] != expected:
+            raise StaleCalibrationError(expected, data["params_hash"])
+        if not data["classes"]:
+            raise TypeError("classes is empty")
+        tables, variants, offsets = {}, {}, {}
+        for name, entry in data["classes"].items():
+            field = f"classes.{name}"
+            for key in ("curves", "variants"):
+                if not entry[key]:
+                    raise TypeError(f"{field}.{key} is empty")
+            for i, c in enumerate(entry["curves"]):
+                for k in _COLUMNS:
+                    if len(c[k]) != len(c["forces"]):
+                        raise TypeError(f"{field}.curves[{i}].{k} has {len(c[k])} "
+                                        f"values, forces has {len(c['forces'])}")
+            for i, v in enumerate(entry["variants"]):
+                if (len(v["mask"]) != CANONICAL_SIZE
+                        or any(len(row) != CANONICAL_SIZE for row in v["mask"])):
+                    raise TypeError(f"{field}.variants[{i}].mask is not "
+                                    f"{CANONICAL_SIZE} x {CANONICAL_SIZE}")
+            tables[name] = CalibrationTable(name, [
+                CalibrationCurve(c["label"], *(np.array(c[k]) for k in _COLUMNS))
+                for c in entry["curves"]])
+            variants[name] = [TemplateVariant(
+                np.array([[ch == "1" for ch in row] for row in v["mask"]]), v["force_n"])
+                for v in entry["variants"]]
+            offsets[name] = entry["offset"]
+        return cls(material, illum, sensor, cfg, tables,
+                   TemplateLibrary(list(tables), variants, offsets))
 
     def decode(self, image: TactileImage) -> list[Detection]:
         blobs = _decode_measurements(difference_image(image, self.reference),
@@ -816,8 +817,6 @@ class TactileDecoder:
                 theta = normalize_angle(pose.theta_deg - self.templates.offsets[cls])
             else:
                 theta = 0.0
-            if cls not in self.calibrations:
-                raise CalibrationError(f"no calibration table for class {cls!r}")
             table = self.calibrations[cls]
             est = estimate_force(blob, cls, table)
             curve = next(c for c in table.curves if c.label == est.variant_label)
@@ -836,8 +835,6 @@ def build_decoder(probes: list, material: MaterialParams,
     (see ``_class_sweeps``). Every sweep error comes before any template
     error, as in a serial run that renders the templates last."""
     sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
-    phash = params_hash(material, illum, sensor, cfg)
-    calibrations = {cls: CalibrationTable(cls, [curve for curve, _ in swept], phash)
+    calibrations = {cls: CalibrationTable(cls, [curve for curve, _ in swept])
                     for cls, swept in sweeps.items()}
-    return TactileDecoder(material, illum, sensor, cfg, calibrations,
-                          _templates(sweeps, phash))
+    return TactileDecoder(material, illum, sensor, cfg, calibrations, _templates(sweeps))

@@ -163,10 +163,10 @@ class ToyHead:
 
     @classmethod
     def from_json(cls, data: dict) -> "ToyHead":
-        if data.get("version") != HEAD_VERSION:
-            raise ConfigError(f"unsupported head version {data.get('version')}")
-        # Heads train under the fixed angle label; refuse one recorded otherwise.
-        for key, value in (("window_radius", DEFAULT_WINDOW_RADIUS),
+        # Heads train under the fixed angle label; refuse one recorded
+        # otherwise, or a head of another version.
+        for key, value in (("version", HEAD_VERSION),
+                           ("window_radius", DEFAULT_WINDOW_RADIUS),
                            ("sigma", DEFAULT_SIGMA)):
             if data[key] != value:
                 raise TypeError(f"{key} must be {value!r}, got {data[key]!r}")

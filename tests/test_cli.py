@@ -209,24 +209,61 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "hash" in err
 
-    def test_schema_1_model_exit_4(self, workspace, tmp_path, capsys):
-        # A schema-1 model fits force on area, contrast and energy; its
-        # curves have no radius of gyration.
-        shutil.copytree(workspace / "model", tmp_path / "model")
-        path = tmp_path / "model" / "calibration.json"
-        data = json.loads(path.read_text())
-        for table in data.values():
-            table["schema_version"] = 1
-            for curve in table["curves"]:
-                del curve["gyrations"]
-                curve["areas"] = curve["contrasts"] = [0.0] * len(curve["forces"])
-        path.write_text(json.dumps(data))
+    @staticmethod
+    def write_two_file_model(model: Path, data: dict, version: int):
+        """The model ``data`` in the layout of schema versions 1 and 2: one
+        table per class in calibration.json, each with its own schema version
+        and hash, and the masks and offsets in templates.json."""
+        model.mkdir()
+        (model / "calibration.json").write_text(json.dumps({
+            cls: {"schema_version": version, "class_name": cls,
+                  "params_hash": data["params_hash"], "curves": entry["curves"]}
+            for cls, entry in data["classes"].items()}))
+        (model / "templates.json").write_text(json.dumps({
+            "schema_version": version, "params_hash": data["params_hash"],
+            "canonical_size": 64, "classes": list(data["classes"]),
+            "offsets": {cls: e["offset"] for cls, e in data["classes"].items()},
+            "variants": {cls: e["variants"] for cls, e in data["classes"].items()}}))
+
+    def decode_model(self, workspace, tmp_path, capsys):
         rc = main(["decode", "--dataset", str(workspace / "ds"),
                    "--model", str(tmp_path / "model"),
                    "--out", str(tmp_path / "dets")])
-        err = capsys.readouterr().err
+        return rc, capsys.readouterr().err
+
+    def test_schema_1_model_exit_4(self, workspace, tmp_path, capsys):
+        # A schema-1 model fits force on area, contrast and energy; its
+        # curves have no radius of gyration.
+        data = json.loads((workspace / "model" / "calibration.json").read_text())
+        for entry in data["classes"].values():
+            for curve in entry["curves"]:
+                del curve["gyrations"]
+                curve["areas"] = curve["contrasts"] = [0.0] * len(curve["forces"])
+        self.write_two_file_model(tmp_path / "model", data, 1)
+        rc, err = self.decode_model(workspace, tmp_path, capsys)
         assert rc == 4
-        assert "stale" in err and "expected schema version 2, found 1" in err
+        assert ("stale calibration: expected schema version 3, found 1 in the old "
+                "two-file layout (calibration.json and templates.json)") in err
+
+    def test_two_file_model_exit_4(self, workspace, tmp_path, capsys):
+        # The last two-file model differs from the one-file model only in its
+        # layout: its tables and masks would decode as they are.
+        data = json.loads((workspace / "model" / "calibration.json").read_text())
+        self.write_two_file_model(tmp_path / "model", data, 2)
+        rc, err = self.decode_model(workspace, tmp_path, capsys)
+        assert rc == 4
+        assert ("expected schema version 3, found 2 in the old two-file layout "
+                "(calibration.json and templates.json)") in err
+
+    def test_model_of_another_schema_version_exit_4(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "model", tmp_path / "model")
+        path = tmp_path / "model" / "calibration.json"
+        data = json.loads(path.read_text())
+        data["schema_version"] = 4
+        path.write_text(json.dumps(data))
+        rc, err = self.decode_model(workspace, tmp_path, capsys)
+        assert rc == 4
+        assert "stale calibration: expected schema version 3, found 4\n" in err
 
     def test_model_on_another_force_grid_exit_4(self, tmp_path, monkeypatch, capsys):
         # The force grid enters the parameter hash: a model swept on the old
@@ -237,9 +274,9 @@ class TestPipeline:
         monkeypatch.setattr(decoder, "CALIBRATION_FORCES",
                             tuple(np.arange(0.0, 10.0 + 1e-9, 0.25)))
         assert main(["calibrate", "--out", str(tmp_path / "model"), *args]) == 0
-        tables = json.loads((tmp_path / "model" / "calibration.json").read_text())
-        assert {curve["forces"][-2] for table in tables.values()
-                for curve in table["curves"]} == {9.75}
+        model = json.loads((tmp_path / "model" / "calibration.json").read_text())
+        assert {curve["forces"][-2] for entry in model["classes"].values()
+                for curve in entry["curves"]} == {9.75}
         decode = ["decode", "--dataset", str(tmp_path / "ds"), "--model",
                   str(tmp_path / "model"), "--split", "all"]
         assert main([*decode, "--out", str(tmp_path / "dets")]) == 0
@@ -438,29 +475,58 @@ def truncate(path: Path):
     path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
 
 
-def drop(*keys):
-    """A corruption that deletes the value at ``keys`` from a JSON file."""
+def edit(*keys, value=DROP, keep=None):
+    """A corruption of the value at ``keys`` in a JSON file: it is deleted,
+    set to ``value``, or cut to its first ``keep`` items."""
     def corrupt(path: Path):
         data = json.loads(path.read_text())
         node = data
         for key in keys[:-1]:
             node = node[key]
-        del node[keys[-1]]
+        if keep is not None:
+            del node[keys[-1]][keep:]
+        elif value is DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         path.write_text(json.dumps(data))
     return corrupt
+
+
+drop = edit
+
+
+SPHERE = ("classes", "sphere")
 
 
 class TestCorruptJsonInputs:
     """A corrupt JSON input is an I/O error (exit 3) that names the file."""
 
-    @pytest.mark.parametrize("victim, corrupt", [
-        ("model/calibration.json", truncate),
-        ("model/templates.json", drop("variants")),
-        ("ds/manifest.json", truncate),
-        ("ds/manifest.json", drop("spec", "sensor")),
-    ], ids=["truncated-calibration", "templates-without-variants",
+    # A model class without curves or variants, or with a curve column or a
+    # mask of the wrong size, is a file fault: exit 3, never a traceback or
+    # the internal-error exit 5 at decode time.
+    @pytest.mark.parametrize("victim, corrupt, named", [
+        ("model/calibration.json", truncate, "JSONDecodeError"),
+        ("model/calibration.json", drop(*SPHERE, "variants"), "'variants'"),
+        ("model/calibration.json", drop(*SPHERE, "curves"), "'curves'"),
+        ("model/calibration.json", edit(*SPHERE, "curves", value=[]),
+         "classes.sphere.curves is empty"),
+        ("model/calibration.json", edit(*SPHERE, "variants", value=[]),
+         "classes.sphere.variants is empty"),
+        ("model/calibration.json", edit("classes", value={}), "classes is empty"),
+        ("model/calibration.json", edit(*SPHERE, "curves", 0, "energies", keep=5),
+         "classes.sphere.curves[0].energies has 5 values, forces has 11"),
+        ("model/calibration.json", edit(*SPHERE, "variants", 1, "mask", keep=10),
+         "classes.sphere.variants[1].mask is not 64 x 64"),
+        ("model/calibration.json", edit(*SPHERE, "variants", 0, "mask", 3, value="01"),
+         "classes.sphere.variants[0].mask is not 64 x 64"),
+        ("ds/manifest.json", truncate, "JSONDecodeError"),
+        ("ds/manifest.json", drop("spec", "sensor"), "'sensor'"),
+    ], ids=["truncated-calibration", "class-without-variants", "class-without-curves",
+            "class-with-empty-curves", "class-with-empty-variants", "no-classes",
+            "short-curve-column", "mask-of-10-rows", "short-mask-row",
             "truncated-manifest", "manifest-without-sensor"])
-    def test_decode_exit_3(self, workspace, tmp_path, capsys, victim, corrupt):
+    def test_decode_exit_3(self, workspace, tmp_path, capsys, victim, corrupt, named):
         for name in ("ds", "model"):
             shutil.copytree(workspace / name, tmp_path / name)
         corrupt(tmp_path / victim)
@@ -469,7 +535,7 @@ class TestCorruptJsonInputs:
                    "--out", str(tmp_path / "dets"), "--split", "all"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert str(tmp_path / victim) in err
+        assert str(tmp_path / victim) in err and named in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["sensor", "material", "illumination"])
@@ -585,6 +651,25 @@ class TestTrainToy:
         losses = {row.split(",")[1] for row in rows}
         assert len(losses) == 1
 
+    def test_resume_head_of_another_version_exit_3(self, workspace, tmp_path, capsys):
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "1"])
+        assert rc == 0
+        head = tmp_path / "toy" / "head.json"
+        data = json.loads(head.read_text())
+        assert data["version"] == 1
+        data["version"] = 2
+        head.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy2"), "--epochs", "1",
+                   "--resume", str(head)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(head) in err and "version must be 1, got 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "toy2").exists()
+
     def test_zero_epochs_exit_0(self, workspace, tmp_path, capsys):
         rc = main(["train-toy", "--dataset", str(workspace / "ds"),
                    "--out", str(tmp_path / "toy"), "--epochs", "0"])
@@ -668,8 +753,9 @@ class TestCalibrateWorkers:
             out = tmp_path / f"w{n}"
             assert main(["calibrate", "--out", str(out), "--suite", suite, *self.ARGS]) == 0
             assert multiprocessing.active_children() == []
-            files.append([(out / name).read_bytes()
-                          for name in ("calibration.json", "templates.json")])
+            assert sorted(p.name for p in out.iterdir()) == [
+                "calibration.json", "run.log", "run_config.json"]
+            files.append((out / "calibration.json").read_bytes())
         assert files[0] == files[1]
 
     def test_failing_sweep_same_error_at_1_and_2_workers(self, tmp_path, monkeypatch,
@@ -776,10 +862,7 @@ class TestThreadedGenerateAndDecode:
                                               monkeypatch):
         model = tmp_path / "model"
         model.mkdir()
-        tables = {cls: t.to_json() for cls, t in roundtrip_decoder.calibrations.items()}
-        (model / "calibration.json").write_text(json.dumps(tables, sort_keys=True))
-        (model / "templates.json").write_text(
-            json.dumps(roundtrip_decoder.templates.to_json(), sort_keys=True))
+        (model / "calibration.json").write_text(json.dumps(roundtrip_decoder.to_json()))
         outputs = []
         for n in (1, 2):
             self.use_cpus(monkeypatch, n)

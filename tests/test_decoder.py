@@ -14,7 +14,7 @@ from scipy.interpolate import PchipInterpolator
 
 from tactwin import contact, runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
-from tactwin.decoder import (CalibrationTable, DecodeConfig, TactileDecoder,
+from tactwin.decoder import (_COLUMNS, DecodeConfig, TactileDecoder,
                              TemplateLibrary, _calibration_blobs, _sweep_curve,
                              build_calibration, build_decoder, classify,
                              difference_image, estimate_force, estimate_pose,
@@ -174,8 +174,7 @@ class TestClassify:
         sc = ContactScenario(SphereProbe(10), 0, 0, 0, 3.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
-        empty = TemplateLibrary(classes=[], variants={}, offsets={},
-                                canonical_size=64, params_hash="x")
+        empty = TemplateLibrary(classes=[], variants={}, offsets={})
         with pytest.raises(ValueError):
             classify(blob, empty)
 
@@ -264,30 +263,39 @@ class TestCalibration:
             "simulator parameters are inconsistent" if sweep_fails
             else "template for sphere at 2.0 N produced no blob")
 
-    def test_stale_hash_rejected(self, material, illum, sensor, cfg,
-                                 small_decoder):
-        other_cfg = DecodeConfig(noise_sigma=0.05)
-        with pytest.raises(StaleCalibrationError):
-            TactileDecoder(material, illum, sensor, other_cfg,
-                           small_decoder.calibrations, small_decoder.templates)
+    def test_stale_hash_rejected(self, material, illum, sensor, small_decoder):
+        data = json.loads(json.dumps(small_decoder.to_json()))
+        with pytest.raises(StaleCalibrationError, match="expected hash"):
+            TactileDecoder.from_json(data, material, illum, sensor,
+                                     DecodeConfig(noise_sigma=0.05))
 
-    def test_json_round_trip(self, small_decoder):
-        table = small_decoder.calibrations["strip"]
-        back = CalibrationTable.from_json(json.loads(json.dumps(table.to_json())))
-        assert back.class_name == table.class_name
-        assert back.params_hash == table.params_hash
-        for a, b in zip(back.curves, table.curves):
-            assert np.array_equal(a.forces, b.forces)
-            assert np.array_equal(a.energies, b.energies)
-            assert np.array_equal(a.gyrations, b.gyrations)
+    @staticmethod
+    def _round_trip(decoder, material, illum, sensor, cfg):
+        data = json.loads(json.dumps(decoder.to_json()))
+        return TactileDecoder.from_json(data, material, illum, sensor, cfg)
 
-    def test_template_json_round_trip(self, small_decoder):
-        lib = small_decoder.templates
-        back = TemplateLibrary.from_json(json.loads(json.dumps(lib.to_json())))
-        assert back.classes == lib.classes
+    def test_json_round_trip(self, material, illum, sensor, cfg, small_decoder):
+        back = self._round_trip(small_decoder, material, illum, sensor, cfg)
+        assert sorted(back.calibrations) == sorted(small_decoder.calibrations)
+        for cls, table in small_decoder.calibrations.items():
+            back_table = back.calibrations[cls]
+            assert back_table.class_name == table.class_name == cls
+            assert [c.label for c in back_table.curves] == [c.label for c in table.curves]
+            for a, b in zip(back_table.curves, table.curves, strict=True):
+                for column in _COLUMNS:
+                    assert np.array_equal(getattr(a, column), getattr(b, column))
+
+    def test_template_json_round_trip(self, material, illum, sensor, cfg,
+                                      small_decoder):
+        back = self._round_trip(small_decoder, material, illum, sensor, cfg)
+        lib, back_lib = small_decoder.templates, back.templates
+        assert back_lib.classes == lib.classes == ["sphere", "strip"]
+        assert back_lib.offsets == lib.offsets
         for cls in lib.classes:
-            for a, b in zip(back.variants[cls], lib.variants[cls]):
-                assert np.array_equal(a.mask, b.mask)
+            assert len(back_lib.variants[cls]) == len(lib.variants[cls]) == 2
+            for a, b in zip(back_lib.variants[cls], lib.variants[cls]):
+                assert a.force_n == b.force_n
+                assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
 
     def test_class_coverage_enforced(self, small_decoder, material, illum,
                                      sensor, reference, cfg):
@@ -306,12 +314,13 @@ class TestCalibration:
         assert other != base
 
     @pytest.mark.parametrize("noise, digest", [
-        (0.0, "3a3ed227aa554a3a5b555374fd87b288c64bb4919c295f3eb2ca36cb466e3f5e"),
-        (0.02, "c7fe364af62766d4218cbc383338381dcb632e217df6ada1970e4e43b459437f"),
+        (0.0, "607c0040d0e8625d0c10ef36e873844b34d00296d6511c5d07ed276c9f0c61d0"),
+        (0.02, "a4b85bcad18aac3b18eed7036aa5bbcf4527f308370a73b4d4ed0ddf063c5faf"),
     ], ids=["0.0", "0.02"])
     def test_params_hash_pinned(self, material, illum, sensor, noise, digest):
         # Every model on disk carries this digest: a change to the hashed
-        # payload, such as a decode constant dropped from it, makes them stale.
+        # payload, such as a decode constant dropped from it or a new schema
+        # version, makes them stale.
         assert params_hash(material, illum, sensor, DecodeConfig(noise_sigma=noise)) == digest
 
 

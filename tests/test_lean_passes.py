@@ -181,8 +181,7 @@ class TestClassify:
                 want = frozen_scores(_patches(blob, p), templates)
                 for cls in templates.classes:
                     one = TemplateLibrary([cls], {cls: templates.variants[cls]},
-                                          templates.offsets, templates.canonical_size,
-                                          templates.params_hash)
+                                          templates.offsets)
                     assert classify(blob, one, p) == (cls, want[cls])
                 ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
                 assert classify(blob, templates, p) == ranked[0]
@@ -198,13 +197,11 @@ class TestClassify:
         twins = {"b": templates.variants[cls],
                  "a": list(reversed(templates.variants[cls])),
                  "c": [TemplateVariant(empty, 1.0)], "d": []}
-        lib = TemplateLibrary(["b", "a", "c", "d"], twins, {}, templates.canonical_size,
-                              templates.params_hash)
+        lib = TemplateLibrary(["b", "a", "c", "d"], twins, {})
         want = frozen_scores(_patches(blob, pose), lib)
         assert want["a"] == want["b"] > 0 and want["c"] == want["d"] == 0.0
         assert classify(blob, lib, pose) == ("a", want["a"])
-        low = TemplateLibrary(["d", "c"], twins, {}, templates.canonical_size,
-                              templates.params_hash)
+        low = TemplateLibrary(["d", "c"], twins, {})
         assert classify(blob, low, pose) == ("c", 0.0)
 
 

@@ -23,7 +23,7 @@ from scipy import ndimage
 from tactwin import runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe, height_field
 from tactwin.dataset import DatasetSpec, read_pgm, sample_for_index, write_pgm
-from tactwin.decoder import (CALIBRATION_FORCES, DecodeConfig,
+from tactwin.decoder import (_COLUMNS, CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
                              calibration_scenario, difference_image)
@@ -82,24 +82,31 @@ def _unique_probes():
     return list(probes.values())
 
 
-def _calibration_json(probes, material, illum, sensor, cfg):
+def _calibration_tables(probes, material, illum, sensor, cfg):
+    """Each class's table from ``build_calibration``: every column of every
+    curve, as Python floats."""
     by_class = {}
     for probe in probes:
         by_class.setdefault(probe.class_name, []).append(probe)
-    tables = {cls: build_calibration(cls, plist, material, illum, sensor, cfg).to_json()
-              for cls, plist in sorted(by_class.items())}
-    return json.dumps(tables, sort_keys=True)
+    return {cls: [(c.label, *(getattr(c, k).tolist() for k in _COLUMNS)) for c in
+                  build_calibration(cls, plist, material, illum, sensor, cfg).curves]
+            for cls, plist in sorted(by_class.items())}
 
 
-def _templates_json(probes, material, illum, sensor, cfg):
-    return json.dumps(build_templates(probes, material, illum, sensor, cfg).to_json(),
-                      sort_keys=True)
+def _library(templates):
+    return (templates.classes, templates.offsets,
+            {cls: [(v.force_n, v.mask.shape, v.mask.tobytes()) for v in variants]
+             for cls, variants in templates.variants.items()})
+
+
+def _templates(probes, material, illum, sensor, cfg):
+    return _library(build_templates(probes, material, illum, sensor, cfg))
 
 
 def _decoder_json(probes, material, illum, sensor, cfg):
+    """The model file ``calibrate`` writes for these probes."""
     decoder = build_decoder(probes, material, illum, sensor, cfg)
-    return json.dumps([{cls: t.to_json() for cls, t in decoder.calibrations.items()},
-                       decoder.templates.to_json()], sort_keys=True)
+    return json.dumps(decoder.to_json(), sort_keys=True)
 
 
 class TestContactWindow:
@@ -263,20 +270,19 @@ class TestCalibrationExact:
         # Several probes per class too: build_templates ships the library
         # build_decoder does, from the middle probe's sweep only.
         probes = SUITES[suite]()
-        windowed = _templates_json(probes, material, illum, SENSOR_160, decode_cfg)
+        windowed = _templates(probes, material, illum, SENSOR_160, decode_cfg)
         swept = build_decoder(probes, material, illum, SENSOR_160, decode_cfg)
-        assert json.dumps(swept.templates.to_json(), sort_keys=True) == windowed
+        assert _library(swept.templates) == windowed
         with whole_raster_calibration():
-            assert windowed == _templates_json(probes, material, illum,
-                                               SENSOR_160, decode_cfg)
+            assert windowed == _templates(probes, material, illum, SENSOR_160, decode_cfg)
 
     def test_160px_sphere_table(self, material, illum):
         cfg = DecodeConfig(noise_sigma=0.0)
         probes = SUITES["spheres"]()
-        windowed = _calibration_json(probes, material, illum, SENSOR_160, cfg)
+        windowed = _calibration_tables(probes, material, illum, SENSOR_160, cfg)
         with whole_raster_calibration():
-            assert windowed == _calibration_json(probes, material, illum,
-                                                 SENSOR_160, cfg)
+            assert windowed == _calibration_tables(probes, material, illum,
+                                                   SENSOR_160, cfg)
 
     def test_160px_decoder_at_2_workers(self, material, illum, decode_cfg, monkeypatch):
         # Fork hands the patched oracle to the worker processes, so the
@@ -294,8 +300,8 @@ class TestCalibrationExact:
         tables = []
         for cpus in (1, 2):
             monkeypatch.setattr(runner, "_available_cpus", lambda n=cpus: n)
-            tables.append(_calibration_json(SUITES["spheres"](), material, illum,
-                                            SENSOR_160, decode_cfg))
+            tables.append(_calibration_tables(SUITES["spheres"](), material, illum,
+                                              SENSOR_160, decode_cfg))
         assert tables[0] == tables[1]
 
     def test_640px_two_roundtrip_probes(self, material, illum, sensor, decode_cfg):

@@ -13,9 +13,9 @@ from .contact import (ContactScenario, FootprintProbe, GroundTruth,
                       HeightField, MaterialParams, SphereProbe, ground_truth,
                       height_field, hertz_indentation, punch_indentation)
 from .dataset import DatasetSpec, generate_dataset, read_pgm, write_pgm
-from .decoder import (Blob, CalibrationTable, DecodeConfig, Detection,
-                      TactileDecoder, TemplateLibrary, build_calibration,
-                      build_decoder, build_templates, classify,
+from .decoder import (Blob, ClassModel, DecodeConfig, Detection,
+                      TactileDecoder, build_calibration, build_decoder,
+                      build_templates, classify,
                       difference_image, estimate_force, estimate_pose,
                       extract_blobs)
 from .encoding import RegionGrid, build_region_grid, csl_decode, csl_encode

@@ -191,7 +191,7 @@ def cmd_calibrate(args) -> int:
         json.dump(decoder.to_json(), fh, sort_keys=True)
         fh.write("\n")
     _log(out, f"calibrate suite={args.suite}")
-    print(f"calibrated {decoder.templates.classes} -> {out}")
+    print(f"calibrated {list(decoder.models)} -> {out}")
     return EXIT_OK
 
 

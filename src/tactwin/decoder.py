@@ -328,47 +328,32 @@ def _canonical_patches(blob: Blob, angles_deg) -> np.ndarray:
     return box.ravel()[fy.astype(np.intp)]
 
 
-@dataclass
-class TemplateVariant:
-    mask: np.ndarray
-    force_n: float
-
-
-@dataclass
-class TemplateLibrary:
-    """Canonical blob masks per class, plus each class's moment-axis offset."""
-
-    classes: list
-    variants: dict              # class -> list[TemplateVariant]
-    offsets: dict               # class -> moment angle at scenario theta = 0
-
-
-def classify(blob: Blob, templates: TemplateLibrary,
-             pose: PoseEstimate | None = None):
-    """Best-matching class by mask IoU over candidate rotations.
+def classify(blob: Blob, models: dict, pose: PoseEstimate | None = None):
+    """Best-matching class of the ``{class: ClassModel}`` models by mask IoU
+    over candidate rotations.
 
     Returns (class_name, score). Confident poses need only the principal
     angle and its point reflection; isotropic blobs sweep rotations. Ties
     break toward the lexicographically smallest class name.
     """
-    if not templates.classes:
-        raise ValueError("template library is empty")
+    if not models:
+        raise ValueError("no class models")
     if pose is not None and pose.confident:
         angles = [pose.theta_deg, pose.theta_deg + 180.0]
     else:
         angles = list(np.arange(0.0, 360.0, ROTATION_STEP_DEG))
     patches = _canonical_patches(blob, angles).reshape(len(angles), -1)
-    masks = np.array([v.mask.ravel() for cls in templates.classes
-                      for v in templates.variants[cls]]).reshape(-1, patches.shape[1])
+    masks = np.array([mask.ravel() for model in models.values()
+                      for _, mask in model.variants]).reshape(-1, patches.shape[1])
     # Intersections are counts of at most CANONICAL_SIZE^2 pixels, exact in
     # float32; einsum, since a threaded BLAS product costs more than it saves.
     inter = np.einsum("ij,kj->ik", patches.astype(np.float32),
                       masks.astype(np.float32)).astype(np.int64)
     union = patches.sum(axis=1)[:, None] + masks.sum(axis=1) - inter
     scores = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    ends = np.cumsum([len(templates.variants[cls]) for cls in templates.classes])
+    ends = np.cumsum([len(model.variants) for model in models.values()])
     best_per_class = {cls: float(s.max(initial=0.0)) for cls, s in
-                      zip(templates.classes, np.split(scores, ends[:-1], axis=1))}
+                      zip(models, np.split(scores, ends[:-1], axis=1))}
     ranked = sorted(best_per_class.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[0]
 
@@ -431,15 +416,57 @@ class CalibrationCurve:
 
 
 @dataclass
-class CalibrationTable:
-    class_name: str
-    curves: list
+class ClassModel:
+    """One class of the decoder's model, field for field its entry in the
+    model file: a forward-model curve per probe variant, the moment angle at
+    scenario theta = 0 (its offset), and the canonical template masks with
+    the forces they were rendered at."""
+
+    curves: list                # CalibrationCurve per probe variant
+    offset: float
+    variants: list              # (force_n, mask) per template force
+
+    def to_json(self) -> dict:
+        """The class's entry in the model file, each mask as rows of 0s and 1s."""
+        return {
+            "curves": [{"label": c.label,
+                        **{k: list(map(float, getattr(c, k))) for k in _COLUMNS}}
+                       for c in self.curves],
+            "offset": self.offset,
+            "variants": [{"force_n": force,
+                          "mask": ["".join("1" if b else "0" for b in row) for row in mask]}
+                         for force, mask in self.variants],
+        }
+
+    @classmethod
+    def from_json(cls, entry: dict, field: str) -> "ClassModel":
+        """The class of a model-file entry at ``field``. An entry without
+        curves or variants, a curve column of another length than its forces,
+        or a mask that is not CANONICAL_SIZE square is a TypeError naming the
+        field, which ``read_json`` reports as a malformed file."""
+        for key in ("curves", "variants"):
+            if not entry[key]:
+                raise TypeError(f"{field}.{key} is empty")
+        for i, c in enumerate(entry["curves"]):
+            for k in _COLUMNS:
+                if len(c[k]) != len(c["forces"]):
+                    raise TypeError(f"{field}.curves[{i}].{k} has {len(c[k])} "
+                                    f"values, forces has {len(c['forces'])}")
+        for i, v in enumerate(entry["variants"]):
+            if (len(v["mask"]) != CANONICAL_SIZE
+                    or any(len(row) != CANONICAL_SIZE for row in v["mask"])):
+                raise TypeError(f"{field}.variants[{i}].mask is not "
+                                f"{CANONICAL_SIZE} x {CANONICAL_SIZE}")
+        return cls([CalibrationCurve(c["label"], *(np.array(c[k]) for k in _COLUMNS))
+                    for c in entry["curves"]], entry["offset"],
+                   [(v["force_n"], np.array([[ch == "1" for ch in row] for row in v["mask"]]))
+                    for v in entry["variants"]])
 
 
 @dataclass(frozen=True)
 class ForceEstimate:
     force_n: float
-    variant_label: str
+    curve: CalibrationCurve     # the probe variant whose curve fits best
     out_of_range: bool
 
 
@@ -573,17 +600,20 @@ def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
     return curve, list(kept.values())
 
 
-def _class_sweeps(probes: list, material: MaterialParams, illum: IlluminationModel,
+def _class_models(probes: list, material: MaterialParams, illum: IlluminationModel,
                   sensor: SensorConfig, cfg: DecodeConfig) -> dict:
-    """Every probe's force sweep, as a list of (curve, kept blobs) per class
-    in sorted class order, the probes of a class in their given order.
+    """Each class's model from its probes' force sweeps, in sorted class order.
 
-    Probes sharing a class name are variants of one calibration table (e.g.
-    the five sphere diameters). Each sweep is an independent unit of work in
-    a forked worker; the sweep of each class's middle probe also keeps its
-    blobs at the template forces. Results and errors are taken in the order
-    of a serial run, so the output does not depend on how many workers run
-    them.
+    Probes sharing a class name are variants of one class (e.g. the five
+    sphere diameters), each giving a curve, in their given order. Each sweep
+    is an independent unit of work in a forked worker; the sweep of each
+    class's middle probe also keeps its blobs at the template forces. Their
+    canonical masks, turned by the class's offset (the moment angle at the
+    first template force, 0 if that pose is not confident), are the class's
+    template variants. Results and errors are taken in the order of a serial
+    run that renders the templates after every sweep, so every sweep error
+    comes before any template error, and the output does not depend on how
+    many workers run them.
     """
     by_class: dict = {}
     for probe in probes:
@@ -596,22 +626,30 @@ def _class_sweeps(probes: list, material: MaterialParams, illum: IlluminationMod
                            keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())
          for cls in classes for i, p in enumerate(by_class[cls])],
         fork=True))
-    return {cls: [next(results) for _ in by_class[cls]] for cls in classes}
+    sweeps = {cls: [next(results) for _ in by_class[cls]] for cls in classes}
+    models = {}
+    for cls, swept in sweeps.items():
+        offset, variants = None, []
+        for force, blobs in zip(TEMPLATE_FORCES, swept[len(swept) // 2][1]):
+            if not blobs:
+                raise CalibrationError(
+                    f"template for {cls} at {force} N produced no blob")
+            if offset is None:
+                pose = estimate_pose(blobs[0])
+                offset = pose.theta_deg if pose.confident else 0.0
+            variants.append((force, _canonical_patches(blobs[0], [offset])[0]))
+        models[cls] = ClassModel([curve for curve, _ in swept], offset, variants)
+    return models
 
 
 def build_calibration(class_name: str, probes: list, material: MaterialParams,
                       illum: IlluminationModel, sensor: SensorConfig,
-                      cfg: DecodeConfig) -> CalibrationTable:
-    """The calibration table ``build_decoder`` builds for ``class_name`` from
-    these probes. Kept only because the benchmark's tracer wraps it by name;
-    it goes once that tracer sees ``build_decoder``'s worker sweeps."""
-    for probe in probes:
-        if probe.class_name != class_name:
-            raise CalibrationError(
-                f"probe class {probe.class_name!r} does not match table class "
-                f"{class_name!r}")
-    sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
-    return CalibrationTable(class_name, [curve for curve, _ in sweeps.get(class_name, [])])
+                      cfg: DecodeConfig) -> ClassModel:
+    """The ``ClassModel`` ``build_decoder`` builds for ``class_name`` from
+    these probes. Kept only because the benchmark's tracer wraps it by name
+    and reads its ``curves``; it goes once that tracer sees ``build_decoder``'s
+    worker sweeps."""
+    return _class_models(probes, material, illum, sensor, cfg)[class_name]
 
 
 # Observable scales for the weighted fit: an absolute floor plus a relative
@@ -620,8 +658,8 @@ _ENERGY_SCALE = (0.02, 0.015)    # intensity mm^2 floor, relative
 _GYRATION_SCALE = (0.5, 0.01)    # pixel pitches floor, relative
 
 
-def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> ForceEstimate:
-    """Invert the force calibration for a blob of a known class.
+def estimate_force(blob: Blob, curves: list) -> ForceEstimate:
+    """Invert a class's force calibration, its ``curves``, for a blob.
 
     The force and the probe-size variant are the pair whose calibrated
     deviation energy and radius of gyration fit the blob's best, in a weighted
@@ -631,14 +669,11 @@ def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> Forc
     range; an energy more than 2 % past the top of the chosen curve is flagged
     out of range.
     """
-    if table.class_name != class_name:
-        raise CalibrationError(
-            f"calibration table is for {table.class_name!r}, not {class_name!r}")
     energy, r_g = blob.deviation_integral, blob.gyration_mm
     s_e = _ENERGY_SCALE[0] + _ENERGY_SCALE[1] * energy
     s_g = _GYRATION_SCALE[0] * blob.scale_mm_per_px + _GYRATION_SCALE[1] * r_g
     best = None
-    for curve in table.curves:
+    for curve in curves:
         grid, (energies, gyrations, *_) = curve.resampled
         resid = ((energies - energy) / s_e) ** 2 + ((gyrations - r_g) / s_g) ** 2
         k = int(np.argmin(resid))
@@ -647,8 +682,7 @@ def estimate_force(blob: Blob, class_name: str, table: CalibrationTable) -> Forc
     _, force, curve = best
     out_of_range = energy > float(curve.energies[-1]) * 1.02
     return ForceEstimate(force_n=min(max(force, 0.0), float(curve.forces[-1])),
-                         variant_label=curve.label,
-                         out_of_range=out_of_range)
+                         curve=curve, out_of_range=out_of_range)
 
 
 def corrected_box(blob: Blob, theta_deg: float, force_n: float,
@@ -688,69 +722,36 @@ class Detection:
         }
 
 
-def _templates(sweeps: dict) -> TemplateLibrary:
-    """Template library from ``_class_sweeps``' output: the canonical masks
-    of each class's middle probe's blobs at the template forces, turned by
-    the class's offset, the moment angle at the first force (0 if that pose
-    is not confident)."""
-    offsets, variants = {}, {}
-    for cls, swept in sweeps.items():
-        offset, variants[cls] = None, []
-        for force, blobs in zip(TEMPLATE_FORCES, swept[len(swept) // 2][1]):
-            if not blobs:
-                raise CalibrationError(
-                    f"template for {cls} at {force} N produced no blob")
-            if offset is None:
-                pose = estimate_pose(blobs[0])
-                offset = pose.theta_deg if pose.confident else 0.0
-            mask = _canonical_patches(blobs[0], [offset])[0]
-            variants[cls].append(TemplateVariant(mask, force))
-        offsets[cls] = offset
-    return TemplateLibrary(list(sweeps), variants, offsets)
-
-
 def build_templates(probes: list, material: MaterialParams,
                     illum: IlluminationModel, sensor: SensorConfig,
-                    cfg: DecodeConfig) -> TemplateLibrary:
-    """The template library ``build_decoder`` builds from these probes. Kept
-    only because the benchmark's tracer wraps it by name; it goes once that
-    tracer sees ``build_decoder``'s worker sweeps."""
-    return _templates(_class_sweeps(probes, material, illum, sensor, cfg))
+                    cfg: DecodeConfig) -> dict:
+    """The ``{class: ClassModel}`` models ``build_decoder`` builds from these
+    probes. Kept only because the benchmark's tracer wraps it by name; it
+    goes once that tracer sees ``build_decoder``'s worker sweeps."""
+    return _class_models(probes, material, illum, sensor, cfg)
 
 
 class TactileDecoder:
     """Calibrated extraction pipeline bound to one simulator configuration.
-    Its model, per class a calibration table and template variants, is
-    written by ``to_json`` and read back by ``from_json``."""
+    Its model, a ``ClassModel`` per class, is written by ``to_json`` and read
+    back by ``from_json``."""
 
     def __init__(self, material: MaterialParams, illum: IlluminationModel,
-                 sensor: SensorConfig, cfg: DecodeConfig,
-                 calibrations: dict, templates: TemplateLibrary):
+                 sensor: SensorConfig, cfg: DecodeConfig, models: dict):
         self.material = material
         self.illum = illum
         self.sensor = sensor
         self.cfg = cfg
-        self.calibrations = calibrations
-        self.templates = templates
+        self.models = models        # class -> ClassModel
         self.reference = make_reference(sensor, illum)
 
     def to_json(self) -> dict:
-        """The model file: the schema version and the parameter hash, then per
-        class its calibration curves, its moment-axis offset and its template
-        variants, each mask as rows of 0s and 1s."""
+        """The model file: the schema version and the parameter hash, then
+        each class's entry (see ``ClassModel.to_json``)."""
         return {
             "schema_version": SCHEMA_VERSION,
             "params_hash": params_hash(self.material, self.illum, self.sensor, self.cfg),
-            "classes": {cls: {
-                "curves": [{"label": c.label,
-                            **{k: list(map(float, getattr(c, k))) for k in _COLUMNS}}
-                           for c in self.calibrations[cls].curves],
-                "offset": self.templates.offsets[cls],
-                "variants": [{"force_n": v.force_n,
-                              "mask": ["".join("1" if b else "0" for b in row)
-                                       for row in v.mask]}
-                             for v in self.templates.variants[cls]],
-            } for cls in self.templates.classes},
+            "classes": {cls: model.to_json() for cls, model in self.models.items()},
         }
 
     @classmethod
@@ -760,10 +761,9 @@ class TactileDecoder:
 
         A file in the old layout, a table per class with its own schema
         version beside a templates.json, is stale, as is one of another
-        schema version or parameter hash. A class without curves or variants,
-        a curve column of another length than its forces, or a mask that is
-        not CANONICAL_SIZE square is a TypeError naming the field, which
-        ``read_json`` reports as a malformed file.
+        schema version or parameter hash. A file without classes, or with a
+        class entry that ``ClassModel.from_json`` rejects, is a TypeError
+        naming the field, which ``read_json`` reports as a malformed file.
         """
         if "schema_version" not in data:
             old = {t["schema_version"] for t in data.values()
@@ -780,31 +780,9 @@ class TactileDecoder:
             raise StaleCalibrationError(expected, data["params_hash"])
         if not data["classes"]:
             raise TypeError("classes is empty")
-        tables, variants, offsets = {}, {}, {}
-        for name, entry in data["classes"].items():
-            field = f"classes.{name}"
-            for key in ("curves", "variants"):
-                if not entry[key]:
-                    raise TypeError(f"{field}.{key} is empty")
-            for i, c in enumerate(entry["curves"]):
-                for k in _COLUMNS:
-                    if len(c[k]) != len(c["forces"]):
-                        raise TypeError(f"{field}.curves[{i}].{k} has {len(c[k])} "
-                                        f"values, forces has {len(c['forces'])}")
-            for i, v in enumerate(entry["variants"]):
-                if (len(v["mask"]) != CANONICAL_SIZE
-                        or any(len(row) != CANONICAL_SIZE for row in v["mask"])):
-                    raise TypeError(f"{field}.variants[{i}].mask is not "
-                                    f"{CANONICAL_SIZE} x {CANONICAL_SIZE}")
-            tables[name] = CalibrationTable(name, [
-                CalibrationCurve(c["label"], *(np.array(c[k]) for k in _COLUMNS))
-                for c in entry["curves"]])
-            variants[name] = [TemplateVariant(
-                np.array([[ch == "1" for ch in row] for row in v["mask"]]), v["force_n"])
-                for v in entry["variants"]]
-            offsets[name] = entry["offset"]
-        return cls(material, illum, sensor, cfg, tables,
-                   TemplateLibrary(list(tables), variants, offsets))
+        return cls(material, illum, sensor, cfg, {
+            name: ClassModel.from_json(entry, f"classes.{name}")
+            for name, entry in data["classes"].items()})
 
     def decode(self, image: TactileImage) -> list[Detection]:
         blobs = _decode_measurements(difference_image(image, self.reference),
@@ -812,15 +790,11 @@ class TactileDecoder:
         detections = []
         for blob in blobs:
             pose = estimate_pose(blob)
-            cls, score = classify(blob, self.templates, pose)
-            if pose.confident:
-                theta = normalize_angle(pose.theta_deg - self.templates.offsets[cls])
-            else:
-                theta = 0.0
-            table = self.calibrations[cls]
-            est = estimate_force(blob, cls, table)
-            curve = next(c for c in table.curves if c.label == est.variant_label)
-            box = corrected_box(blob, theta, est.force_n, curve)
+            cls, score = classify(blob, self.models, pose)
+            model = self.models[cls]
+            theta = normalize_angle(pose.theta_deg - model.offset) if pose.confident else 0.0
+            est = estimate_force(blob, model.curves)
+            box = corrected_box(blob, theta, est.force_n, est.curve)
             detections.append(Detection(box=box, class_name=cls, theta_deg=theta,
                                         force_n=est.force_n, score=score))
         detections.sort(key=lambda d: -d.score)
@@ -830,11 +804,7 @@ class TactileDecoder:
 def build_decoder(probes: list, material: MaterialParams,
                   illum: IlluminationModel, sensor: SensorConfig,
                   cfg: DecodeConfig) -> TactileDecoder:
-    """Calibrate and assemble a decoder for a probe library: one table per
-    class from its probes' sweeps, and the templates from the same sweeps
-    (see ``_class_sweeps``). Every sweep error comes before any template
-    error, as in a serial run that renders the templates last."""
-    sweeps = _class_sweeps(probes, material, illum, sensor, cfg)
-    calibrations = {cls: CalibrationTable(cls, [curve for curve, _ in swept])
-                    for cls, swept in sweeps.items()}
-    return TactileDecoder(material, illum, sensor, cfg, calibrations, _templates(sweeps))
+    """Calibrate and assemble a decoder for a probe library, a ``ClassModel``
+    per class (see ``_class_models``)."""
+    return TactileDecoder(material, illum, sensor, cfg,
+                          _class_models(probes, material, illum, sensor, cfg))

@@ -279,14 +279,14 @@ def frozen_canonical_patches(blob, angles_deg):
     return out
 
 
-def frozen_scores(patches, templates):
-    """Each class's best IoU between the flattened ``patches`` and its
-    variants, by boolean ``&``/``|`` passes per variant."""
+def frozen_scores(patches, models):
+    """Each class's best IoU between the flattened ``patches`` and the masks
+    of its template variants, by boolean ``&``/``|`` passes per variant."""
     best_per_class = {}
-    for cls in templates.classes:
+    for cls, model in models.items():
         best = 0.0
-        for variant in templates.variants[cls]:
-            t = variant.mask.ravel()
+        for _, mask in model.variants:
+            t = mask.ravel()
             inter = (patches & t).sum(axis=1)
             union = (patches | t).sum(axis=1)
             with np.errstate(invalid="ignore"):

@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 from tactwin import contact, runner
 from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (_COLUMNS, DecodeConfig, TactileDecoder,
-                             TemplateLibrary, _calibration_blobs, _sweep_curve,
+                             _calibration_blobs, _sweep_curve,
                              build_calibration, build_decoder, classify,
                              difference_image, estimate_force, estimate_pose,
                              extract_blobs, monotone_cubic, params_hash)
@@ -156,7 +156,7 @@ class TestClassify:
         sc = ContactScenario(SphereProbe(10), 0, 0, 0, 3.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
-        cls, score = classify(blob, small_decoder.templates,
+        cls, score = classify(blob, small_decoder.models,
                               estimate_pose(blob))
         assert cls == "sphere"
         assert score > 0.8
@@ -166,7 +166,7 @@ class TestClassify:
         sc = ContactScenario(STRIP, 0, 0, 40, 4.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
-        cls, score = classify(blob, small_decoder.templates,
+        cls, score = classify(blob, small_decoder.models,
                               estimate_pose(blob))
         assert cls == "strip"
 
@@ -174,21 +174,20 @@ class TestClassify:
         sc = ContactScenario(SphereProbe(10), 0, 0, 0, 3.0)
         img, _ = simulate(sc, material, illum, sensor)
         blob = decode_measurements(img, reference, sensor, cfg)[0]
-        empty = TemplateLibrary(classes=[], variants={}, offsets={})
         with pytest.raises(ValueError):
-            classify(blob, empty)
+            classify(blob, {})
 
 
 class TestCalibration:
     def test_zero_force_row(self, small_decoder):
-        curve = small_decoder.calibrations["sphere"].curves[0]
+        curve = small_decoder.models["sphere"].curves[0]
         assert curve.forces[0] == 0.0
         assert curve.energies[0] == 0.0 and curve.gyrations[0] == 0.0
 
     def test_strictly_increasing_energy(self, small_decoder):
         # Energy is the strict observable; the strip's area may stall.
-        for table in small_decoder.calibrations.values():
-            for curve in table.curves:
+        for model in small_decoder.models.values():
+            for curve in model.curves:
                 assert np.all(np.diff(curve.energies) > 0)
 
     def test_non_increasing_energy_names_the_forces(self, material, illum, sensor):
@@ -217,8 +216,8 @@ class TestCalibration:
         # energy still rises, and only the energy has to.
         strip = [p for p in roundtrip_probes() if p.class_name == "strip"]
         cfg = DecodeConfig(noise_sigma=0.0)
-        table = build_calibration("strip", strip, material, illum, sensor, cfg)
-        assert [c.label for c in table.curves] == ["strip"]
+        model = build_calibration("strip", strip, material, illum, sensor, cfg)
+        assert [c.label for c in model.curves] == ["strip"]
         reference = make_reference(sensor, illum)
         areas = [_calibration_blobs(strip[0], force, material, illum, sensor, cfg,
                                     reference)[0][0].area_mm2 for force in (8.25, 8.5)]
@@ -230,7 +229,7 @@ class TestCalibration:
         probes = SUITES[suite]()
         decoder = build_decoder(probes, material, illum, SensorConfig(160, 0.2),
                                 DecodeConfig(noise_sigma=noise))
-        assert sorted(decoder.calibrations) == sorted({p.class_name for p in probes})
+        assert sorted(decoder.models) == sorted({p.class_name for p in probes})
 
     @pytest.mark.parametrize("sweep_fails", [True, False])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -276,35 +275,25 @@ class TestCalibration:
 
     def test_json_round_trip(self, material, illum, sensor, cfg, small_decoder):
         back = self._round_trip(small_decoder, material, illum, sensor, cfg)
-        assert sorted(back.calibrations) == sorted(small_decoder.calibrations)
-        for cls, table in small_decoder.calibrations.items():
-            back_table = back.calibrations[cls]
-            assert back_table.class_name == table.class_name == cls
-            assert [c.label for c in back_table.curves] == [c.label for c in table.curves]
-            for a, b in zip(back_table.curves, table.curves, strict=True):
+        assert list(back.models) == list(small_decoder.models) == ["sphere", "strip"]
+        for cls, model in small_decoder.models.items():
+            back_model = back.models[cls]
+            assert [c.label for c in back_model.curves] == [c.label for c in model.curves]
+            for a, b in zip(back_model.curves, model.curves, strict=True):
                 for column in _COLUMNS:
                     assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_template_json_round_trip(self, material, illum, sensor, cfg,
                                       small_decoder):
         back = self._round_trip(small_decoder, material, illum, sensor, cfg)
-        lib, back_lib = small_decoder.templates, back.templates
-        assert back_lib.classes == lib.classes == ["sphere", "strip"]
-        assert back_lib.offsets == lib.offsets
-        for cls in lib.classes:
-            assert len(back_lib.variants[cls]) == len(lib.variants[cls]) == 2
-            for a, b in zip(back_lib.variants[cls], lib.variants[cls]):
-                assert a.force_n == b.force_n
-                assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
-
-    def test_class_coverage_enforced(self, small_decoder, material, illum,
-                                     sensor, reference, cfg):
-        sc = ContactScenario(SphereProbe(10), 0, 0, 0, 3.0)
-        img, _ = simulate(sc, material, illum, sensor)
-        blob = decode_measurements(img, reference, sensor, cfg)[0]
-        with pytest.raises(CalibrationError):
-            estimate_force(blob, "sphere",
-                           small_decoder.calibrations["strip"])
+        for cls, model in small_decoder.models.items():
+            back_model = back.models[cls]
+            assert back_model.offset == model.offset
+            assert len(back_model.variants) == len(model.variants) == 2
+            for (back_force, back_mask), (force, mask) in zip(back_model.variants,
+                                                              model.variants):
+                assert back_force == force
+                assert back_mask.dtype == mask.dtype and np.array_equal(back_mask, mask)
 
     def test_params_hash_sensitivity(self, material, illum, sensor, cfg):
         base = params_hash(material, illum, sensor, cfg)
@@ -353,8 +342,7 @@ class TestForceRoundTrip:
             sc = ContactScenario(SphereProbe(10), 0, 0, 0, force)
             img, _ = simulate(sc, material, illum, sensor)
             blob = decode_measurements(img, reference, sensor, cfg)[0]
-            est = estimate_force(blob, "sphere",
-                                 small_decoder.calibrations["sphere"])
+            est = estimate_force(blob, small_decoder.models["sphere"].curves)
             assert est.force_n == pytest.approx(force, abs=0.05)
             assert not est.out_of_range
 
@@ -362,33 +350,33 @@ class TestForceRoundTrip:
         # force estimates inherit the calibration's monotonicity: every
         # inner knot, and the midpoint between each pair of neighbouring
         # knots, in order of energy
-        table = small_decoder.calibrations["sphere"]
-        curve = table.curves[0]
+        curves = small_decoder.models["sphere"].curves
+        curve = curves[0]
         e, g = curve.energies, curve.gyrations
         points = [((e[k] + e[k + 1]) / 2, (g[k] + g[k + 1]) / 2) for k in range(len(e) - 1)]
         points = sorted(points + list(zip(e[1:-1], g[1:-1])))
         assert len(points) == 19    # 10 midpoints and 9 inner knots of 11 rows
         forces = [estimate_force(_FakeBlob(energy=float(en), gyration=float(gy)),
-                                 "sphere", table).force_n for en, gy in points]
+                                 curves).force_n for en, gy in points]
         assert all(b > a for a, b in zip(forces, forces[1:]))
 
     def test_out_of_range_flagged(self, small_decoder):
-        table = small_decoder.calibrations["sphere"]
-        curve = table.curves[0]
+        curves = small_decoder.models["sphere"].curves
+        curve = curves[0]
         blob = _FakeBlob(energy=float(curve.energies[-1]) * 1.5,
                          gyration=float(curve.gyrations[-1]) * 1.5)
-        est = estimate_force(blob, "sphere", table)
+        est = estimate_force(blob, curves)
         assert est.out_of_range
         assert est.force_n == 10.0
 
     def test_out_of_range_punch_flagged_by_energy(self, small_decoder):
         # A punch's footprint does not grow past the top force; its
         # deviation energy does.
-        table = small_decoder.calibrations["strip"]
-        curve = table.curves[0]
+        curves = small_decoder.models["strip"].curves
+        curve = curves[0]
         blob = _FakeBlob(energy=float(curve.energies[-1]) * 1.05,
                          gyration=float(curve.gyrations[-1]))
-        est = estimate_force(blob, "strip", table)
+        est = estimate_force(blob, curves)
         assert est.out_of_range
         assert est.force_n == 10.0
 
@@ -416,8 +404,8 @@ class TestMonotoneCubic:
                                        rtol=0, atol=1e-12 * max(1.0, np.abs(y).max()))
 
     def test_matches_pchip_on_every_roundtrip_curve(self, roundtrip_decoder):
-        for table in roundtrip_decoder.calibrations.values():
-            for curve in table.curves:
+        for cls, model in roundtrip_decoder.models.items():
+            for curve in model.curves:
                 grid, columns = curve.resampled
                 assert grid.size == 401 and (grid[0], grid[-1]) == (curve.forces[0], curve.forces[-1])
                 for column, name in zip(columns, ("energies", "gyrations", "raw_ws",
@@ -425,7 +413,7 @@ class TestMonotoneCubic:
                     knots = getattr(curve, name)
                     oracle = PchipInterpolator(curve.forces, knots)(grid)
                     assert np.abs(column - oracle).max() <= 1e-12 * max(1.0, np.abs(knots).max()), (
-                        table.class_name, curve.label, name)
+                        cls, curve.label, name)
 
     def test_through_knots_and_monotone_between(self):
         rng = np.random.default_rng(7)
@@ -468,8 +456,8 @@ class TestCoarseSpheres:
         # could not. A sample without a blob counts as a wrong diameter.
         probes = sphere_probes()
         cfg = DecodeConfig(noise_sigma=0.02)
-        table = build_calibration("sphere", probes, material, illum,
-                                  small_sensor, cfg)
+        curves = build_calibration("sphere", probes, material, illum,
+                                   small_sensor, cfg).curves
         reference = make_reference(small_sensor, illum)
         rng = np.random.default_rng(23)
         errors, right = [], 0
@@ -479,9 +467,9 @@ class TestCoarseSpheres:
             img, gt = simulate(sc, material, illum, small_sensor, seed=2300000 + i)
             blobs = decode_measurements(img, reference, small_sensor, cfg)
             if blobs:
-                est = estimate_force(blobs[0], "sphere", table)
+                est = estimate_force(blobs[0], curves)
                 errors.append(abs(est.force_n - gt.force_n))
-                right += est.variant_label == sc.probe.label
+                right += est.curve.label == sc.probe.label
         mae, share = float(np.mean(errors)), right / 200
         print(f"spheres at 128 px, noise 0.02: force MAE {mae:.4f} N, "
               f"right diameter {share:.3f}, {len(errors)} blobs")

@@ -10,7 +10,7 @@ import pytest
 
 from tactwin.contact import ContactScenario, SphereProbe
 from tactwin.dataset import PGM_MAXVAL, DatasetSpec, pgm_bytes, read_pgm, sample_for_index
-from tactwin.decoder import (ROTATION_STEP_DEG, TemplateLibrary, TemplateVariant,
+from tactwin.decoder import (ROTATION_STEP_DEG, ClassModel,
                              _canonical_coords, _canonical_patches, _decode_measurements,
                              classify, difference_image, estimate_pose, extract_blobs)
 from tactwin.frames import PixelWindow
@@ -174,34 +174,29 @@ class TestClassify:
         assert_patches_like_frozen(blob, None)
 
     def test_scores_per_class(self, roundtrip_decoder, material, illum, sensor):
-        templates = roundtrip_decoder.templates
+        models = roundtrip_decoder.models
         for blob in _roundtrip_blobs(roundtrip_decoder, material, illum, sensor):
             pose = estimate_pose(blob)
             for p in (pose, None):
-                want = frozen_scores(_patches(blob, p), templates)
-                for cls in templates.classes:
-                    one = TemplateLibrary([cls], {cls: templates.variants[cls]},
-                                          templates.offsets)
-                    assert classify(blob, one, p) == (cls, want[cls])
+                want = frozen_scores(_patches(blob, p), models)
+                for cls, model in models.items():
+                    assert classify(blob, {cls: model}, p) == (cls, want[cls])
                 ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
-                assert classify(blob, templates, p) == ranked[0]
+                assert classify(blob, models, p) == ranked[0]
 
     def test_ties(self, roundtrip_decoder, material, illum, sensor):
         # "a" and "b" hold one class's variants in either order; "c" holds an
         # empty mask and "d" nothing, so both score 0.
-        templates = roundtrip_decoder.templates
         blob = next(_roundtrip_blobs(roundtrip_decoder, material, illum, sensor, 1))
         pose = estimate_pose(blob)
-        cls = templates.classes[0]
-        empty = np.zeros_like(templates.variants[cls][0].mask)
-        twins = {"b": templates.variants[cls],
-                 "a": list(reversed(templates.variants[cls])),
-                 "c": [TemplateVariant(empty, 1.0)], "d": []}
-        lib = TemplateLibrary(["b", "a", "c", "d"], twins, {})
-        want = frozen_scores(_patches(blob, pose), lib)
+        variants = next(iter(roundtrip_decoder.models.values())).variants
+        empty = np.zeros_like(variants[0][1])
+        twins = {name: ClassModel([], 0.0, v) for name, v in (
+            ("b", variants), ("a", variants[::-1]), ("c", [(1.0, empty)]), ("d", []))}
+        want = frozen_scores(_patches(blob, pose), twins)
         assert want["a"] == want["b"] > 0 and want["c"] == want["d"] == 0.0
-        assert classify(blob, lib, pose) == ("a", want["a"])
-        low = TemplateLibrary(["d", "c"], twins, {})
+        assert classify(blob, twins, pose) == ("a", want["a"])
+        low = {name: twins[name] for name in ("d", "c")}
         assert classify(blob, low, pose) == ("c", 0.0)
 
 

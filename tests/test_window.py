@@ -93,10 +93,9 @@ def _calibration_tables(probes, material, illum, sensor, cfg):
             for cls, plist in sorted(by_class.items())}
 
 
-def _library(templates):
-    return (templates.classes, templates.offsets,
-            {cls: [(v.force_n, v.mask.shape, v.mask.tobytes()) for v in variants]
-             for cls, variants in templates.variants.items()})
+def _library(models):
+    return [(cls, m.offset, [(force, mask.shape, mask.tobytes()) for force, mask in m.variants])
+            for cls, m in models.items()]
 
 
 def _templates(probes, material, illum, sensor, cfg):
@@ -272,7 +271,7 @@ class TestCalibrationExact:
         probes = SUITES[suite]()
         windowed = _templates(probes, material, illum, SENSOR_160, decode_cfg)
         swept = build_decoder(probes, material, illum, SENSOR_160, decode_cfg)
-        assert _library(swept.templates) == windowed
+        assert _library(swept.models) == windowed
         with whole_raster_calibration():
             assert windowed == _templates(probes, material, illum, SENSOR_160, decode_cfg)
 

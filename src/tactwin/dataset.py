@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contact import ContactScenario, MaterialParams, SphereProbe
+from .contact import MAX_FORCE_N, ContactScenario, MaterialParams, SphereProbe
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
@@ -97,9 +97,10 @@ class DatasetSpec:
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; options: {sorted(SUITES)}")
         lo, hi = self.force_range
-        if not (0 <= lo < hi):
-            raise ConfigError(
-                f"force_range must satisfy 0 <= lo < hi, got {lo}:{hi}")
+        # No scenario takes more than MAX_FORCE_N; a NaN bound fails too.
+        if not (0 <= lo < hi <= MAX_FORCE_N):
+            raise ConfigError(f"force_range must satisfy 0 <= lo < hi <= "
+                              f"{MAX_FORCE_N:g}, got {lo}:{hi}")
         if self.sphere_diameters is not None:
             if not self.sphere_diameters or any(d <= 0 for d in self.sphere_diameters):
                 raise ConfigError("sphere_diameters must be positive and nonempty")

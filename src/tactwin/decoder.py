@@ -415,6 +415,48 @@ class CalibrationCurve:
         return grid, monotone_cubic(self.forces, columns, grid).T
 
 
+def _finite(value, field: str):
+    """``value`` if it is a finite number, else a TypeError naming ``field``."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"{field} must be a finite number, got {value!r}")
+    return value
+
+
+def _curve_from_json(entry: dict, field: str) -> CalibrationCurve:
+    """A curve of the model file, once its columns are lists of finite numbers
+    as long as ``forces``, which has at least two, starts at 0 and rises
+    strictly, as ``energies`` does (see ``_sweep_curve``)."""
+    columns = [entry[k] for k in _COLUMNS]
+    for k, values in zip(_COLUMNS, columns):
+        if type(values) is not list or not all(
+                type(v) in (int, float) and math.isfinite(v) for v in values):
+            raise TypeError(f"{field}.{k} must be a list of finite numbers")
+        if len(values) != len(columns[0]):
+            raise TypeError(f"{field}.{k} has {len(values)} values, "
+                            f"forces has {len(columns[0])}")
+    forces, energies, *rest = (np.array(c, dtype=float) for c in columns)
+    if len(forces) < 2:
+        raise TypeError(f"{field}.forces has {len(forces)} values, needs at least 2")
+    if forces[0] != 0 or (np.diff(forces) <= 0).any():
+        raise TypeError(f"{field}.forces must start at 0 and rise strictly")
+    if (np.diff(energies) <= 0).any():
+        raise TypeError(f"{field}.energies must rise strictly")
+    return CalibrationCurve(entry["label"], forces, energies, *rest)
+
+
+def _mask_from_json(rows, field: str) -> np.ndarray:
+    """A template mask of the model file: CANONICAL_SIZE rows of as many 0s
+    and 1s."""
+    if (type(rows) is not list or len(rows) != CANONICAL_SIZE
+            or any(type(row) is not str or len(row) != CANONICAL_SIZE for row in rows)):
+        raise TypeError(f"{field} is not {CANONICAL_SIZE} x {CANONICAL_SIZE}")
+    text = "".join(rows)
+    if not set(text) <= {"0", "1"}:
+        raise TypeError(f"{field} holds characters other than 0 and 1")
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
+        CANONICAL_SIZE, CANONICAL_SIZE) == ord("1")
+
+
 @dataclass
 class ClassModel:
     """One class of the decoder's model, field for field its entry in the
@@ -440,27 +482,20 @@ class ClassModel:
 
     @classmethod
     def from_json(cls, entry: dict, field: str) -> "ClassModel":
-        """The class of a model-file entry at ``field``. An entry without
-        curves or variants, a curve column of another length than its forces,
-        or a mask that is not CANONICAL_SIZE square is a TypeError naming the
-        field, which ``read_json`` reports as a malformed file."""
+        """The class of a model-file entry at ``field``, once it holds what
+        ``calibrate`` writes: curves and variants, each curve as
+        ``_curve_from_json`` asks, each mask as ``_mask_from_json`` asks, and
+        a finite offset and template forces. A field that breaks this is a
+        TypeError naming it, which ``read_json`` reports as a malformed file."""
         for key in ("curves", "variants"):
             if not entry[key]:
                 raise TypeError(f"{field}.{key} is empty")
-        for i, c in enumerate(entry["curves"]):
-            for k in _COLUMNS:
-                if len(c[k]) != len(c["forces"]):
-                    raise TypeError(f"{field}.curves[{i}].{k} has {len(c[k])} "
-                                    f"values, forces has {len(c['forces'])}")
-        for i, v in enumerate(entry["variants"]):
-            if (len(v["mask"]) != CANONICAL_SIZE
-                    or any(len(row) != CANONICAL_SIZE for row in v["mask"])):
-                raise TypeError(f"{field}.variants[{i}].mask is not "
-                                f"{CANONICAL_SIZE} x {CANONICAL_SIZE}")
-        return cls([CalibrationCurve(c["label"], *(np.array(c[k]) for k in _COLUMNS))
-                    for c in entry["curves"]], entry["offset"],
-                   [(v["force_n"], np.array([[ch == "1" for ch in row] for row in v["mask"]]))
-                    for v in entry["variants"]])
+        curves = [_curve_from_json(c, f"{field}.curves[{i}]")
+                  for i, c in enumerate(entry["curves"])]
+        variants = [(_finite(v["force_n"], f"{field}.variants[{i}].force_n"),
+                     _mask_from_json(v["mask"], f"{field}.variants[{i}].mask"))
+                    for i, v in enumerate(entry["variants"])]
+        return cls(curves, _finite(entry["offset"], f"{field}.offset"), variants)
 
 
 @dataclass(frozen=True)

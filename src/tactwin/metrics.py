@@ -61,7 +61,6 @@ def _greedy(iou: np.ndarray, scores, threshold: float) -> list:
     truth of highest IoU at or above the threshold, the lowest index on ties.
     Returns the (det_index, gt_index, iou) pairs in matching order.
     """
-    _check_threshold(threshold)
     free = np.where(iou >= threshold, iou, -1.0)
     pairs = []
     if free.size:
@@ -73,6 +72,13 @@ def _greedy(iou: np.ndarray, scores, threshold: float) -> list:
     return pairs
 
 
+def _matched_pairs(samples, matrices, threshold: float) -> list:
+    """Each sample's greedy pairs, given its IoU matrix (see ``_greedy``)."""
+    _check_threshold(threshold)     # also when there are no samples
+    return [_greedy(iou, [d.score for d in dets], threshold)
+            for (dets, _), iou in zip(samples, matrices)]
+
+
 def _match_result(pairs, n_dets: int, n_gts: int) -> MatchResult:
     dets, gts = {p[0] for p in pairs}, {p[1] for p in pairs}
     return MatchResult(pairs, [i for i in range(n_dets) if i not in dets],
@@ -81,9 +87,9 @@ def _match_result(pairs, n_dets: int, n_gts: int) -> MatchResult:
 
 def match_detections(dets, gts, iou_threshold: float = 0.5) -> MatchResult:
     """Greedy class-agnostic matching by descending detection score."""
-    (iou,) = _iou_matrices([(dets, gts)])
-    return _match_result(_greedy(iou, [d.score for d in dets], iou_threshold),
-                         len(dets), len(gts))
+    samples = [(dets, gts)]
+    (pairs,) = _matched_pairs(samples, _iou_matrices(samples), iou_threshold)
+    return _match_result(pairs, len(dets), len(gts))
 
 
 def mae(pred_values, gt_values, kind: str = "force"):
@@ -123,17 +129,15 @@ class PRResult:
     pr_points: tuple = ()        # (recall, precision) per ranked detection
 
 
-def _pr_result(samples, matrices, threshold: float) -> PRResult:
-    """PR/AP of samples, given their IoU matrices.
+def _pr_result(samples, pairs) -> PRResult:
+    """PR/AP of samples, given each sample's greedy pairs.
 
     Samples share no ground truths, so each is matched on its own; ranking
     every detection globally by score only orders the stream of true and
     false positives.
     """
-    _check_threshold(threshold)     # also when there are no samples
     n_gt = sum(len(gts) for _, gts in samples)
-    matched = [{di for di, _, _ in _greedy(iou, [d.score for d in dets], threshold)}
-               for (dets, _), iou in zip(samples, matrices)]
+    matched = [{di for di, _, _ in sample_pairs} for sample_pairs in pairs]
     ranked = sorted((-det.score, si, di) for si, (dets, _) in enumerate(samples)
                     for di, det in enumerate(dets))
     tp_stream = np.array([di in matched[si] for _, si, di in ranked], dtype=int)
@@ -166,7 +170,8 @@ def precision_recall_ap(samples, iou_threshold: float = 0.5) -> PRResult:
     class-agnostic summary). Detections are ranked globally by score;
     each matches the highest-IoU free ground truth of its own sample.
     """
-    return _pr_result(samples, _iou_matrices(samples), iou_threshold)
+    return _pr_result(samples, _matched_pairs(samples, _iou_matrices(samples),
+                                              iou_threshold))
 
 
 @dataclass
@@ -246,9 +251,9 @@ def evaluate_detections(per_sample, classes, iou_threshold: float = 0.5,
     """
     classes = sorted(classes)
     matrices = _iou_matrices(per_sample)
-    matches = [(dets, gts, _match_result(_greedy(iou, [d.score for d in dets], iou_threshold),
-                                         len(dets), len(gts)))
-               for (dets, gts), iou in zip(per_sample, matrices)]
+    pairs = _matched_pairs(per_sample, matrices, iou_threshold)
+    matches = [(dets, gts, _match_result(p, len(dets), len(gts)))
+               for (dets, gts), p in zip(per_sample, pairs)]
 
     def row(cls, pr: PRResult) -> dict:
         """The report row of one class (None: all) from its PR result."""
@@ -283,10 +288,10 @@ def evaluate_detections(per_sample, classes, iou_threshold: float = 0.5,
             keep_g = [i for i, g in enumerate(gts) if g.class_name == cls]
             samples.append(([dets[i] for i in keep_d], [gts[i] for i in keep_g]))
             sliced.append(iou[np.ix_(keep_d, keep_g)])
-        return _pr_result(samples, sliced, iou_threshold)
+        return _pr_result(samples, _matched_pairs(samples, sliced, iou_threshold))
 
     per_class = {cls: row(cls, pr_for(cls)) for cls in classes}
-    overall = row(None, _pr_result(per_sample, matrices, iou_threshold))
+    overall = row(None, _pr_result(per_sample, pairs))
     aps = [v["ap_at_iou"] for v in per_class.values() if v["ap_at_iou"] is not None]
     overall["ap_at_iou"] = float(np.mean(aps)) if aps else None
     confusion = confusion_matrix(matches, classes)

@@ -73,6 +73,18 @@ class TestGenerate:
         assert rc == 2
         assert "force-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("force_range", ["0:inf", "0:20"])
+    def test_force_range_above_max_force_exit_2(self, force_range, tmp_path, capsys):
+        # No scenario takes more than contact.MAX_FORCE_N: the range is
+        # rejected before any file is written.
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--count", "20",
+                   "--seed", "0", "--force-range", force_range, *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "force_range must satisfy 0 <= lo < hi <= 10" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_workers_flag_rejected_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
@@ -496,6 +508,27 @@ def edit(*keys, value=DROP, keep=None):
 drop = edit
 
 
+def change(*keys, fn):
+    """A corruption that replaces the value at ``keys`` in a JSON file by
+    ``fn`` of it."""
+    def corrupt(path: Path):
+        data = json.loads(path.read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = fn(node[keys[-1]])
+        path.write_text(json.dumps(data))
+    return corrupt
+
+
+def one_force(curve: dict) -> dict:
+    return {k: v[:1] if isinstance(v, list) else v for k, v in curve.items()}
+
+
+def swap_3_4(values: list) -> list:
+    return values[:3] + values[4:2:-1] + values[5:]
+
+
 SPHERE = ("classes", "sphere")
 
 
@@ -520,12 +553,36 @@ class TestCorruptJsonInputs:
          "classes.sphere.variants[1].mask is not 64 x 64"),
         ("model/calibration.json", edit(*SPHERE, "variants", 0, "mask", 3, value="01"),
          "classes.sphere.variants[0].mask is not 64 x 64"),
+        # What calibrate guarantees beyond the shapes: a curve has two forces
+        # or more, from 0 and rising, and finite, rising energies; a mask
+        # holds 0s and 1s; the offset and template forces are finite.
+        ("model/calibration.json", edit(*SPHERE, "curves", 0, "energies", 3,
+                                        value=float("nan")),
+         "classes.sphere.curves[0].energies must be a list of finite numbers"),
+        ("model/calibration.json", change(*SPHERE, "curves", 0, "energies", fn=swap_3_4),
+         "classes.sphere.curves[0].energies must rise strictly"),
+        ("model/calibration.json", change(*SPHERE, "curves", 0, "forces",
+                                          fn=lambda f: f[::-1]),
+         "classes.sphere.curves[0].forces must start at 0 and rise strictly"),
+        ("model/calibration.json", change(*SPHERE, "curves", 0, fn=one_force),
+         "classes.sphere.curves[0].forces has 1 values, needs at least 2"),
+        ("model/calibration.json", edit(*SPHERE, "curves", 0, "energies", value="x" * 11),
+         "classes.sphere.curves[0].energies must be a list of finite numbers"),
+        ("model/calibration.json", edit(*SPHERE, "variants", 0, "mask", 5, value="2" * 64),
+         "classes.sphere.variants[0].mask holds characters other than 0 and 1"),
+        ("model/calibration.json", edit(*SPHERE, "offset", value="x"),
+         "classes.sphere.offset must be a finite number, got 'x'"),
+        ("model/calibration.json", edit(*SPHERE, "variants", 1, "force_n",
+                                        value=float("nan")),
+         "classes.sphere.variants[1].force_n must be a finite number, got nan"),
         ("ds/manifest.json", truncate, "JSONDecodeError"),
         ("ds/manifest.json", drop("spec", "sensor"), "'sensor'"),
     ], ids=["truncated-calibration", "class-without-variants", "class-without-curves",
             "class-with-empty-curves", "class-with-empty-variants", "no-classes",
             "short-curve-column", "mask-of-10-rows", "short-mask-row",
-            "truncated-manifest", "manifest-without-sensor"])
+            "nan-energy", "swapped-energies", "reversed-forces", "one-force-curve",
+            "energies-as-string", "mask-row-of-2s", "offset-not-a-number",
+            "nan-template-force", "truncated-manifest", "manifest-without-sensor"])
     def test_decode_exit_3(self, workspace, tmp_path, capsys, victim, corrupt, named):
         for name in ("ds", "model"):
             shutil.copytree(workspace / name, tmp_path / name)

@@ -114,6 +114,10 @@ class TestGenerate:
             DatasetSpec(count=5, master_seed=1, suite="nonsense")
         with pytest.raises(ConfigError):
             DatasetSpec(count=5, master_seed=1, force_range=(5.0, 1.0))
+        for hi in (float("inf"), float("nan"), 10.5):
+            with pytest.raises(ConfigError, match="<= 10"):
+                DatasetSpec(count=5, master_seed=1, force_range=(0.0, hi))
+        assert DatasetSpec(count=5, master_seed=1, force_range=(0.0, 10.0))
         with pytest.raises(ConfigError):
             DatasetSpec(count=5, master_seed=1, sphere_diameters=(10.0, -5.0))
 

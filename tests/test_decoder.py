@@ -295,6 +295,14 @@ class TestCalibration:
                 assert back_force == force
                 assert back_mask.dtype == mask.dtype and np.array_equal(back_mask, mask)
 
+    def test_model_file_round_trips_byte_for_byte(self, roundtrip_decoder, material,
+                                                  illum, sensor, decode_cfg):
+        # The text calibrate writes, read back and written again.
+        text = json.dumps(roundtrip_decoder.to_json(), sort_keys=True)
+        back = TactileDecoder.from_json(json.loads(text), material, illum, sensor,
+                                        decode_cfg)
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+
     def test_params_hash_sensitivity(self, material, illum, sensor, cfg):
         base = params_hash(material, illum, sensor, cfg)
         assert base == params_hash(material, illum, sensor, cfg)

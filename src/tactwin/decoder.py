@@ -654,13 +654,13 @@ def _class_models(probes: list, material: MaterialParams, illum: IlluminationMod
     for probe in probes:
         by_class.setdefault(probe.class_name, []).append(probe)
     classes = sorted(by_class)
-    reference = make_reference(sensor, illum)
-    args = (material, illum, sensor, cfg, reference, CALIBRATION_FORCES)
+    args = (material, illum, sensor, cfg, make_reference(sensor, illum), CALIBRATION_FORCES)
     results = iter(run_units(
         [functools.partial(_sweep_curve, p, *args,
                            keep=TEMPLATE_FORCES if i == len(by_class[cls]) // 2 else ())
          for cls in classes for i, p in enumerate(by_class[cls])],
         fork=True))
+    del args    # the reference raster, 3.3 MB at 640 px, is freed before the templates
     sweeps = {cls: [next(results) for _ in by_class[cls]] for cls in classes}
     models = {}
     for cls, swept in sweeps.items():

@@ -15,9 +15,8 @@ from .contact import (ContactScenario, FootprintProbe, GroundTruth,
 from .dataset import DatasetSpec, generate_dataset, read_pgm, write_pgm
 from .decoder import (Blob, ClassModel, DecodeConfig, Detection,
                       TactileDecoder, build_calibration, build_decoder,
-                      build_templates, classify,
-                      difference_image, estimate_force, estimate_pose,
-                      extract_blobs)
+                      build_templates, classify, difference_image,
+                      estimate_force, estimate_pose, extract_blobs)
 from .encoding import RegionGrid, build_region_grid, csl_decode, csl_encode
 from .frames import SensorConfig
 from .geometry import (OrientedBox, angle_error, normalize_angle, rotated_iou,

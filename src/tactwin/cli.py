@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .contact import GroundTruth, MaterialParams
-from .dataset import (DatasetSpec, generate_dataset, json_line,
-                      load_sample_image, read_json, read_jsonl, read_manifest)
+from .dataset import (DatasetSpec, check_array, check_number, generate_dataset,
+                      load_sample_image, read_json, read_jsonl, read_manifest, write_json,
+                      write_jsonl)
 from .decoder import DecodeConfig, Detection, TactileDecoder, build_decoder, params_hash
 from .encoding import build_region_grid
 from .errors import (AssignmentError, CalibrationError, ConfigError,
@@ -72,50 +73,37 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _is_number_list(value) -> bool:
-    """A nonempty list of numbers or of such lists."""
-    return (type(value) is list and len(value) > 0
-            and all(type(v) in (int, float) or _is_number_list(v) for v in value))
-
-
 def _check_section(section: str, cls, values: dict):
-    """Reject a key that ``cls`` lacks or a value of the wrong kind, naming
-    ``section.key``.
-
-    Booleans are not numbers. A field whose default is an int takes an
-    integer, one whose default is None also takes null, and one whose
-    default is made by a factory takes a list of numbers.
-    """
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    """Reject a key that ``cls`` lacks or a bad value, naming ``section.key``.
+    Numbers must be finite, and integers where the default is an int; a None
+    default also takes null, and a factory's a list of its default's shape."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in values.items():
-        if key not in defaults:
+        if key not in fields:
             raise ConfigError(f"unknown config key {section}.{key}")
-        default = defaults[key]
-        if isinstance(default, int):
-            kind, ok = "an integer", type(value) is int
-        elif isinstance(default, float):
-            kind, ok = "a number", type(value) in (int, float)
-        elif default is None:
-            kind, ok = "a number or null", value is None or type(value) in (int, float)
-        else:
-            kind, ok = "a nonempty list of numbers", _is_number_list(value)
-        if not ok:
-            raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+        default, name = fields[key].default, f"{section}.{key}"
+        try:
+            if default is dataclasses.MISSING:
+                check_array(value, name, (None, *np.shape(fields[key].default_factory())[1:]))
+            elif value is not None or default is not None:
+                check_number(value, name, integer=isinstance(default, int))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _build_params(cfg: dict, args=None) -> tuple:
+    """The four sections of ``cfg``, each value checked, with the flags of
+    ``args`` merged in, each checked as the key it sets."""
+    sections = {section: dict(cfg.get(section, {})) for section in _SECTIONS}
     for section, cls in _SECTIONS.items():
-        _check_section(section, cls, cfg.get(section, {}))
-    sensor_kw = dict(cfg.get("sensor", {}))
-    if getattr(args, "size", None) is not None:
-        sensor_kw["input_size"] = args.size
-    if getattr(args, "scale", None) is not None:
-        sensor_kw["scale_mm_per_px"] = args.scale
-    decode_kw = dict(cfg.get("decode", {}))
-    if getattr(args, "noise", None) is not None:
-        decode_kw["noise_sigma"] = args.noise
-    return (SensorConfig(**sensor_kw), MaterialParams(**cfg.get("material", {})),
-            IlluminationModel(**cfg.get("illumination", {})), DecodeConfig(**decode_kw))
+        _check_section(section, cls, sections[section])
+    for section, key, flag in (("sensor", "input_size", "size"),
+                               ("sensor", "scale_mm_per_px", "scale"),
+                               ("decode", "noise_sigma", "noise")):
+        if getattr(args, flag, None) is not None:
+            _check_section(section, _SECTIONS[section], {key: getattr(args, flag)})
+            sections[section][key] = getattr(args, flag)
+    return tuple(cls(**sections[section]) for section, cls in _SECTIONS.items())
 
 
 def _manifest_config(spec: dict, cfg: dict | None = None, noise=None) -> dict:
@@ -131,22 +119,18 @@ def _manifest_config(spec: dict, cfg: dict | None = None, noise=None) -> dict:
 
 
 def _parse_force_range(spec: str) -> tuple:
+    """``--force-range LO:HI`` as two floats; ``DatasetSpec`` checks them."""
     try:
         lo, hi = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(
             f"force-range must look like LO:HI, got {spec!r}") from exc
-    if not (0 <= lo < hi):
-        raise ConfigError(
-            f"force-range must satisfy 0 <= lo < hi, got {spec!r}")
     return lo, hi
 
 
 def _echo_config(out_dir: Path, payload: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "run_config.json", payload)
 
 
 def _log(out_dir: Path, message: str):
@@ -187,23 +171,10 @@ def cmd_calibrate(args) -> int:
     })
     decoder = build_decoder(SUITES[args.suite](), material, illum, sensor,
                             decode_cfg)
-    with open(out / "calibration.json", "w") as fh:
-        json.dump(decoder.to_json(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "calibration.json", decoder.to_json(), indent=None)
     _log(out, f"calibrate suite={args.suite}")
     print(f"calibrated {list(decoder.models)} -> {out}")
     return EXIT_OK
-
-
-def _number(row: dict, key: str, positive: bool = False) -> float:
-    value = row[key]
-    if type(value) not in (int, float):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ValueError(f"{key} must be {'positive' if positive else 'finite'}, "
-                         f"got {value!r}")
-    return value
 
 
 def _parse_row(row, scored: bool):
@@ -215,12 +186,13 @@ def _parse_row(row, scored: bool):
         raise ValueError(f"split must be one of {_SPLITS}, got {row['split']!r}")
     if not isinstance(row["class"], str):
         raise TypeError(f"class must be a string, got {row['class']!r}")
-    theta = _number(row, "theta_deg")
-    box = OrientedBox(_number(row, "cx_mm"), _number(row, "cy_mm"),
-                      _number(row, "w_mm", positive=True),
-                      _number(row, "h_mm", positive=True), theta)
-    fields = (box, row["class"], theta, _number(row, "force_n"))
-    return Detection(*fields, _number(row, "score")) if scored else GroundTruth(*fields)
+    cx, cy, w, h, theta, force = (
+        float(check_number(row[key], key, positive=key in ("w_mm", "h_mm")))
+        for key in ("cx_mm", "cy_mm", "w_mm", "h_mm", "theta_deg", "force_n"))
+    fields = (OrientedBox(cx, cy, w, h, theta), row["class"], theta, force)
+    if scored:
+        return Detection(*fields, float(check_number(row["score"], "score")))
+    return GroundTruth(*fields)
 
 
 def _read_rows(path, scored: bool) -> list:
@@ -231,7 +203,7 @@ def _read_rows(path, scored: bool) -> list:
     for lineno, row in read_jsonl(path):
         try:
             rows.append((row, _parse_row(row, scored)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             kind = "detection" if scored else "annotation"
             raise IOError(f"{path}:{lineno}: bad {kind} row: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -267,15 +239,9 @@ def cmd_decode(args) -> int:
     # raster size measured, 128 px included.
     per_image = run_units([functools.partial(_decode_row, decoder, dataset, ann)
                            for ann, _ in annotations])
-    lines = []
-    for (ann, _), detections in zip(annotations, per_image):
-        for det in detections:
-            row = {"index": ann["index"], "split": ann["split"]}
-            row.update(det.to_json_dict())
-            lines.append(row)
-    with open(out / "detections.jsonl", "w") as fh:
-        for row in lines:
-            fh.write(json_line(row) + "\n")
+    lines = [{"index": ann["index"], "split": ann["split"], **det.to_json_dict()}
+             for (ann, _), detections in zip(annotations, per_image) for det in detections]
+    write_jsonl(out / "detections.jsonl", lines)
     _log(out, f"decode n={len(annotations)} split={args.split}")
     print(f"decoded {len(annotations)} images -> {len(lines)} detections")
     return EXIT_OK
@@ -303,8 +269,7 @@ def cmd_eval(args) -> int:
                        "detections": str(args.detections), "iou": args.iou,
                        "split": args.split})
     _log(out, f"eval n={len(per_sample)}")
-    with open(txt_path) as fh:
-        print(fh.read())
+    print(txt_path.read_text())
     return EXIT_OK
 
 
@@ -331,6 +296,9 @@ def cmd_train_toy(args) -> int:
     train_f, train_g, _ = collect("train")
     val_f, _, val_forces = collect("val")
     init = ToyHead.load(args.resume) if args.resume else None
+    if init is not None and init.classes != classes:
+        raise IOError(f"{args.resume}: classes must be the dataset's {classes}, "
+                      f"got {init.classes}")
     result = fit_toy_head(train_f, train_g, grid, sensor.scale_mm_per_px,
                           classes, learning_rate=args.lr, epochs=args.epochs,
                           init_head=init)

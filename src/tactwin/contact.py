@@ -37,6 +37,16 @@ from .geometry import OrientedBox, normalize_angle
 MAX_FORCE_N = 10.0
 
 
+def check_force_range(force_range) -> tuple:
+    """``(lo, hi)`` if every load between them is one a scenario takes; else,
+    also for a NaN bound, a ConfigError."""
+    lo, hi = force_range
+    if not (0 <= lo < hi <= MAX_FORCE_N):
+        raise ConfigError(f"force_range must satisfy 0 <= lo < hi <= {MAX_FORCE_N:g} "
+                          f"(generate's --force-range LO:HI), got {lo}:{hi}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Elastic layer parameters.

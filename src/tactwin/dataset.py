@@ -12,13 +12,14 @@ the output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .contact import MAX_FORCE_N, ContactScenario, MaterialParams, SphereProbe
+from .contact import ContactScenario, MaterialParams, SphereProbe, check_force_range
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
@@ -67,10 +68,6 @@ def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
     return TactileImage(np.divide(raw, PGM_MAXVAL, dtype=float), scale_mm_per_px)
 
 
-def json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Generation recipe: sampling distribution, size, and parameters.
@@ -96,11 +93,7 @@ class DatasetSpec:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; options: {sorted(SUITES)}")
-        lo, hi = self.force_range
-        # No scenario takes more than MAX_FORCE_N; a NaN bound fails too.
-        if not (0 <= lo < hi <= MAX_FORCE_N):
-            raise ConfigError(f"force_range must satisfy 0 <= lo < hi <= "
-                              f"{MAX_FORCE_N:g}, got {lo}:{hi}")
+        check_force_range(self.force_range)
         if self.sphere_diameters is not None:
             if not self.sphere_diameters or any(d <= 0 for d in self.sphere_diameters):
                 raise ConfigError("sphere_diameters must be positive and nonempty")
@@ -188,10 +181,7 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
     annotations = run_units([partial(_write_sample, spec, i, splits[i], out) for i in indices],
                             workers, fork)
 
-    with open(out / "annotations.jsonl", "w") as fh:
-        for ann in annotations:
-            fh.write(json_line(ann) + "\n")
-
+    write_jsonl(out / "annotations.jsonl", annotations)
     manifest = {
         "schema_version": 1,
         "spec": spec.params(),
@@ -203,10 +193,15 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
         "classes": sorted({ann["class"] for ann in annotations}),
         "annotations": "annotations.jsonl",
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def write_jsonl(path, rows) -> None:
+    """Write each of ``rows`` as one line of compact JSON with sorted keys."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+                      for row in rows)
 
 
 def read_jsonl(path) -> list[tuple[int, object]]:
@@ -239,6 +234,43 @@ def read_json(path, parse):
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
             TypeError, AttributeError) as exc:
         raise IOError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_json(path, value, indent: int | None = 2) -> None:
+    """Write ``value`` as JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
+def _fits(value, shape: tuple) -> bool:
+    """For ``shape`` (), an int or float (not a bool) in a float's finite range;
+    else a list of ``shape[0]`` values (None: any number) that fit ``shape[1:]``."""
+    if not shape:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return (type(value) is list and shape[0] in (None, len(value))
+            and all(_fits(v, shape[1:]) for v in value))
+
+
+def check_number(value, field: str, integer: bool = False, positive: bool = False):
+    """``value`` if it is a finite number (see ``_fits``), an int if
+    ``integer`` and above 0 if ``positive``; else a TypeError naming ``field``."""
+    if not (_fits(value, ()) and (type(value) is int or not integer)
+            and (value > 0 or not positive)):
+        kind = f"{'a positive' if positive else 'a finite'} {'integer' if integer else 'number'}"
+        raise TypeError(f"{field} must be {kind}, got {value!r}")
+    return value
+
+
+def check_array(value, field: str, shape: tuple = (None,)) -> np.ndarray:
+    """``value`` as a float array if it is nested lists of finite numbers that
+    fit ``shape``, whose first length may be None for any (see ``_fits``);
+    else a TypeError naming ``field``."""
+    if not _fits(value, shape):
+        dims = "" if shape == (None,) else " of shape " + " x ".join(
+            "n" if n is None else str(n) for n in shape)
+        raise TypeError(f"{field} must be a list of finite numbers{dims}")
+    return np.array(value, dtype=float)
 
 
 def _checked_manifest(manifest: dict) -> dict:

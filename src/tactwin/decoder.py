@@ -45,6 +45,7 @@ import numpy as np
 from scipy import ndimage
 
 from .contact import ContactScenario, MaterialParams, ground_truth, punch_profile_memo
+from .dataset import check_array, check_number
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
@@ -415,33 +416,23 @@ class CalibrationCurve:
         return grid, monotone_cubic(self.forces, columns, grid).T
 
 
-def _finite(value, field: str):
-    """``value`` if it is a finite number, else a TypeError naming ``field``."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"{field} must be a finite number, got {value!r}")
-    return value
-
-
 def _curve_from_json(entry: dict, field: str) -> CalibrationCurve:
     """A curve of the model file, once its columns are lists of finite numbers
     as long as ``forces``, which has at least two, starts at 0 and rises
     strictly, as ``energies`` does (see ``_sweep_curve``)."""
-    columns = [entry[k] for k in _COLUMNS]
-    for k, values in zip(_COLUMNS, columns):
-        if type(values) is not list or not all(
-                type(v) in (int, float) and math.isfinite(v) for v in values):
-            raise TypeError(f"{field}.{k} must be a list of finite numbers")
-        if len(values) != len(columns[0]):
-            raise TypeError(f"{field}.{k} has {len(values)} values, "
-                            f"forces has {len(columns[0])}")
-    forces, energies, *rest = (np.array(c, dtype=float) for c in columns)
+    columns = [check_array(entry[k], f"{field}.{k}") for k in _COLUMNS]
+    forces, energies = columns[:2]
+    for k, column in zip(_COLUMNS, columns):
+        if len(column) != len(forces):
+            raise TypeError(f"{field}.{k} has {len(column)} values, "
+                            f"forces has {len(forces)}")
     if len(forces) < 2:
         raise TypeError(f"{field}.forces has {len(forces)} values, needs at least 2")
     if forces[0] != 0 or (np.diff(forces) <= 0).any():
         raise TypeError(f"{field}.forces must start at 0 and rise strictly")
     if (np.diff(energies) <= 0).any():
         raise TypeError(f"{field}.energies must rise strictly")
-    return CalibrationCurve(entry["label"], forces, energies, *rest)
+    return CalibrationCurve(entry["label"], *columns)
 
 
 def _mask_from_json(rows, field: str) -> np.ndarray:
@@ -492,10 +483,10 @@ class ClassModel:
                 raise TypeError(f"{field}.{key} is empty")
         curves = [_curve_from_json(c, f"{field}.curves[{i}]")
                   for i, c in enumerate(entry["curves"])]
-        variants = [(_finite(v["force_n"], f"{field}.variants[{i}].force_n"),
+        variants = [(check_number(v["force_n"], f"{field}.variants[{i}].force_n"),
                      _mask_from_json(v["mask"], f"{field}.variants[{i}].mask"))
                     for i, v in enumerate(entry["variants"])]
-        return cls(curves, _finite(entry["offset"], f"{field}.offset"), variants)
+        return cls(curves, check_number(entry["offset"], f"{field}.offset"), variants)
 
 
 @dataclass(frozen=True)

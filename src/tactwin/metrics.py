@@ -8,13 +8,13 @@ uses all-point interpolation of the precision envelope. Undefined metrics
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_json
 from .errors import ConfigError
 # rotated_iou is not called here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py asserts that the benchmark's
@@ -333,11 +333,8 @@ def write_report(report: MetricsReport, base_path) -> tuple:
     json_path = base.with_suffix(".json")
     txt_path = base.with_suffix(".txt")
     try:
-        with open(json_path, "w") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(txt_path, "w") as fh:
-            fh.write(format_report_table(report))
+        write_json(json_path, report.to_json())
+        txt_path.write_text(format_report_table(report))
     except OSError as exc:
         raise IOError(f"cannot write report to {base}: {exc}") from exc
     return json_path, txt_path

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .contact import ContactScenario, FootprintProbe, Probe, SphereProbe
+from .contact import ContactScenario, FootprintProbe, Probe, SphereProbe, check_force_range
 from .errors import ConfigError
 from .frames import SensorConfig
 
@@ -127,9 +127,7 @@ def sample_scenario(rng: np.random.Generator, probes: list[Probe],
     """
     if not probes:
         raise ConfigError("probe library is empty")
-    lo, hi = force_range
-    if not (0 <= lo < hi):
-        raise ConfigError(f"force range must satisfy 0 <= lo < hi, got {lo}:{hi}")
+    lo, hi = check_force_range(force_range)
     probe = probes[int(rng.integers(len(probes)))]
     force = float(rng.uniform(lo, hi))
     span = max(sensor.extent_mm / 2.0 - probe.reach_mm(hi, e_star) - edge_margin_mm, 0.0)

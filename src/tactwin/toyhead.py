@@ -9,7 +9,6 @@ is trained by full-batch gradient descent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from scipy import ndimage
 
 from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_grad,
                          positive_targets, simota_assign)
-from .dataset import read_json
+from .dataset import check_array, read_json, write_json
 from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid
 from .errors import ConfigError
 from .render import TactileImage
@@ -163,25 +162,29 @@ class ToyHead:
 
     @classmethod
     def from_json(cls, data: dict) -> "ToyHead":
-        # Heads train under the fixed angle label; refuse one recorded
-        # otherwise, or a head of another version.
+        """The head of a head file, once it has this version, the fixed angle
+        label, class names, and finite arrays that fit FEATURE_DIM and the
+        class count; else a TypeError naming the field (see ``read_json``)."""
         for key, value in (("version", HEAD_VERSION),
                            ("window_radius", DEFAULT_WINDOW_RADIUS),
                            ("sigma", DEFAULT_SIGMA)):
             if data[key] != value:
                 raise TypeError(f"{key} must be {value!r}, got {data[key]!r}")
+        classes = data["classes"]
+        if type(classes) is not list or not all(type(c) is str for c in classes):
+            raise TypeError(f"classes must be a list of strings, got {classes!r}")
+        d_total = 7 + len(classes) + CSL_BINS
         return cls(
-            classes=list(data["classes"]),
-            feature_mean=np.array(data["feature_mean"]),
-            feature_transform=np.array(data["feature_transform"]),
-            weights=np.array(data["weights"]),
-            bias=np.array(data["bias"]),
+            classes=classes,
+            feature_mean=check_array(data["feature_mean"], "feature_mean", (FEATURE_DIM,)),
+            feature_transform=check_array(data["feature_transform"], "feature_transform",
+                                          (FEATURE_DIM, FEATURE_DIM)),
+            weights=check_array(data["weights"], "weights", (FEATURE_DIM, d_total)),
+            bias=check_array(data["bias"], "bias", (d_total,)),
         )
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "ToyHead":

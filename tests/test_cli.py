@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -13,15 +14,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tactwin import cli, dataset, decoder, runner
 from tactwin.cli import main
-from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes
+from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes, read_json
+from tactwin.encoding import CSL_BINS
 from tactwin.errors import ScenarioError
 from tactwin.frames import SensorConfig
 from tactwin.render import TactileImage
+from tactwin.toyhead import FEATURE_DIM, ToyHead
 
 SMALL = ["--size", "128", "--scale", "0.25"]
 
@@ -47,6 +50,15 @@ def workspace(tmp_path_factory):
                "--noise", "0.02", *SMALL])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def head_file(workspace, tmp_path_factory):
+    """A head.json that train-toy wrote for the workspace's dataset."""
+    out = tmp_path_factory.mktemp("head")
+    assert main(["train-toy", "--dataset", str(workspace / "ds"), "--out", str(out),
+                 "--epochs", "1"]) == 0
+    return out / "head.json"
 
 
 class TestGenerate:
@@ -175,6 +187,14 @@ class TestGenerate:
         ('{"decode": {"rotation_step_deg": 10.0}}', "decode.rotation_step_deg"),
         ('{"decode": {"template_forces": [2.0, 6.0]}}', "decode.template_forces"),
         ('{"illumination": {"n_lights": 12}}', "illumination.n_lights"),
+        # Non-finite numbers, in the config file or in a flag, which is
+        # checked as the key it sets.
+        ('{"sensor": {"scale_mm_per_px": Infinity}}', "sensor.scale_mm_per_px"),
+        (["--scale", "inf"], "sensor.scale_mm_per_px"),
+        ('{"material": {"e_star": Infinity}}', "material.e_star"),
+        ('{"illumination": {"light_dirs": [[NaN, 0, 1]]}}', "illumination.light_dirs"),
+        (["--noise", "inf"], "decode.noise_sigma"),
+        ('{"decode": {"threshold": NaN}}', "decode.threshold"),
     ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
             "template-forces-number", "threshold-string", "e-star-bool", "e-star-string",
             "merge-dist-bool", "scale-string", "ambient-null", "light-dirs-bool",
@@ -183,15 +203,24 @@ class TestGenerate:
             "noise-sigma-negative", "rotation-step-zero", "canonical-pad-negative",
             "low-eccentricity-negative", "merge-dist-fixed", "low-eccentricity-fixed",
             "canonical-size-fixed", "canonical-pad-fixed", "rotation-step-fixed",
-            "template-forces-fixed", "n-lights-removed"])
+            "template-forces-fixed", "n-lights-removed", "scale-infinity",
+            "scale-flag-inf", "e-star-infinity", "light-dirs-nan", "noise-flag-inf",
+            "threshold-nan"])
     def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
+        # ``text`` is the config file's text, or a list of flags given after
+        # SMALL's.
         cfg = tmp_path / "bad.json"
-        cfg.write_text(text)
+        if isinstance(text, list):
+            flags = text
+        else:
+            cfg.write_text(text)
+            flags = ["--config", str(cfg)]
         rc = main(["calibrate", "--out", str(tmp_path / "x"), "--suite", "spheres",
-                   "--config", str(cfg), *SMALL])
+                   *SMALL, *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestPipeline:
@@ -611,6 +640,117 @@ class TestCorruptJsonInputs:
         assert rc == 3
         assert str(manifest) in err and f"spec.{key}" in err
         assert "Traceback" not in err
+
+    # A head whose arrays do not fit FEATURE_DIM and its class count, whose
+    # classes are not the dataset's, or that holds a non-finite value is a
+    # file fault: exit 3 naming the file and the field, before any output.
+    @pytest.mark.parametrize("corrupt, named", [
+        (edit("weights", keep=10), "weights"),
+        (edit("bias", keep=100), "bias"),
+        (edit("feature_mean", keep=10), "feature_mean"),
+        (edit("classes", value=["cube"]), "classes"),
+        (edit("classes", value=[7]), "classes"),
+        (edit("weights", value="x" * 20), "weights"),
+        (change("feature_transform", 3, fn=lambda row: row[:-1]), "feature_transform"),
+        (edit("bias", 4, value=float("nan")), "bias"),
+    ], ids=["short-weights", "short-bias", "short-feature-mean", "other-classes",
+            "class-not-a-string", "weights-as-string", "ragged-feature-transform",
+            "nan-bias"])
+    def test_resume_head_exit_3(self, workspace, head_file, tmp_path, capsys,
+                                corrupt, named):
+        head = tmp_path / "head.json"
+        shutil.copy(head_file, head)
+        corrupt(head)
+        rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "1",
+                   "--resume", str(head)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(head) in err and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "toy").exists()
+
+    @staticmethod
+    def valid_decoder(model):
+        """The invariants ``calibrate`` guarantees of a decoder's model."""
+        assert isinstance(model, decoder.TactileDecoder) and model.models
+        for cls in model.models.values():
+            assert cls.curves and cls.variants and np.isfinite(cls.offset)
+            for curve in cls.curves:
+                columns = np.array([getattr(curve, k) for k in decoder._COLUMNS])
+                assert np.isfinite(columns).all() and columns.shape[1] >= 2
+                assert curve.forces[0] == 0 and (np.diff(columns[:2]) > 0).all()
+            for force, mask in cls.variants:
+                assert np.isfinite(force) and mask.shape == (64, 64)
+
+    @staticmethod
+    def valid_head(head):
+        """The invariants ``train-toy`` guarantees of a head."""
+        assert isinstance(head, ToyHead)
+        assert all(type(c) is str for c in head.classes)
+        d_total = 7 + len(head.classes) + CSL_BINS
+        for array, shape in ((head.feature_mean, (FEATURE_DIM,)),
+                             (head.feature_transform, (FEATURE_DIM, FEATURE_DIM)),
+                             (head.weights, (FEATURE_DIM, d_total)), (head.bias, (d_total,))):
+            assert array.shape == shape and np.isfinite(array).all()
+
+    @staticmethod
+    def draw_field(data, doc: dict, skip=()):
+        """A field of ``doc`` as (its container, its key): from the top, each
+        step takes a random child and at random goes on into it while it
+        holds more fields."""
+        node, keys = doc, [k for k in doc if k not in skip]
+        while True:
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+                return node, key
+            node, keys = child, list(child) if isinstance(child, dict) else list(range(len(child)))
+
+    # The model file's schema version and parameter hash are left alone: a
+    # model of another version or hash is stale (exit 4), not malformed.
+    @pytest.mark.parametrize("which", ["calibration", "head"])
+    @given(data=st.data(),
+           how=st.sampled_from(["drop", "truncate", "reorder", "retype", "nan", "reshape"]))
+    @settings(max_examples=80, deadline=None)
+    def test_fuzzed_model_file_loads_or_names_the_file(
+            self, which, data, how, roundtrip_decoder, head_file, sensor, material,
+            illum, decode_cfg):
+        if which == "calibration":
+            doc = roundtrip_decoder.to_json()
+            node, key = self.draw_field(data, doc, skip=("schema_version", "params_hash"))
+        else:
+            doc = json.loads(head_file.read_text())
+            node, key = self.draw_field(data, doc)
+        value = node[key]
+        if how == "drop":
+            del node[key]
+        elif how == "truncate":
+            assume(isinstance(value, (list, str, dict)) and value)
+            cut = data.draw(st.integers(0, len(value) - 1))
+            node[key] = dict(list(value.items())[:cut]) if isinstance(value, dict) else value[:cut]
+        elif how == "reorder":
+            assume(isinstance(value, (list, str, dict)) and len(value) > 1)
+            node[key] = dict(reversed(value.items())) if isinstance(value, dict) else value[::-1]
+        elif how == "retype":
+            node[key] = data.draw(TestMalformedInputs.JSON.filter(
+                lambda v: type(v) is not type(value)))
+        elif how == "nan":
+            node[key] = float("nan")
+        else:   # one level deeper, or a list one item longer
+            node[key] = value + value[-1:] if isinstance(value, list) and value else [value]
+        loader = (functools.partial(decoder.TactileDecoder.from_json, material=material,
+                                    illum=illum, sensor=sensor, cfg=decode_cfg)
+                  if which == "calibration" else ToyHead.from_json)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{which}.json"
+            path.write_text(json.dumps(doc))
+            try:
+                model = read_json(path, loader)
+            except IOError as exc:
+                assert str(path) in str(exc)
+                return
+        (self.valid_decoder if which == "calibration" else self.valid_head)(model)
 
     def test_truncated_resume_head_exit_3(self, workspace, tmp_path, capsys):
         rc = main(["train-toy", "--dataset", str(workspace / "ds"),

@@ -15,7 +15,8 @@ from tactwin.render import (IlluminationModel, baseline_intensity,
                             make_reference, render, resolution_sweep,
                             ring_lights, simulate)
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, footprint_probes,
-                            sample_scenario, stencil_circle, stencil_strip)
+                            roundtrip_probes, sample_scenario, stencil_circle,
+                            stencil_strip)
 
 from oracle import SENSOR_160, frozen_height_field, frozen_pixel_centers_mm
 
@@ -234,6 +235,17 @@ class TestProbeInterface:
             sc = sample_scenario(rng, [probe], SENSOR_160, material.e_star,
                                  edge_margin_mm=0)
             height_field(sc, material, SENSOR_160)
+
+    def test_force_range_above_max_force_rejected_before_a_draw(self, material):
+        # DatasetSpec and sample_scenario share one force-range rule, so a
+        # range past MAX_FORCE_N fails before the first draw, not at the
+        # first draw that exceeds it.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="force_range must satisfy 0 <= lo < hi <= 10"):
+            sample_scenario(rng, roundtrip_probes(), SensorConfig(), material.e_star,
+                            force_range=(0.0, 20.0))
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("probe", _unique_probes(), ids=lambda p: p.label)
     def test_band_contrast_matches_frozen_oracle(self, probe, material, illum, sensor):

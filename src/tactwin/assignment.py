@@ -104,7 +104,7 @@ class PredictionField:
         if indices is None:
             indices = np.arange(self.grid.n_cells)
         indices = np.asarray(indices)
-        centers = self.grid.centers_mm(self.scale_mm_per_px)[indices]
+        centers = self.grid.centers_mm(self.scale_mm_per_px, indices)
         s_mm = self.grid.strides_mm(self.scale_mm_per_px)[indices]
         return _decode_raw(self.box_raw[indices], centers, s_mm)
 
@@ -160,8 +160,7 @@ def simota_assign(preds: PredictionField, gts, classes,
     centers = preds.grid.centers_mm(preds.scale_mm_per_px)
     strides_mm = preds.grid.strides_mm(preds.scale_mm_per_px)
 
-    per_gt_order = []   # candidate cells in cost order, per gt
-    selections = []     # (gt index, cell, cost)
+    cands, k_idxs = [], []
     for gi, gt in enumerate(gts):
         inside = points_in_box(centers, gt.box)
         near = ((np.abs(centers[:, 0] - gt.box.cx) <= center_radius * strides_mm)
@@ -170,10 +169,17 @@ def simota_assign(preds: PredictionField, gts, classes,
         if cand.size == 0:
             raise AssignmentError(
                 f"ground truth {gi} ({gt.class_name}) has no candidate cells")
-        boxes = preds.decode_box_params(cand)
-        gt_arr = np.tile(gt.box.as_array(), (cand.size, 1))
-        ious = rotated_iou_pairs(boxes, gt_arr)
-        k_idx = _class_index(gt.class_name, classes)
+        cands.append(cand)
+        k_idxs.append(_class_index(gt.class_name, classes))
+    # One IoU call over every ground truth's candidates; its rows are independent.
+    sizes = [cand.size for cand in cands]
+    gt_boxes = np.repeat([gt.box.as_array() for gt in gts], sizes, axis=0)
+    all_ious = np.split(rotated_iou_pairs(preds.decode_box_params(np.concatenate(cands)),
+                                          gt_boxes), np.cumsum(sizes)[:-1])
+
+    per_gt_order = []   # candidate cells in cost order, per gt
+    selections = []     # (gt index, cell, cost)
+    for gi, (cand, ious, k_idx) in enumerate(zip(cands, all_ious, k_idxs)):
         onehot = np.zeros(preds.n_classes)
         onehot[k_idx] = 1.0
         cls_cost = bce(preds.cls[cand], onehot[None, :]).sum(axis=1)
@@ -261,7 +267,7 @@ def positive_targets(preds: PredictionField, gts, assignment: Assignment, classe
     cells = np.nonzero(assignment.cell_to_gt >= 0)[0]
     gt_of = assignment.cell_to_gt[cells]
     return Positives(cells,
-                     preds.grid.centers_mm(preds.scale_mm_per_px)[cells],
+                     preds.grid.centers_mm(preds.scale_mm_per_px, cells),
                      preds.grid.strides_mm(preds.scale_mm_per_px)[cells],
                      cls_t[gt_of], csl_t[gt_of], force_t[gt_of], boxes_t[gt_of])
 

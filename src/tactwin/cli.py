@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import json
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import GroundTruth, MaterialParams
-from .dataset import (DatasetSpec, check_array, check_number, generate_dataset,
+from .dataset import (DatasetSpec, check_fields, check_number, generate_dataset,
                       load_sample_image, read_json, read_jsonl, read_manifest, write_json,
                       write_jsonl)
 from .decoder import DecodeConfig, Detection, TactileDecoder, build_decoder, params_hash
@@ -73,36 +72,21 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_section(section: str, cls, values: dict):
-    """Reject a key that ``cls`` lacks or a bad value, naming ``section.key``.
-    Numbers must be finite, and integers where the default is an int; a None
-    default also takes null, and a factory's a list of its default's shape."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in values.items():
-        if key not in fields:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        default, name = fields[key].default, f"{section}.{key}"
-        try:
-            if default is dataclasses.MISSING:
-                check_array(value, name, (None, *np.shape(fields[key].default_factory())[1:]))
-            elif value is not None or default is not None:
-                check_number(value, name, integer=isinstance(default, int))
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
 def _build_params(cfg: dict, args=None) -> tuple:
     """The four sections of ``cfg``, each value checked, with the flags of
     ``args`` merged in, each checked as the key it sets."""
     sections = {section: dict(cfg.get(section, {})) for section in _SECTIONS}
-    for section, cls in _SECTIONS.items():
-        _check_section(section, cls, sections[section])
-    for section, key, flag in (("sensor", "input_size", "size"),
-                               ("sensor", "scale_mm_per_px", "scale"),
-                               ("decode", "noise_sigma", "noise")):
-        if getattr(args, flag, None) is not None:
-            _check_section(section, _SECTIONS[section], {key: getattr(args, flag)})
-            sections[section][key] = getattr(args, flag)
+    try:
+        for section, cls in _SECTIONS.items():
+            check_fields(sections[section], cls, section)
+        for section, key, flag in (("sensor", "input_size", "size"),
+                                   ("sensor", "scale_mm_per_px", "scale"),
+                                   ("decode", "noise_sigma", "noise")):
+            if getattr(args, flag, None) is not None:
+                check_fields({key: getattr(args, flag)}, _SECTIONS[section], section)
+                sections[section][key] = getattr(args, flag)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
     return tuple(cls(**sections[section]) for section, cls in _SECTIONS.items())
 
 
@@ -281,6 +265,10 @@ def cmd_train_toy(args) -> int:
     reference = make_reference(sensor, illum)
     annotations = _read_annotations(dataset)
     classes = manifest["classes"]
+    missing = sorted({gt.class_name for _, gt in annotations} - set(classes))
+    if missing:
+        raise IOError(f"{dataset / 'manifest.json'}: classes must hold every "
+                      f"annotation's class, and lacks {missing}")
 
     def collect(split):
         feats, gts, forces = [], [], []

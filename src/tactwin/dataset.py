@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -273,14 +273,40 @@ def check_array(value, field: str, shape: tuple = (None,)) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def check_names(value, field: str) -> list:
+    """``value`` if it is a list of strings, else a TypeError naming ``field``."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise TypeError(f"{field} must be a list of strings, got {value!r}")
+    return value
+
+
+def check_fields(values, cls, name: str) -> dict:
+    """``values`` if it is a JSON object of fields of the dataclass ``cls``,
+    each fitting its default: a finite number, an integer where the default
+    is an int, also null where it is None, and for a factory a list of its
+    default's shape; else a TypeError naming ``name`` or ``name.key``."""
+    if not isinstance(values, dict):
+        raise TypeError(f"{name} must be a JSON object, got {values!r}")
+    known = {f.name: f for f in fields(cls)}
+    for key, value in values.items():
+        if key not in known:
+            raise TypeError(f"unknown key {name}.{key}")
+        default, field = known[key].default, f"{name}.{key}"
+        if default is MISSING:
+            check_array(value, field, (None, *np.shape(known[key].default_factory())[1:]))
+        elif value is not None or default is not None:
+            check_number(value, field, integer=isinstance(default, int))
+    return values
+
+
 def _checked_manifest(manifest: dict) -> dict:
     """The manifest, once it has every field that readers of the dataset use."""
     spec = manifest["spec"]   # a KeyError names the missing field
-    for key in ("sensor", "material", "illumination"):
-        if not isinstance(spec[key], dict):
-            raise TypeError(f"spec.{key} must be a JSON object, got {spec[key]!r}")
-    spec["noise_sigma"]
-    manifest["classes"]
+    for key, cls in (("sensor", SensorConfig), ("material", MaterialParams),
+                     ("illumination", IlluminationModel)):
+        check_fields(spec[key], cls, f"spec.{key}")
+    check_number(spec["noise_sigma"], "spec.noise_sigma")
+    check_names(manifest["classes"], "classes")
     return manifest
 
 

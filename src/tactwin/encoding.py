@@ -69,9 +69,10 @@ class RegionGrid:
     def n_cells(self) -> int:
         return self.level.shape[0]
 
-    def centers_mm(self, scale_mm_per_px: float) -> np.ndarray:
-        """All cell centers in the physical frame (origin at image center), (n, 2)."""
-        x, y = px_to_mm(self.center_x_px - 0.5, self.center_y_px - 0.5,
+    def centers_mm(self, scale_mm_per_px: float, cells=slice(None)) -> np.ndarray:
+        """Centers of the indexed cells (default all) in the physical frame
+        (origin at image center), (n, 2)."""
+        x, y = px_to_mm(self.center_x_px[cells] - 0.5, self.center_y_px[cells] - 0.5,
                         scale_mm_per_px, self.input_size * scale_mm_per_px)
         return np.stack([x, y], axis=1)
 

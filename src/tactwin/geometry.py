@@ -109,54 +109,61 @@ def _corner_planes(boxes: np.ndarray) -> tuple:
 
 
 def _padded_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Shoelace areas of (N, 16) vertex planes padded with their last vertex."""
-    rx = np.concatenate([x[:, 1:], x[:, :1]], axis=1)
-    ry = np.concatenate([y[:, 1:], y[:, :1]], axis=1)
-    return np.maximum(0.5 * np.sum(x * ry - rx * y, axis=1), 0.0)
+    """Shoelace areas of (N, w <= 16) vertex planes padded with their last
+    vertex. Padded to 16 slots, the terms past the last vertex are exact
+    zeros but the closing one, in slot 15; the sum is numpy's pairwise sum
+    of 16 terms written out, r_j = a_j + a_(j+8) and then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))."""
+    x, y = x.T, y.T
+    a = np.zeros((16, x.shape[1]))
+    a[:x.shape[0] - 1] = x[:-1] * y[1:] - x[1:] * y[:-1]
+    a[15] = x[-1] * y[0] - x[0] * y[-1]
+    r = a[:8] + a[8:]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    return np.maximum(0.5 * (r[0] + r[1]), 0.0)
 
 
 def _clip_quads(sx, sy, cx, cy, width: int) -> tuple:
     """Sutherland-Hodgman clip of (4, N) subject quads by (4, N) clip quads.
 
-    The working polygon of each row lives in a slot-major (width + 1, N)
-    buffer: row 0 repeats the last vertex as slot 0's predecessor, rows
-    1..width hold the vertices, and slots past the row's count are masked.
-    Slot j emits an edge crossing and then, if inside, its own vertex; the
-    p-th emission lands at flat index (1 + p)*N + row, and inside tests that
-    emit nothing write to the row's trash slot, which nothing reads.
-    Emissions past ``width`` are dropped and flag the row in ``overflow``.
-    Two zero-filled buffer pairs alternate between clip edges, so masked
-    slots hold zeros or earlier vertices and stay finite. Returns the result
-    as (N, 16) planes padded with the last vertex, the vertex counts and
-    ``overflow``.
+    The working polygon of each row lives in a slot-major (m + 1, N) view of
+    a zero-filled (2 width + 1, N) buffer, m being the largest vertex count
+    so far: row 0 repeats the last vertex as slot 0's predecessor, rows 1..m
+    hold the vertices, and slots past the row's count are masked. Slot j
+    emits an edge crossing and then, if inside, its own vertex; the p-th
+    emission lands at flat index (1 + p)*N + row. Emissions past ``width``
+    are dropped and flag the row in ``overflow``. Two buffer pairs alternate
+    between clip edges, so masked slots hold zeros or earlier vertices and
+    stay finite. Returns the result as (N, width) planes padded with the
+    last vertex, the vertex counts and ``overflow``.
     """
     n = sx.shape[1]
     rows = np.arange(n)
-    size = (2 * width + 2) * n
-    trash = size - n + rows
     slots = np.arange(width)[:, None]
-    # Corner 3 leads, then corners 0-3; later slots are masked.
-    first = np.minimum(np.concatenate([[width - 1], np.arange(width)]), 3)
-    x, y = sx[first], sy[first]
+    # Corner 3 leads, then corners 0-3.
+    x, y = sx[[3, 0, 1, 2, 3]], sy[[3, 0, 1, 2, 3]]
+    m = 4
     counts = np.full(n, 4)
     overflow = np.zeros(n, dtype=bool)
-    buffers = [(np.zeros(size), np.zeros(size)) for _ in range(2)]
-    at = np.empty((width + 1, n), dtype=np.intp)
+    buffers = [(np.zeros((2 * width + 1) * n), np.zeros((2 * width + 1) * n))
+               for _ in range(2)]
     for k in range(4):
         ax, ay = cx[k], cy[k]
         ex = cx[(k + 1) % 4] - ax
         ey = cy[(k + 1) % 4] - ay
         side = ex * (y - ay) - ey * (x - ax)
         geo = side >= -MERGE_EPS
-        valid = slots < counts
+        valid = slots[:m] < counts
         inside = geo[1:] & valid
         crossing = (geo[1:] != geo[:-1]) & valid
         # at[j] = flat index of slot j's first emission, a running sum of
         # what the slots before it emitted.
+        at = np.empty((m + 1, n), dtype=np.intp)
         at[0] = rows + n
         np.add(crossing, inside, out=at[1:], dtype=np.intp)
         at[1:] *= n
-        for j in range(1, width + 1):
+        for j in range(1, m + 1):
             at[j] += at[j - 1]
 
         # Interpolate at crossings only. Their two sides straddle -MERGE_EPS,
@@ -165,25 +172,27 @@ def _clip_quads(sx, sy, cx, cy, width: int) -> tuple:
         prev_side = side[:-1].ravel()[cut]
         t = np.clip(prev_side / (prev_side - side[1:].ravel()[cut]), 0.0, 1.0)
         px, py = x[:-1].ravel()[cut], y[:-1].ravel()[cut]
-        x, y = x[1:], y[1:]
+        x, y = x[1:].ravel(), y[1:].ravel()
         out_x, out_y = buffers[k % 2]
         ix = at[:-1].ravel()[cut]
-        out_x[ix] = px + t * (x.ravel()[cut] - px)
-        out_y[ix] = py + t * (y.ravel()[cut] - py)
-        ix = np.where(inside, at[1:] - n, trash)
-        out_x[ix] = x
-        out_y[ix] = y
+        out_x[ix] = px + t * (x[cut] - px)
+        out_y[ix] = py + t * (y[cut] - py)
+        keep = np.flatnonzero(inside)
+        ix = at[1:].ravel()[keep] - n
+        out_x[ix] = x[keep]
+        out_y[ix] = y[keep]
 
         total = at[-1] // n - 1
         overflow |= total > width
         counts = np.minimum(total, width)
+        m = int(counts.max())
         last = np.maximum(counts, 1) * n + rows
         if k < 3:
             out_x[:n], out_y[:n] = out_x[last], out_y[last]
-            x = out_x[:(width + 1) * n].reshape(width + 1, n)
-            y = out_y[:(width + 1) * n].reshape(width + 1, n)
-    ix = np.minimum(np.arange(1, _WIDE + 1) * n + rows[:, None], last[:, None])
-    return out_x[ix], out_y[ix], counts, overflow
+            x = out_x[:(m + 1) * n].reshape(m + 1, n)
+            y = out_y[:(m + 1) * n].reshape(m + 1, n)
+    ix = np.minimum(np.arange(1, width + 1)[:, None] * n + rows, last)
+    return out_x[ix].T, out_y[ix].T, counts, overflow
 
 
 def _rescale_huge_rows(boxes_a: np.ndarray, boxes_b: np.ndarray):
@@ -235,15 +244,15 @@ def _iou_rows(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     sx, sy = _corner_planes(boxes_a)
     cx, cy = _corner_planes(boxes_b)
     x, y, counts, overflow = _clip_quads(sx, sy, cx, cy, _WIDTH)
+    inter = _padded_areas(x, y)
     if overflow.any():
         rows = np.nonzero(overflow)[0]
-        x[rows], y[rows], counts[rows], _ = _clip_quads(
+        x, y, counts[rows], _ = _clip_quads(
             sx[:, rows], sy[:, rows], cx[:, rows], cy[:, rows], _WIDE)
-
-    pad = np.minimum(np.arange(_WIDE), 3)
-    inter = np.where(counts >= 3, _padded_areas(x, y), 0.0)
-    area_a = _padded_areas(sx.T[:, pad], sy.T[:, pad])
-    area_b = _padded_areas(cx.T[:, pad], cy.T[:, pad])
+        inter[rows] = _padded_areas(x, y)
+    inter = np.where(counts >= 3, inter, 0.0)
+    area_a = _padded_areas(sx.T, sy.T)
+    area_b = _padded_areas(cx.T, cy.T)
     union = area_a + area_b - inter
     iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
     if zero is not None:

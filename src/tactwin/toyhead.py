@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_grad,
                          positive_targets, simota_assign)
-from .dataset import check_array, read_json, write_json
+from .dataset import check_array, check_names, read_json, write_json
 from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid
 from .errors import ConfigError
 from .render import TactileImage
@@ -170,9 +170,7 @@ class ToyHead:
                            ("sigma", DEFAULT_SIGMA)):
             if data[key] != value:
                 raise TypeError(f"{key} must be {value!r}, got {data[key]!r}")
-        classes = data["classes"]
-        if type(classes) is not list or not all(type(c) is str for c in classes):
-            raise TypeError(f"classes must be a list of strings, got {classes!r}")
+        classes = check_names(data["classes"], "classes")
         d_total = 7 + len(classes) + CSL_BINS
         return cls(
             classes=classes,

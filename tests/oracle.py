@@ -25,6 +25,9 @@ from dense X and Y pixel-centre grids, with every step into a new array.
 ``frozen_fit_inputs`` is the toy head's training set-up as one batch: every
 sample's rows concatenated, centred into a copy and standardized together.
 
+``frozen_simota_assign`` is simOTA with one box decode and one rotated-IoU
+call per ground truth, each ground truth's class checked after its IoU call.
+
 ``boxes_to_corners`` serves the rotated-IoU tests, which hold the batched
 corners to ``OrientedBox.corners``.
 """
@@ -37,12 +40,16 @@ import pytest
 from scipy import ndimage
 
 from tactwin import decoder, geometry
-from tactwin.assignment import Positives, positive_targets, simota_assign
+from tactwin.assignment import (DEFAULT_CENTER_RADIUS, DEFAULT_COST_IOU_WEIGHT, Assignment,
+                                Positives, _class_index, bce, positive_targets,
+                                simota_assign)
 from tactwin.contact import (SphereProbe, ground_truth, height_field, hertz_indentation,
                              punch_indentation)
 from tactwin.dataset import PGM_MAXVAL
 from tactwin.decoder import MERGE_DIST_MM, Blob, calibration_scenario
+from tactwin.errors import AssignmentError
 from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
+from tactwin.geometry import points_in_box, rotated_iou_pairs
 from tactwin.render import TactileImage
 from tactwin.toyhead import ToyHead, _distinct_rows
 
@@ -334,6 +341,74 @@ def frozen_fit_inputs(features_per_sample, gts_per_sample, grid, scale_mm_per_px
                        obj_t[i * n_cells:(i + 1) * n_cells])
         for i in range(n_samples))))
     return head, x_obj, obj_t, counts, x_pos, positives
+
+
+# ---------------------------------------------------------------------------
+# simOTA.
+# ---------------------------------------------------------------------------
+
+def frozen_simota_assign(preds, gts, classes, center_radius=DEFAULT_CENTER_RADIUS):
+    """Reference for ``assignment.simota_assign``: each ground truth's
+    candidates decoded and scored by their own ``rotated_iou_pairs`` call,
+    and its class checked after that call."""
+    n = preds.grid.n_cells
+    cell_to_gt = np.full(n, -1, dtype=int)
+    if len(gts) == 0:
+        return Assignment(cell_to_gt, [])
+
+    centers = preds.grid.centers_mm(preds.scale_mm_per_px)
+    strides_mm = preds.grid.strides_mm(preds.scale_mm_per_px)
+
+    per_gt_order = []   # candidate cells in cost order, per gt
+    selections = []     # (gt index, cell, cost)
+    for gi, gt in enumerate(gts):
+        inside = points_in_box(centers, gt.box)
+        near = ((np.abs(centers[:, 0] - gt.box.cx) <= center_radius * strides_mm)
+                & (np.abs(centers[:, 1] - gt.box.cy) <= center_radius * strides_mm))
+        cand = np.nonzero(inside | near)[0]
+        if cand.size == 0:
+            raise AssignmentError(
+                f"ground truth {gi} ({gt.class_name}) has no candidate cells")
+        boxes = preds.decode_box_params(cand)
+        gt_arr = np.tile(gt.box.as_array(), (cand.size, 1))
+        ious = rotated_iou_pairs(boxes, gt_arr)
+        k_idx = _class_index(gt.class_name, classes)
+        onehot = np.zeros(preds.n_classes)
+        onehot[k_idx] = 1.0
+        cls_cost = bce(preds.cls[cand], onehot[None, :]).sum(axis=1)
+        cost = cls_cost + DEFAULT_COST_IOU_WEIGHT * (1.0 - ious ** 2)
+        order = np.lexsort((cand, cost))
+        top10 = np.sort(ious)[::-1][:10]
+        dyn_k = int(np.clip(np.floor(top10.sum()), 1, cand.size))
+        ordered = cand[order]
+        per_gt_order.append(ordered)
+        selections += [(gi, int(cell), float(c))
+                       for cell, c in zip(ordered[:dyn_k], cost[order[:dyn_k]])]
+
+    # A contested cell keeps only its cheapest ground truth.
+    best = {}
+    for gi, cell, cost in selections:
+        if cell not in best or cost < best[cell][0]:
+            best[cell] = (cost, gi)
+    positives = [[] for _ in gts]
+    for cell, (_, gi) in best.items():
+        positives[gi].append(cell)
+
+    taken = set(best.keys())
+    for gi, ordered in enumerate(per_gt_order):
+        if positives[gi]:
+            continue
+        refill = next((int(c) for c in ordered if int(c) not in taken), None)
+        if refill is None:
+            raise AssignmentError(
+                f"ground truth {gi} lost all candidates to other objects")
+        positives[gi].append(refill)
+        taken.add(refill)
+
+    positives = [np.array(sorted(p), dtype=int) for p in positives]
+    for gi, cells in enumerate(positives):
+        cell_to_gt[cells] = gi
+    return Assignment(cell_to_gt, positives)
 
 
 # ---------------------------------------------------------------------------

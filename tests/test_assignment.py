@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -9,10 +10,14 @@ from tactwin.assignment import (_RAW_CLIP, Assignment, Positives, PositiveTerms,
                                 PredictionField, _decode_raw, bce, bce_grad,
                                 loss_gradient, positive_targets, simota_assign,
                                 smooth_l1, smooth_l1_grad, total_loss)
-from tactwin.contact import GroundTruth
+from tactwin.contact import GroundTruth, MaterialParams, ground_truth
 from tactwin.encoding import build_region_grid, csl_encode
 from tactwin.errors import AssignmentError, ContractViolation
+from tactwin.frames import SensorConfig
 from tactwin.geometry import OrientedBox, points_in_box, rotated_iou_pairs
+from tactwin.suites import roundtrip_probes, sample_scenario
+
+from oracle import frozen_simota_assign
 
 CLASSES = ["alpha", "beta"]
 
@@ -155,6 +160,78 @@ class TestSimota:
         field = toy_field()
         asn = simota_assign(field, [], CLASSES)
         assert (asn.cell_to_gt >= 0).sum() == 0
+
+
+ROUNDTRIP_CLASSES = sorted({p.class_name for p in roundtrip_probes()})
+
+
+def roundtrip_scene(rng, n_gt):
+    """An 8400-cell field at 640 px over ``n_gt`` roundtrip-suite contacts,
+    the second and fourth moved within 2.5 mm of the first so that their
+    candidate cells overlap. Cells within 3 mm of a ground truth predict a
+    jittered copy of its box, so candidate IoUs spread."""
+    sensor, material = SensorConfig(640, 0.05), MaterialParams()
+    probes = roundtrip_probes()
+    field = toy_field(size=640, scale=0.05, n_classes=len(ROUNDTRIP_CLASSES))
+    field.cls = rng.uniform(0.05, 0.95, field.cls.shape)
+    field.box_raw = rng.normal(0.0, 0.3, field.box_raw.shape)
+    centers = field.grid.centers_mm(0.05)
+    strides = field.grid.strides_mm(0.05)
+    gts = []
+    for j in range(n_gt):
+        sc = sample_scenario(rng, [probes[rng.integers(len(probes))]], sensor,
+                             material.e_star)
+        if j in (1, 3):
+            dx, dy = rng.uniform(-2.5, 2.5, 2)
+            sc = dataclasses.replace(sc, x_mm=gts[0].box.cx + float(dx),
+                                     y_mm=gts[0].box.cy + float(dy))
+        gts.append(ground_truth(sc, material))
+    for gt in gts:
+        b = gt.box
+        idx = np.nonzero(np.hypot(centers[:, 0] - b.cx, centers[:, 1] - b.cy) <= 3.0)[0]
+        m = idx.size
+        field.box_raw[idx, 0] = (b.cx + rng.normal(0, 0.3, m) - centers[idx, 0]) / strides[idx]
+        field.box_raw[idx, 1] = (b.cy + rng.normal(0, 0.3, m) - centers[idx, 1]) / strides[idx]
+        field.box_raw[idx, 2] = np.log(b.w * rng.uniform(0.7, 1.3, m) / strides[idx])
+        field.box_raw[idx, 3] = np.log(b.h * rng.uniform(0.7, 1.3, m) / strides[idx])
+        field.box_raw[idx, 4] = b.theta_deg + rng.normal(0.0, 10.0, m)
+    return field, gts
+
+
+class TestSimotaOracle:
+    """``simota_assign`` scores every ground truth's candidates in one
+    rotated-IoU call and equals the per-ground-truth loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_ground_truth_loop(self, seed):
+        field, gts = roundtrip_scene(np.random.default_rng([seed, 640]), 2 + seed % 3)
+        centers = field.grid.centers_mm(0.05)
+        reach = 2.5 * field.grid.strides_mm(0.05)
+        candidates = [points_in_box(centers, g.box)
+                      | ((np.abs(centers[:, 0] - g.box.cx) <= reach)
+                         & (np.abs(centers[:, 1] - g.box.cy) <= reach)) for g in gts]
+        assert (np.sum(candidates, axis=0) > 1).any()    # contested cells
+        got = simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        want = frozen_simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        assert np.array_equal(got.cell_to_gt, want.cell_to_gt)
+        assert len(got.positives_per_gt) == len(want.positives_per_gt)
+        for g, w in zip(got.positives_per_gt, want.positives_per_gt):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    # Each ground truth's candidates are checked before its class, and the
+    # ground truths in order, so the first failure is the loop's.
+    @pytest.mark.parametrize("first, second, error", [
+        ("unknown", "no_candidates", ContractViolation),
+        ("no_candidates", "unknown", AssignmentError),
+    ])
+    def test_first_failure_is_the_loops(self, first, second, error):
+        field, _ = roundtrip_scene(np.random.default_rng(3), 2)
+        gt = {"unknown": make_gt(0.0, 0.0, 4.0, 4.0, cls="cube"),
+              "no_candidates": make_gt(1000.0, 1000.0, 2.0, 2.0, cls=ROUNDTRIP_CLASSES[0])}
+        gts = [gt[first], gt[second]]
+        for assign in (simota_assign, frozen_simota_assign):
+            with pytest.raises(error):
+                assign(field, gts, ROUNDTRIP_CLASSES)
 
 
 class TestTotalLoss:

@@ -641,6 +641,44 @@ class TestCorruptJsonInputs:
         assert str(manifest) in err and f"spec.{key}" in err
         assert "Traceback" not in err
 
+    # A value of the wrong kind in a simulator section is the manifest's
+    # fault, not the config's: exit 3 naming the file and the field.
+    @pytest.mark.parametrize("key, value", [
+        ("sensor.scale_mm_per_px", "x"), ("sensor.input_size", 127.5),
+        ("material.e_star", None), ("illumination.light_dirs", [[0.0, 1.0]]),
+        ("noise_sigma", "x"),
+    ])
+    @pytest.mark.parametrize("command", ["decode", "train-toy"])
+    def test_manifest_value_of_wrong_kind_exit_3(self, workspace, tmp_path, capsys,
+                                                 key, value, command):
+        shutil.copytree(workspace / "ds", tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        edit("spec", *key.split("."), value=value)(manifest)
+        argv = {"decode": ["decode", "--model", str(workspace / "model"), "--split", "all"],
+                "train-toy": ["train-toy", "--epochs", "1"]}[command]
+        rc = main([*argv, "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(manifest) in err and f"spec.{key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # train-toy takes its class list from the manifest: it must be a list of
+    # strings that holds every annotation's class.
+    @pytest.mark.parametrize("value", [5, ["cube"], ["cube", 7]],
+                             ids=["number", "other-class", "not-a-string"])
+    def test_manifest_classes_exit_3(self, workspace, tmp_path, capsys, value):
+        shutil.copytree(workspace / "ds", tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        edit("classes", value=value)(manifest)
+        rc = main(["train-toy", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(manifest) in err and "classes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "toy").exists()
+
     # A head whose arrays do not fit FEATURE_DIM and its class count, whose
     # classes are not the dataset's, or that holds a non-finite value is a
     # file fault: exit 3 naming the file and the field, before any output.

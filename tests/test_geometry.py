@@ -590,6 +590,67 @@ class TestBatchedIoU:
         assert got.shape == (0,)
 
 
+def overflowing_pairs():
+    """Boxes of 1e3-1e5 mm and the same rectangles turned by 90 degrees with
+    w and h swapped. Rounding puts their corners on either side of the
+    clip's tolerance, and a few rows emit more than 8 vertices at some clip
+    edge; those rows are returned."""
+    rng = np.random.default_rng(17)
+    a = random_boxes(rng, 20000, span=1.0, size=(1.0, 100.0))
+    a[:, :4] *= 10.0 ** rng.uniform(3.0, 4.0, (20000, 1))
+    b = np.column_stack([a[:, :2], a[:, 3], a[:, 2], (a[:, 4] + 90.0) % 180.0])
+    planes = geometry._corner_planes(a) + geometry._corner_planes(b)
+    overflow = geometry._clip_quads(*planes, 8)[3]
+    return a[overflow], b[overflow]
+
+
+OVERFLOWING = overflowing_pairs()
+PAIR_KINDS = ("disjoint", "nested", "identical", "near", "rotated", "overflowing")
+
+
+def mixed_pair(kind, seed):
+    """One pair of ``kind``, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if kind == "overflowing":
+        i = rng.integers(len(OVERFLOWING[0]))
+        return OVERFLOWING[0][i], OVERFLOWING[1][i]
+    a = random_boxes(rng, 1)[0]
+    b = a.copy()
+    if kind == "disjoint":
+        b[:2] += (40.0, -25.0)
+    elif kind == "nested":
+        b[2:] = (0.3 * min(a[2:4]), 0.3 * min(a[2:4]), rng.uniform(0.0, 180.0))
+    elif kind == "near":
+        b += rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-14.0, -6.0)
+    elif kind == "rotated":
+        b[4] = (a[4] + rng.uniform(5.0, 85.0)) % 180.0
+    return a, b
+
+
+class TestRowIndependence:
+    """A row of ``rotated_iou_pairs`` does not depend on the rows batched
+    with it, though the clip works on as many vertex slots as the batch's
+    largest polygon fills: each row equals the same pair clipped alone."""
+
+    def test_overflowing_pairs_exist(self):
+        assert len(OVERFLOWING[0]) >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PAIR_KINDS), st.integers(0, 2 ** 32 - 1)),
+                    min_size=2, max_size=24))
+    def test_each_row_equals_its_pair_alone(self, drawn):
+        a, b = map(np.array, zip(*(mixed_pair(kind, seed) for kind, seed in drawn)))
+        # At 5 slots the rotated copies' octagons overflow too.
+        for width in (8, 5):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                mp.setattr(geometry, "_WIDTH", width)
+                warnings.simplefilter("error")
+                batch = rotated_iou_pairs(a, b)
+                alone = np.concatenate([rotated_iou_pairs(a[i:i + 1], b[i:i + 1])
+                                        for i in range(len(a))])
+            assert_bit_identical(batch, alone)
+
+
 def iou_differences(a, b, step):
     """Central, forward and backward differences of ``rotated_iou_pairs`` in
     the five parameters of each first box, each (N, 5)."""

@@ -130,6 +130,7 @@ class Assignment:
 
     cell_to_gt: np.ndarray           # (n,) int, -1 for background
     positives_per_gt: list           # list of int arrays, one per ground truth
+    clipped: tuple | None = None     # positives' (boxes, gt boxes, IoUs) simOTA clipped
 
     def obj_targets(self) -> np.ndarray:
         return (self.cell_to_gt >= 0).astype(float)
@@ -173,9 +174,11 @@ def simota_assign(preds: PredictionField, gts, classes,
         k_idxs.append(_class_index(gt.class_name, classes))
     # One IoU call over every ground truth's candidates; its rows are independent.
     sizes = [cand.size for cand in cands]
+    starts = np.cumsum(sizes) - sizes
+    boxes = preds.decode_box_params(np.concatenate(cands))
     gt_boxes = np.repeat([gt.box.as_array() for gt in gts], sizes, axis=0)
-    all_ious = np.split(rotated_iou_pairs(preds.decode_box_params(np.concatenate(cands)),
-                                          gt_boxes), np.cumsum(sizes)[:-1])
+    flat_ious = rotated_iou_pairs(boxes, gt_boxes)
+    all_ious = np.split(flat_ious, starts[1:])
 
     per_gt_order = []   # candidate cells in cost order, per gt
     selections = []     # (gt index, cell, cost)
@@ -213,9 +216,13 @@ def simota_assign(preds: PredictionField, gts, classes,
         taken.add(refill)
 
     positives = [np.array(sorted(p), dtype=int) for p in positives]
+    rows = np.empty(n, dtype=int)     # each positive's row of the IoU call
     for gi, cells in enumerate(positives):
         cell_to_gt[cells] = gi
-    return Assignment(cell_to_gt, positives)
+        rows[cells] = starts[gi] + np.searchsorted(cands[gi], cells)
+    rows = rows[cell_to_gt >= 0]
+    return Assignment(cell_to_gt, positives,
+                      (boxes[rows], gt_boxes[rows], flat_ious[rows]))
 
 
 @dataclass(frozen=True)
@@ -277,14 +284,21 @@ class PositiveTerms:
     their class and angle-bin probabilities, forces and raw box rows.
 
     The box term's forward pass, one decode and one ``rotated_iou_pairs``
-    call, runs once here and serves both the loss and its gradient.
+    call, runs once here and serves both the loss and its gradient. Given an
+    assignment's ``clipped`` rows, it takes their IoUs in place of the call
+    when its decoded boxes and ground-truth boxes equal theirs bit for bit:
+    a row of that call depends on its own pair alone.
     """
 
-    def __init__(self, pos: Positives, cls, csl, force, box_raw):
+    def __init__(self, pos: Positives, cls, csl, force, box_raw, clipped=None):
         self.pos, self.cls, self.csl, self.force = pos, cls, csl, force
         self.box_raw = box_raw
         self.boxes = _decode_raw(box_raw, pos.centers_mm, pos.strides_mm)
-        self.iou = rotated_iou_pairs(self.boxes, pos.boxes)
+        if (clipped is not None and self.boxes.tobytes() == clipped[0].tobytes()
+                and pos.boxes.tobytes() == clipped[1].tobytes()):
+            self.iou = clipped[2]
+        else:
+            self.iou = rotated_iou_pairs(self.boxes, pos.boxes)
 
     def loss(self) -> tuple:
         """(class, angle, force, box) term sums."""
@@ -322,7 +336,8 @@ def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
     """Evaluate the full multi-task loss for one scene."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
     obj = float(bce(preds.obj, assignment.obj_targets()).sum())
-    return LossBreakdown(*PositiveTerms(pos, *preds.rows(pos.cells)).loss(), obj)
+    return LossBreakdown(*PositiveTerms(pos, *preds.rows(pos.cells),
+                                        assignment.clipped).loss(), obj)
 
 
 @dataclass
@@ -341,9 +356,10 @@ def loss_gradient(preds: PredictionField, gts, assignment: Assignment, classes,
                   sigma: float = DEFAULT_SIGMA) -> FieldGradient:
     """Analytic gradients of the scene loss, in prediction-field layout."""
     pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
+    # np.zeros allocates through calloc; zeros_like runs numpy's slower fill loop.
     grad = FieldGradient(bce_grad(preds.obj, assignment.obj_targets()),
-                         *map(np.zeros_like, preds.rows(slice(None))))
+                         *(np.zeros(a.shape, a.dtype) for a in preds.rows(slice(None))))
     c = pos.cells
     grad.cls[c], grad.csl[c], grad.force[c], grad.box_raw[c] = PositiveTerms(
-        pos, *preds.rows(c)).gradient()
+        pos, *preds.rows(c), assignment.clipped).gradient()
     return grad

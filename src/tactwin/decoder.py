@@ -419,7 +419,8 @@ class CalibrationCurve:
 def _curve_from_json(entry: dict, field: str) -> CalibrationCurve:
     """A curve of the model file, once its columns are lists of finite numbers
     as long as ``forces``, which has at least two, starts at 0 and rises
-    strictly, as ``energies`` does (see ``_sweep_curve``)."""
+    strictly, as ``energies`` does (see ``_sweep_curve``), and they resample
+    without overflow."""
     columns = [check_array(entry[k], f"{field}.{k}") for k in _COLUMNS]
     forces, energies = columns[:2]
     for k, column in zip(_COLUMNS, columns):
@@ -432,7 +433,13 @@ def _curve_from_json(entry: dict, field: str) -> CalibrationCurve:
         raise TypeError(f"{field}.forces must start at 0 and rise strictly")
     if (np.diff(energies) <= 0).any():
         raise TypeError(f"{field}.energies must rise strictly")
-    return CalibrationCurve(entry["label"], *columns)
+    curve = CalibrationCurve(entry["label"], *columns)
+    try:    # resampled here, so that a finite value too large for it names the file
+        with np.errstate(over="raise", invalid="raise"):
+            curve.resampled
+    except FloatingPointError:
+        raise TypeError(f"{field} holds values too large for the force inversion") from None
+    return curve
 
 
 def _mask_from_json(rows, field: str) -> np.ndarray:
@@ -476,17 +483,18 @@ class ClassModel:
         """The class of a model-file entry at ``field``, once it holds what
         ``calibrate`` writes: curves and variants, each curve as
         ``_curve_from_json`` asks, each mask as ``_mask_from_json`` asks, and
-        a finite offset and template forces. A field that breaks this is a
-        TypeError naming it, which ``read_json`` reports as a malformed file."""
+        a finite offset and template forces, read as floats. A field that
+        breaks this is a TypeError naming it, which ``read_json`` reports as a
+        malformed file."""
         for key in ("curves", "variants"):
             if not entry[key]:
                 raise TypeError(f"{field}.{key} is empty")
         curves = [_curve_from_json(c, f"{field}.curves[{i}]")
                   for i, c in enumerate(entry["curves"])]
-        variants = [(check_number(v["force_n"], f"{field}.variants[{i}].force_n"),
+        variants = [(float(check_number(v["force_n"], f"{field}.variants[{i}].force_n")),
                      _mask_from_json(v["mask"], f"{field}.variants[{i}].mask"))
                     for i, v in enumerate(entry["variants"])]
-        return cls(curves, check_number(entry["offset"], f"{field}.offset"), variants)
+        return cls(curves, float(check_number(entry["offset"], f"{field}.offset")), variants)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,62 @@ class TestSimotaOracle:
                 assign(field, gts, ROUNDTRIP_CLASSES)
 
 
+def _loss_bytes(field, gts, asn) -> list:
+    """The scene loss and every field gradient of ``asn``, as bytes."""
+    loss = total_loss(field, gts, asn, ROUNDTRIP_CLASSES)
+    grad = loss_gradient(field, gts, asn, ROUNDTRIP_CLASSES)
+    return [np.array(dataclasses.astuple(loss)).tobytes()] + [
+        getattr(grad, f.name).tobytes() for f in dataclasses.fields(grad)]
+
+
+class TestClippedReuse:
+    """The loss takes simOTA's IoUs for its positives while their decoded and
+    ground-truth boxes are the ones simOTA clipped, and clips afresh where
+    they are not. Either way it equals, bit for bit, the loss of the same
+    assignment without them."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_their_own_pairs(self, seed):
+        field, gts = roundtrip_scene(np.random.default_rng([seed, 640]), 2 + seed % 3)
+        asn = simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        cells = np.nonzero(asn.cell_to_gt >= 0)[0]
+        boxes, gt_boxes, iou = asn.clipped
+        assert np.array_equal(boxes, field.decode_box_params(cells))
+        own = np.array([g.box.as_array() for g in gts])[asn.cell_to_gt[cells]]
+        assert np.array_equal(gt_boxes, own)
+        assert iou.tobytes() == rotated_iou_pairs(boxes, gt_boxes).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fresh_assignment_clips_nothing(self, seed, monkeypatch):
+        field, gts = roundtrip_scene(np.random.default_rng([seed, 640]), 2 + seed % 3)
+        asn = simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        want = _loss_bytes(field, gts, Assignment(asn.cell_to_gt, asn.positives_per_gt))
+
+        def no_clip(*args):
+            raise AssertionError("the loss clipped a pair simOTA had clipped")
+        monkeypatch.setattr("tactwin.assignment.rotated_iou_pairs", no_clip)
+        assert _loss_bytes(field, gts, asn) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_prediction_clips_afresh(self, seed):
+        field, gts = roundtrip_scene(np.random.default_rng([seed, 640]), 2 + seed % 3)
+        asn = simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        cell = asn.positives_per_gt[seed % len(gts)][0]
+        field.box_raw[cell, seed % 5] += 1e-3
+        assert _loss_bytes(field, gts, asn) == _loss_bytes(
+            field, gts, Assignment(asn.cell_to_gt, asn.positives_per_gt))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moved_ground_truth_clips_afresh(self, seed):
+        field, gts = roundtrip_scene(np.random.default_rng([seed, 640]), 2 + seed % 3)
+        asn = simota_assign(field, gts, ROUNDTRIP_CLASSES)
+        gi = seed % len(gts)
+        box = dataclasses.replace(gts[gi].box, cx=gts[gi].box.cx + 0.1)
+        gts[gi] = dataclasses.replace(gts[gi], box=box)
+        assert _loss_bytes(field, gts, asn) == _loss_bytes(
+            field, gts, Assignment(asn.cell_to_gt, asn.positives_per_gt))
+
+
 class TestTotalLoss:
     def test_no_gt_uniform_objectness(self):
         grid = build_region_grid(640)

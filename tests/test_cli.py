@@ -604,6 +604,9 @@ class TestCorruptJsonInputs:
         ("model/calibration.json", edit(*SPHERE, "variants", 1, "force_n",
                                         value=float("nan")),
          "classes.sphere.variants[1].force_n must be a finite number, got nan"),
+        # Finite, but the force inversion's interpolation overflows on it.
+        ("model/calibration.json", edit(*SPHERE, "curves", 0, "gyrations", 5, value=1e308),
+         "classes.sphere.curves[0] holds values too large for the force inversion"),
         ("ds/manifest.json", truncate, "JSONDecodeError"),
         ("ds/manifest.json", drop("spec", "sensor"), "'sensor'"),
     ], ids=["truncated-calibration", "class-without-variants", "class-without-curves",
@@ -611,7 +614,8 @@ class TestCorruptJsonInputs:
             "short-curve-column", "mask-of-10-rows", "short-mask-row",
             "nan-energy", "swapped-energies", "reversed-forces", "one-force-curve",
             "energies-as-string", "mask-row-of-2s", "offset-not-a-number",
-            "nan-template-force", "truncated-manifest", "manifest-without-sensor"])
+            "nan-template-force", "huge-gyration", "truncated-manifest",
+            "manifest-without-sensor"])
     def test_decode_exit_3(self, workspace, tmp_path, capsys, victim, corrupt, named):
         for name in ("ds", "model"):
             shutil.copytree(workspace / name, tmp_path / name)

@@ -303,6 +303,19 @@ class TestCalibration:
                                         decode_cfg)
         assert json.dumps(back.to_json(), sort_keys=True) == text
 
+    def test_integer_offset_and_force_load_as_floats(self, roundtrip_decoder, material,
+                                                     illum, sensor, decode_cfg):
+        # JSON integers are numbers too, one of them past int64, which numpy
+        # cannot take as an array.
+        doc = roundtrip_decoder.to_json()
+        for entry in doc["classes"].values():
+            entry["offset"] = -2 ** 63 - 1
+            entry["variants"][0]["force_n"] = 3
+        back = TactileDecoder.from_json(doc, material, illum, sensor, decode_cfg)
+        for model in back.models.values():
+            assert type(model.offset) is float and np.isfinite(model.offset)
+            assert type(model.variants[0][0]) is float and model.variants[0][0] == 3.0
+
     def test_params_hash_sensitivity(self, material, illum, sensor, cfg):
         base = params_hash(material, illum, sensor, cfg)
         assert base == params_hash(material, illum, sensor, cfg)

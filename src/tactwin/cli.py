@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .contact import GroundTruth, MaterialParams
-from .dataset import (DatasetSpec, check_fields, check_number, generate_dataset,
+from .contact import DEFAULT_FORCE_RANGE, GroundTruth, MaterialParams
+from .dataset import (SPLITS, DatasetSpec, check_fields, check_number, generate_dataset,
                       load_sample_image, read_json, read_jsonl, read_manifest, write_json,
                       write_jsonl)
 from .decoder import DecodeConfig, Detection, TactileDecoder, build_decoder, params_hash
@@ -36,7 +36,7 @@ from .geometry import OrientedBox
 from .metrics import evaluate_detections, write_report
 from .render import IlluminationModel, make_reference, resolution_sweep
 from .runner import render_workers, run_units
-from .suites import ANISOTROPIC_CLASSES, SPHERE_DIAMETERS_MM, SUITES
+from .suites import ANISOTROPIC_CLASSES, SUITES
 from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
 
 EXIT_OK = 0
@@ -47,7 +47,6 @@ EXIT_CONTRACT = 5
 
 _SECTIONS = {"sensor": SensorConfig, "material": MaterialParams,
              "illumination": IlluminationModel, "decode": DecodeConfig}
-_SPLITS = ("train", "val", "test")
 
 
 def _load_config(path: str | None) -> dict:
@@ -124,14 +123,13 @@ def _log(out_dir: Path, message: str):
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    sensor, material, illum, _ = _build_params(cfg, args)
+    sensor, material, illum, decode_cfg = _build_params(cfg, args)
     spec = DatasetSpec(
         count=args.count,
         master_seed=args.seed,
-        suite=args.suite,
+        suite="spheres" if args.probe == "sphere" else args.suite,
         force_range=_parse_force_range(args.force_range),
-        noise_sigma=args.noise if args.noise is not None else 0.0,
-        sphere_diameters=SPHERE_DIAMETERS_MM if args.probe == "sphere" else None,
+        noise_sigma=decode_cfg.noise_sigma,
         sensor=sensor, material=material, illum=illum,
     )
     workers, _ = render_workers(sensor, spec.count)
@@ -166,8 +164,8 @@ def _parse_row(row, scored: bool):
     when scored, after checking every field the CLI reads from it."""
     if type(row["index"]) is not int or row["index"] < 0:
         raise ValueError(f"index must be a nonnegative integer, got {row['index']!r}")
-    if not scored and row["split"] not in _SPLITS:
-        raise ValueError(f"split must be one of {_SPLITS}, got {row['split']!r}")
+    if not scored and row["split"] not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {row['split']!r}")
     if not isinstance(row["class"], str):
         raise TypeError(f"class must be a string, got {row['class']!r}")
     cx, cy, w, h, theta, force = (
@@ -207,7 +205,7 @@ def cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     dataset = Path(args.dataset)
     manifest = read_manifest(dataset)
-    # The dataset fixes the sensor: --size/--scale do not apply here.
+    # The manifest fixes the sensor, so decode has no --size or --scale.
     sensor, material, illum, decode_cfg = _build_params(
         _manifest_config(manifest["spec"], cfg, args.noise))
     decoder = read_json(Path(args.model) / "calibration.json", lambda data:
@@ -347,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tactile-sensor digital twin: simulate, decode, evaluate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sensor=True):
         p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--size", type=int, help="sensor raster in px")
-        p.add_argument("--scale", type=float, help="mm per px")
+        if sensor:
+            p.add_argument("--size", type=int, help="sensor raster in px")
+            p.add_argument("--scale", type=float, help="mm per px")
         p.add_argument("--noise", type=float, help="pixel noise sigma")
 
     p = sub.add_parser("generate", help="render a synthetic labeled dataset")
@@ -359,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", default="roundtrip", choices=sorted(SUITES))
-    p.add_argument("--probe", choices=("sphere",),
-                   help="override the suite with the spheres suite's five "
-                        "diameters as one class")
-    p.add_argument("--force-range", default="0.8:10")
+    p.add_argument("--probe", choices=("sphere",), help="the spheres suite, whatever --suite")
+    p.add_argument("--force-range", default="%g:%g" % DEFAULT_FORCE_RANGE)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("calibrate", help="build the decoder's model file")
@@ -372,18 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("decode", help="extract detections from a dataset")
-    common(p)
+    common(p, sensor=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True, help="calibrate output directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test", choices=("train", "val", "test", "all"))
+    p.add_argument("--split", default="test", choices=(*SPLITS, "all"))
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score detections against annotations")
     p.add_argument("--dataset", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test", choices=("train", "val", "test", "all"))
+    p.add_argument("--split", default="test", choices=(*SPLITS, "all"))
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--angle-all", action="store_true",
                    help="include isotropic classes in the angle MAE")

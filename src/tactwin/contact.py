@@ -35,6 +35,7 @@ from .frames import PixelWindow, SensorConfig, pixel_centers_mm
 from .geometry import OrientedBox, normalize_angle
 
 MAX_FORCE_N = 10.0
+DEFAULT_FORCE_RANGE = (0.8, MAX_FORCE_N)
 
 
 def check_force_range(force_range) -> tuple:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contact import ContactScenario, MaterialParams, SphereProbe, check_force_range
+from .contact import DEFAULT_FORCE_RANGE, ContactScenario, MaterialParams, check_force_range
 from .errors import ConfigError
 from .frames import SensorConfig
 from .render import IlluminationModel, TactileImage, simulate
@@ -27,6 +27,7 @@ from .runner import render_workers, run_units
 from .suites import SUITES, sample_scenario
 
 PGM_MAXVAL = 65535
+SPLITS = ("train", "val", "test")
 ANNOTATION_KEYS = ("index", "split", "class", "cx_mm", "cy_mm", "w_mm", "h_mm",
                    "theta_deg", "force_n", "probe", "seed")
 
@@ -70,18 +71,13 @@ def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Generation recipe: sampling distribution, size, and parameters.
-
-    sphere_diameters, when set, overrides the suite with a custom library of
-    sphere probes (all one class).
-    """
+    """Generation recipe: sampling distribution, size, and parameters."""
 
     count: int
     master_seed: int
     suite: str = "roundtrip"
-    force_range: tuple = (0.8, 10.0)
+    force_range: tuple = DEFAULT_FORCE_RANGE
     noise_sigma: float = 0.0
-    sphere_diameters: tuple | None = None
     sensor: SensorConfig = field(default_factory=SensorConfig)
     material: MaterialParams = field(default_factory=MaterialParams)
     illum: IlluminationModel = field(default_factory=IlluminationModel)
@@ -94,14 +90,9 @@ class DatasetSpec:
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; options: {sorted(SUITES)}")
         check_force_range(self.force_range)
-        if self.sphere_diameters is not None:
-            if not self.sphere_diameters or any(d <= 0 for d in self.sphere_diameters):
-                raise ConfigError("sphere_diameters must be positive and nonempty")
 
     @cached_property
     def probes(self) -> list:
-        if self.sphere_diameters is not None:
-            return [SphereProbe(d) for d in self.sphere_diameters]
         return SUITES[self.suite]()
 
     def params(self) -> dict:
@@ -111,8 +102,6 @@ class DatasetSpec:
             "suite": self.suite,
             "force_range": list(self.force_range),
             "noise_sigma": self.noise_sigma,
-            "sphere_diameters": (list(self.sphere_diameters)
-                                 if self.sphere_diameters is not None else None),
             "sensor": self.sensor.params(),
             "material": self.material.params(),
             "illumination": self.illum.params(),
@@ -173,7 +162,7 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
     each written as soon as it is rendered."""
     out = Path(out_dir)
     splits = assign_splits(spec.count, spec.master_seed)
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         (out / name).mkdir(parents=True, exist_ok=True)
 
     indices = range(spec.count)
@@ -185,11 +174,8 @@ def generate_dataset(spec: DatasetSpec, out_dir, workers: int | None = None) -> 
     manifest = {
         "schema_version": 1,
         "spec": spec.params(),
-        "splits": {
-            name: sorted(i for i in indices if splits[i] == name)
-            for name in ("train", "val", "test")
-        },
-        "counts": {name: splits.count(name) for name in ("train", "val", "test")},
+        "splits": {name: sorted(i for i in indices if splits[i] == name) for name in SPLITS},
+        "counts": {name: splits.count(name) for name in SPLITS},
         "classes": sorted({ann["class"] for ann in annotations}),
         "annotations": "annotations.jsonl",
     }

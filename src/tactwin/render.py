@@ -93,7 +93,6 @@ class TactileImage:
 
     pixels: np.ndarray
     scale_mm_per_px: float
-    is_reference: bool = False
 
     @property
     def shape(self):
@@ -108,9 +107,8 @@ def baseline_intensity(illum: IlluminationModel) -> float:
 
 def render(height: HeightField, illum: IlluminationModel) -> TactileImage:
     """Shade a height field into a tactile image."""
-    z = height.z
-    return TactileImage(_shade(z, height.scale_mm_per_px, illum),
-                        height.scale_mm_per_px, is_reference=not bool(np.any(z)))
+    return TactileImage(_shade(height.z, height.scale_mm_per_px, illum),
+                        height.scale_mm_per_px)
 
 
 def _shade(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> np.ndarray:
@@ -166,8 +164,7 @@ def _flat_pixels(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
 
 def make_reference(sensor: SensorConfig, illum: IlluminationModel) -> TactileImage:
     """Reference image of the undeformed membrane."""
-    return TactileImage(_flat_pixels(sensor, illum), sensor.scale_mm_per_px,
-                        is_reference=True)
+    return TactileImage(_flat_pixels(sensor, illum), sensor.scale_mm_per_px)
 
 
 def contact_window(scenario: ContactScenario, material: MaterialParams,
@@ -208,8 +205,7 @@ def render_window(scenario: ContactScenario, material: MaterialParams,
     window = contact_window(scenario, material, illum, sensor)
     ring = window.grow(1)
     img = render(height_field(scenario, material, sensor, window=ring), illum)
-    return window, TactileImage(img.pixels[window.slices_in(ring)],
-                                img.scale_mm_per_px, img.is_reference)
+    return window, TactileImage(img.pixels[window.slices_in(ring)], img.scale_mm_per_px)
 
 
 def simulate(scenario: ContactScenario, material: MaterialParams,
@@ -232,8 +228,7 @@ def simulate(scenario: ContactScenario, material: MaterialParams,
     else:
         pixels = _flat_pixels(sensor, illum)
         pixels[window.slices] = patch.pixels
-    return (TactileImage(pixels, patch.scale_mm_per_px, is_reference=patch.is_reference),
-            ground_truth(scenario, material))
+    return (TactileImage(pixels, patch.scale_mm_per_px), ground_truth(scenario, material))
 
 
 # Deviation from the flat baseline that counts toward the deviation area.

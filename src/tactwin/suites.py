@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .contact import ContactScenario, FootprintProbe, Probe, SphereProbe, check_force_range
+from .contact import (DEFAULT_FORCE_RANGE, ContactScenario, FootprintProbe, Probe, SphereProbe,
+                      check_force_range)
 from .errors import ConfigError
 from .frames import SensorConfig
 
@@ -117,7 +118,7 @@ ANISOTROPIC_CLASSES = ("strip", "lshape", "body")
 
 def sample_scenario(rng: np.random.Generator, probes: list[Probe],
                     sensor: SensorConfig, e_star: float,
-                    force_range=(0.8, 10.0), noise_sigma: float = 0.0,
+                    force_range=DEFAULT_FORCE_RANGE, noise_sigma: float = 0.0,
                     edge_margin_mm: float = 2.0) -> ContactScenario:
     """Draw one random scenario from a probe library.
 

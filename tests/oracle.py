@@ -131,8 +131,7 @@ def frozen_shade_slopes(fx, fy, illum):
 def frozen_render(scenario, material, illum, sensor):
     """The whole-raster height field, shaded per light on every pixel."""
     z = height_field(scenario, material, sensor).z
-    return TactileImage(frozen_shade(z, sensor.scale_mm_per_px, illum),
-                        sensor.scale_mm_per_px, is_reference=not z.any())
+    return TactileImage(frozen_shade(z, sensor.scale_mm_per_px, illum), sensor.scale_mm_per_px)
 
 
 def frozen_simulate(scenario, material, illum, sensor, seed=0):
@@ -143,8 +142,7 @@ def frozen_simulate(scenario, material, illum, sensor, seed=0):
         rng = np.random.default_rng(seed)
         pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
                          0.0, 1.0)
-    return (TactileImage(pixels, image.scale_mm_per_px, is_reference=image.is_reference),
-            ground_truth(scenario, material))
+    return TactileImage(pixels, image.scale_mm_per_px), ground_truth(scenario, material)
 
 
 # ---------------------------------------------------------------------------

@@ -129,16 +129,18 @@ class TestGenerate:
         assert not (tmp_path / "x").exists()
 
     def test_probe_diameters_flags(self, tmp_path, capsys):
-        # --probe sphere takes the spheres suite's diameters; --diameters is gone.
+        # --probe sphere is the spheres suite, which the manifest records
+        # whatever --suite says; --diameters is gone.
         rc = main(["generate", "--out", str(tmp_path / "ds"), "--count", "12",
-                   "--seed", "3", "--probe", "sphere",
+                   "--seed", "3", "--probe", "sphere", "--suite", "screw",
                    "--force-range", "0.5:10", *SMALL])
         assert rc == 0
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        assert manifest["spec"]["sphere_diameters"] == [10.0, 15.0, 20.0, 25.0, 30.0]
+        assert manifest["spec"]["suite"] == "spheres"
+        assert "sphere_diameters" not in manifest["spec"]
         rows = [json.loads(line) for line in
                 (tmp_path / "ds" / "annotations.jsonl").open()]
-        assert {r["probe"]["diameter_mm"] for r in rows} <= {10, 15, 20, 25, 30}
+        assert {r["probe"]["diameter_mm"] for r in rows} == {10, 15, 20, 25, 30}
         assert {r["class"] for r in rows} == {"sphere"}
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--out", str(tmp_path / "x"), "--count", "5",
@@ -146,6 +148,22 @@ class TestGenerate:
         assert exc.value.code == 2
         assert "--diameters" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_noise_from_config_file(self, tmp_path):
+        # decode.noise_sigma in the file is the --noise flag's value; the
+        # flag wins over the file.
+        cfg = tmp_path / "noise.json"
+        cfg.write_text('{"decode": {"noise_sigma": 0.02}}')
+        args = ["generate", "--count", "8", "--seed", "2", "--suite", "spheres", *SMALL]
+        runs = {"flag": ["--noise", "0.02"], "file": ["--config", str(cfg)],
+                "both": ["--config", str(cfg), "--noise", "0"], "none": []}
+        for name, flags in runs.items():
+            assert main(args + ["--out", str(tmp_path / name), *flags]) == 0
+        assert digest_tree(tmp_path / "file") == digest_tree(tmp_path / "flag")
+        assert digest_tree(tmp_path / "both") == digest_tree(tmp_path / "none")
+        assert digest_tree(tmp_path / "file") != digest_tree(tmp_path / "none")
+        manifest = json.loads((tmp_path / "file" / "manifest.json").read_text())
+        assert manifest["spec"]["noise_sigma"] == 0.02
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -364,6 +382,17 @@ class TestPipeline:
                    "--out", str(tmp_path / "dets"), "--config", str(cfg)])
         assert rc == 2
         assert "thresold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--size", "128"), ("--scale", "0.25")])
+    def test_decode_sensor_flag_exit_2(self, workspace, tmp_path, capsys, flag, value):
+        # The dataset's manifest fixes the sensor, so decode has no flag for it.
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--dataset", str(workspace / "ds"),
+                  "--model", str(workspace / "model"),
+                  "--out", str(tmp_path / "dets"), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "dets").exists()
 
     def test_eval_row_without_cx_exit_3(self, workspace, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"

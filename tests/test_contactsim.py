@@ -264,7 +264,6 @@ class TestProbeInterface:
 class TestRender:
     def test_flat_field_uniform(self, sensor, illum):
         ref = make_reference(sensor, illum)
-        assert ref.is_reference
         assert (ref.pixels == baseline_intensity(illum)).all()
 
     def test_baseline_value(self):

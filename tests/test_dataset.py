@@ -118,8 +118,6 @@ class TestGenerate:
             with pytest.raises(ConfigError, match="<= 10"):
                 DatasetSpec(count=5, master_seed=1, force_range=(0.0, hi))
         assert DatasetSpec(count=5, master_seed=1, force_range=(0.0, 10.0))
-        with pytest.raises(ConfigError):
-            DatasetSpec(count=5, master_seed=1, sphere_diameters=(10.0, -5.0))
 
     def test_samples_share_one_probe_list(self):
         # the probes, and the reach and box each caches, are built once per
@@ -134,9 +132,7 @@ class TestGenerate:
         # the normal-force data-collection shape: five sphere sizes under one
         # class, loads spanning the full range
         spec = DatasetSpec(
-            count=40, master_seed=4, suite="spheres",
-            sphere_diameters=(10.0, 15.0, 20.0, 25.0, 30.0),
-            force_range=(0.5, 10.0),
+            count=40, master_seed=4, suite="spheres", force_range=(0.5, 10.0),
             sensor=SensorConfig(input_size=128, scale_mm_per_px=0.25))
         generate_dataset(spec, tmp_path / "ds")
         rows = [r for _, r in read_jsonl(tmp_path / "ds" / "annotations.jsonl")]

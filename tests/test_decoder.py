@@ -80,12 +80,6 @@ class TestDifferenceImage:
         r = np.hypot(x_mm - 5.0, y_mm - 5.0)
         assert r.max() < 10.0  # confined near the contact
 
-    def test_requires_reference_flag(self, material, illum, sensor, reference):
-        sc = ContactScenario(SphereProbe(10), 0, 0, 0, 3.0)
-        img, _ = simulate(sc, material, illum, sensor)
-        with pytest.raises(ValueError):
-            difference_image(img, img)
-
     def test_dimension_mismatch(self, reference, small_sensor, illum):
         other = make_reference(small_sensor, illum)
         with pytest.raises(ValueError):

@@ -302,10 +302,9 @@ def cmd_train_toy(args) -> int:
                                          sensor.scale_mm_per_px) - gt)
                 for f, gt in zip(val_f, val_forces)]
         print(f"val force MAE: {float(np.mean(errs)):.4f} N over {len(errs)} samples")
-    _log(out, f"train-toy epochs={len(result.losses)} diverged={result.diverged}")
+    _log(out, f"train-toy epochs={len(result.losses)} diverged={bool(result.diverged)}")
     if result.diverged:
-        print("training diverged (five consecutive loss increases)",
-              file=sys.stderr)
+        print(f"training diverged ({result.diverged})", file=sys.stderr)
         return EXIT_CONTRACT
     final = f", final loss {result.losses[-1]:.4f}" if result.losses else ""
     print(f"trained {len(result.losses)} epochs{final}")

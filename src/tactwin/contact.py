@@ -219,14 +219,6 @@ class ContactScenario:
 
 
 @dataclass(frozen=True)
-class HeightField:
-    """Membrane displacement into the sensor (mm, >= 0), same raster as the image."""
-
-    z: np.ndarray
-    scale_mm_per_px: float
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     box: OrientedBox
     class_name: str
@@ -309,8 +301,9 @@ def _punch_profile(scenario: ContactScenario, material: MaterialParams,
 
 
 def height_field(scenario: ContactScenario, material: MaterialParams,
-                 sensor: SensorConfig, window: PixelWindow | None = None) -> HeightField:
-    """Membrane height field for one scenario. Zero force gives a zero field.
+                 sensor: SensorConfig, window: PixelWindow | None = None) -> np.ndarray:
+    """Membrane displacement into the sensor (mm, >= 0) for one scenario, on
+    the sensor's raster. Zero force gives a zero field.
 
     Only the pixels of ``window`` (default: the whole raster) are computed.
     Each value equals the whole-raster one as long as the window holds the
@@ -322,7 +315,7 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
     probe = scenario.probe
     if scenario.force_n == 0:
         shape = (window or PixelWindow.full(sensor.input_size)).shape
-        return HeightField(np.zeros(shape), sensor.scale_mm_per_px)
+        return np.zeros(shape)
 
     if isinstance(probe, SphereProbe):
         X, Y = pixel_centers_mm(sensor, window)
@@ -347,13 +340,12 @@ def height_field(scenario: ContactScenario, material: MaterialParams,
         np.exp(z, out=z)
         z *= z_edge
         z[inside] = depth - (R - np.sqrt(R * R - r[inside] ** 2))
-        return HeightField(z, sensor.scale_mm_per_px)
+        return z
 
     depth = punch_indentation(scenario.force_n, probe.area_mm2, material.e_star)
     _check_depth(depth, material)
     _check_bounds(scenario, probe.reach_mm(scenario.force_n, material.e_star), sensor)
-    return HeightField(depth * _punch_profile(scenario, material, sensor, window),
-                       sensor.scale_mm_per_px)
+    return depth * _punch_profile(scenario, material, sensor, window)
 
 
 def _check_depth(depth: float, material: MaterialParams):

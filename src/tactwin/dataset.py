@@ -22,7 +22,7 @@ import numpy as np
 from .contact import DEFAULT_FORCE_RANGE, ContactScenario, MaterialParams, check_force_range
 from .errors import ConfigError
 from .frames import SensorConfig
-from .render import IlluminationModel, TactileImage, simulate
+from .render import IlluminationModel, simulate
 from .runner import render_workers, run_units
 from .suites import SUITES, sample_scenario
 
@@ -32,20 +32,21 @@ ANNOTATION_KEYS = ("index", "split", "class", "cx_mm", "cy_mm", "w_mm", "h_mm",
                    "theta_deg", "force_n", "probe", "seed")
 
 
-def pgm_bytes(image: TactileImage) -> bytes:
-    data = np.clip(image.pixels, 0.0, 1.0)
+def pgm_bytes(image: np.ndarray) -> bytes:
+    data = np.clip(image, 0.0, 1.0)
     data = np.rint(np.multiply(data, PGM_MAXVAL, out=data), out=data).astype(">u2")
     h, w = data.shape
     return b"".join((f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"), data))
 
 
-def write_pgm(path: Path, image: TactileImage) -> None:
+def write_pgm(path: Path, image: np.ndarray) -> None:
     Path(path).write_bytes(pgm_bytes(image))
 
 
-def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
-    """Read a 16-bit binary PGM as ``write_pgm`` writes it. A malformed header
-    or a payload of the wrong length is an IOError naming the file."""
+def read_pgm(path: Path) -> np.ndarray:
+    """Read a 16-bit binary PGM as ``write_pgm`` writes it, as intensities in
+    [0, 1]. A malformed header or a payload of the wrong length is an IOError
+    naming the file."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         dims = fh.readline().split()
@@ -66,7 +67,7 @@ def read_pgm(path: Path, scale_mm_per_px: float) -> TactileImage:
         raise IOError(f"{path}: PGM payload is {len(payload)} bytes, expected "
                       f"{w * h * 2} for {w}x{h} pixels")
     raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
-    return TactileImage(np.divide(raw, PGM_MAXVAL, dtype=float), scale_mm_per_px)
+    return np.divide(raw, PGM_MAXVAL, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def _write_sample(spec: DatasetSpec, index: int, split: str, out: Path) -> dict:
     scenario, sim_seed = sample_for_index(spec, index)
     image, gt = simulate(scenario, spec.material, spec.illum, spec.sensor, seed=sim_seed)
     try:
-        with open(out / split / f"{index:06d}.pgm", "wb") as fh:
-            fh.write(pgm_bytes(image))
+        write_pgm(out / split / f"{index:06d}.pgm", image)
     except OSError as exc:
         raise IOError(f"failed writing sample {index} to {out}: {exc}") from exc
     return {
@@ -300,12 +300,12 @@ def read_manifest(dataset_dir) -> dict:
     return read_json(Path(dataset_dir) / "manifest.json", _checked_manifest)
 
 
-def load_sample_image(dataset_dir, ann: dict, sensor: SensorConfig) -> TactileImage:
+def load_sample_image(dataset_dir, ann: dict, sensor: SensorConfig) -> np.ndarray:
     """One annotation row's image; a raster of another size than the sensor's
     is an IOError naming the file."""
     path = Path(dataset_dir) / ann["split"] / f"{ann['index']:06d}.pgm"
-    image = read_pgm(path, sensor.scale_mm_per_px)
-    if image.pixels.shape != (sensor.input_size,) * 2:
-        raise IOError(f"{path}: image is {image.pixels.shape[1]}x{image.pixels.shape[0]}"
+    image = read_pgm(path)
+    if image.shape != (sensor.input_size,) * 2:
+        raise IOError(f"{path}: image is {image.shape[1]}x{image.shape[0]}"
                       f" px, the dataset's sensor is {sensor.input_size} px square")
     return image

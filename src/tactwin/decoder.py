@@ -49,7 +49,7 @@ from .dataset import check_array, check_number
 from .errors import CalibrationError, ConfigError, StaleCalibrationError
 from .frames import PixelWindow, SensorConfig, mm_to_px, px_to_mm
 from .geometry import OrientedBox, normalize_angle
-from .render import IlluminationModel, TactileImage, make_reference, render_window
+from .render import IlluminationModel, make_reference, render_window
 from .runner import run_units
 
 SCHEMA_VERSION = 3
@@ -137,14 +137,11 @@ def params_hash(material: MaterialParams, illum: IlluminationModel,
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def difference_image(img: TactileImage, reference: TactileImage) -> np.ndarray:
+def difference_image(img: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Signed per-pixel deviation img - reference (no clamping)."""
-    if img.pixels.shape != reference.pixels.shape:
-        raise ValueError(
-            f"image {img.pixels.shape} and reference {reference.pixels.shape} differ")
-    if img.scale_mm_per_px != reference.scale_mm_per_px:
-        raise ValueError("image and reference scales differ")
-    return img.pixels - reference.pixels
+    if img.shape != reference.shape:
+        raise ValueError(f"image {img.shape} and reference {reference.shape} differ")
+    return img - reference
 
 
 @dataclass
@@ -152,7 +149,6 @@ class Blob:
     """One connected deviation signature with weighted moment statistics."""
 
     area_mm2: float
-    n_pixels: int
     centroid_mm: tuple          # (x, y)
     mu20: float                 # weighted central second moments, mm^2
     mu02: float
@@ -237,8 +233,6 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     extent = window.n * scale_mm_per_px
     blobs = []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        n_px = b1 - b0
-        area = n_px * px_area
         gys, gxs, gw = ys[b0:b1], xs[b0:b1], w[b0:b1]
         x_mm, y_mm = px_to_mm(gxs, gys, scale_mm_per_px, extent)
         wsum = gw.sum()
@@ -246,8 +240,7 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
         cy = float((gw * y_mm).sum() / wsum)
         dx, dy = x_mm - cx, y_mm - cy
         blobs.append(Blob(
-            area_mm2=float(area),
-            n_pixels=int(n_px),
+            area_mm2=float((b1 - b0) * px_area),
             centroid_mm=(cx, cy),
             mu20=float((gw * dx * dx).sum() / wsum),
             mu02=float((gw * dy * dy).sum() / wsum),
@@ -565,12 +558,12 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
 
 def _calibration_blobs(probe, force: float, material: MaterialParams,
                        illum: IlluminationModel, sensor: SensorConfig,
-                       cfg: DecodeConfig, reference: TactileImage):
+                       cfg: DecodeConfig, reference: np.ndarray):
     """Noise-free forward render of a centred probe and its blobs, measured
     on ``render_window``'s pixels alone."""
     scenario = calibration_scenario(probe, force)
     window, patch = render_window(scenario, material, illum, sensor)
-    dev = patch.pixels - reference.pixels[window.slices]
+    dev = patch - reference[window.slices]
     return _decode_measurements(dev, sensor, cfg, window), ground_truth(scenario, material)
 
 
@@ -580,7 +573,7 @@ def calibration_scenario(probe, force: float) -> ContactScenario:
 
 
 def _sweep_curve(probe, material: MaterialParams, illum: IlluminationModel,
-                 sensor: SensorConfig, cfg: DecodeConfig, reference: TactileImage,
+                 sensor: SensorConfig, cfg: DecodeConfig, reference: np.ndarray,
                  forces, keep=()):
     """One probe variant's sweep over ``forces``, its punch profile reused
     across them. Returns the curve and, for each force in ``keep``, a list of
@@ -816,7 +809,7 @@ class TactileDecoder:
             name: ClassModel.from_json(entry, f"classes.{name}")
             for name, entry in data["classes"].items()})
 
-    def decode(self, image: TactileImage) -> list[Detection]:
+    def decode(self, image: np.ndarray) -> list[Detection]:
         blobs = _decode_measurements(difference_image(image, self.reference),
                                      self.sensor, self.cfg)
         detections = []

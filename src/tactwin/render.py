@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .contact import (ContactScenario, GroundTruth, HeightField, MaterialParams,
-                      contact_mask, ground_truth, height_field)
+from .contact import (ContactScenario, GroundTruth, MaterialParams, contact_mask,
+                      ground_truth, height_field)
 from .errors import ConfigError
 from .frames import PixelWindow, SensorConfig, pixel_centers_mm
 
@@ -87,31 +87,15 @@ class IlluminationModel:
         }
 
 
-@dataclass(frozen=True)
-class TactileImage:
-    """Rendered intensity grid in [0, 1] with its physical scale."""
-
-    pixels: np.ndarray
-    scale_mm_per_px: float
-
-    @property
-    def shape(self):
-        return self.pixels.shape
-
-
 def baseline_intensity(illum: IlluminationModel) -> float:
     """Intensity of an undeformed (flat) membrane pixel: a zero slope shaded."""
     zero = np.zeros(1)
     return float(_shade_slopes(zero, zero, illum)[0])
 
 
-def render(height: HeightField, illum: IlluminationModel) -> TactileImage:
-    """Shade a height field into a tactile image."""
-    return TactileImage(_shade(height.z, height.scale_mm_per_px, illum),
-                        height.scale_mm_per_px)
-
-
-def _shade(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> np.ndarray:
+def render(z: np.ndarray, scale_mm_per_px: float, illum: IlluminationModel) -> np.ndarray:
+    """Shade a height field (mm) on a raster of this pitch into intensities
+    in [0, 1]."""
     fy, fx = np.gradient(z, scale_mm_per_px)
     # The sloped-pixel rule of the module docstring. A zero slope appended
     # to the sloped pixels' gives the flat value for all the others.
@@ -158,13 +142,9 @@ def _shade_slopes(fx: np.ndarray, fy: np.ndarray, illum: IlluminationModel) -> n
     return out
 
 
-def _flat_pixels(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
-    return np.full((sensor.input_size, sensor.input_size), baseline_intensity(illum))
-
-
-def make_reference(sensor: SensorConfig, illum: IlluminationModel) -> TactileImage:
+def make_reference(sensor: SensorConfig, illum: IlluminationModel) -> np.ndarray:
     """Reference image of the undeformed membrane."""
-    return TactileImage(_flat_pixels(sensor, illum), sensor.scale_mm_per_px)
+    return np.full((sensor.input_size,) * 2, baseline_intensity(illum))
 
 
 def contact_window(scenario: ContactScenario, material: MaterialParams,
@@ -198,19 +178,20 @@ def contact_window(scenario: ContactScenario, material: MaterialParams,
 
 def render_window(scenario: ContactScenario, material: MaterialParams,
                   illum: IlluminationModel,
-                  sensor: SensorConfig) -> tuple[PixelWindow, TactileImage]:
+                  sensor: SensorConfig) -> tuple[PixelWindow, np.ndarray]:
     """``contact_window`` and the noise-free image of its pixels. A one-pixel
     ring is computed too, so that the window's gradients see the same
     neighbours as on the whole raster."""
     window = contact_window(scenario, material, illum, sensor)
     ring = window.grow(1)
-    img = render(height_field(scenario, material, sensor, window=ring), illum)
-    return window, TactileImage(img.pixels[window.slices_in(ring)], img.scale_mm_per_px)
+    img = render(height_field(scenario, material, sensor, window=ring),
+                 sensor.scale_mm_per_px, illum)
+    return window, img[window.slices_in(ring)]
 
 
 def simulate(scenario: ContactScenario, material: MaterialParams,
              illum: IlluminationModel, sensor: SensorConfig,
-             seed: int = 0) -> tuple[TactileImage, GroundTruth]:
+             seed: int = 0) -> tuple[np.ndarray, GroundTruth]:
     """Forward model: scenario -> (noisy tactile image, ground truth).
 
     Deterministic in (scenario, parameters, seed); pixel noise is zero-mean
@@ -221,14 +202,14 @@ def simulate(scenario: ContactScenario, material: MaterialParams,
     if scenario.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         pixels = rng.normal(0.0, scenario.noise_sigma, (sensor.input_size,) * 2)
-        noisy = patch.pixels + pixels[window.slices]
+        noisy = patch + pixels[window.slices]
         pixels += baseline_intensity(illum)
         pixels[window.slices] = noisy
         np.clip(pixels, 0.0, 1.0, out=pixels)
     else:
-        pixels = _flat_pixels(sensor, illum)
-        pixels[window.slices] = patch.pixels
-    return (TactileImage(pixels, patch.scale_mm_per_px), ground_truth(scenario, material))
+        pixels = np.full((sensor.input_size,) * 2, baseline_intensity(illum))
+        pixels[window.slices] = patch
+    return pixels, ground_truth(scenario, material)
 
 
 # Deviation from the flat baseline that counts toward the deviation area.
@@ -237,10 +218,12 @@ DEVIATION_AREA_THRESHOLD = 0.0034
 CONTACT_BAND_MM = 0.5
 
 
-def deviation_area_mm2(img: TactileImage, illum: IlluminationModel) -> float:
-    """Area (mm^2) where the image deviates from the flat baseline."""
-    dev = np.abs(img.pixels - baseline_intensity(illum))
-    return float((dev >= DEVIATION_AREA_THRESHOLD).sum()) * img.scale_mm_per_px ** 2
+def deviation_area_mm2(img: np.ndarray, scale_mm_per_px: float,
+                       illum: IlluminationModel) -> float:
+    """Area (mm^2) where the image, on a raster of this pitch, deviates from
+    the flat baseline."""
+    dev = np.abs(img - baseline_intensity(illum))
+    return float((dev >= DEVIATION_AREA_THRESHOLD).sum()) * scale_mm_per_px ** 2
 
 
 def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
@@ -252,8 +235,8 @@ def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
     decay outside the contact, which saturates the shading at high loads for
     every probe alike.
     """
-    img = render(height_field(scenario, material, sensor), illum)
-    dev = np.abs(img.pixels - baseline_intensity(illum))
+    img = render(height_field(scenario, material, sensor), sensor.scale_mm_per_px, illum)
+    dev = np.abs(img - baseline_intensity(illum))
     inside = contact_mask(scenario, material, *pixel_centers_mm(sensor))
     dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
     band = inside & (dist <= CONTACT_BAND_MM)
@@ -343,8 +326,7 @@ def resolution_sweep(frequencies, orientation: str, material: MaterialParams,
         cov = _bar_coverage(u, f, sensor.scale_mm_per_px)
         z = np.where(patch, _BAR_DEPTH_MM * cov, 0.0)
         z = ndimage.gaussian_filter(z, sigma=_BAR_SMOOTH_PX)
-        img = render(HeightField(z, sensor.scale_mm_per_px), illum)
-        vals = img.pixels[region]
+        vals = render(z, sensor.scale_mm_per_px, illum)[region]
         i_max, i_min = float(vals.max()), float(vals.min())
         m = (i_max - i_min) / (i_max + i_min) if i_max + i_min > 0 else 0.0
         rows.append(SweepRow(f, m, m >= RESOLVABLE_MODULATION))

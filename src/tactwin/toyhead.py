@@ -20,14 +20,13 @@ from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_gra
 from .dataset import check_array, check_names, read_json, write_json
 from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid
 from .errors import ConfigError
-from .render import TactileImage
 
 HEAD_VERSION = 1
 # Deviation at which a pixel counts as touched; four times it is the high band.
 FEATURE_THRESHOLD = 0.01
 
 
-def cell_features(image: TactileImage, reference: TactileImage,
+def cell_features(image: np.ndarray, reference: np.ndarray,
                   grid: RegionGrid) -> np.ndarray:
     """Per-cell feature matrix (n_cells, 20), deterministic in the image.
 
@@ -37,10 +36,10 @@ def cell_features(image: TactileImage, reference: TactileImage,
     products and powers give a linear head enough reach to express
     indentation laws such as force ~ area * sqrt(contrast).
     """
-    if image.pixels.shape != reference.pixels.shape:
+    if image.shape != reference.shape:
         raise ConfigError("image and reference shapes differ")
-    dev = np.abs(image.pixels - reference.pixels)
-    gy, gx = np.gradient(image.pixels)
+    dev = np.abs(image - reference)
+    gy, gx = np.gradient(image)
     grad = np.hypot(gx, gy)
     above = dev >= FEATURE_THRESHOLD
 
@@ -59,7 +58,7 @@ def cell_features(image: TactileImage, reference: TactileImage,
         g_area_hi * np.sqrt(g_p999),
     ])
 
-    size = image.pixels.shape[0]
+    size = image.shape[0]
     rows = []
     for stride in grid.strides:
         m = size // stride
@@ -193,7 +192,7 @@ class ToyHead:
 class FitResult:
     head: ToyHead
     losses: list
-    diverged: bool
+    diverged: str   # the divergence rule that stopped training; "" if none did
 
 
 def _distinct_rows(x: np.ndarray, t: np.ndarray):
@@ -210,9 +209,10 @@ def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
     cell counts, and the positive rows with their ``Positives``.
 
     A fresh head whitens with one concatenated copy of the rows, centred in
-    place. Each sample's block is standardized once, as one product (row by
-    row may differ in the last bits), and gives the initial predictions that
-    freeze the assignments, the distinct objectness rows and the positive rows.
+    place; rows that never vary cannot be whitened, a ConfigError. Each
+    sample's block is standardized once, as one product (row by row may
+    differ in the last bits), and gives the initial predictions that freeze
+    the assignments, the distinct objectness rows and the positive rows.
     """
     if init_head is not None:
         head = init_head
@@ -223,6 +223,9 @@ def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
         cov = centered.T @ centered / max(centered.shape[0] - 1, 1)
         del centered
         evals, evecs = np.linalg.eigh(cov)
+        if not evals.max() > 0:
+            raise ConfigError("the training features never vary (every training "
+                              "image is flat), so they cannot be whitened")
         scale = 1.0 / np.sqrt(np.maximum(evals, 1e-9 * evals.max()))
         transform = (evecs * scale) @ evecs.T
         head = ToyHead.zeros(classes, mean, transform)
@@ -251,11 +254,13 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     the sum of per-scene detection losses divided by the sample count.
     The objectness term runs once per distinct (feature row, target) pair of
     a sample, weighted by its cell count; noise-free backgrounds share a row.
-    Divergence stops training early and flags the result: five consecutive
-    loss increases (the plain reading), or five consecutive epochs whose
-    trailing-5 mean loss exceeds twice the best loss seen. The second rule
-    catches oscillating blowup (saturated sigmoids flip-flop instead of
-    growing monotonically) without tripping on transient plateaus.
+    Divergence stops training early and flags the result with the rule that
+    fired: a non-finite loss, five consecutive loss increases (the plain
+    reading), or five consecutive epochs whose trailing-5 mean loss exceeds
+    twice the best loss seen. The last rule catches oscillating blowup
+    (saturated sigmoids flip-flop instead of growing monotonically) without
+    tripping on transient plateaus. A NaN loss compares false with any
+    other, so only the first rule sees it.
     """
     if not (0 <= learning_rate < math.inf) or epochs < 0:
         raise ConfigError(f"learning_rate must be finite and >= 0 and epochs >= 0, "
@@ -275,7 +280,7 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
             for name, c in s.items() if name != "obj"}
 
     losses = []
-    diverged = False
+    diverged = ""
     best = math.inf
     rising = 0
     blowup = 0
@@ -298,8 +303,13 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
         stuck_high = (len(losses) >= 5
                       and float(np.mean(losses[-5:])) > 2.0 * best)
         blowup = blowup + 1 if stuck_high else 0
-        if rising >= 5 or blowup >= 5:
-            diverged = True
+        if not math.isfinite(losses[-1]):
+            diverged = "non-finite loss"
+        elif rising >= 5:
+            diverged = "five consecutive loss increases"
+        elif blowup >= 5:
+            diverged = "trailing-5 mean loss above twice the best for five epochs"
+        if diverged:
             break
         best = min(best, losses[-1])
 

@@ -50,7 +50,6 @@ from tactwin.decoder import MERGE_DIST_MM, Blob, calibration_scenario
 from tactwin.errors import AssignmentError
 from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
 from tactwin.geometry import points_in_box, rotated_iou_pairs
-from tactwin.render import TactileImage
 from tactwin.toyhead import ToyHead, _distinct_rows
 
 # 160 px over the standard 32 mm active area: windows reach the raster edge
@@ -60,7 +59,7 @@ SENSOR_160 = SensorConfig(input_size=160, scale_mm_per_px=0.2)
 
 def _blob_fields(blobs):
     """Every measured field of each blob, as plain values."""
-    return [(b.area_mm2, b.n_pixels, b.centroid_mm, b.mu20, b.mu02, b.mu11,
+    return [(b.area_mm2, b.centroid_mm, b.mu20, b.mu02, b.mu11,
              b.deviation_integral, b.ys.tolist(), b.xs.tolist(),
              b.weights.tolist(), b.extent_mm)
             for b in blobs]
@@ -130,19 +129,18 @@ def frozen_shade_slopes(fx, fy, illum):
 
 def frozen_render(scenario, material, illum, sensor):
     """The whole-raster height field, shaded per light on every pixel."""
-    z = height_field(scenario, material, sensor).z
-    return TactileImage(frozen_shade(z, sensor.scale_mm_per_px, illum), sensor.scale_mm_per_px)
+    z = height_field(scenario, material, sensor)
+    return frozen_shade(z, sensor.scale_mm_per_px, illum)
 
 
 def frozen_simulate(scenario, material, illum, sensor, seed=0):
     """``frozen_render``, then the noise added and clipped into new arrays."""
-    image = frozen_render(scenario, material, illum, sensor)
-    pixels = image.pixels
+    pixels = frozen_render(scenario, material, illum, sensor)
     if scenario.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         pixels = np.clip(pixels + rng.normal(0.0, scenario.noise_sigma, pixels.shape),
                          0.0, 1.0)
-    return TactileImage(pixels, image.scale_mm_per_px), ground_truth(scenario, material)
+    return pixels, ground_truth(scenario, material)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def frozen_simulate(scenario, material, illum, sensor, seed=0):
 # ---------------------------------------------------------------------------
 
 def frozen_pgm_bytes(image):
-    data = np.rint(np.clip(image.pixels, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
+    data = np.rint(np.clip(image, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
     h, w = data.shape
     return f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + data.tobytes()
 
@@ -204,7 +202,7 @@ def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, wind
         cy = float((gw * y_mm).sum() / wsum)
         dx, dy = x_mm - cx, y_mm - cy
         out.append(Blob(
-            area_mm2=float((b1 - b0) * px_area), n_pixels=int(b1 - b0),
+            area_mm2=float((b1 - b0) * px_area),
             centroid_mm=(cx, cy),
             mu20=float((gw * dx * dx).sum() / wsum),
             mu02=float((gw * dy * dy).sum() / wsum),
@@ -218,7 +216,7 @@ def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, wind
 
 def frozen_measurements(image, reference, sensor, cfg):
     """The whole deviation filtered, then measured by ``frozen_extract_blobs``."""
-    dev = image.pixels - reference.pixels
+    dev = image - reference
     sp = cfg.denoise_sigma_px(sensor)
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)

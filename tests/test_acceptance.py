@@ -281,8 +281,9 @@ class TestCriterion6SimulatorPhysics:
             rows = []
             for f in forces:
                 sc = ContactScenario(SphereProbe(d), 0, 0, 0, float(f))
-                img = render(height_field(sc, material, sensor), illum)
-                rows.append(deviation_area_mm2(img, illum))
+                img = render(height_field(sc, material, sensor),
+                             sensor.scale_mm_per_px, illum)
+                rows.append(deviation_area_mm2(img, sensor.scale_mm_per_px, illum))
             area[d] = rows
         mono_force = all(np.all(np.diff(area[d]) > 0) for d in diameters)
         fixed_idx = {1.0: 1, 3.0: 5, 6.0: 11, 9.0: 17}

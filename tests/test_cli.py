@@ -23,7 +23,6 @@ from tactwin.dataset import ANNOTATION_KEYS, assign_splits, pgm_bytes, read_json
 from tactwin.encoding import CSL_BINS
 from tactwin.errors import ScenarioError
 from tactwin.frames import SensorConfig
-from tactwin.render import TactileImage
 from tactwin.toyhead import FEATURE_DIM, ToyHead
 
 SMALL = ["--size", "128", "--scale", "0.25"]
@@ -452,7 +451,7 @@ class TestMalformedInputs:
 
     def shrink_first_image(self, ds: Path) -> Path:
         victim = sorted((ds / "train").glob("*.pgm"))[0]
-        victim.write_bytes(pgm_bytes(TactileImage(np.full((64, 64), 0.5), 0.25)))
+        victim.write_bytes(pgm_bytes(np.full((64, 64), 0.5)))
         return victim
 
     def test_decode_raster_size_mismatch_exit_3(self, workspace, tmp_path, capsys):
@@ -955,6 +954,31 @@ class TestTrainToy:
                        "--lr", "1000"])
         assert rc == 5
         assert "diverged" in capsys.readouterr().err
+
+    def test_nan_loss_exit_5(self, workspace, tmp_path, capsys):
+        # The loss is NaN from the second epoch on; the rise and blowup
+        # rules compare against it and never fire.
+        with np.errstate(all="ignore"):
+            rc = main(["train-toy", "--dataset", str(workspace / "ds"),
+                       "--out", str(tmp_path / "toy"), "--epochs", "12",
+                       "--lr", "1e308"])
+        assert rc == 5
+        assert "training diverged (non-finite loss)" in capsys.readouterr().err
+        assert (tmp_path / "toy" / "curve.csv").read_text().splitlines()[-1] == "1,nan"
+
+    def test_flat_training_set_exit_2(self, tmp_path, capsys):
+        # Every image renders flat at this load, so no feature varies and
+        # whitening would divide by zero: nothing is written.
+        assert main(["generate", "--out", str(tmp_path / "flat"), "--count", "4",
+                     "--size", "160", "--scale", "0.2",
+                     "--force-range", "0:0.0001"]) == 0
+        capsys.readouterr()
+        rc = main(["train-toy", "--dataset", str(tmp_path / "flat"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "never vary" in err and "Traceback" not in err
+        assert not (tmp_path / "toy").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
     def test_bad_lr_exit_2(self, workspace, tmp_path, capsys, lr):

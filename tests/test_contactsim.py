@@ -29,8 +29,8 @@ def frozen_band_contrast(scenario, material, illum, sensor, band_mm=0.5):
     mask-band path replaced: an analytic annulus for spheres, the full-depth
     pixels' inner band for punches."""
     hf = height_field(scenario, material, sensor)
-    img = render(hf, illum)
-    dev = np.abs(img.pixels - baseline_intensity(illum))
+    img = render(hf, sensor.scale_mm_per_px, illum)
+    dev = np.abs(img - baseline_intensity(illum))
     X, Y = pixel_centers_mm(sensor)
     if scenario.probe.params()["kind"] == "sphere":
         _, a = hertz_indentation(scenario.force_n, scenario.probe.radius_mm,
@@ -38,7 +38,7 @@ def frozen_band_contrast(scenario, material, illum, sensor, band_mm=0.5):
         r = np.hypot(X - scenario.x_mm, Y - scenario.y_mm)
         band = (r <= a) & (r >= a - band_mm)
     else:
-        inside = hf.z >= hf.z.max() * (1.0 - 1e-9)
+        inside = hf >= hf.max() * (1.0 - 1e-9)
         dist = ndimage.distance_transform_edt(inside, sampling=sensor.scale_mm_per_px)
         band = inside & (dist <= band_mm)
     if not band.any():
@@ -88,7 +88,7 @@ class TestHeightField:
     def test_zero_force_zero_field(self, material, small_sensor):
         sc = ContactScenario(SphereProbe(10), force_n=0.0)
         hf = height_field(sc, material, small_sensor)
-        assert not hf.z.any()
+        assert not hf.any()
 
     def test_sphere_max_depth_matches_hertz(self, material, sensor):
         sc = ContactScenario(SphereProbe(10), 2.0, -3.0, 0, 3.0)
@@ -97,13 +97,13 @@ class TestHeightField:
         # the grid's nearest pixel sits up to half a pixel diagonal off the
         # apex, costing r^2 / (2R) of height
         sag = (sensor.scale_mm_per_px / math.sqrt(2)) ** 2 / (2 * 5.0)
-        assert depth - hf.z.max() == pytest.approx(0.0, abs=2 * sag)
+        assert depth - hf.max() == pytest.approx(0.0, abs=2 * sag)
 
     def test_field_continuous_and_nonnegative(self, material, sensor):
         sc = ContactScenario(SphereProbe(20), 0, 0, 0, 5.0)
         hf = height_field(sc, material, sensor)
-        assert hf.z.min() >= 0.0
-        gy, gx = np.gradient(hf.z, sensor.scale_mm_per_px)
+        assert hf.min() >= 0.0
+        gy, gx = np.gradient(hf, sensor.scale_mm_per_px)
         # no jumps larger than a steep but finite physical slope
         assert np.abs(gy).max() < 60 and np.abs(gx).max() < 60
 
@@ -111,7 +111,7 @@ class TestHeightField:
         sc = ContactScenario(STRIP, 0, 0, 30, 3.0)
         hf = height_field(sc, material, sensor)
         X, Y = pixel_centers_mm(sensor)
-        w = hf.z
+        w = hf
         m = w.sum()
         cx, cy = (X * w).sum() / m, (Y * w).sum() / m
         mu20 = (w * (X - cx) ** 2).sum() / m
@@ -161,7 +161,7 @@ class TestHeightField:
         sc = ContactScenario(probe, 1.0, 1.0, 0, 2.0)
         hf = height_field(sc, material, sensor)
         d = punch_indentation(2.0, probe.area_mm2, material.e_star)
-        assert hf.z.max() == pytest.approx(d, rel=1e-9)
+        assert hf.max() == pytest.approx(d, rel=1e-9)
 
     @pytest.mark.parametrize("probe", [
         FootprintProbe("strip", stencil_strip(10.0, 0.05), 0.1),
@@ -199,7 +199,7 @@ class TestHeightFieldExact:
             for x, y, theta, force in poses:
                 sc = ContactScenario(probe, x, y, theta, force)
                 for window in (None, PixelWindow.around(x, y, 6.0, sens)):
-                    got = height_field(sc, material, sens, window).z
+                    got = height_field(sc, material, sens, window)
                     want = frozen_height_field(sc, material, sens, window)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
@@ -264,7 +264,7 @@ class TestProbeInterface:
 class TestRender:
     def test_flat_field_uniform(self, sensor, illum):
         ref = make_reference(sensor, illum)
-        assert (ref.pixels == baseline_intensity(illum)).all()
+        assert (ref == baseline_intensity(illum)).all()
 
     def test_baseline_value(self):
         illum = IlluminationModel(ambient=0.25, diffuse=0.6,
@@ -274,16 +274,17 @@ class TestRender:
 
     def test_intensities_in_range(self, material, illum, sensor):
         sc = ContactScenario(SphereProbe(10), 0, 0, 0, 9.0)
-        img = render(height_field(sc, material, sensor), illum)
-        assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+        img = render(height_field(sc, material, sensor), sensor.scale_mm_per_px, illum)
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_deeper_indentation_larger_area_higher_contrast(
             self, material, illum, sensor):
         areas, contrasts = [], []
         for force in (1.0, 4.0, 8.0):
             sc = ContactScenario(SphereProbe(15), 0, 0, 0, force)
-            img = render(height_field(sc, material, sensor), illum)
-            areas.append(deviation_area_mm2(img, illum))
+            img = render(height_field(sc, material, sensor),
+                         sensor.scale_mm_per_px, illum)
+            areas.append(deviation_area_mm2(img, sensor.scale_mm_per_px, illum))
             contrasts.append(contact_band_contrast(sc, material, illum, sensor))
         assert areas[0] < areas[1] < areas[2]
         assert contrasts[0] < contrasts[1] < contrasts[2]
@@ -293,8 +294,9 @@ class TestRender:
         areas, contrasts = [], []
         for diameter in (10.0, 20.0, 30.0):
             sc = ContactScenario(SphereProbe(diameter), 0, 0, 0, 3.0)
-            img = render(height_field(sc, material, sensor), illum)
-            areas.append(deviation_area_mm2(img, illum))
+            img = render(height_field(sc, material, sensor),
+                         sensor.scale_mm_per_px, illum)
+            areas.append(deviation_area_mm2(img, sensor.scale_mm_per_px, illum))
             contrasts.append(contact_band_contrast(sc, material, illum, sensor))
         assert areas[0] < areas[1] < areas[2]
         assert contrasts[0] > contrasts[1] > contrasts[2]
@@ -311,9 +313,9 @@ class TestSimulate:
         sc = ContactScenario(SphereProbe(10), 1, 2, 0, 3.0, noise_sigma=0.02)
         img1, _ = simulate(sc, material, illum, small_sensor, seed=5)
         img2, _ = simulate(sc, material, illum, small_sensor, seed=5)
-        assert np.array_equal(img1.pixels, img2.pixels)
+        assert np.array_equal(img1, img2)
         img3, _ = simulate(sc, material, illum, small_sensor, seed=6)
-        assert not np.array_equal(img1.pixels, img3.pixels)
+        assert not np.array_equal(img1, img3)
 
     def test_sphere_ground_truth_box(self, material, illum, sensor):
         sc = ContactScenario(SphereProbe(20), -2, 4, 0, 5.0)
@@ -333,7 +335,7 @@ class TestSimulate:
     def test_noise_clamped(self, material, illum, small_sensor):
         sc = ContactScenario(SphereProbe(10), 0, 0, 0, 1.0, noise_sigma=0.5)
         img, _ = simulate(sc, material, illum, small_sensor, seed=1)
-        assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 class TestDeviationMonotonicity:
@@ -345,8 +347,9 @@ class TestDeviationMonotonicity:
             areas = []
             for force in np.arange(0.5, 10.01, 0.5):
                 sc = ContactScenario(SphereProbe(diameter), 0, 0, 0, float(force))
-                img = render(height_field(sc, material, small_sensor), illum)
-                areas.append(deviation_area_mm2(img, illum))
+                img = render(height_field(sc, material, small_sensor),
+                             small_sensor.scale_mm_per_px, illum)
+                areas.append(deviation_area_mm2(img, small_sensor.scale_mm_per_px, illum))
             diffs = np.diff(areas)
             assert np.all(diffs >= 0)
 
@@ -355,8 +358,9 @@ class TestDeviationMonotonicity:
             areas = []
             for diameter in (10.0, 15.0, 20.0, 25.0, 30.0):
                 sc = ContactScenario(SphereProbe(diameter), 0, 0, 0, force)
-                img = render(height_field(sc, material, small_sensor), illum)
-                areas.append(deviation_area_mm2(img, illum))
+                img = render(height_field(sc, material, small_sensor),
+                             small_sensor.scale_mm_per_px, illum)
+                areas.append(deviation_area_mm2(img, small_sensor.scale_mm_per_px, illum))
             assert np.all(np.diff(areas) >= 0)
 
 

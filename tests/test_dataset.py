@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tactwin.contact import height_field
 from tactwin.dataset import (ANNOTATION_KEYS, DatasetSpec, assign_splits,
-                             generate_dataset, read_jsonl, read_manifest,
-                             read_pgm, sample_for_index, write_pgm)
+                             generate_dataset, load_sample_image, read_jsonl,
+                             read_manifest, read_pgm, sample_for_index, write_pgm)
 from tactwin.errors import ConfigError
 from tactwin.frames import SensorConfig
-from tactwin.render import TactileImage
+from tactwin.render import make_reference, render_window, simulate
 
 
 def small_spec(count=12, seed=7, noise=0.02):
@@ -32,22 +33,40 @@ def dir_digest(root: Path) -> dict:
 class TestPgm:
     def test_round_trip(self, tmp_path, rng):
         pixels = rng.uniform(0, 1, size=(32, 32))
-        img = TactileImage(pixels, 0.25)
-        write_pgm(tmp_path / "x.pgm", img)
-        back = read_pgm(tmp_path / "x.pgm", 0.25)
-        assert np.abs(back.pixels - pixels).max() <= 0.5 / 65535 + 1e-12
+        write_pgm(tmp_path / "x.pgm", pixels)
+        back = read_pgm(tmp_path / "x.pgm")
+        assert np.abs(back - pixels).max() <= 0.5 / 65535 + 1e-12
 
     def test_header(self, tmp_path):
-        img = TactileImage(np.zeros((8, 16)), 0.1)
-        write_pgm(tmp_path / "x.pgm", img)
+        write_pgm(tmp_path / "x.pgm", np.zeros((8, 16)))
         raw = (tmp_path / "x.pgm").read_bytes()
         assert raw.startswith(b"P5\n16 8\n65535\n")
         assert len(raw) == len(b"P5\n16 8\n65535\n") + 8 * 16 * 2
 
     def test_16bit_big_endian(self, tmp_path):
-        img = TactileImage(np.full((2, 2), 1.0), 0.1)
-        write_pgm(tmp_path / "x.pgm", img)
+        write_pgm(tmp_path / "x.pgm", np.full((2, 2), 1.0))
         assert (tmp_path / "x.pgm").read_bytes()[-8:] == b"\xff\xff" * 4
+
+
+class TestRasters:
+    def test_every_raster_is_a_float64_array(self, tmp_path):
+        spec = small_spec(count=2)
+        sensor, material, illum = spec.sensor, spec.material, spec.illum
+        raster = (sensor.input_size,) * 2
+        scenario, seed = sample_for_index(spec, 0)
+        window, patch = render_window(scenario, material, illum, sensor)
+        image, _ = simulate(scenario, material, illum, sensor, seed=seed)
+        generate_dataset(spec, tmp_path / "ds")
+        ann = read_jsonl(tmp_path / "ds" / "annotations.jsonl")[0][1]
+        pgm = tmp_path / "ds" / ann["split"] / f"{ann['index']:06d}.pgm"
+        for value, shape in ((height_field(scenario, material, sensor), raster),
+                             (patch, window.shape),
+                             (make_reference(sensor, illum), raster),
+                             (image, raster),
+                             (read_pgm(pgm), raster),
+                             (load_sample_image(tmp_path / "ds", ann, sensor), raster)):
+            assert type(value) is np.ndarray
+            assert value.dtype == np.float64 and value.shape == shape
 
 
 class TestSplits:
@@ -104,8 +123,8 @@ class TestGenerate:
         generate_dataset(spec, tmp_path / "ds")
         for _, row in read_jsonl(tmp_path / "ds" / "annotations.jsonl"):
             path = tmp_path / "ds" / row["split"] / f"{row['index']:06d}.pgm"
-            img = read_pgm(path, 0.25)
-            assert img.pixels.shape == (128, 128)
+            img = read_pgm(path)
+            assert img.shape == (128, 128)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):

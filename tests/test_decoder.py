@@ -23,7 +23,7 @@ from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.frames import SensorConfig
 from tactwin.metrics import evaluate_detections
-from tactwin.render import TactileImage, make_reference, simulate
+from tactwin.render import make_reference, simulate
 from tactwin.suites import (STENCIL_SCALE_MM, SUITES, roundtrip_probes,
                             sample_scenario, screw_part_probes, sphere_probes,
                             stencil_strip)
@@ -63,10 +63,7 @@ class TestDifferenceImage:
         assert not dev.any()
 
     def test_constant_offset(self, reference):
-        from tactwin.render import TactileImage
-        shifted = TactileImage(reference.pixels + 0.1,
-                               reference.scale_mm_per_px)
-        dev = difference_image(shifted, reference)
+        dev = difference_image(reference + 0.1, reference)
         assert np.allclose(dev, 0.1)
 
     def test_support_matches_contact(self, material, illum, sensor, reference):
@@ -103,10 +100,7 @@ class TestExtractBlobs:
         sc2 = ContactScenario(SphereProbe(10), 8.0, 8.0, 0, 3.0)
         img1, _ = simulate(sc1, material, illum, sensor)
         img2, _ = simulate(sc2, material, illum, sensor)
-        base = reference.pixels[0, 0]
-        combined = np.minimum(img1.pixels, img2.pixels)  # darkening composite
-        from tactwin.render import TactileImage
-        img = TactileImage(combined, sensor.scale_mm_per_px)
+        img = np.minimum(img1, img2)  # darkening composite
         blobs = decode_measurements(img, reference, sensor, cfg)
         assert len(blobs) == 2
 
@@ -336,9 +330,8 @@ class TestDenoiseKernel:
         # growth must both use the filter's own kernel.
         cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300, min_area_mm2=0.0,
                            denoise_sigma_mm=denoise_sigma_mm)
-        pixels = reference.pixels.copy()
-        pixels[320, 320] -= 0.5
-        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        image = reference.copy()
+        image[320, 320] -= 0.5
         blob, = decode_measurements(image, reference, sensor, cfg)
         r = cfg.denoise_radius_px(sensor)
         assert r == {0.055: 3, 0.25: 15}[denoise_sigma_mm]
@@ -555,13 +548,11 @@ class TestDecode:
         assert max(thetas) < 0.5
 
     def test_multi_contact(self, small_decoder, material, illum, sensor):
-        from tactwin.render import TactileImage
         img1, _ = simulate(ContactScenario(SphereProbe(10), -8, -8, 0, 3.0),
                            material, illum, sensor)
         img2, _ = simulate(ContactScenario(SphereProbe(10), 8, 8, 0, 5.0),
                            material, illum, sensor)
-        img = TactileImage(np.minimum(img1.pixels, img2.pixels),
-                           sensor.scale_mm_per_px)
+        img = np.minimum(img1, img2)
         dets = small_decoder.decode(img)
         assert len(dets) == 2
         assert {d.class_name for d in dets} == {"sphere"}

@@ -14,7 +14,7 @@ from tactwin.decoder import (ROTATION_STEP_DEG, ClassModel,
                              _canonical_coords, _canonical_patches, _decode_measurements,
                              classify, difference_image, estimate_pose, extract_blobs)
 from tactwin.frames import PixelWindow
-from tactwin.render import TactileImage, make_reference, simulate
+from tactwin.render import make_reference, simulate
 from tactwin.suites import SUITES
 
 from oracle import (_blob_fields, frozen_canonical_coords, frozen_canonical_patches,
@@ -38,7 +38,7 @@ class TestSimulate:
             scenario = ContactScenario(SphereProbe(10.0), x, y, 0.0, 4.0, noise)
             got = simulate(scenario, material, illum, sensor, seed=9)[0]
             want = frozen_simulate(scenario, material, illum, sensor, seed=9)[0]
-            assert got.pixels.tobytes() == want.pixels.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPgm:
@@ -47,9 +47,9 @@ class TestPgm:
         pixels = np.concatenate([steps / PGM_MAXVAL, (steps + 0.5) / PGM_MAXVAL,
                                  rng.uniform(-0.5, 1.5, 6000), [-0.0, 0.0, 1.0]])
         pixels = pixels[:pixels.size // 256 * 256].reshape(-1, 256)
-        image = TactileImage(pixels, 0.05)
-        assert pgm_bytes(image) == frozen_pgm_bytes(image)
-        assert np.array_equal(image.pixels, pixels)
+        before = pixels.copy()
+        assert pgm_bytes(pixels) == frozen_pgm_bytes(pixels)
+        assert np.array_equal(pixels, before)
 
     def test_read_pgm(self, tmp_path, rng):
         raw = np.concatenate([np.arange(PGM_MAXVAL + 1),
@@ -58,7 +58,7 @@ class TestPgm:
         path = tmp_path / "x.pgm"
         h, w = raw.shape
         path.write_bytes(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii") + raw.tobytes())
-        got = read_pgm(path, 0.05).pixels
+        got = read_pgm(path)
         assert got.dtype == np.float64
         assert got.tobytes() == (raw.astype(float) / PGM_MAXVAL).tobytes()
 
@@ -205,8 +205,8 @@ class TestDecodeLeavesTheImage:
     def test_pixels_untouched(self, noise, roundtrip_decoder, material, illum, sensor):
         scenario = ContactScenario(SUITES["roundtrip"]()[0], 2.0, -3.0, 20.0, 5.0, noise)
         image = simulate(scenario, material, illum, sensor, seed=3)[0]
-        before = image.pixels.copy()
+        before = image.copy()
         assert roundtrip_decoder.decode(image)
-        assert np.array_equal(image.pixels, before)
+        assert np.array_equal(image, before)
         reference = make_reference(sensor, illum)
-        assert np.array_equal(roundtrip_decoder.reference.pixels, reference.pixels)
+        assert np.array_equal(roundtrip_decoder.reference, reference)

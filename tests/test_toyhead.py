@@ -7,6 +7,7 @@ from tactwin import toyhead
 from tactwin.assignment import loss_gradient, simota_assign, total_loss
 from tactwin.contact import GroundTruth
 from tactwin.encoding import build_region_grid
+from tactwin.errors import ConfigError
 from tactwin.geometry import OrientedBox
 from tactwin.render import make_reference, simulate
 from tactwin.suites import sample_scenario, sphere_probes
@@ -161,6 +162,22 @@ class TestFit:
                                learning_rate=500.0, epochs=200)
         assert res.diverged
         assert len(res.losses) < 200  # stopped early, state still returned
+
+    def test_non_finite_loss_stops_training(self, rng):
+        # NaN compares false with any loss, so only the finiteness rule sees
+        # a loss that turned NaN; the run stops at the first such epoch.
+        feats, gts = make_dataset(rng, 6)
+        with np.errstate(all="ignore"):
+            res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+                               learning_rate=1e308, epochs=12)
+        assert res.diverged == "non-finite loss"
+        assert np.isfinite(res.losses[:-1]).all() and not np.isfinite(res.losses[-1])
+
+    def test_features_that_never_vary_rejected(self):
+        feats = [np.ones((GRID.n_cells, FEATURE_DIM)) for _ in range(3)]
+        gts = [[] for _ in feats]
+        with pytest.raises(ConfigError, match="never vary"):
+            fit_toy_head(feats, gts, GRID, SCALE, CLASSES, epochs=2)
 
 
 class TestSerialization:

@@ -28,8 +28,8 @@ from tactwin.decoder import (_COLUMNS, CALIBRATION_FORCES, DecodeConfig,
                              build_calibration, build_decoder, build_templates,
                              calibration_scenario, difference_image)
 from tactwin.frames import PixelWindow, pixel_centers_mm
-from tactwin.render import (_SHADE_BLOCK, IlluminationModel, TactileImage, _shade,
-                            _shade_slopes, contact_window, make_reference,
+from tactwin.render import (_SHADE_BLOCK, IlluminationModel, _shade_slopes,
+                            contact_window, make_reference, render,
                             resolution_sweep, ring_lights, simulate)
 from tactwin.suites import STENCIL_SCALE_MM, SUITES, footprint_probes, stencil_strip
 
@@ -58,7 +58,7 @@ def _simulated_images(suite, sensor, count, noise_sigma, material, illum,
 def _simulated_pixels(*args):
     """Raw float64 pixels: equal pixels give equal PGM bytes, and the float
     comparison also catches last-bit differences that PGM rounding hides."""
-    return [image.pixels.tobytes() for image in _simulated_images(*args)]
+    return [image.tobytes() for image in _simulated_images(*args)]
 
 
 def _sweep(calibration_blobs, probe, material, illum, sensor, cfg):
@@ -124,7 +124,7 @@ class TestContactWindow:
         # zero force skips the bounds check; the window keeps an edge pixel
         sc = ContactScenario(SphereProbe(10.0), 100.0, 3.0, 0.0, 0.0)
         image, _ = simulate(sc, material, illum, sensor)
-        assert np.array_equal(image.pixels, make_reference(sensor, illum).pixels)
+        assert np.array_equal(image, make_reference(sensor, illum))
 
 
 class TestMeasurementWindow:
@@ -133,10 +133,9 @@ class TestMeasurementWindow:
         # filter spreads it beyond the support, and the measurement must
         # still see all of it, as on the whole raster.
         reference = make_reference(sensor, illum)
-        pixels = reference.pixels.copy()
-        pixels[200:206, 300:380] -= 0.05
-        pixels[270:280, 300:330] -= 0.05
-        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        image = reference.copy()
+        image[200:206, 300:380] -= 0.05
+        image[270:280, 300:330] -= 0.05
         assert assert_measures_like_oracle(image, reference, sensor, decode_cfg)
 
     def test_filtered_support_at_the_window_edge(self, illum, sensor):
@@ -146,10 +145,9 @@ class TestMeasurementWindow:
         # the support's edges.
         cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300)
         reference = make_reference(sensor, illum)
-        pixels = reference.pixels.copy()
-        pixels[200:280, 300] -= 0.05
-        pixels[279, 300:380] += 0.05
-        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        image = reference.copy()
+        image[200:280, 300] -= 0.05
+        image[279, 300:380] += 0.05
         blob = assert_measures_like_oracle(image, reference, sensor, cfg)[0]
         # 15 px: the kernel radius at 0.25 mm / 0.05 mm
         assert (blob.xs.min(), blob.ys.max()) == (300 - 15, 279 + 15)
@@ -172,9 +170,8 @@ class TestMeasurementWindow:
         rng = np.random.default_rng(size)
         reference = make_reference(sensor, illum)
         skirt = t * (1.0 - 2.0 ** -39) * rng.uniform(1.0 - 2.0 ** -8, 1.0, (size, size))
-        pixels = reference.pixels - skirt
-        pixels[core] -= 0.05
-        image = TactileImage(pixels, sensor.scale_mm_per_px)
+        image = reference - skirt
+        image[core] -= 0.05
         dev = difference_image(image, reference)
         assert np.abs(dev[np.abs(dev) < 0.02]).max() < t * (1.0 - 2.0 ** -40)
         blob, = assert_measures_like_oracle(image, reference, sensor, cfg)
@@ -198,8 +195,8 @@ class TestMeasurementWindow:
         for i, image in enumerate(_simulated_images("roundtrip", sensor, 7, 0.0,
                                                     material, illum)):
             write_pgm(tmp_path / f"{i}.pgm", image)
-            image = read_pgm(tmp_path / f"{i}.pgm", sensor.scale_mm_per_px)
-            assert (image.pixels != reference.pixels).all()
+            image = read_pgm(tmp_path / f"{i}.pgm")
+            assert (image != reference).all()
             shapes.clear()
             assert assert_measures_like_oracle(image, reference, sensor, cfg)
             # the measurement's crop, then the whole-raster oracle
@@ -223,7 +220,7 @@ class TestMeasurementWindow:
         # filter reflects there, and the measured crop must reflect alike.
         image = simulate(scenario, material, illum, SENSOR_160)[0]
         reference = make_reference(SENSOR_160, illum)
-        differs = image.pixels != reference.pixels
+        differs = image != reference
         rows = np.flatnonzero(differs.any(axis=1))
         cols = np.flatnonzero(differs.any(axis=0))
         assert corner in ((rows[0], cols[0]), (rows[-1] + 1, cols[-1] + 1))
@@ -320,7 +317,7 @@ OTHER_LIGHTS = {
 
 
 def assert_shades_like_oracle(z, scale_mm_per_px, illum):
-    assert (_shade(z, scale_mm_per_px, illum).tobytes()
+    assert (render(z, scale_mm_per_px, illum).tobytes()
             == frozen_shade(z, scale_mm_per_px, illum).tobytes())
 
 
@@ -328,7 +325,7 @@ def _window_field(probe, force, material, illum, sensor):
     """The height field ``simulate`` shades for a calibration render."""
     scenario = calibration_scenario(probe, force)
     window = contact_window(scenario, material, illum, sensor).grow(1)
-    return height_field(scenario, material, sensor, window=window).z
+    return height_field(scenario, material, sensor, window=window)
 
 
 class TestSlopedShading:
@@ -343,7 +340,7 @@ class TestSlopedShading:
     def test_whole_raster_fields(self, suite, material, illum, sensor):
         spec = DatasetSpec(count=3, master_seed=11, suite=suite)
         for i in range(spec.count):
-            z = height_field(sample_for_index(spec, i)[0], material, sensor).z
+            z = height_field(sample_for_index(spec, i)[0], material, sensor)
             assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
 
     @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
@@ -352,9 +349,9 @@ class TestSlopedShading:
         render_module = importlib.import_module("tactwin.render")
         fields = []
 
-        def spy(height, illum):
-            fields.append(height.z)
-            return original(height, illum)
+        def spy(z, scale_mm_per_px, illum):
+            fields.append(z)
+            return original(z, scale_mm_per_px, illum)
 
         original = render_module.render
         monkeypatch.setattr(render_module, "render", spy)
@@ -410,7 +407,7 @@ class TestProfileMemo:
         def spy_field(scenario, material, sensor, window=None):
             assert contact._PROFILE_MEMO.get() is not None
             hf = height_field(scenario, material, sensor, window=window)
-            seen.append((scenario, window, hf.z.tobytes()))
+            seen.append((scenario, window, hf.tobytes()))
             return hf
 
         def spy_mask(scenario, *args):
@@ -433,4 +430,4 @@ class TestProfileMemo:
         monkeypatch.undo()
         assert len(seen) == 3 * (len(CALIBRATION_FORCES) - 1)
         for scenario, window, z in seen:
-            assert height_field(scenario, material, sensor, window=window).z.tobytes() == z
+            assert height_field(scenario, material, sensor, window=window).tobytes() == z

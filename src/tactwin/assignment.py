@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import CSL_BINS, DEFAULT_SIGMA, DEFAULT_WINDOW_RADIUS, RegionGrid, csl_encode
+from .encoding import CSL_BINS, RegionGrid, csl_encode
 from .errors import AssignmentError, ContractViolation
 from .geometry import points_in_box, rotated_iou_gradient, rotated_iou_pairs
 
@@ -260,15 +260,13 @@ class Positives(NamedTuple):
     boxes: np.ndarray        # (B, 5) ground-truth box parameters
 
 
-def positive_targets(preds: PredictionField, gts, assignment: Assignment, classes,
-                     window_radius: float = DEFAULT_WINDOW_RADIUS,
-                     sigma: float = DEFAULT_SIGMA) -> Positives:
+def positive_targets(preds: PredictionField, gts, assignment: Assignment,
+                     classes) -> Positives:
     """The scene's positive cells, each with its ground truth's targets."""
     _check_assignment(preds, gts, assignment)
     # Per ground truth, shaped for an empty list too.
     cls_t = np.eye(preds.n_classes)[[_class_index(g.class_name, classes) for g in gts]]
-    csl_t = np.array([csl_encode(g.theta_deg, window_radius, sigma)
-                      for g in gts]).reshape(-1, CSL_BINS)
+    csl_t = np.array([csl_encode(g.theta_deg) for g in gts]).reshape(-1, CSL_BINS)
     force_t = np.array([g.force_n for g in gts], dtype=float)
     boxes_t = np.array([g.box.as_array() for g in gts]).reshape(-1, 5)
     cells = np.nonzero(assignment.cell_to_gt >= 0)[0]
@@ -330,11 +328,10 @@ class PositiveTerms:
                 -2.0 * self.iou[:, None] * d_iou * chain)
 
 
-def total_loss(preds: PredictionField, gts, assignment: Assignment, classes,
-               window_radius: float = DEFAULT_WINDOW_RADIUS,
-               sigma: float = DEFAULT_SIGMA) -> LossBreakdown:
+def total_loss(preds: PredictionField, gts, assignment: Assignment,
+               classes) -> LossBreakdown:
     """Evaluate the full multi-task loss for one scene."""
-    pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
+    pos = positive_targets(preds, gts, assignment, classes)
     obj = float(bce(preds.obj, assignment.obj_targets()).sum())
     return LossBreakdown(*PositiveTerms(pos, *preds.rows(pos.cells),
                                         assignment.clipped).loss(), obj)
@@ -351,11 +348,10 @@ class FieldGradient:
     box_raw: np.ndarray
 
 
-def loss_gradient(preds: PredictionField, gts, assignment: Assignment, classes,
-                  window_radius: float = DEFAULT_WINDOW_RADIUS,
-                  sigma: float = DEFAULT_SIGMA) -> FieldGradient:
+def loss_gradient(preds: PredictionField, gts, assignment: Assignment,
+                  classes) -> FieldGradient:
     """Analytic gradients of the scene loss, in prediction-field layout."""
-    pos = positive_targets(preds, gts, assignment, classes, window_radius, sigma)
+    pos = positive_targets(preds, gts, assignment, classes)
     # np.zeros allocates through calloc; zeros_like runs numpy's slower fill loop.
     grad = FieldGradient(bce_grad(preds.obj, assignment.obj_targets()),
                          *(np.zeros(a.shape, a.dtype) for a in preds.rows(slice(None))))

@@ -240,10 +240,9 @@ def cmd_eval(args) -> int:
     for ann, gt in annotations:
         classes.add(gt.class_name)
         per_sample.append((dets_by_index.get(ann["index"], []), [gt]))
-    angle_classes = None if args.angle_all else ANISOTROPIC_CLASSES
     report = evaluate_detections(per_sample, sorted(classes),
                                  iou_threshold=args.iou,
-                                 angle_classes=angle_classes)
+                                 angle_classes=ANISOTROPIC_CLASSES)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     json_path, txt_path = write_report(report, out / "report")
@@ -292,20 +291,22 @@ def cmd_train_toy(args) -> int:
     _echo_config(out, {"command": "train-toy", "dataset": str(dataset),
                        "lr": args.lr, "epochs": args.epochs,
                        "resume": args.resume})
-    result.head.save(out / "head.json")
     with open(out / "curve.csv", "w") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(result.losses):
             fh.write(f"{i},{loss!r}\n")
+    _log(out, f"train-toy epochs={len(result.losses)} diverged={bool(result.diverged)}")
+    if result.diverged:
+        # The curve shows the divergence; its head may hold non-finite
+        # weights, which ToyHead.load refuses, so none is written.
+        print(f"training diverged ({result.diverged})", file=sys.stderr)
+        return EXIT_CONTRACT
+    result.head.save(out / "head.json")
     if val_f:
         errs = [abs(predict_sample_force(result.head, f, grid,
                                          sensor.scale_mm_per_px) - gt)
                 for f, gt in zip(val_f, val_forces)]
         print(f"val force MAE: {float(np.mean(errs)):.4f} N over {len(errs)} samples")
-    _log(out, f"train-toy epochs={len(result.losses)} diverged={bool(result.diverged)}")
-    if result.diverged:
-        print(f"training diverged ({result.diverged})", file=sys.stderr)
-        return EXIT_CONTRACT
     final = f", final loss {result.losses[-1]:.4f}" if result.losses else ""
     print(f"trained {len(result.losses)} epochs{final}")
     return EXIT_OK
@@ -313,7 +314,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_resolution(args) -> int:
     cfg = _load_config(args.config)
-    sensor, material, illum, _ = _build_params(cfg, args)
+    sensor, _, illum, _ = _build_params(cfg, args)
     try:
         freqs = [float(v) for v in args.frequencies.split(",")]
     except ValueError as exc:
@@ -326,7 +327,7 @@ def cmd_resolution(args) -> int:
                        "sensor": sensor.params()})
     limits = {}
     for orientation in ("horizontal", "vertical"):
-        sweep = resolution_sweep(freqs, orientation, material, illum, sensor)
+        sweep = resolution_sweep(freqs, orientation, illum, sensor)
         with open(out / f"sweep_{orientation}.csv", "w") as fh:
             fh.write("frequency_lp_mm,modulation,resolvable\n")
             for row in sweep.rows:
@@ -344,12 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tactile-sensor digital twin: simulate, decode, evaluate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sensor=True):
+    def common(p, sensor=True, noise=True):
         p.add_argument("--config", help="JSON config file (flags override)")
         if sensor:
             p.add_argument("--size", type=int, help="sensor raster in px")
             p.add_argument("--scale", type=float, help="mm per px")
-        p.add_argument("--noise", type=float, help="pixel noise sigma")
+        if noise:
+            p.add_argument("--noise", type=float, help="pixel noise sigma")
 
     p = sub.add_parser("generate", help="render a synthetic labeled dataset")
     common(p)
@@ -381,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test", choices=(*SPLITS, "all"))
     p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--angle-all", action="store_true",
-                   help="include isotropic classes in the angle MAE")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("train-toy", help="fit the linear toy head")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("resolution", help="simulated stripe-target sweep")
-    common(p)
+    common(p, noise=False)
     p.add_argument("--out", required=True)
     p.add_argument("--frequencies",
                    default="0.5,1,2,3,4,5,6,7,8,9,10,11,12")

@@ -269,8 +269,8 @@ def check_names(value, field: str) -> list:
 def check_fields(values, cls, name: str) -> dict:
     """``values`` if it is a JSON object of fields of the dataclass ``cls``,
     each fitting its default: a finite number, an integer where the default
-    is an int, also null where it is None, and for a factory a list of its
-    default's shape; else a TypeError naming ``name`` or ``name.key``."""
+    is an int, and for a factory a list of its default's shape; else a
+    TypeError naming ``name`` or ``name.key``."""
     if not isinstance(values, dict):
         raise TypeError(f"{name} must be a JSON object, got {values!r}")
     known = {f.name: f for f in fields(cls)}
@@ -280,7 +280,7 @@ def check_fields(values, cls, name: str) -> dict:
         default, field = known[key].default, f"{name}.{key}"
         if default is MISSING:
             check_array(value, field, (None, *np.shape(known[key].default_factory())[1:]))
-        elif value is not None or default is not None:
+        else:
             check_number(value, field, integer=isinstance(default, int))
     return values
 

@@ -56,6 +56,8 @@ SCHEMA_VERSION = 3
 CALIBRATION_FORCES = tuple(np.arange(0.0, 10.0 + 1e-9, 1.0))
 TEMPLATE_FORCES = (2.0, 6.0)
 MERGE_DIST_MM = 3.0         # fragments closer than this are one signature
+DENOISE_SIGMA_MM = 0.25     # std of the Gaussian denoise filter
+MIN_AREA_MM2 = 1.0          # smaller fragments are dropped before merging
 LOW_ECCENTRICITY = 0.05     # moment anisotropy below which a pose is not confident
 CANONICAL_SIZE = 64         # side of a canonical patch, px
 CANONICAL_PAD = 1.15        # patch half-extent over the blob's 99th-percentile radius
@@ -65,36 +67,28 @@ _GAUSS_TRUNCATE = 3.0
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decode-side knobs. They and the decode constants above all enter the
-    calibration parameter hash."""
+    """The decode setting, the pixel noise sigma. It, the threshold it sets
+    and the decode constants above all enter the calibration parameter hash."""
 
     noise_sigma: float = 0.0
-    threshold: float | None = None      # None: 0.01 at sigma=0, else 3x filtered noise
-    denoise_sigma_mm: float = 0.25
-    min_area_mm2: float = 1.0
 
     def __post_init__(self):
-        # Kinds are checked where a config is read (cli._check_section).
-        for name in ("noise_sigma", "denoise_sigma_mm", "min_area_mm2"):
-            value = getattr(self, name)
-            if not (value >= 0):
-                raise ConfigError(f"decode.{name} must be >= 0, got {value!r}")
+        # Its kind is checked where a config is read (dataset.check_fields).
+        if not (self.noise_sigma >= 0):
+            raise ConfigError(f"decode.noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
     def denoise_sigma_px(self, sensor: SensorConfig) -> float:
-        return self.denoise_sigma_mm / sensor.scale_mm_per_px
+        return DENOISE_SIGMA_MM / sensor.scale_mm_per_px
 
     def denoise_radius_px(self, sensor: SensorConfig) -> int:
         """Radius of the denoise filter's kernel: scipy's int(truncate s + 0.5)."""
-        s = self.denoise_sigma_px(sensor)
-        return int(_GAUSS_TRUNCATE * s + 0.5) if s > 0 else 0
+        return int(_GAUSS_TRUNCATE * self.denoise_sigma_px(sensor) + 0.5)
 
     def filtered_noise_sigma(self, sensor: SensorConfig) -> float:
         """Pixel-noise std after the denoise filter (white-noise propagation)."""
         if self.noise_sigma == 0:
             return 0.0
         s = self.denoise_sigma_px(sensor)
-        if s <= 0:
-            return self.noise_sigma
         radius = self.denoise_radius_px(sensor)
         x = np.arange(-radius, radius + 1)
         k = np.exp(-x.astype(float) ** 2 / (2 * s * s))
@@ -102,8 +96,7 @@ class DecodeConfig:
         return self.noise_sigma * float(np.sum(k ** 2))
 
     def effective_threshold(self, sensor: SensorConfig) -> float:
-        if self.threshold is not None:
-            return self.threshold
+        """The blob threshold: 0.01 when noise-free, else 3x the filtered noise."""
         if self.noise_sigma == 0:
             return 0.01
         return 3.0 * self.filtered_noise_sigma(sensor)
@@ -112,8 +105,8 @@ class DecodeConfig:
         return {
             "noise_sigma": self.noise_sigma,
             "threshold": self.effective_threshold(sensor),
-            "denoise_sigma_mm": self.denoise_sigma_mm,
-            "min_area_mm2": self.min_area_mm2,
+            "denoise_sigma_mm": DENOISE_SIGMA_MM,
+            "min_area_mm2": MIN_AREA_MM2,
             "merge_dist_mm": MERGE_DIST_MM,
             "low_eccentricity": LOW_ECCENTRICITY,
             "canonical_size": CANONICAL_SIZE,
@@ -170,7 +163,7 @@ class Blob:
 
 
 def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
-                  min_area_mm2: float = 1.0,
+                  min_area_mm2: float = MIN_AREA_MM2,
                   window: PixelWindow | None = None) -> list[Blob]:
     """8-connected components of |dev| >= threshold, nearby fragments merged.
 
@@ -549,11 +542,10 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     if given != crop:
         dev = np.pad(dev, ((given.y0 - crop.y0, crop.y1 - given.y1),
                            (given.x0 - crop.x0, crop.x1 - given.x1)))
-    sp = cfg.denoise_sigma_px(sensor)
-    if sp > 0:
-        ndimage.gaussian_filter(dev, sigma=sp, truncate=_GAUSS_TRUNCATE, output=dev)
+    ndimage.gaussian_filter(dev, sigma=cfg.denoise_sigma_px(sensor),
+                            truncate=_GAUSS_TRUNCATE, output=dev)
     return extract_blobs(dev[labelled.slices_in(crop)], sensor.scale_mm_per_px,
-                         threshold, cfg.min_area_mm2, window=labelled)
+                         threshold, MIN_AREA_MM2, window=labelled)
 
 
 def _calibration_blobs(probe, force: float, material: MaterialParams,

@@ -296,8 +296,8 @@ def _bar_coverage(u: np.ndarray, frequency: float, pixel_mm: float) -> np.ndarra
     return (ramp(hi) - ramp(lo)) / (hi - lo)
 
 
-def resolution_sweep(frequencies, orientation: str, material: MaterialParams,
-                     illum: IlluminationModel, sensor: SensorConfig) -> ResolutionSweep:
+def resolution_sweep(frequencies, orientation: str, illum: IlluminationModel,
+                     sensor: SensorConfig) -> ResolutionSweep:
     """Press a stripe grating at each frequency and measure image modulation.
 
     Bars are rasterized by pixel coverage and smoothed by a fixed conformance

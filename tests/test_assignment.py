@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -299,10 +300,12 @@ class TestTotalLoss:
         assert lb.total == pytest.approx(8400 * math.log(2), abs=1e-6)
         assert lb.cls == lb.csl == lb.force == lb.box == 0.0
 
-    def test_perfect_predictions(self):
+    def test_perfect_predictions(self, monkeypatch):
         # the zero-loss limit needs one-hot angle labels: a tight window makes
         # the Gaussian neighbors underflow to exactly 0, so every target is
         # hard and predictions at the clamp limits drive all terms to 0
+        tight = functools.partial(csl_encode, window_radius=1, sigma=0.05)
+        monkeypatch.setattr("tactwin.assignment.csl_encode", tight)
         field = toy_field()
         gt = make_gt(*_cell_center(field, 10), 4.0, 3.0, theta=25.0,
                      force=3.5, cls="beta")
@@ -312,12 +315,11 @@ class TestTotalLoss:
         field.cls[:] = 0.0
         field.cls[pos, 1] = 1.0
         field.csl[:] = 0.0
-        field.csl[pos] = csl_encode(25.0, window_radius=1, sigma=0.05)
+        field.csl[pos] = tight(25.0)
         field.force[pos] = 3.5
         for cell in pos:
             field.box_raw[cell] = _raw_for_box(field, int(cell), gt.box)
-        lb = total_loss(field, [gt], asn, CLASSES,
-                        window_radius=1, sigma=0.05)
+        lb = total_loss(field, [gt], asn, CLASSES)
         assert lb.total < 1e-5
 
     def test_soft_label_entropy_floor(self):

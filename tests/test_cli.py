@@ -196,7 +196,7 @@ class TestGenerate:
         ('{"decode": {"canonical_pad": -1}}', "decode.canonical_pad"),
         ('{"decode": {"low_eccentricity": -0.05}}', "decode.low_eccentricity"),
         # The fixed decode constants and the removed light-count alias, each
-        # at a value that used to be accepted.
+        # at a value that used to be accepted: null was the threshold's rule.
         ('{"decode": {"merge_dist_mm": 3.0}}', "decode.merge_dist_mm"),
         ('{"decode": {"low_eccentricity": 0.05}}', "decode.low_eccentricity"),
         ('{"decode": {"canonical_size": 64}}', "decode.canonical_size"),
@@ -204,6 +204,9 @@ class TestGenerate:
         ('{"decode": {"rotation_step_deg": 10.0}}', "decode.rotation_step_deg"),
         ('{"decode": {"template_forces": [2.0, 6.0]}}', "decode.template_forces"),
         ('{"illumination": {"n_lights": 12}}', "illumination.n_lights"),
+        ('{"decode": {"threshold": null}}', "decode.threshold"),
+        ('{"decode": {"denoise_sigma_mm": 0.25}}', "decode.denoise_sigma_mm"),
+        ('{"decode": {"min_area_mm2": 1.0}}', "decode.min_area_mm2"),
         # Non-finite numbers, in the config file or in a flag, which is
         # checked as the key it sets.
         ('{"sensor": {"scale_mm_per_px": Infinity}}', "sensor.scale_mm_per_px"),
@@ -220,7 +223,8 @@ class TestGenerate:
             "noise-sigma-negative", "rotation-step-zero", "canonical-pad-negative",
             "low-eccentricity-negative", "merge-dist-fixed", "low-eccentricity-fixed",
             "canonical-size-fixed", "canonical-pad-fixed", "rotation-step-fixed",
-            "template-forces-fixed", "n-lights-removed", "scale-infinity",
+            "template-forces-fixed", "n-lights-removed", "threshold-fixed",
+            "denoise-sigma-fixed", "min-area-fixed", "scale-infinity",
             "scale-flag-inf", "e-star-infinity", "light-dirs-nan", "noise-flag-inf",
             "threshold-nan"])
     def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
@@ -392,6 +396,20 @@ class TestPipeline:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "dets").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["resolution", "--noise", "0.5"], "--noise"),
+        (["eval", "--dataset", "ds", "--detections", "d.jsonl", "--angle-all"], "--angle-all"),
+    ], ids=["resolution-noise", "eval-angle-all"])
+    def test_retired_flag_exit_2(self, tmp_path, capsys, argv, flag):
+        # The sweep renders no noise, and eval always scores the angle on the
+        # anisotropic classes.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_row_without_cx_exit_3(self, workspace, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -954,6 +972,7 @@ class TestTrainToy:
                        "--lr", "1000"])
         assert rc == 5
         assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "toy" / "head.json").exists()
 
     def test_nan_loss_exit_5(self, workspace, tmp_path, capsys):
         # The loss is NaN from the second epoch on; the rise and blowup
@@ -965,6 +984,7 @@ class TestTrainToy:
         assert rc == 5
         assert "training diverged (non-finite loss)" in capsys.readouterr().err
         assert (tmp_path / "toy" / "curve.csv").read_text().splitlines()[-1] == "1,nan"
+        assert not (tmp_path / "toy" / "head.json").exists()
 
     def test_flat_training_set_exit_2(self, tmp_path, capsys):
         # Every image renders flat at this load, so no feature varies and

@@ -365,31 +365,30 @@ class TestDeviationMonotonicity:
 
 
 class TestResolutionSweep:
-    def test_low_frequency_near_sweep_maximum(self, material, illum, sensor):
-        sweep = resolution_sweep([0.5, 2.0, 6.0], "horizontal", material,
-                                 illum, sensor)
+    def test_low_frequency_near_sweep_maximum(self, illum, sensor):
+        sweep = resolution_sweep([0.5, 2.0, 6.0], "horizontal", illum, sensor)
         mods = [r.modulation for r in sweep.rows]
         assert mods[0] == pytest.approx(max(mods), abs=0.02)
 
-    def test_limit_below_nyquist(self, material, illum, sensor):
+    def test_limit_below_nyquist(self, illum, sensor):
         freqs = [0.5, 1, 2, 4, 6, 8, 10, 12]
         for orientation in ("horizontal", "vertical"):
-            sweep = resolution_sweep(freqs, orientation, material, illum, sensor)
+            sweep = resolution_sweep(freqs, orientation, illum, sensor)
             assert sweep.limit_lp_mm is not None
             assert sweep.limit_lp_mm <= 10.0
 
-    def test_above_nyquist_flagged(self, material, illum, sensor):
-        sweep = resolution_sweep([11.0, 15.0], "vertical", material, illum, sensor)
+    def test_above_nyquist_flagged(self, illum, sensor):
+        sweep = resolution_sweep([11.0, 15.0], "vertical", illum, sensor)
         for row in sweep.rows:
             assert row.modulation == 0.0 and not row.resolvable
 
-    def test_monotone_within_tolerance(self, material, illum, sensor):
+    def test_monotone_within_tolerance(self, illum, sensor):
         freqs = [0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        sweep = resolution_sweep(freqs, "horizontal", material, illum, sensor)
+        sweep = resolution_sweep(freqs, "horizontal", illum, sensor)
         mods = [r.modulation for r in sweep.rows]
         for lo, hi in zip(mods[1:], mods[:-1]):
             assert lo <= hi + 0.02
 
-    def test_bad_orientation(self, material, illum, sensor):
+    def test_bad_orientation(self, illum, sensor):
         with pytest.raises(ConfigError):
-            resolution_sweep([1.0], "diagonal", material, illum, sensor)
+            resolution_sweep([1.0], "diagonal", illum, sensor)

@@ -324,12 +324,14 @@ class TestCalibration:
 
 class TestDenoiseKernel:
     @pytest.mark.parametrize("denoise_sigma_mm", [0.055, 0.25])
-    def test_one_radius_rule(self, denoise_sigma_mm, sensor, reference):
+    def test_one_radius_rule(self, denoise_sigma_mm, sensor, reference, monkeypatch):
         # At 0.055 mm (1.1 px) ceil(3 s) would give 4 px and scipy's
         # int(3 s + 0.5) gives 3: the noise propagation and the support
         # growth must both use the filter's own kernel.
-        cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300, min_area_mm2=0.0,
-                           denoise_sigma_mm=denoise_sigma_mm)
+        monkeypatch.setattr("tactwin.decoder.DENOISE_SIGMA_MM", denoise_sigma_mm)
+        monkeypatch.setattr("tactwin.decoder.MIN_AREA_MM2", 0.0)
+        monkeypatch.setattr(DecodeConfig, "effective_threshold", lambda self, sensor: 1e-300)
+        cfg = DecodeConfig(noise_sigma=0.02)
         image = reference.copy()
         image[320, 320] -= 0.5
         blob, = decode_measurements(image, reference, sensor, cfg)

@@ -138,12 +138,13 @@ class TestMeasurementWindow:
         image[270:280, 300:330] -= 0.05
         assert assert_measures_like_oracle(image, reference, sensor, decode_cfg)
 
-    def test_filtered_support_at_the_window_edge(self, illum, sensor):
+    def test_filtered_support_at_the_window_edge(self, illum, sensor, monkeypatch):
         # A threshold below every nonzero filtered value puts the filter's
         # whole support, up to the kernel radius beyond the deviation's
         # support, into the blob, so its weights show how the filter treats
         # the support's edges.
-        cfg = DecodeConfig(noise_sigma=0.02, threshold=1e-300)
+        monkeypatch.setattr(DecodeConfig, "effective_threshold", lambda self, sensor: 1e-300)
+        cfg = DecodeConfig(noise_sigma=0.02)
         reference = make_reference(sensor, illum)
         image = reference.copy()
         image[200:280, 300] -= 0.05
@@ -344,8 +345,7 @@ class TestSlopedShading:
             assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)
 
     @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
-    def test_resolution_gratings(self, orientation, material, illum, sensor,
-                                 monkeypatch):
+    def test_resolution_gratings(self, orientation, illum, sensor, monkeypatch):
         render_module = importlib.import_module("tactwin.render")
         fields = []
 
@@ -355,7 +355,7 @@ class TestSlopedShading:
 
         original = render_module.render
         monkeypatch.setattr(render_module, "render", spy)
-        resolution_sweep([0.5, 2.0, 5.0, 9.0], orientation, material, illum, sensor)
+        resolution_sweep([0.5, 2.0, 5.0, 9.0], orientation, illum, sensor)
         assert len(fields) == 4
         for z in fields:
             assert_shades_like_oracle(z, sensor.scale_mm_per_px, illum)

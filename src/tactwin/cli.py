@@ -411,6 +411,9 @@ def _keep_freed_memory() -> None:
     (0.18-0.42 s of system time a step), and about 7k and 300 with both
     values set. Either alone turns off glibc's dynamic threshold, and
     ``generate`` took 265k-310k. Workers and threads inherit the setting.
+    One arena serves every thread, so a raster that one thread frees is
+    reused by the next image, where each thread's own arena would keep its
+    own high-water mark.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -418,6 +421,7 @@ def _keep_freed_memory() -> None:
         return
     mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, glibc's 64-bit maximum
     mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+    mallopt(-8, 1)          # M_ARENA_MAX
 
 
 def main(argv=None) -> int:

@@ -27,15 +27,19 @@ from .runner import render_workers, run_units
 from .suites import SUITES, sample_scenario
 
 PGM_MAXVAL = 65535
+PGM_BLOCK_ROWS = 32
 SPLITS = ("train", "val", "test")
 ANNOTATION_KEYS = ("index", "split", "class", "cx_mm", "cy_mm", "w_mm", "h_mm",
                    "theta_deg", "force_n", "probe", "seed")
 
 
 def pgm_bytes(image: np.ndarray) -> bytes:
-    data = np.clip(image, 0.0, 1.0)
-    data = np.rint(np.multiply(data, PGM_MAXVAL, out=data), out=data).astype(">u2")
-    h, w = data.shape
+    h, w = image.shape
+    data = np.empty((h, w), dtype=">u2")
+    for r in range(0, h, PGM_BLOCK_ROWS):   # no float copy of the whole raster
+        block = np.clip(image[r:r + PGM_BLOCK_ROWS], 0.0, 1.0)
+        data[r:r + PGM_BLOCK_ROWS] = np.rint(np.multiply(block, PGM_MAXVAL, out=block),
+                                             out=block)
     return b"".join((f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"), data))
 
 

@@ -65,6 +65,15 @@ ROTATION_STEP_DEG = 10.0    # rotation sweep step for a blob without a confident
 _GAUSS_TRUNCATE = 3.0
 
 
+def denoise_sigma_px(sensor: SensorConfig) -> float:
+    return DENOISE_SIGMA_MM / sensor.scale_mm_per_px
+
+
+def denoise_radius_px(sensor: SensorConfig) -> int:
+    """Radius of the denoise filter's kernel: scipy's int(truncate s + 0.5)."""
+    return int(_GAUSS_TRUNCATE * denoise_sigma_px(sensor) + 0.5)
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """The decode setting, the pixel noise sigma. It, the threshold it sets
@@ -77,19 +86,12 @@ class DecodeConfig:
         if not (self.noise_sigma >= 0):
             raise ConfigError(f"decode.noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
-    def denoise_sigma_px(self, sensor: SensorConfig) -> float:
-        return DENOISE_SIGMA_MM / sensor.scale_mm_per_px
-
-    def denoise_radius_px(self, sensor: SensorConfig) -> int:
-        """Radius of the denoise filter's kernel: scipy's int(truncate s + 0.5)."""
-        return int(_GAUSS_TRUNCATE * self.denoise_sigma_px(sensor) + 0.5)
-
     def filtered_noise_sigma(self, sensor: SensorConfig) -> float:
         """Pixel-noise std after the denoise filter (white-noise propagation)."""
         if self.noise_sigma == 0:
             return 0.0
-        s = self.denoise_sigma_px(sensor)
-        radius = self.denoise_radius_px(sensor)
+        s = denoise_sigma_px(sensor)
+        radius = denoise_radius_px(sensor)
         x = np.arange(-radius, radius + 1)
         k = np.exp(-x.astype(float) ** 2 / (2 * s * s))
         k /= k.sum()
@@ -196,6 +198,7 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     # Component-level area filter first: isolated specks must not survive by
     # unioning with each other through the merge dilation.
     gid = labels[ys, xs] if n_comp > 1 else None
+    del mask, labels    # 0.6 raster that a large blob's pixel lists would stack on
     keep = (np.bincount(gid, minlength=n_comp + 1) if n_comp > 1
             else np.array([0, ys.size])) * px_area >= min_area_mm2
     keep[0] = False
@@ -534,7 +537,7 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     core = PixelWindow(window.y0 + int(rows[0]), window.y0 + int(rows[-1]) + 1,
                        window.x0 + int(cols[0]), window.x0 + int(cols[-1]) + 1,
                        window.n)
-    radius = cfg.denoise_radius_px(sensor)
+    radius = denoise_radius_px(sensor)
     crop, labelled = core.grow(2 * radius), core.grow(radius)
     given = PixelWindow(max(crop.y0, window.y0), min(crop.y1, window.y1),
                         max(crop.x0, window.x0), min(crop.x1, window.x1), window.n)
@@ -542,7 +545,7 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     if given != crop:
         dev = np.pad(dev, ((given.y0 - crop.y0, crop.y1 - given.y1),
                            (given.x0 - crop.x0, crop.x1 - given.x1)))
-    ndimage.gaussian_filter(dev, sigma=cfg.denoise_sigma_px(sensor),
+    ndimage.gaussian_filter(dev, sigma=denoise_sigma_px(sensor),
                             truncate=_GAUSS_TRUNCATE, output=dev)
     return extract_blobs(dev[labelled.slices_in(crop)], sensor.scale_mm_per_px,
                          threshold, MIN_AREA_MM2, window=labelled)
@@ -802,8 +805,10 @@ class TactileDecoder:
             for name, entry in data["classes"].items()})
 
     def decode(self, image: np.ndarray) -> list[Detection]:
-        blobs = _decode_measurements(difference_image(image, self.reference),
-                                     self.sensor, self.cfg)
+        dev = difference_image(image, self.reference)
+        del image   # a caller's fresh raster is freed before the filter runs,
+        blobs = _decode_measurements(dev, self.sensor, self.cfg)
+        del dev     # and the deviation before classification
         detections = []
         for blob in blobs:
             pose = estimate_pose(blob)

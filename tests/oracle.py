@@ -46,7 +46,8 @@ from tactwin.assignment import (DEFAULT_CENTER_RADIUS, DEFAULT_COST_IOU_WEIGHT, 
 from tactwin.contact import (SphereProbe, ground_truth, height_field, hertz_indentation,
                              punch_indentation)
 from tactwin.dataset import PGM_MAXVAL
-from tactwin.decoder import MERGE_DIST_MM, MIN_AREA_MM2, Blob, calibration_scenario
+from tactwin.decoder import (MERGE_DIST_MM, MIN_AREA_MM2, Blob, calibration_scenario,
+                             denoise_sigma_px)
 from tactwin.errors import AssignmentError
 from tactwin.frames import PixelWindow, SensorConfig, px_to_mm
 from tactwin.geometry import points_in_box, rotated_iou_pairs
@@ -217,7 +218,7 @@ def frozen_extract_blobs(dev, scale_mm_per_px, threshold, min_area_mm2=1.0, wind
 def frozen_measurements(image, reference, sensor, cfg):
     """The whole deviation filtered, then measured by ``frozen_extract_blobs``."""
     dev = image - reference
-    sp = cfg.denoise_sigma_px(sensor)
+    sp = denoise_sigma_px(sensor)
     if sp > 0:
         dev = ndimage.gaussian_filter(dev, sigma=sp, truncate=3.0)
     return frozen_extract_blobs(dev, sensor.scale_mm_per_px,

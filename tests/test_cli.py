@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -1297,16 +1298,60 @@ print(code, imported, faults())
 """
 
 
+# Two threads allocate and free 4 MB arrays at the same time; glibc's
+# malloc_info then lists one <heap> per arena.
+ARENA_SCRIPT = """
+import ctypes, sys, threading
+import numpy as np
+from tactwin import cli
+
+cli._keep_freed_memory()
+both = threading.Barrier(2, timeout=30)
+
+def churn():
+    for _ in range(20):
+        raster = np.ones(1 << 19)
+        both.wait()
+        del raster
+
+threads = [threading.Thread(target=churn) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+out = libc.fopen(sys.argv[1].encode(), b"w")
+libc.malloc_info(0, out)
+libc.fclose(out)
+"""
+
+
+def _run_script(script: str, *args: str):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", script, *args],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 class TestKeepFreedMemory:
     @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
     def test_main_keeps_freed_rasters(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(tmp_path / "ds")],
-                             env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        code, imported, after_main = map(int, run.stdout.split()[-3:])
+        out = _run_script(FAULT_SCRIPT, str(tmp_path / "ds"))
+        code, imported, after_main = map(int, out.split()[-3:])
         assert code == 0
         assert imported > 10_000
         assert after_main * 10 <= imported
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_info is glibc's")
+    def test_threads_share_one_arena(self, tmp_path):
+        # By default each thread that allocates gets an arena of its own.
+        info = tmp_path / "malloc_info.xml"
+        _run_script(ARENA_SCRIPT, str(info))
+        assert info.read_text().count("<heap nr=") == 1

@@ -17,8 +17,9 @@ from tactwin.contact import ContactScenario, FootprintProbe, SphereProbe
 from tactwin.decoder import (_COLUMNS, DecodeConfig, TactileDecoder,
                              _calibration_blobs, _sweep_curve,
                              build_calibration, build_decoder, classify,
-                             difference_image, estimate_force, estimate_pose,
-                             extract_blobs, monotone_cubic, params_hash)
+                             denoise_radius_px, difference_image, estimate_force,
+                             estimate_pose, extract_blobs, monotone_cubic,
+                             params_hash)
 from tactwin.errors import (CalibrationError, ConfigError,
                             StaleCalibrationError)
 from tactwin.frames import SensorConfig
@@ -335,7 +336,7 @@ class TestDenoiseKernel:
         image = reference.copy()
         image[320, 320] -= 0.5
         blob, = decode_measurements(image, reference, sensor, cfg)
-        r = cfg.denoise_radius_px(sensor)
+        r = denoise_radius_px(sensor)
         assert r == {0.055: 3, 0.25: 15}[denoise_sigma_mm]
         assert (blob.xs.min(), blob.xs.max(), blob.ys.min(), blob.ys.max()) == (
             320 - r, 320 + r, 320 - r, 320 + r)

@@ -2,14 +2,18 @@
 ``oracle``: noisy ``simulate``, ``pgm_bytes`` and ``read_pgm``,
 ``extract_blobs`` (also at the raster's edges and through a ``window``) and
 ``classify``'s scores per class, with ties. ``TactileDecoder.decode`` filters
-a temporary of its own, never the caller's image.
+a temporary of its own, never the caller's image. The tracemalloc peaks of
+``decode`` and ``pgm_bytes`` are bounded in 640 px rasters.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tactwin.contact import ContactScenario, SphereProbe
-from tactwin.dataset import PGM_MAXVAL, DatasetSpec, pgm_bytes, read_pgm, sample_for_index
+from tactwin.dataset import (PGM_MAXVAL, DatasetSpec, generate_dataset, pgm_bytes,
+                             read_pgm, sample_for_index)
 from tactwin.decoder import (ROTATION_STEP_DEG, ClassModel,
                              _canonical_coords, _canonical_patches, _decode_measurements,
                              classify, difference_image, estimate_pose, extract_blobs)
@@ -210,3 +214,39 @@ class TestDecodeLeavesTheImage:
         assert np.array_equal(image, before)
         reference = make_reference(sensor, illum)
         assert np.array_equal(roundtrip_decoder.reference, reference)
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of a second ``call``; the first one warms
+    caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestRasterPeaks:
+    def test_decode_frees_the_read_image(self, roundtrip_decoder, sensor, tmp_path):
+        # decode drops the image it was handed once the deviation is formed,
+        # and the deviation before classification: 2.0-2.4 rasters here,
+        # where holding both read 3.1-4.0.
+        spec = DatasetSpec(count=20, master_seed=41, force_range=(0.8, 10.0),
+                           noise_sigma=0.02, sensor=sensor)
+        generate_dataset(spec, tmp_path)
+        raster = sensor.input_size ** 2 * 8
+        paths = sorted(tmp_path.rglob("*.pgm"))
+        assert len(paths) == 20
+        for path in paths:
+            peak = traced_peak(lambda: roundtrip_decoder.decode(read_pgm(path)))
+            assert peak <= 3.0 * raster, (path.name, peak / raster)
+
+    def test_pgm_bytes_has_no_float_copy(self, sensor, rng):
+        # The 16-bit payload and the joined file (0.25 raster each) plus one
+        # block of rows, where a clipped float copy read 1.25 rasters.
+        image = rng.uniform(-0.1, 1.1, (sensor.input_size,) * 2)
+        peak = traced_peak(lambda: pgm_bytes(image))
+        assert peak <= 0.75 * sensor.input_size ** 2 * 8, peak

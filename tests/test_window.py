@@ -26,7 +26,8 @@ from tactwin.dataset import DatasetSpec, read_pgm, sample_for_index, write_pgm
 from tactwin.decoder import (_COLUMNS, CALIBRATION_FORCES, DecodeConfig,
                              _calibration_blobs, _decode_measurements,
                              build_calibration, build_decoder, build_templates,
-                             calibration_scenario, difference_image)
+                             calibration_scenario, denoise_radius_px,
+                             difference_image)
 from tactwin.frames import PixelWindow, pixel_centers_mm
 from tactwin.render import (_SHADE_BLOCK, IlluminationModel, _shade_slopes,
                             contact_window, make_reference, render,
@@ -176,7 +177,7 @@ class TestMeasurementWindow:
         dev = difference_image(image, reference)
         assert np.abs(dev[np.abs(dev) < 0.02]).max() < t * (1.0 - 2.0 ** -40)
         blob, = assert_measures_like_oracle(image, reference, sensor, cfg)
-        radius = cfg.denoise_radius_px(sensor)
+        radius = denoise_radius_px(sensor)
         assert blob.ys.max() >= core[0].stop + radius - 2
 
     def test_noise_free_pgm_is_measured_around_its_contact(self, material, illum, sensor,

@@ -49,7 +49,10 @@ _SECTIONS = {"sensor": SensorConfig, "material": MaterialParams,
              "illumination": IlluminationModel, "decode": DecodeConfig}
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args, reads=tuple(_SECTIONS)) -> dict:
+    """The ``--config`` file of ``args``, which may hold only the sections
+    ``reads`` that its command reads."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -64,6 +67,10 @@ def _load_config(path: str | None) -> dict:
     unknown = set(cfg) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    unread = sorted(set(cfg) - set(reads))
+    if unread:
+        raise ConfigError(f"config {path}: {args.command} reads only the sections "
+                          f"{list(reads)}, not {unread}")
     for key, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section {key!r} must be a JSON object, "
@@ -122,7 +129,7 @@ def _log(out_dir: Path, message: str):
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     sensor, material, illum, decode_cfg = _build_params(cfg, args)
     spec = DatasetSpec(
         count=args.count,
@@ -142,7 +149,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     sensor, material, illum, decode_cfg = _build_params(cfg, args)
     out = Path(args.out)
     _echo_config(out, {
@@ -202,7 +209,7 @@ def _decode_row(decoder: TactileDecoder, dataset: Path, ann: dict) -> list:
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("decode",))
     dataset = Path(args.dataset)
     manifest = read_manifest(dataset)
     # The manifest fixes the sensor, so decode has no --size or --scale.
@@ -313,7 +320,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_resolution(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("sensor", "illumination"))
     sensor, _, illum, _ = _build_params(cfg, args)
     try:
         freqs = [float(v) for v in args.frequencies.split(",")]

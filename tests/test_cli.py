@@ -216,6 +216,14 @@ class TestGenerate:
         ('{"illumination": {"light_dirs": [[NaN, 0, 1]]}}', "illumination.light_dirs"),
         (["--noise", "inf"], "decode.noise_sigma"),
         ('{"decode": {"threshold": NaN}}', "decode.threshold"),
+        (("generate", ["--noise", "inf"]), "decode.noise_sigma"),
+        # A command reads only some sections; a file may hold no other.
+        (("decode", '{"sensor": {"input_size": 640}, "material": {"e_star": "x"}}'),
+         "decode reads only the sections ['decode'], not ['material', 'sensor']"),
+        (("decode", '{"illumination": {}}'), "not ['illumination']"),
+        (("resolution", '{"decode": {"noise_sigma": 0.5}}'),
+         "resolution reads only the sections ['sensor', 'illumination'], not ['decode']"),
+        (("resolution", '{"material": {"e_star": 0.3}}'), "not ['material']"),
     ], ids=["list", "sensor-number", "n-lights-string", "light-dirs-string",
             "template-forces-number", "threshold-string", "e-star-bool", "e-star-string",
             "merge-dist-bool", "scale-string", "ambient-null", "light-dirs-bool",
@@ -227,18 +235,24 @@ class TestGenerate:
             "template-forces-fixed", "n-lights-removed", "threshold-fixed",
             "denoise-sigma-fixed", "min-area-fixed", "scale-infinity",
             "scale-flag-inf", "e-star-infinity", "light-dirs-nan", "noise-flag-inf",
-            "threshold-nan"])
-    def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
+            "threshold-nan", "generate-noise-flag-inf", "decode-sensor-material",
+            "decode-illumination", "resolution-decode", "resolution-material"])
+    def test_malformed_config_exit_2(self, text, named, workspace, tmp_path, capsys):
         # ``text`` is the config file's text, or a list of flags given after
-        # SMALL's.
+        # the command's own; calibrate's, unless it is a pair (command, text).
+        command, text = text if isinstance(text, tuple) else ("calibrate", text)
         cfg = tmp_path / "bad.json"
         if isinstance(text, list):
             flags = text
         else:
             cfg.write_text(text)
             flags = ["--config", str(cfg)]
-        rc = main(["calibrate", "--out", str(tmp_path / "x"), "--suite", "spheres",
-                   *SMALL, *flags])
+        own = {"calibrate": ["--suite", "spheres", *SMALL],
+               "generate": ["--count", "5", *SMALL],
+               "decode": ["--dataset", str(workspace / "ds"),
+                          "--model", str(workspace / "model")],
+               "resolution": SMALL}[command]
+        rc = main([command, "--out", str(tmp_path / "x"), *own, *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert named in err and "Traceback" not in err
@@ -1028,6 +1042,21 @@ class TestResolution:
         assert main(args + ["--out", str(tmp_path / "r2")]) == 0
         assert digest_tree(tmp_path / "r1") == digest_tree(tmp_path / "r2")
 
+    def test_sensor_and_illumination_from_config_file(self, tmp_path):
+        # The sensor section stands for --size and --scale; the illumination
+        # section is read too.
+        args = ["resolution", "--frequencies", "0.5,2"]
+        sensor = '"sensor": {"input_size": 160, "scale_mm_per_px": 0.2}'
+        for name, text in (("file", "{%s}" % sensor),
+                           ("lit", '{%s, "illumination": {"ambient": 0.3}}' % sensor)):
+            (tmp_path / f"{name}.json").write_text(text)
+            assert main(args + ["--out", str(tmp_path / name),
+                                "--config", str(tmp_path / f"{name}.json")]) == 0
+        assert main(args + ["--out", str(tmp_path / "flags"),
+                            "--size", "160", "--scale", "0.2"]) == 0
+        assert digest_tree(tmp_path / "file") == digest_tree(tmp_path / "flags")
+        assert digest_tree(tmp_path / "lit") != digest_tree(tmp_path / "flags")
+
     @pytest.mark.parametrize("freqs", ["a,b", "", "nan"])
     def test_bad_frequencies_exit_2(self, tmp_path, capsys, freqs):
         rc = main(["resolution", "--out", str(tmp_path / "res"), "--frequencies", freqs,
@@ -1330,11 +1359,14 @@ libc.fclose(out)
 """
 
 
-def _run_script(script: str, *args: str):
+def _run_script(script: str, *args: str, cwd=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", script, *args],
+    # OpenBLAS then sizes its thread pool from the process's CPU affinity.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    run = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout
@@ -1355,3 +1387,68 @@ class TestKeepFreedMemory:
         info = tmp_path / "malloc_info.xml"
         _run_script(ARENA_SCRIPT, str(info))
         assert info.read_text().count("<heap nr=") == 1
+
+
+# Pins itself to the CPUs listed in argv[1] before numpy loads, so that
+# OpenBLAS sizes its thread pool to them too, then runs each command of the
+# JSON list argv[2] through cli.main.
+AFFINITY_SCRIPT = """
+import json, os, sys
+os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[1].split(",")})
+from tactwin.cli import main
+
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs: pinned to one, the run would compare nothing")
+class TestPinnedToOneCpu:
+    """A process pinned to one CPU writes the same bytes as one on two CPUs.
+
+    The affinity is real, not a patched ``runner._available_cpus``: pinned,
+    calibrate sweeps, generate renders and decode reads without workers, and
+    OpenBLAS starts one thread, where two would split a product over
+    train-toy's 35,280 gradient rows and sum it in another order."""
+
+    def test_same_bytes_pinned_to_1_and_2_cpus(self, roundtrip_decoder, tmp_path):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "calibration.json").write_text(json.dumps(roundtrip_decoder.to_json()))
+        roundtrip = ["--suite", "roundtrip", "--noise", "0.02"]
+        spheres = ["--suite", "spheres", "--noise", "0.02", *SMALL]
+        commands = [
+            ["calibrate", "--out", "rt160", "--size", "160", "--scale", "0.2", *roundtrip],
+            # 640 px renders on threads, 128 images at 128 px in forked workers.
+            ["generate", "--out", "ds640", "--count", "8", "--seed", "17", *roundtrip],
+            ["decode", "--dataset", "ds640", "--model", str(model), "--out", "dets640",
+             "--split", "all"],
+            ["eval", "--dataset", "ds640", "--detections", "dets640/detections.jsonl",
+             "--out", "report640", "--split", "all"],
+            ["generate", "--out", "ds128", "--count", str(runner.FORK_MIN_IMAGES),
+             "--seed", "19", *spheres],
+            ["train-toy", "--dataset", "ds128", "--out", "toy", "--epochs", "20"],
+            ["train-toy", "--dataset", "ds128", "--out", "toy_resumed", "--epochs", "20",
+             "--resume", "toy/head.json"],
+        ]
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        trees = []
+        for n in (1, 2):
+            # Relative paths keep the echoed configs the same in both runs.
+            out = tmp_path / f"cpus{n}"
+            out.mkdir()
+            _run_script(AFFINITY_SCRIPT, ",".join(map(str, cpus[:n])), json.dumps(commands),
+                        cwd=out)
+            for ds in ("ds640", "ds128"):
+                assert (out / ds / "run.log").read_text().endswith(f" workers={n}\n")
+            trees.append(digest_tree(out))
+        # At 640 px the noisy set decodes at full recall, force within 0.1 N.
+        overall = json.loads((tmp_path / "cpus1" / "report640" / "report.json")
+                             .read_text())["overall"]
+        assert overall["recall"] == 1.0 and overall["force_mae_n"] <= 0.1
+        assert (tmp_path / "cpus1" / "toy_resumed" / "curve.csv").read_text().count("\n") == 21
+        assert trees[0] == trees[1]

@@ -2,8 +2,9 @@
 
 Subcommands: generate, calibrate, decode, eval, train-toy, resolution.
 Configuration comes from an optional JSON file plus flag overrides (flags
-win); the effective configuration is echoed into every output directory so
-runs are reproducible. All primary outputs are byte-deterministic given the
+win), or for decode and train-toy from the dataset's manifest alone; the
+effective configuration is echoed into every output directory so runs are
+reproducible. All primary outputs are byte-deterministic given the
 seed; wall-clock timestamps go only to the run.log sidecar.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 stale
@@ -96,16 +97,12 @@ def _build_params(cfg: dict, args=None) -> tuple:
     return tuple(cls(**sections[section]) for section, cls in _SECTIONS.items())
 
 
-def _manifest_config(spec: dict, cfg: dict | None = None, noise=None) -> dict:
-    """Config sections for reading a dataset: the simulator parameters it was
-    generated with, plus the decode section of ``cfg``. The noise sigma is
-    ``noise`` if given, else the config's, else the dataset's."""
-    decode = {"noise_sigma": spec["noise_sigma"]}
-    decode.update((cfg or {}).get("decode", {}))
-    if noise is not None:
-        decode["noise_sigma"] = noise
+def _manifest_config(spec: dict) -> dict:
+    """Config sections for reading a dataset: every parameter it was
+    generated with, the noise included."""
     return {"sensor": spec["sensor"], "material": spec["material"],
-            "illumination": spec["illumination"], "decode": decode}
+            "illumination": spec["illumination"],
+            "decode": {"noise_sigma": spec["noise_sigma"]}}
 
 
 def _parse_force_range(spec: str) -> tuple:
@@ -209,14 +206,17 @@ def _decode_row(decoder: TactileDecoder, dataset: Path, ann: dict) -> list:
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_config(args, ("decode",))
     dataset = Path(args.dataset)
-    manifest = read_manifest(dataset)
-    # The manifest fixes the sensor, so decode has no --size or --scale.
     sensor, material, illum, decode_cfg = _build_params(
-        _manifest_config(manifest["spec"], cfg, args.noise))
-    decoder = read_json(Path(args.model) / "calibration.json", lambda data:
-                        TactileDecoder.from_json(data, material, illum, sensor, decode_cfg))
+        _manifest_config(read_manifest(dataset)["spec"]))
+    model_file = Path(args.model) / "calibration.json"
+    try:
+        decoder = read_json(model_file, lambda data: TactileDecoder.from_json(
+            data, material, illum, sensor, decode_cfg))
+    except StaleCalibrationError as exc:
+        exc.args = (f"{model_file} must be calibrated under the dataset's parameters, "
+                    f"noise_sigma {decode_cfg.noise_sigma!r} among them: {exc}",)
+        raise
     annotations = _read_annotations(dataset, args.split)
     out = Path(args.out)
     _echo_config(out, {
@@ -331,7 +331,7 @@ def cmd_resolution(args) -> int:
         raise ConfigError(f"--frequencies must be finite and > 0, got {args.frequencies!r}")
     out = Path(args.out)
     _echo_config(out, {"command": "resolution", "frequencies": freqs,
-                       "sensor": sensor.params()})
+                       "sensor": sensor.params(), "illumination": illum.params()})
     limits = {}
     for orientation in ("horizontal", "vertical"):
         sweep = resolution_sweep(freqs, orientation, illum, sensor)
@@ -352,11 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tactile-sensor digital twin: simulate, decode, evaluate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sensor=True, noise=True):
+    def common(p, noise=True):
         p.add_argument("--config", help="JSON config file (flags override)")
-        if sensor:
-            p.add_argument("--size", type=int, help="sensor raster in px")
-            p.add_argument("--scale", type=float, help="mm per px")
+        p.add_argument("--size", type=int, help="sensor raster in px")
+        p.add_argument("--scale", type=float, help="mm per px")
         if noise:
             p.add_argument("--noise", type=float, help="pixel noise sigma")
 
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("decode", help="extract detections from a dataset")
-    common(p, sensor=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True, help="calibrate output directory")
     p.add_argument("--out", required=True)

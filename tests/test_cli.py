@@ -1,4 +1,6 @@
+import argparse
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -218,9 +220,6 @@ class TestGenerate:
         ('{"decode": {"threshold": NaN}}', "decode.threshold"),
         (("generate", ["--noise", "inf"]), "decode.noise_sigma"),
         # A command reads only some sections; a file may hold no other.
-        (("decode", '{"sensor": {"input_size": 640}, "material": {"e_star": "x"}}'),
-         "decode reads only the sections ['decode'], not ['material', 'sensor']"),
-        (("decode", '{"illumination": {}}'), "not ['illumination']"),
         (("resolution", '{"decode": {"noise_sigma": 0.5}}'),
          "resolution reads only the sections ['sensor', 'illumination'], not ['decode']"),
         (("resolution", '{"material": {"e_star": 0.3}}'), "not ['material']"),
@@ -235,9 +234,9 @@ class TestGenerate:
             "template-forces-fixed", "n-lights-removed", "threshold-fixed",
             "denoise-sigma-fixed", "min-area-fixed", "scale-infinity",
             "scale-flag-inf", "e-star-infinity", "light-dirs-nan", "noise-flag-inf",
-            "threshold-nan", "generate-noise-flag-inf", "decode-sensor-material",
-            "decode-illumination", "resolution-decode", "resolution-material"])
-    def test_malformed_config_exit_2(self, text, named, workspace, tmp_path, capsys):
+            "threshold-nan", "generate-noise-flag-inf", "resolution-decode",
+            "resolution-material"])
+    def test_malformed_config_exit_2(self, text, named, tmp_path, capsys):
         # ``text`` is the config file's text, or a list of flags given after
         # the command's own; calibrate's, unless it is a pair (command, text).
         command, text = text if isinstance(text, tuple) else ("calibrate", text)
@@ -249,8 +248,6 @@ class TestGenerate:
             flags = ["--config", str(cfg)]
         own = {"calibrate": ["--suite", "spheres", *SMALL],
                "generate": ["--count", "5", *SMALL],
-               "decode": ["--dataset", str(workspace / "ds"),
-                          "--model", str(workspace / "model")],
                "resolution": SMALL}[command]
         rc = main([command, "--out", str(tmp_path / "x"), *own, *flags])
         err = capsys.readouterr().err
@@ -277,14 +274,32 @@ class TestPipeline:
         assert report["overall"]["force_mae_n"] < 0.2
         assert (tmp_path / "report" / "report.txt").exists()
 
+    @staticmethod
+    def decode_noisier_set(workspace, tmp_path, capsys):
+        """Exit code and stderr of decoding, with the workspace's model
+        (calibrated at noise 0.02), a set rendered at noise 0.05."""
+        assert main(["generate", "--out", str(tmp_path / "ds"), "--count", "4",
+                     "--seed", "11", "--suite", "spheres", "--force-range", "1:6",
+                     "--noise", "0.05", *SMALL]) == 0
+        capsys.readouterr()
+        rc = main(["decode", "--dataset", str(tmp_path / "ds"),
+                   "--model", str(workspace / "model"), "--out", str(tmp_path / "dets")])
+        return rc, capsys.readouterr().err
+
     def test_stale_calibration_exit_4(self, workspace, tmp_path, capsys):
-        # decoding with a different noise setting changes the parameter hash
-        rc = main(["decode", "--dataset", str(workspace / "ds"),
-                   "--model", str(workspace / "model"),
-                   "--out", str(tmp_path / "dets"), "--noise", "0.05"])
+        # The manifest's noise enters the parameter hash, and nothing overrides it.
+        rc, err = self.decode_noisier_set(workspace, tmp_path, capsys)
         assert rc == 4
-        err = capsys.readouterr().err
         assert "hash" in err
+        assert not (tmp_path / "dets").exists()
+
+    def test_stale_calibration_message_says_what_to_do(self, workspace, tmp_path, capsys):
+        _, err = self.decode_noisier_set(workspace, tmp_path, capsys)
+        model = workspace / "model" / "calibration.json"
+        assert err.startswith(
+            f"error: {model} must be calibrated under the dataset's parameters, "
+            "noise_sigma 0.05 among them: stale calibration: expected hash ")
+        assert "Traceback" not in err
 
     @staticmethod
     def write_two_file_model(model: Path, data: dict, version: int):
@@ -392,15 +407,6 @@ class TestPipeline:
         assert rc == 3
         assert victim.name in capsys.readouterr().err
 
-    def test_unknown_decode_key_exit_2(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text('{"decode": {"thresold": 0.1}}')
-        rc = main(["decode", "--dataset", str(workspace / "ds"),
-                   "--model", str(workspace / "model"),
-                   "--out", str(tmp_path / "dets"), "--config", str(cfg)])
-        assert rc == 2
-        assert "thresold" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [("--size", "128"), ("--scale", "0.25")])
     def test_decode_sensor_flag_exit_2(self, workspace, tmp_path, capsys, flag, value):
         # The dataset's manifest fixes the sensor, so decode has no flag for it.
@@ -415,10 +421,14 @@ class TestPipeline:
     @pytest.mark.parametrize("argv, flag", [
         (["resolution", "--noise", "0.5"], "--noise"),
         (["eval", "--dataset", "ds", "--detections", "d.jsonl", "--angle-all"], "--angle-all"),
-    ], ids=["resolution-noise", "eval-angle-all"])
+        (["decode", "--dataset", "ds", "--model", "model", "--noise", "0.02"], "--noise"),
+        (["decode", "--dataset", "ds", "--model", "model", "--config", "noise.json"],
+         "--config"),
+    ], ids=["resolution-noise", "eval-angle-all", "decode-noise", "decode-config"])
     def test_retired_flag_exit_2(self, tmp_path, capsys, argv, flag):
-        # The sweep renders no noise, and eval always scores the angle on the
-        # anisotropic classes.
+        # The sweep renders no noise, eval always scores the angle on the
+        # anisotropic classes, and decode takes every parameter, the noise
+        # included, from the dataset's manifest.
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -1056,6 +1066,11 @@ class TestResolution:
                             "--size", "160", "--scale", "0.2"]) == 0
         assert digest_tree(tmp_path / "file") == digest_tree(tmp_path / "flags")
         assert digest_tree(tmp_path / "lit") != digest_tree(tmp_path / "flags")
+        # The echo holds the illumination, so it tells the two sweeps apart.
+        file, lit = (json.loads((tmp_path / name / "run_config.json").read_text())
+                     for name in ("file", "lit"))
+        assert lit["illumination"] == {**file["illumination"], "ambient": 0.3}
+        assert file["illumination"]["ambient"] != 0.3
 
     @pytest.mark.parametrize("freqs", ["a,b", "", "nan"])
     def test_bad_frequencies_exit_2(self, tmp_path, capsys, freqs):
@@ -1065,6 +1080,35 @@ class TestResolution:
         assert rc == 2
         assert "--frequencies" in err and "Traceback" not in err
         assert not (tmp_path / "res").exists()
+
+
+def test_cli_surface():
+    # Every flag of each subcommand and every config key: one added or
+    # removed changes these lists.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [opt for a in p._actions for opt in a.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "generate": ["--config", "--size", "--scale", "--noise", "--out", "--count",
+                     "--seed", "--suite", "--probe", "--force-range"],
+        "calibrate": ["--config", "--size", "--scale", "--noise", "--out", "--suite"],
+        "decode": ["--dataset", "--model", "--out", "--split"],
+        "eval": ["--dataset", "--detections", "--out", "--split", "--iou"],
+        "train-toy": ["--dataset", "--out", "--lr", "--epochs", "--resume"],
+        "resolution": ["--config", "--size", "--scale", "--out", "--frequencies"],
+    }
+    assert sum(map(len, flags.values())) == 35
+    keys = {section: [f.name for f in dataclasses.fields(cls)]
+            for section, cls in cli._SECTIONS.items()}
+    assert keys == {
+        "sensor": ["input_size", "scale_mm_per_px"],
+        "material": ["e_star", "membrane_sigma_mm", "layer_thickness_mm"],
+        "illumination": ["ambient", "diffuse", "light_dirs", "exponent"],
+        "decode": ["noise_sigma"],
+    }
+    assert sum(map(len, keys.values())) == 10
 
 
 class TestConfigEcho:

@@ -5,6 +5,10 @@ indentation, membrane decay, gradient-reflectance shading) and recovers
 object class, oriented pose, location, and normal force by inverting the
 forward model; includes the detection loss with simOTA assignment, circular
 smooth angle labels, rotated-IoU geometry, and evaluation metrics.
+
+Importing scipy.ndimage costs about 20 MB and 0.2 s, so the functions that
+filter, label or measure distances import it when called, and the loss,
+assignment and metrics never load it.
 """
 
 from .assignment import (Assignment, LossBreakdown, PredictionField, bce,

@@ -38,7 +38,8 @@ from .metrics import evaluate_detections, write_report
 from .render import IlluminationModel, make_reference, resolution_sweep
 from .runner import render_workers, run_units
 from .suites import ANISOTROPIC_CLASSES, SUITES
-from .toyhead import ToyHead, cell_features, fit_toy_head, predict_sample_force
+from .toyhead import (FEATURE_DIM, ToyHead, cell_features, fit_toy_head,
+                      predict_sample_force)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -275,15 +276,11 @@ def cmd_train_toy(args) -> int:
                       f"annotation's class, and lacks {missing}")
 
     def collect(split):
-        feats, gts, forces = [], [], []
-        for ann, gt in annotations:
-            if ann["split"] != split:
-                continue
-            image = load_sample_image(dataset, ann, sensor)
-            feats.append(cell_features(image, reference, grid))
-            gts.append([gt])
-            forces.append(gt.force_n)
-        return feats, gts, forces
+        rows = [(ann, gt) for ann, gt in annotations if ann["split"] == split]
+        feats = np.empty((len(rows), grid.n_cells, FEATURE_DIM))
+        for i, (ann, gt) in enumerate(rows):
+            feats[i] = cell_features(load_sample_image(dataset, ann, sensor), reference, grid)
+        return feats, [[gt] for _, gt in rows], [gt.force_n for _, gt in rows]
 
     train_f, train_g, _ = collect("train")
     val_f, _, val_forces = collect("val")
@@ -309,7 +306,7 @@ def cmd_train_toy(args) -> int:
         print(f"training diverged ({result.diverged})", file=sys.stderr)
         return EXIT_CONTRACT
     result.head.save(out / "head.json")
-    if val_f:
+    if len(val_f):
         errs = [abs(predict_sample_force(result.head, f, grid,
                                          sensor.scale_mm_per_px) - gt)
                 for f, gt in zip(val_f, val_forces)]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ScenarioError
 from .frames import PixelWindow, SensorConfig, pixel_centers_mm
@@ -281,6 +280,7 @@ def _punch_profile(scenario: ContactScenario, material: MaterialParams,
                    sensor: SensorConfig, window: PixelWindow | None) -> np.ndarray:
     """1 on the contact and exp(-d^2 / (2 sigma^2)) at distance d off it, so
     that depth times it is the punch's height field."""
+    from scipy import ndimage  # on use: see the package docstring
     probe = scenario.probe
     sigma = material.membrane_sigma_mm
     key = (probe, scenario.x_mm, scenario.y_mm, scenario.theta_deg, sigma,

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .contact import ContactScenario, MaterialParams, ground_truth, punch_profile_memo
 from .dataset import check_array, check_number
@@ -185,6 +184,7 @@ def extract_blobs(dev: np.ndarray, scale_mm_per_px: float, threshold: float,
     labels may come in another order, which orders only blobs that tie in
     both area and centroid.
     """
+    from scipy import ndimage  # on use: see the package docstring
     if not (threshold > 0):
         raise ConfigError("threshold must be > 0")
     mask = dev >= threshold
@@ -525,6 +525,7 @@ def _decode_measurements(dev: np.ndarray, sensor: SensorConfig, cfg: DecodeConfi
     threshold and filtered on a crop twice the kernel's radius wider,
     zero-padded (see the module docstring). ``dev`` is consumed: the filter
     writes into it, so callers pass a temporary."""
+    from scipy import ndimage  # on use: see the package docstring
     window = window or PixelWindow.full(dev.shape[0])
     threshold = cfg.effective_threshold(sensor)
     t0 = threshold * (1.0 - 2.0 ** -40)

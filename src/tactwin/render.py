@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .contact import (ContactScenario, GroundTruth, MaterialParams, contact_mask,
                       ground_truth, height_field)
@@ -235,6 +234,7 @@ def contact_band_contrast(scenario: ContactScenario, material: MaterialParams,
     decay outside the contact, which saturates the shading at high loads for
     every probe alike.
     """
+    from scipy import ndimage  # on use: see the package docstring
     img = render(height_field(scenario, material, sensor), sensor.scale_mm_per_px, illum)
     dev = np.abs(img - baseline_intensity(illum))
     inside = contact_mask(scenario, material, *pixel_centers_mm(sensor))
@@ -306,6 +306,7 @@ def resolution_sweep(frequencies, orientation: str, illum: IlluminationModel,
     grating patch. Frequencies beyond the two-pixel sampling bound are
     flagged unresolvable and recorded with modulation 0.
     """
+    from scipy import ndimage  # on use: see the package docstring
     if orientation not in ("horizontal", "vertical"):
         raise ConfigError(f"orientation must be horizontal or vertical, got {orientation!r}")
     freqs = [float(f) for f in frequencies]

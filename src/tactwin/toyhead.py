@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .assignment import (Positives, PositiveTerms, PredictionField, bce, bce_grad,
                          positive_targets, simota_assign)
@@ -36,6 +35,7 @@ def cell_features(image: np.ndarray, reference: np.ndarray,
     products and powers give a linear head enough reach to express
     indentation laws such as force ~ area * sqrt(contrast).
     """
+    from scipy import ndimage  # on use: see the package docstring
     if image.shape != reference.shape:
         raise ConfigError("image and reference shapes differ")
     dev = np.abs(image - reference)
@@ -203,25 +203,30 @@ def _distinct_rows(x: np.ndarray, t: np.ndarray):
     return xt[starts, :-1], xt[starts, -1], np.diff(np.r_[starts, len(xt)])
 
 
-def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
+def _fit_inputs(features, gts_per_sample, grid: RegionGrid,
                 scale_mm_per_px: float, classes, init_head: ToyHead | None):
     """The head to train, the distinct objectness rows with their targets and
     cell counts, and the positive rows with their ``Positives``.
 
-    A fresh head whitens with one concatenated copy of the rows, centred in
-    place; rows that never vary cannot be whitened, a ConfigError. Each
-    sample's block is standardized once, as one product (row by row may
+    ``features`` (samples, n_cells, FEATURE_DIM) is consumed. It is centred
+    in place, by a fresh head's mean of all rows or by ``init_head``'s
+    ``feature_mean``; rows that never vary cannot be whitened, a ConfigError.
+    Each sample's block is standardized once, as one product (row by row may
     differ in the last bits), and gives the initial predictions that freeze
     the assignments, the distinct objectness rows and the positive rows.
+    Sample i's distinct objectness rows are then packed into the array's
+    leading rows. Those end at or below row (i+1) n_cells, where sample i+1
+    begins, so no row is written before it is read, and the objectness rows
+    come back as a view of the array.
     """
+    rows = features.reshape(-1, FEATURE_DIM)
     if init_head is not None:
         head = init_head
+        rows -= head.feature_mean
     else:
-        centered = np.concatenate(features_per_sample, axis=0)
-        mean = centered.mean(axis=0)
-        centered -= mean
-        cov = centered.T @ centered / max(centered.shape[0] - 1, 1)
-        del centered
+        mean = rows.mean(axis=0)
+        rows -= mean
+        cov = rows.T @ rows / max(rows.shape[0] - 1, 1)
         evals, evecs = np.linalg.eigh(cov)
         if not evals.max() > 0:
             raise ConfigError("the training features never vary (every training "
@@ -230,24 +235,33 @@ def _fit_inputs(features_per_sample, gts_per_sample, grid: RegionGrid,
         transform = (evecs * scale) @ evecs.T
         head = ToyHead.zeros(classes, mean, transform)
 
-    batches, pos_rows, obj_rows = [], [], []
-    for feats, gts in zip(features_per_sample, gts_per_sample):
-        x = head.standardize(feats)
+    batches, pos_rows, obj_t, counts = [], [], [], []
+    packed = 0
+    for centred, gts in zip(features, gts_per_sample):
+        x = centred @ head.feature_transform.T
         preds = head.prediction_field(x, grid, scale_mm_per_px)
         asn = simota_assign(preds, gts, classes)
         batch = positive_targets(preds, gts, asn, classes)
         batches.append(batch)
         pos_rows.append(x[batch.cells])
-        obj_rows.append(_distinct_rows(x, asn.obj_targets()))
+        distinct, targets, count = _distinct_rows(x, asn.obj_targets())
+        rows[packed:packed + len(distinct)] = distinct
+        packed += len(distinct)
+        obj_t.append(targets)
+        counts.append(count)
     positives = Positives(*map(np.concatenate, zip(*batches)))
-    x_obj, obj_t, counts = map(np.concatenate, zip(*obj_rows))
-    return head, x_obj, obj_t, counts, np.concatenate(pos_rows), positives
+    return (head, rows[:packed], np.concatenate(obj_t), np.concatenate(counts),
+            np.concatenate(pos_rows), positives)
 
 
-def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
+def fit_toy_head(features, gts_per_sample, grid: RegionGrid,
                  scale_mm_per_px: float, classes, learning_rate: float = 0.02,
                  epochs: int = 200, init_head: ToyHead | None = None) -> FitResult:
     """Full-batch gradient descent of the detection loss over a linear head.
+
+    ``features`` is one C-contiguous float64 array of shape (samples,
+    grid.n_cells, FEATURE_DIM), each sample's ``cell_features``; the call
+    consumes it, centring it in place and packing training rows into it.
 
     Assignments come from the epoch-0 (uniform) predictions and stay frozen so
     the objective is a fixed function of the weights; an epoch's loss equals
@@ -265,11 +279,18 @@ def fit_toy_head(features_per_sample, gts_per_sample, grid: RegionGrid,
     if not (0 <= learning_rate < math.inf) or epochs < 0:
         raise ConfigError(f"learning_rate must be finite and >= 0 and epochs >= 0, "
                           f"got {learning_rate!r} and {epochs!r}")
-    n_samples = len(features_per_sample)
+    shape = (grid.n_cells, FEATURE_DIM)
+    if not (isinstance(features, np.ndarray) and features.dtype == np.float64
+            and features.flags.c_contiguous and features.shape[1:] == shape):
+        got = (f"a {features.dtype} array of shape {features.shape}"
+               if isinstance(features, np.ndarray) else type(features).__name__)
+        raise ConfigError(f"features must be one C-contiguous float64 array of shape "
+                          f"(samples, {shape[0]}, {shape[1]}), got {got}")
+    n_samples = len(features)
     if n_samples == 0 or n_samples != len(gts_per_sample):
         raise ConfigError("need matching nonempty feature and ground-truth lists")
     head, x_obj, obj_t, counts, x_pos, positives = _fit_inputs(
-        features_per_sample, gts_per_sample, grid, scale_mm_per_px, classes,
+        features, gts_per_sample, grid, scale_mm_per_px, classes,
         init_head)
     s = head._slices()
 

@@ -420,7 +420,7 @@ class TestCriterion11ToyHead:
             feats.append(cell_features(img, reference, grid))
             gts.append([gt])
             forces.append(gt.force_n)
-        res = fit_toy_head(feats[:240], gts[:240], grid,
+        res = fit_toy_head(np.stack(feats[:240]), gts[:240], grid,
                            small_sensor.scale_mm_per_px, ["sphere"],
                            learning_rate=0.02, epochs=500)
         monotone = all(b <= a for a, b in zip(res.losses, res.losses[1:]))

@@ -471,6 +471,27 @@ class TestPipeline:
         assert "config error" in err and "IoU threshold" in err and "Traceback" not in err
         assert not (tmp_path / "report").exists()
 
+    def test_eval_never_imports_scipy_ndimage(self, workspace, tmp_path):
+        # scipy.ndimage costs about 20 MB at import and only the image stack
+        # calls it: neither the package, the CLI module nor eval may load it.
+        write_rows(tmp_path / "dets.jsonl",
+                   detections_from(read_rows(workspace / "ds" / "annotations.jsonl")))
+        script = (
+            "import sys\n"
+            "def check(step):\n"
+            "    assert 'scipy.ndimage' not in sys.modules, step\n"
+            "import tactwin\n"
+            "check('import tactwin')\n"
+            "from tactwin import cli\n"
+            "check('import tactwin.cli')\n"
+            "assert cli.main(['eval', '--dataset', sys.argv[1], '--detections', sys.argv[2],"
+            " '--out', sys.argv[3], '--split', 'all']) == 0\n"
+            "check('eval')\n")
+        _run_script(script, str(workspace / "ds"), str(tmp_path / "dets.jsonl"),
+                    str(tmp_path / "report"))
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert report["overall"]["tp"] == report["overall"]["n_det"] > 0
+
 
 DROP = object()   # stands for a field removed from a row
 
@@ -1010,6 +1031,19 @@ class TestTrainToy:
         assert "training diverged (non-finite loss)" in capsys.readouterr().err
         assert (tmp_path / "toy" / "curve.csv").read_text().splitlines()[-1] == "1,nan"
         assert not (tmp_path / "toy" / "head.json").exists()
+
+    def test_empty_val_split_prints_no_val_line(self, tmp_path, capsys):
+        # Eight samples leave no room for a val split.
+        assert main(["generate", "--out", str(tmp_path / "ds"), "--count", "8",
+                     "--seed", "5", "--probe", "sphere", *SMALL]) == 0
+        assert json.loads((tmp_path / "ds" / "manifest.json").read_text())["counts"]["val"] == 0
+        capsys.readouterr()
+        rc = main(["train-toy", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "toy"), "--epochs", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "val" not in out and "trained 2 epochs" in out
+        assert (tmp_path / "toy" / "head.json").is_file()
 
     def test_flat_training_set_exit_2(self, tmp_path, capsys):
         # Every image renders flat at this load, so no feature varies and

@@ -63,7 +63,7 @@ def scene_loss_mean(head, feats, gts):
 def assert_step_is_scene_gradient_mean(feats, gts, lr=0.03):
     """One training step from a zero head equals the step along the mean of
     the per-scene loss gradients."""
-    head = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+    head = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                         learning_rate=lr, epochs=0).head
     s = head._slices()
     grad_w = np.zeros_like(head.weights)
@@ -80,7 +80,7 @@ def assert_step_is_scene_gradient_mean(feats, gts, lr=0.03):
         gz[:, s["box"]] = grad.box_raw
         grad_w += head.standardize(f).T @ gz
         grad_b += gz.sum(axis=0)
-    res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+    res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                        learning_rate=lr, epochs=1)
     assert np.abs(grad_w[:, s["box"]]).max() > 0
     np.testing.assert_allclose(res.head.weights, -lr * grad_w / len(feats),
@@ -92,14 +92,14 @@ def assert_step_is_scene_gradient_mean(feats, gts, lr=0.03):
 class TestFit:
     def test_zero_learning_rate_flat_curve(self, rng):
         feats, gts = make_dataset(rng, 6)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.0, epochs=5)
         assert len(set(res.losses)) == 1
         assert not res.diverged
 
     def test_separable_classes_converge(self, rng):
         feats, gts = make_dataset(rng, 40)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.3, epochs=1000)
         assert not res.diverged
         cls_losses = []
@@ -115,7 +115,7 @@ class TestFit:
         feats = [rng.normal(0, 1.0, size=(GRID.n_cells, FEATURE_DIM))
                  for _ in range(8)]
         gts = [[] for _ in feats]
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.01, epochs=150)
         assert all(b <= a for a, b in zip(res.losses, res.losses[1:]))
         assert res.losses[-1] < 0.05 * res.losses[0]
@@ -123,7 +123,7 @@ class TestFit:
     def test_epoch_loss_equals_scene_loss_sum(self, rng):
         # the vectorized trainer must reproduce the per-scene loss exactly
         feats, gts = make_dataset(rng, 5)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.0, epochs=1)
         assert res.losses[0] == pytest.approx(scene_loss_mean(res.head, feats, gts),
                                               rel=1e-12)
@@ -147,7 +147,7 @@ class TestFit:
             return rows
 
         monkeypatch.setattr(toyhead, "_distinct_rows", distinct_rows)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.0, epochs=1)
         assert len(merged) == len(feats)
         assert sum(merged) < len(feats) * GRID.n_cells
@@ -158,7 +158,7 @@ class TestFit:
     def test_divergence_detected_and_reported(self, rng):
         feats, gts = make_dataset(rng, 6)
         with np.errstate(over="ignore"):
-            res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+            res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                                learning_rate=500.0, epochs=200)
         assert res.diverged
         assert len(res.losses) < 200  # stopped early, state still returned
@@ -168,7 +168,7 @@ class TestFit:
         # a loss that turned NaN; the run stops at the first such epoch.
         feats, gts = make_dataset(rng, 6)
         with np.errstate(all="ignore"):
-            res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+            res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                                learning_rate=1e308, epochs=12)
         assert res.diverged == "non-finite loss"
         assert np.isfinite(res.losses[:-1]).all() and not np.isfinite(res.losses[-1])
@@ -177,13 +177,13 @@ class TestFit:
         feats = [np.ones((GRID.n_cells, FEATURE_DIM)) for _ in range(3)]
         gts = [[] for _ in feats]
         with pytest.raises(ConfigError, match="never vary"):
-            fit_toy_head(feats, gts, GRID, SCALE, CLASSES, epochs=2)
+            fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES, epochs=2)
 
 
 class TestSerialization:
     def test_round_trip_exact(self, rng, tmp_path):
         feats, gts = make_dataset(rng, 6)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.02, epochs=20)
         res.head.save(tmp_path / "head.json")
         loaded = ToyHead.load(tmp_path / "head.json")
@@ -195,20 +195,20 @@ class TestSerialization:
 
     def test_resume_reproduces_losses(self, rng, tmp_path):
         feats, gts = make_dataset(rng, 6)
-        first = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        first = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                              learning_rate=0.02, epochs=10)
         first.head.save(tmp_path / "head.json")
-        resumed_a = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        resumed_a = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                                  learning_rate=0.02, epochs=5,
                                  init_head=ToyHead.load(tmp_path / "head.json"))
-        resumed_b = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        resumed_b = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                                  learning_rate=0.02, epochs=5,
                                  init_head=ToyHead.load(tmp_path / "head.json"))
         assert resumed_a.losses == resumed_b.losses
 
     def test_predict_force_readout(self, rng):
         feats, gts = make_dataset(rng, 20)
-        res = fit_toy_head(feats, gts, GRID, SCALE, CLASSES,
+        res = fit_toy_head(np.stack(feats), gts, GRID, SCALE, CLASSES,
                            learning_rate=0.02, epochs=500)
         errs = [abs(predict_sample_force(res.head, f, GRID, SCALE)
                     - g[0].force_n)
@@ -255,15 +255,19 @@ class TestFitInputs:
                                      small_sensor):
         # Each sample standardized on its own gives the rows, targets, counts
         # and positives of the whole set standardized as one matrix. A resumed
-        # head's nonzero weights reach the initial predictions.
+        # head's nonzero weights reach the initial predictions. At noise 0.02
+        # no two rows merge, so each sample's packed rows reach right up to
+        # the next sample's unread rows.
         feats, gts, grid = sphere_set(noise, 24, material, illum, small_sensor)
-        args = (feats, gts, grid, small_sensor.scale_mm_per_px, ["sphere"])
-        init = (fit_toy_head(*args, learning_rate=0.02, epochs=5).head
+        args = (gts, grid, small_sensor.scale_mm_per_px, ["sphere"])
+        init = (fit_toy_head(np.stack(feats), *args, learning_rate=0.02, epochs=5).head
                 if resume else None)
-        got = toyhead._fit_inputs(*args, init)
-        want = frozen_fit_inputs(*args, init)
+        got = toyhead._fit_inputs(np.stack(feats), *args, init)
+        want = frozen_fit_inputs(feats, *args, init)
         if resume:
             assert np.abs(init.weights).max() > 0
+        if noise:
+            assert len(want[1]) == len(feats) * grid.n_cells
         for name in ("feature_mean", "feature_transform", "weights", "bias"):
             assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
         for a, b in zip(got[1:5], want[1:5]):
@@ -272,19 +276,31 @@ class TestFitInputs:
         for a, b in zip(got[5], want[5]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_setup_holds_under_two_feature_matrices(self, material, illum,
-                                                    small_sensor):
-        # One concatenated copy, centred in place and freed before the
-        # samples are standardized one by one; the one-batch set-up held a
-        # centred copy and the whole standardized matrix beside it (2.9).
+    def test_setup_holds_within_the_feature_array(self, material, illum,
+                                                  small_sensor):
+        # The array is centred and packed in place, so the set-up allocates
+        # less than one more copy of it.
         feats, gts, grid = sphere_set(0.0, 60, material, illum, small_sensor)
-        matrix = sum(f.nbytes for f in feats)
+        features = np.stack(feats)
+        del feats
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            fit_toy_head(feats, gts, grid, small_sensor.scale_mm_per_px,
+            fit_toy_head(features, gts, grid, small_sensor.scale_mm_per_px,
                          ["sphere"], epochs=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * matrix, peak / matrix
+        assert peak <= 1.0 * features.nbytes, peak / features.nbytes
+
+    @pytest.mark.parametrize("features", [
+        pytest.param(lambda f: list(f), id="list"),
+        pytest.param(lambda f: f.reshape(-1, FEATURE_DIM), id="concatenated"),
+        pytest.param(lambda f: f[:, :-1], id="cells"),
+        pytest.param(lambda f: f.astype(np.float32), id="float32"),
+        pytest.param(lambda f: np.asfortranarray(f), id="fortran"),
+    ])
+    def test_features_not_one_array_rejected(self, rng, features):
+        feats, gts = make_dataset(rng, 3)
+        with pytest.raises(ConfigError, match=rf"\(samples, {GRID.n_cells}, 20\)"):
+            fit_toy_head(features(np.stack(feats)), gts, GRID, SCALE, CLASSES, epochs=1)
